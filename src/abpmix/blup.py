@@ -13,7 +13,6 @@ from .basis import TimeGrid
 from .design import Subject, build_design
 from .errors import ConditioningError, ConfigError
 from .estimation import FittedModel
-from .linalg import marginal_covariance
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ def random_effects_blup(fitted: FittedModel, subject: Subject) -> np.ndarray:
     """d_i = Sigma_d Z' Sigma^-1 (y - X beta) at the fitted parameters."""
     pair = build_design(fitted.spec, subject, fitted.context)
     resid = subject.y - pair.X @ fitted.beta_hat
-    sigma = marginal_covariance(pair.Z, fitted.sigma_d_hat, fitted.sigma2_hat)
+    sigma = pair.Z @ fitted.sigma_d_hat @ pair.Z.T + fitted.sigma2_hat * np.eye(len(resid))
     try:
         cho = sla.cho_factor(sigma, lower=True)
     except np.linalg.LinAlgError as exc:

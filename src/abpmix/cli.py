@@ -97,18 +97,40 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _failed_row(path, exc) -> dict:
+    return {
+        "model": Path(path).stem,
+        "aic": np.inf,
+        "bic": np.inf,
+        "model_r2": np.nan,
+        "converged": False,
+        "n_cov_params": -1,
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
 def _cmd_compare(args) -> int:
     if len(args.model) < 2:
         print("error: need >= 2 models to compare", file=sys.stderr)
         return EXIT_USAGE
-    cohort = dataio.read_cohort(args.data, outcome=args.outcome)
-    results = []
-    fits = []
+    loaded = []
     for path in args.model:
         try:
-            spec = serialize.load_model_spec(path)
+            loaded.append((path, serialize.load_model_spec(path)))
+        except AbpmixError as exc:
+            loaded.append((path, exc))
+    # comparability depends only on the specs and the method: refuse before fitting
+    specs = [spec for _, spec in loaded if not isinstance(spec, AbpmixError)]
+    inference.assert_comparable(specs, args.method.upper(),
+                                force_reml_compare=args.force_reml_compare)
+    cohort = dataio.read_cohort(args.data, outcome=args.outcome)
+    results = []
+    for path, spec in loaded:
+        if isinstance(spec, AbpmixError):
+            results.append(_failed_row(path, spec))
+            continue
+        try:
             fitted = _fit_one(spec, cohort, args)
-            fits.append(fitted)
             aic, bic = inference.information_criteria(fitted)
             model_r2 = inference.r2_statistics(fitted)[0] if fitted.converged else np.nan
             results.append(
@@ -123,21 +145,10 @@ def _cmd_compare(args) -> int:
                 }
             )
         except AbpmixError as exc:
-            results.append(
-                {
-                    "model": Path(path).stem,
-                    "aic": np.inf,
-                    "bic": np.inf,
-                    "model_r2": np.nan,
-                    "converged": False,
-                    "n_cov_params": -1,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            results.append(_failed_row(path, exc))
     if not any(r["error"] == "" for r in results):
         print("error: every model failed to fit", file=sys.stderr)
         return EXIT_USAGE
-    inference.assert_comparable(fits, force_reml_compare=args.force_reml_compare)
     results.sort(key=lambda r: (r["aic"], r["n_cov_params"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,7 +189,6 @@ def _eval_grid(args) -> TimeGrid:
 def _cmd_profiles(args) -> int:
     fitted = serialize.load_fitted_model(args.fit)
     cohort = dataio.read_cohort(args.data, outcome=args.outcome)
-    fitted.attach_data(cohort)
     grid = _eval_grid(args)
     subject_ids = [s for s in (args.subjects.split(",") if args.subjects else []) if s]
     known = {s.id for s in cohort}
@@ -221,7 +231,6 @@ def _cmd_band(args) -> int:
     cohort = dataio.read_cohort(args.data, outcome=args.outcome)
     if args.fit:
         fitted = serialize.load_fitted_model(args.fit)
-        fitted.attach_data(cohort)
     else:
         if not args.thresholds or not args.model:
             print("error: band needs either --fit or both --model and --thresholds",

@@ -7,11 +7,19 @@ and the covariance parameters are maximized by quasi-Newton ascent
 log-variances for the diagonal structure, log-Cholesky entries for the
 unstructured one.
 
-Subjects sharing identical designs (the balanced, complete case) are
-grouped so each likelihood evaluation factorizes one small matrix per
-distinct design rather than one per subject.  Group contributions are
+Subjects sharing identical (X, Z) designs are grouped, and each distinct
+design is reduced once to small sufficient statistics.  A complete QR,
+Z = Q R, rotates the design so that Sigma^-1 = Q M^-1 Q' + (I - QQ') /
+sigma^2 and log|Sigma| = log|M| + (p - m) log sigma^2, with the m x m
+M = R Sigma_d R' + sigma^2 I.  The statistics are cross-products of the
+rotated X and of the OLS residuals y - X beta_0 (the likelihood does not
+change under this shift, and residual cross-products keep roundoff
+small).  One evaluation is then a single batched m x m Cholesky over
+the distinct designs plus array algebra on (designs, m, m), (designs,
+m, q) and q x q arrays; the gradient chains one m x m matrix
+d loglik / d Sigma_d to theta.  Designs and the subjects within them are
 accumulated in a canonical order, so results do not depend on subject
-ordering or on any execution parallelism.
+ordering.
 """
 
 from __future__ import annotations
@@ -103,22 +111,19 @@ def _chol_from_theta(m: int, theta: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _dsigma_d_list(structure: str, m: int, theta: np.ndarray):
-    """d Sigma_d / d theta_k for every covariance parameter except sigma^2."""
-    out = []
+def _dsigma_d_stack(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
+    """d Sigma_d / d theta_k stacked for every covariance parameter except sigma^2."""
     if structure == "diagonal":
-        for j in range(m):
-            d = np.zeros((m, m))
-            d[j, j] = np.exp(theta[j])
-            out.append(d)
+        out = np.zeros((m, m, m))
+        out[np.arange(m), np.arange(m), np.arange(m)] = np.exp(theta[:m])
         return out
     chol = _chol_from_theta(m, theta)
     rows, cols = np.tril_indices(m)
-    for i, j in zip(rows, cols):
-        dl = np.zeros((m, m))
-        dl[i, j] = chol[i, j] if i == j else 1.0
-        out.append(dl @ chol.T + chol @ dl.T)
-    return out
+    # d L = scale_k e_i e_j', so d Sigma_d = d L L' + L d L'
+    scale = np.where(rows == cols, chol[rows, cols], 1.0)
+    half = np.zeros((rows.size, m, m))
+    half[np.arange(rows.size), rows, :] = scale[:, None] * chol[:, cols].T
+    return half + half.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +157,6 @@ class FittedModel:
     def n_cov_params(self) -> int:
         return self.params.theta.size
 
-    @property
-    def reml_loglik(self) -> float:
-        return self.loglik
-
     def attach_data(self, cohort: Cohort) -> "MixedModelProblem":
         """Rebuild the estimation problem for a deserialized fit."""
         if self.problem is None:
@@ -167,172 +168,159 @@ class FittedModel:
 # the estimation problem
 
 
-class _Group:
-    """Subjects sharing identical (X, Z) designs."""
-
-    __slots__ = ("X", "Z", "Y", "ids", "p", "n_subjects", "key")
-
-    def __init__(self, key, x, z):
-        self.key = key
-        self.X = x
-        self.Z = z
-        self.p = x.shape[0]
-        self.Y = []
-        self.ids = []
-
-    def finalize(self):
-        order = np.argsort(np.asarray(self.ids, dtype=object))
-        self.ids = [self.ids[i] for i in order]
-        self.Y = np.asarray(self.Y, dtype=float)[order]
-        self.n_subjects = self.Y.shape[0]
-
-
 class MixedModelProblem:
-    """Designs, grouped factorizations, likelihood and gradient."""
+    """Per-design sufficient statistics, likelihood and gradient."""
 
     def __init__(self, spec: ModelSpec, cohort: Cohort, context: Optional[BasisContext] = None):
         self.spec = spec
         self.cohort = cohort
         self.context = context if context is not None else BasisContext(spec, cohort)
-        groups = {}
+        designs = {}
         for subject in cohort:
             pair = build_design(spec, subject, self.context)
             key = (pair.X.shape, pair.X.tobytes(), pair.Z.tobytes())
-            g = groups.get(key)
-            if g is None:
-                g = groups[key] = _Group(key, pair.X, pair.Z)
-            g.Y.append(subject.y)
-            g.ids.append(subject.id)
-        self.groups = [groups[k] for k in sorted(groups, key=lambda k: (k[0], k[1], k[2]))]
-        for g in self.groups:
-            g.finalize()
-        self.n = sum(g.n_subjects * g.p for g in self.groups)
+            designs.setdefault(key, (pair.X, pair.Z, []))[2].append(subject)
+        groups = []
+        for key in sorted(designs):
+            x, z, subjects = designs[key]
+            subjects.sort(key=lambda s: s.id)
+            groups.append((x, z, np.array([s.y for s in subjects])))
         self.N = len(cohort)
-        self.q = self.groups[0].X.shape[1]
-        self.m = self.groups[0].Z.shape[1]
+        self.n = sum(y.size for _, _, y in groups)
+        self.q = q = groups[0][0].shape[1]
+        self.m = m = groups[0][1].shape[1]
         self.structure = spec.random_cov
-        self.n_params = n_cov_params(self.structure, self.m)
-        self._check_pooled_rank()
+        self.n_params = n_cov_params(self.structure, m)
 
-    def _check_pooled_rank(self):
-        g = sum(grp.n_subjects * (grp.X.T @ grp.X) for grp in self.groups)
-        ev = np.linalg.eigvalsh(g)
+        xtx = sum(len(y) * (x.T @ x) for x, _, y in groups)
+        ev = np.linalg.eigvalsh(xtx)
         if ev[0] <= 1e-10 * max(ev[-1], 1.0):
             raise RankError("pooled fixed-effect design is rank deficient")
+        # the statistics are built from OLS residuals; the likelihood is
+        # invariant to this shift and its cross-products stay small
+        self._beta0 = np.linalg.solve(xtx, sum(x.T @ y.sum(axis=0) for x, _, y in groups))
 
-    # -- factorization ------------------------------------------------------
+        # Z = Q R by a complete QR.  Rotated by Q', the first m rows of a
+        # design (zero-padded when p < m) carry the random effects and the
+        # other p - m rows only the residual variance, so Sigma^-1 =
+        # Q M^-1 Q' + (I - QQ')/sigma^2 with M = R Sigma_d R' + sigma^2 I
+        count, r_in, x_in, ee_in, e_in = [], [], [], [], []
+        self._xx_out = np.zeros((q, q))
+        self._xe_out = np.zeros(q)
+        self._ee_out = 0.0
+        self._p_minus_m = 0
+        for x, z, y in groups:
+            qf, r = np.linalg.qr(z, mode="complete")
+            k = min(z.shape)
+            xt = qf.T @ x
+            et = (y - x @ self._beta0) @ qf
+            u = np.pad(et[:, :k], ((0, 0), (0, m - k)))
+            count.append(len(y))
+            r_in.append(np.pad(r[:k], ((0, m - k), (0, 0))))
+            x_in.append(np.pad(xt[:k], ((0, m - k), (0, 0))))
+            ee_in.append(u.T @ u)
+            e_in.append(u.sum(axis=0))
+            self._xx_out += len(y) * (xt[k:].T @ xt[k:])
+            self._xe_out += xt[k:].T @ et[:, k:].sum(axis=0)
+            self._ee_out += float(np.sum(et[:, k:] ** 2))
+            self._p_minus_m += len(y) * (x.shape[0] - m)
+        # stacked over the G distinct designs
+        self._count = np.asarray(count, dtype=float)  # (G,) subjects
+        self._r = np.asarray(r_in)                     # (G, m, m) R
+        self._x = np.asarray(x_in)                     # (G, m, q) Q'X
+        self._ee = np.asarray(ee_in)                   # (G, m, m) sum of Q'e e'Q
+        self._e = np.asarray(e_in)                     # (G, m) sum of Q'e
 
-    def _factorize(self, group: _Group, sigma_d: np.ndarray, sigma2: float) -> np.ndarray:
-        sigma = group.Z @ sigma_d @ group.Z.T + sigma2 * np.eye(group.p)
+    # -- likelihood ---------------------------------------------------------
+
+    def _evaluate(self, theta: np.ndarray, method: str, want_grad: bool):
+        """(loglik, gradient or None, beta, cov_beta, M^-1 A per design)."""
+        m, q = self.m, self.q
+        count = self._count
+        sigma_d = sigma_d_from_theta(self.structure, m, theta)
+        sigma2 = float(np.exp(theta[-1]))
+        r = self._r
+        mm = r @ sigma_d @ r.transpose(0, 2, 1) + sigma2 * np.eye(m)
         try:
-            return np.linalg.cholesky(sigma)
+            chol = np.linalg.cholesky(mm)
         except np.linalg.LinAlgError:
             # jitter once, then give up
-            sigma = sigma + (1e-10 * np.trace(sigma) / group.p) * np.eye(group.p)
+            mm = mm + (1e-10 * np.trace(mm, axis1=1, axis2=2) / m)[:, None, None] * np.eye(m)
             try:
-                return np.linalg.cholesky(sigma)
+                chol = np.linalg.cholesky(mm)
             except np.linalg.LinAlgError:
-                raise ConditioningError(
-                    f"covariance not factorizable for subject {group.ids[0]!r}"
-                ) from None
-
-    def _decompose(self, theta: np.ndarray):
-        """Per-group factorizations plus the GLS solution at theta."""
-        sigma_d = sigma_d_from_theta(self.structure, self.m, theta)
-        sigma2 = float(np.exp(theta[-1]))
-        xtsx = np.zeros((self.q, self.q))
-        xtsy = np.zeros(self.q)
-        logdet = 0.0
-        cache = []
-        for g in self.groups:
-            chol = self._factorize(g, sigma_d, sigma2)
-            wx = sla.solve_triangular(chol, g.X, lower=True)
-            wy = sla.solve_triangular(chol, g.Y.T, lower=True)
-            xtsx += g.n_subjects * (wx.T @ wx)
-            xtsy += wx.T @ wy.sum(axis=1)
-            logdet += 2.0 * g.n_subjects * float(np.sum(np.log(np.diag(chol))))
-            cache.append((chol, wx, wy))
+                raise ConditioningError("marginal covariance not factorizable") from None
+        li = np.linalg.inv(chol)
+        wx = li @ self._x
+        we = (li @ self._e[:, :, None])[:, :, 0]
+        xtsx = (np.tensordot(count[:, None, None] * wx, wx, axes=([0, 1], [0, 1]))
+                + self._xx_out / sigma2)
+        xtse = np.tensordot(wx, we, axes=([0, 1], [0, 1])) + self._xe_out / sigma2
         try:
             cho = sla.cho_factor(xtsx, lower=True)
         except np.linalg.LinAlgError as exc:
             raise RankError("singular GLS normal matrix") from exc
-        beta = sla.cho_solve(cho, xtsy)
-        logdet_x = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-        return sigma_d, sigma2, beta, xtsx, logdet, logdet_x, cache
-
-    # -- likelihood ---------------------------------------------------------
+        delta = sla.cho_solve(cho, xtse)
+        cov_beta = sla.cho_solve(cho, np.eye(q))
+        quad = (float(np.sum((li @ self._ee) * li)) + self._ee_out / sigma2
+                - float(delta @ xtse))
+        logdet = (2.0 * float(count @ np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
+                  + self._p_minus_m * float(theta[-1]))
+        reml = method == "REML"
+        if reml:
+            logdet_x = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+            ll = -0.5 * (logdet + logdet_x + quad + (self.n - q) * _LOG2PI)
+        else:
+            ll = -0.5 * (logdet + quad + self.n * _LOG2PI)
+        kx = li.transpose(0, 2, 1) @ wx
+        grad = None
+        if want_grad:
+            # d ll / d Sigma_d = -1/2 sum_g R'(n K - K S K - n K A cov_beta A' K)R
+            # with K = M^-1 and S the summed rotated GLS residual cross-products
+            minv = li.transpose(0, 2, 1) @ li
+            xd = self._x @ delta
+            ed = self._e[:, :, None] * xd[:, None, :]
+            s = (self._ee - ed - ed.transpose(0, 2, 1)
+                 + count[:, None, None] * xd[:, :, None] * xd[:, None, :])
+            inner = count[:, None, None] * minv - minv @ s @ minv
+            if reml:
+                inner -= count[:, None, None] * (kx @ cov_beta @ kx.transpose(0, 2, 1))
+            g = -0.5 * (r.transpose(0, 2, 1) @ inner @ r).sum(axis=0)
+            grad = np.empty(theta.size)
+            grad[:-1] = np.tensordot(_dsigma_d_stack(self.structure, m, theta), g,
+                                     axes=([1, 2], [0, 1]))
+            # ll(c Sigma) has derivative -(n - q_reml - quad)/2 in c at c = 1;
+            # what Sigma_d does not account for belongs to log sigma^2
+            grad[-1] = (-0.5 * (self.n - (q if reml else 0) - quad)
+                        - float(np.sum(g * sigma_d)))
+        return ll, grad, self._beta0 + delta, cov_beta, kx
 
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
-        _, _, beta, _, logdet, logdet_x, cache = self._decompose(theta)
-        quad = 0.0
-        for g, (chol, _, _) in zip(self.groups, cache):
-            resid = g.Y - (g.X @ beta)
-            wr = sla.solve_triangular(chol, resid.T, lower=True)
-            quad += float(np.sum(wr * wr))
-        if method == "REML":
-            return -0.5 * (logdet + logdet_x + quad + (self.n - self.q) * _LOG2PI)
-        return -0.5 * (logdet + quad + self.n * _LOG2PI)
+        return self._evaluate(theta, method, want_grad=False)[0]
 
     def gls(self, theta: np.ndarray):
         """(beta_hat, cov_beta) at the given covariance parameters."""
-        _, _, beta, xtsx, _, _, _ = self._decompose(theta)
-        cov_beta = np.linalg.inv(xtsx)
+        _, _, beta, cov_beta, _ = self._evaluate(theta, "REML", want_grad=False)
         return beta, 0.5 * (cov_beta + cov_beta.T)
 
     def loglik_and_grad(self, theta: np.ndarray, method: str = "REML"):
-        sigma_d, sigma2, beta, xtsx, logdet, logdet_x, cache = self._decompose(theta)
-        dmats = _dsigma_d_list(self.structure, self.m, theta)
-        k = len(dmats) + 1
-        tr_term = np.zeros(k)
-        quad_term = np.zeros(k)
-        reml_mats = np.zeros((k, self.q, self.q))
-        quad = 0.0
-        eye_q = np.eye(self.q)
-        phi = sla.cho_solve(sla.cho_factor(xtsx, lower=True), eye_q)
-        for g, (chol, wx, _) in zip(self.groups, cache):
-            resid = g.Y - (g.X @ beta)
-            wr = sla.solve_triangular(chol, resid.T, lower=True)
-            quad += float(np.sum(wr * wr))
-            si_r = sla.solve_triangular(chol, wr, lower=True, trans="T")  # p x n_g
-            wz = sla.solve_triangular(chol, g.Z, lower=True)
-            gzz = wz.T @ wz                       # Z' Sigma^-1 Z
-            bxz = wx.T @ wz                       # X' Sigma^-1 Z
-            azr = g.Z.T @ si_r                    # m x n_g
-            for j, d in enumerate(dmats):
-                tr_term[j] += g.n_subjects * float(np.sum(gzz * d))
-                quad_term[j] += float(np.sum(azr * (d @ azr)))
-                reml_mats[j] += g.n_subjects * (bxz @ d @ bxz.T)
-            # residual parameter: dSigma = sigma^2 I
-            li = sla.solve_triangular(chol, np.eye(g.p), lower=True)
-            tr_term[-1] += sigma2 * g.n_subjects * float(np.sum(li * li))
-            quad_term[-1] += sigma2 * float(np.sum(si_r * si_r))
-            si_x = sla.solve_triangular(chol, wx, lower=True, trans="T")
-            reml_mats[-1] += sigma2 * g.n_subjects * (si_x.T @ si_x)
-        grad = np.empty(k)
-        for j in range(k):
-            corr = float(np.sum(phi * reml_mats[j])) if method == "REML" else 0.0
-            grad[j] = -0.5 * (tr_term[j] - quad_term[j] - corr)
-        if method == "REML":
-            ll = -0.5 * (logdet + logdet_x + quad + (self.n - self.q) * _LOG2PI)
-        else:
-            ll = -0.5 * (logdet + quad + self.n * _LOG2PI)
+        ll, grad, _, _, _ = self._evaluate(theta, method, want_grad=True)
         return ll, grad
 
     def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML"):
         """d cov_beta / d theta_k at theta (delta-method ingredient)."""
-        sigma_d, sigma2, _, xtsx, _, _, cache = self._decompose(theta)
-        dmats = _dsigma_d_list(self.structure, self.m, theta)
-        k = len(dmats) + 1
-        mats = np.zeros((k, self.q, self.q))
-        for g, (chol, wx, _) in zip(self.groups, cache):
-            wz = sla.solve_triangular(chol, g.Z, lower=True)
-            bxz = wx.T @ wz
-            for j, d in enumerate(dmats):
-                mats[j] += g.n_subjects * (bxz @ d @ bxz.T)
-            si_x = sla.solve_triangular(chol, wx, lower=True, trans="T")
-            mats[-1] += sigma2 * g.n_subjects * (si_x.T @ si_x)
-        phi = np.linalg.inv(xtsx)
-        return [phi @ m @ phi for m in mats]
+        _, _, _, cov_beta, kx = self._evaluate(theta, method, want_grad=False)
+        sigma2 = float(np.exp(theta[-1]))
+        # X' Sigma^-1 Z per design, and sum_g n_g b_g (x) b_g over designs
+        b = kx.transpose(0, 2, 1) @ self._r
+        outer = np.tensordot(self._count[:, None, None] * b, b, axes=([0], [0]))
+        dmats = np.tensordot(_dsigma_d_stack(self.structure, self.m, theta), outer,
+                             axes=([1, 2], [1, 3]))
+        # residual parameter: d Sigma = sigma^2 I
+        d_resid = (sigma2 * np.tensordot(self._count[:, None, None] * kx, kx,
+                                         axes=([0, 1], [0, 1]))
+                   + self._xx_out / sigma2)
+        return cov_beta @ np.concatenate([dmats, d_resid[None]]) @ cov_beta
 
     def observed_information(self, theta: np.ndarray, method: str = "REML",
                              step: float = 1e-4) -> np.ndarray:
@@ -356,15 +344,7 @@ class MixedModelProblem:
     # -- initialization and fitting -----------------------------------------
 
     def _initial_theta(self) -> np.ndarray:
-        xtx = np.zeros((self.q, self.q))
-        xty = np.zeros(self.q)
-        yty = 0.0
-        for g in self.groups:
-            xtx += g.n_subjects * (g.X.T @ g.X)
-            xty += g.X.T @ g.Y.sum(axis=0)
-            yty += float(np.sum(g.Y * g.Y))
-        beta = np.linalg.solve(xtx, xty)
-        rss = max(yty - float(xty @ beta), 1e-8)
+        rss = max(float(np.trace(self._ee, axis1=1, axis2=2).sum()) + self._ee_out, 1e-8)
         dof = max(self.n - self.q, 1)
         s2 = rss / dof
         sigma2_0 = 0.5 * s2

@@ -162,25 +162,17 @@ def per_column_tests(fitted: FittedModel):
     return out
 
 
-def _fixed_structure_signature(fitted: FittedModel):
-    spec = fitted.spec
-    return (
-        tuple(sorted(spec.fixed.to_jsonable().items(), key=str)),
-        spec.group_terms,
-        spec.interaction_terms,
-    )
-
-
-def assert_comparable(fits, force_reml_compare: bool = False):
+def assert_comparable(specs, method: str, force_reml_compare: bool = False):
     """Refuse REML AIC/BIC comparison across different fixed structures.
 
     REML likelihoods from different fixed-effect structures are not on a
-    common scale; pass ``force_reml_compare=True`` to compare anyway.
+    common scale; pass ``force_reml_compare=True`` to compare anyway.  The
+    decision needs only the model specs and the method, so it is made
+    before any fit.
     """
-    if force_reml_compare:
+    if force_reml_compare or method != "REML":
         return
-    reml = [f for f in fits if f.method == "REML"]
-    sigs = {_fixed_structure_signature(f) for f in reml}
+    sigs = {(spec.fixed, spec.group_terms, spec.interaction_terms) for spec in specs}
     if len(sigs) > 1:
         raise ComparisonError(
             "REML criteria are not comparable across fixed-effect structures; "
@@ -194,12 +186,12 @@ def variance_component_table(fitted: FittedModel):
     Standard errors come from the delta method through the observed
     information on the transformed scale.
     """
-    from .estimation import _dsigma_d_list  # local import to avoid cycle at module load
+    from .estimation import _dsigma_d_stack  # local import to avoid cycle at module load
 
     theta = fitted.params.theta
     m = fitted.params.m
     vcov = _information_inverse(fitted) if fitted.problem is not None else None
-    dmats = _dsigma_d_list(fitted.params.structure, m, theta)
+    dmats = _dsigma_d_stack(fitted.params.structure, m, theta)
     rows = []
     if fitted.params.structure == "diagonal":
         entries = [(j, j) for j in range(m)]

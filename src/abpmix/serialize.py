@@ -19,6 +19,17 @@ from .estimation import CovarianceParams, FittedModel
 SCHEMA_VERSION = 1
 
 
+def _parse(text: str, what: str) -> dict:
+    """JSON object from text; malformed input is a SchemaError."""
+    try:
+        d = json.loads(text)
+    except ValueError as exc:
+        raise SchemaError(f"{what}: malformed JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what}: expected a JSON object")
+    return d
+
+
 def _check_version(d: dict, what: str):
     v = d.get("schema_version")
     if v != SCHEMA_VERSION:
@@ -30,7 +41,7 @@ def model_spec_to_json(spec: ModelSpec) -> str:
 
 
 def model_spec_from_json(text: str) -> ModelSpec:
-    d = json.loads(text)
+    d = _parse(text, "model spec")
     _check_version(d, "model spec")
     d = {k: v for k, v in d.items() if k != "schema_version"}
     return ModelSpec.from_jsonable(d)
@@ -64,7 +75,7 @@ def fitted_model_to_json(fitted: FittedModel) -> str:
 
 
 def fitted_model_from_json(text: str) -> FittedModel:
-    d = json.loads(text)
+    d = _parse(text, "fitted model")
     _check_version(d, "fitted model")
     known = {
         "schema_version", "spec", "method", "beta_hat", "cov_beta", "sigma_d_hat",
@@ -109,7 +120,7 @@ def load_fitted_model(path) -> FittedModel:
 
 
 def simulation_config_from_json(text: str) -> SimulationConfig:
-    d = json.loads(text)
+    d = _parse(text, "simulation config")
     _check_version(d, "simulation config")
     known = {
         "schema_version", "spec", "beta", "sigma_d", "sigma2", "n_subjects",
@@ -143,12 +154,15 @@ def load_simulation_config(path) -> SimulationConfig:
 def load_thresholds(path) -> dict:
     """Per-hour bounds: {"0": [lo, hi], ...} or {"all": [lo, hi]}."""
     with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    if "all" in d:
-        lo, hi = d["all"]
-        return {h: (float(lo), float(hi)) for h in range(24)}
-    out = {}
-    for k, bounds in d.items():
-        lo, hi = bounds
-        out[int(k)] = (float(lo), float(hi))
+        d = _parse(fh.read(), "thresholds")
+    try:
+        if "all" in d:
+            lo, hi = d["all"]
+            return {h: (float(lo), float(hi)) for h in range(24)}
+        out = {}
+        for k, bounds in d.items():
+            lo, hi = bounds
+            out[int(k)] = (float(lo), float(hi))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"thresholds: {exc}") from None
     return out

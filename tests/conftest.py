@@ -11,7 +11,7 @@ import scipy.linalg as sla
 
 import abpmix as a
 from abpmix.design import BasisContext, build_design
-from abpmix.estimation import sigma_d_from_theta
+from abpmix.estimation import LOG_VARIANCE_FLOOR, sigma_d_from_theta
 
 
 def dense_stacked_loglik(theta, spec, cohort, method="REML"):
@@ -70,6 +70,49 @@ def random_tiny_problem(rng, structure="diagonal"):
     k = (m if structure == "diagonal" else m * (m + 1) // 2) + 1
     theta = rng.normal(scale=0.8, size=k)
     return spec, cohort, theta
+
+
+def edge_case_problems(rng, structure="diagonal"):
+    """Tiny instances of the design patterns the grouped estimator treats
+    specially: several subjects sharing a design next to singleton
+    designs, subjects with fewer observations than random effects,
+    covariates (same Z, different X), and a variance at its floor."""
+
+    def subject(sid, times, **covariates):
+        times = np.asarray(times, dtype=float)
+        return a.Subject(id=sid, times=a.TimeGrid(times),
+                         y=rng.normal(50.0, 10.0, size=times.size), covariates=covariates)
+
+    def theta_for(m, floor_first=False):
+        k = (m if structure == "diagonal" else m * (m + 1) // 2) + 1
+        theta = rng.normal(scale=0.8, size=k)
+        if floor_first:
+            theta[0] = LOG_VARIANCE_FLOOR if structure == "diagonal" else LOG_VARIANCE_FLOOR / 2
+        return theta
+
+    shared = [2.0, 7.0, 12.0, 17.0, 22.0]
+    mixed = a.Cohort(subjects=(
+        subject("a", shared), subject("b", shared), subject("c", shared),
+        subject("d", [1.0, 9.0, 15.0]), subject("e", [4.0, 11.0, 19.0, 23.0]),
+    ))
+    short = a.Cohort(subjects=(
+        subject("a", [3.0, 8.0, 13.0, 18.0, 21.0]), subject("b", [5.0, 16.0]),
+        subject("c", [10.0]), subject("d", [2.0, 6.0, 14.0, 20.0]),
+    ))
+    with_covariates = a.Cohort(subjects=tuple(
+        subject(f"s{i}", shared, diet=("salt", "control")[i % 2], age=30.0 + 7.0 * i)
+        for i in range(5)
+    ))
+    return [
+        (poly_spec(1, structure), mixed, theta_for(2)),
+        (poly_spec(2, structure), short, theta_for(3)),
+        (a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 1),
+                     random=a.BasisDescriptor("orthonormal_poly", 1),
+                     random_cov=structure, group_terms=("diet",),
+                     interaction_terms=("age",)),
+         with_covariates, theta_for(2)),
+        (poly_spec(1, structure), mixed, theta_for(2, floor_first=True)),
+    ]
 
 
 def poly_spec(degree, random_cov="diagonal"):

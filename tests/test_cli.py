@@ -8,6 +8,7 @@ import abpmix as a
 from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.cli import main
+from abpmix.estimation import MixedModelProblem
 
 from conftest import poly_spec
 
@@ -75,6 +76,15 @@ class TestFitCommand:
         code = main(["fit", "--model", big, "--data", data, "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_malformed_spec_json_is_usage_error(self, tmp_path, workspace, capsys):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": 1, "fixed": ')
+        code = main(["fit", "--model", str(bad), "--data", data,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path, workspace):
         _, _, model = workspace
         code = main(["fit", "--model", model, "--data", str(tmp_path / "nope.csv"),
@@ -135,6 +145,31 @@ class TestCompareCommand:
         code = main(["compare", "--model", model, "--model", m1,
                      "--data", data, "--out", str(tmp_path / "c2")])
         assert code == 2
+
+    def test_incomparable_specs_refused_before_any_fit(self, workspace, tmp_path,
+                                                       monkeypatch):
+        _, data, model = workspace
+        m1 = write_spec(tmp_path / "m1.json", 1)
+        fits = []
+        monkeypatch.setattr(MixedModelProblem, "fit", lambda self, **kw: fits.append(kw))
+        code = main(["compare", "--model", model, "--model", m1,
+                     "--data", data, "--out", str(tmp_path / "c5")])
+        assert code == 2
+        assert fits == []
+
+    def test_spline_fixed_basis_refused_without_traceback(self, workspace, tmp_path,
+                                                          capsys):
+        _, data, model = workspace
+        spline = a.ModelSpec(
+            fixed=a.BasisDescriptor("restricted_cubic_spline", knots=(2.0, 8.0, 14.0, 20.0)),
+            random=a.BasisDescriptor("orthonormal_poly", 1),
+        )
+        rcs = tmp_path / "rcs.json"
+        rcs.write_text(serialize.model_spec_to_json(spline))
+        code = main(["compare", "--model", model, "--model", str(rcs),
+                     "--data", data, "--out", str(tmp_path / "c6")])
+        assert code == 2
+        assert "ComparisonError" in capsys.readouterr().err
 
     def test_identical_model_twice_gives_identical_rows(self, workspace, tmp_path):
         _, data, model = workspace
@@ -222,6 +257,17 @@ class TestBandCommand:
         lo90, hi90 = self.band_values(o90 / "band.csv")
         lo95, hi95 = self.band_values(o95 / "band.csv")
         assert np.all(lo95 <= lo90) and np.all(hi95 >= hi90)
+
+    @pytest.mark.parametrize("text", ['{"all": [100, ', '{"noon": [100, 140]}',
+                                      '[[100, 140]]'])
+    def test_malformed_thresholds_is_usage_error(self, workspace, tmp_path, capsys, text):
+        _, data, model = workspace
+        th = tmp_path / "th.json"
+        th.write_text(text)
+        code = main(["band", "--model", model, "--thresholds", str(th),
+                     "--data", data, "--out", str(tmp_path / "bm")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
 
     def test_band_requires_fit_or_model(self, workspace, tmp_path):
         _, data, _ = workspace

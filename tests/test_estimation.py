@@ -11,9 +11,14 @@ from abpmix.estimation import (
     n_cov_params,
     sigma_d_from_theta,
 )
-from abpmix.linalg import marginal_covariance, woodbury_inverse
 
-from conftest import dense_stacked_loglik, poly_spec, random_tiny_problem, simulate
+from conftest import (
+    dense_stacked_loglik,
+    edge_case_problems,
+    poly_spec,
+    random_tiny_problem,
+    simulate,
+)
 
 
 class TestCovarianceParams:
@@ -42,8 +47,8 @@ class TestLoglikelihoodOracle:
     @pytest.mark.parametrize("method", ["REML", "ML"])
     def test_matches_dense_oracle(self, structure, method):
         rng = np.random.default_rng(42)
-        for _ in range(10):
-            spec, cohort, theta = random_tiny_problem(rng, structure)
+        cases = [random_tiny_problem(rng, structure) for _ in range(10)]
+        for spec, cohort, theta in cases + edge_case_problems(rng, structure):
             params = CovarianceParams(structure=structure, m=spec.random.n_columns, theta=theta)
             got = a.marginal_loglikelihood(params, cohort, spec, method=method)
             want = dense_stacked_loglik(theta, spec, cohort, method=method)
@@ -86,8 +91,8 @@ class TestGradient:
     @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
     def test_matches_central_differences(self, structure):
         rng = np.random.default_rng(77)
-        for _ in range(10):
-            spec, cohort, theta = random_tiny_problem(rng, structure)
+        cases = [random_tiny_problem(rng, structure) for _ in range(10)]
+        for spec, cohort, theta in cases + edge_case_problems(rng, structure):
             problem = MixedModelProblem(spec, cohort)
             _, grad = problem.loglik_and_grad(theta)
             h = 1e-5
@@ -104,6 +109,26 @@ class TestGradient:
 
 
 class TestGLS:
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_cov_beta_derivatives_match_central_differences(self, structure):
+        rng = np.random.default_rng(91)
+        cases = [random_tiny_problem(rng, structure) for _ in range(5)]
+        for spec, cohort, theta in cases + edge_case_problems(rng, structure):
+            problem = MixedModelProblem(spec, cohort)
+            dphis = problem.cov_beta_derivatives(theta)
+            assert len(dphis) == theta.size
+            h = 1e-5
+            for j in range(theta.size):
+                e = np.zeros_like(theta)
+                e[j] = h
+                fd = (problem.gls(theta + e)[1] - problem.gls(theta - e)[1]) / (2 * h)
+                size = max(np.max(np.abs(fd)), np.max(np.abs(dphis[j])))
+                err = np.max(np.abs(dphis[j] - fd))
+                if size < 1e-6:
+                    assert err <= 1e-7
+                else:
+                    assert err / size <= 1e-5
+
     def test_reduces_to_ols_with_zero_random_variance(self):
         spec = poly_spec(2)
         cohort = simulate(spec, [300.0, 10.0, -5.0], np.diag([40.0, 20.0, 10.0]),
@@ -233,20 +258,6 @@ class TestFit:
         )
         with pytest.raises((SpecError, np.linalg.LinAlgError, Exception)):
             a.fit(poly_spec(1), a.Cohort(subjects=subs))
-
-
-class TestWoodbury:
-    def test_matches_direct_inverse(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            p, m = int(rng.integers(3, 12)), int(rng.integers(1, 4))
-            z = rng.normal(size=(p, m))
-            l = rng.normal(size=(m, m))
-            sigma_d = l @ l.T + 0.5 * np.eye(m)
-            sigma2 = float(rng.uniform(0.5, 4.0))
-            direct = np.linalg.inv(marginal_covariance(z, sigma_d, sigma2))
-            wood = woodbury_inverse(z, sigma_d, sigma2)
-            assert np.max(np.abs(direct - wood)) <= 1e-9
 
 
 def test_sigma_d_from_theta_unstructured_is_cholesky_square():

@@ -176,14 +176,14 @@ class TestComparability:
     def test_same_fixed_structure_allowed(self, small_fit):
         _, cohort, fitted = small_fit
         other = a.fit(poly_spec(2, "unstructured"), cohort)
-        assert_comparable([fitted, other])  # no error: random structure differs
+        assert_comparable([fitted.spec, other.spec], "REML")  # no error: random structure differs
 
     def test_cross_fixed_structure_refused(self, small_fit):
         _, cohort, fitted = small_fit
         other = a.fit(poly_spec(1), cohort)
         with pytest.raises(ComparisonError):
-            assert_comparable([fitted, other])
-        assert_comparable([fitted, other], force_reml_compare=True)
+            assert_comparable([fitted.spec, other.spec], "REML")
+        assert_comparable([fitted.spec, other.spec], "REML", force_reml_compare=True)
 
 
 class TestTables:
