@@ -32,34 +32,90 @@ class PredictionBand:
     level: float
 
 
-def random_effects_blup(fitted: FittedModel, subject: Subject) -> np.ndarray:
-    """d_i = Sigma_d Z' Sigma^-1 (y - X beta) at the fitted parameters."""
-    pair = build_design(fitted.spec, subject, fitted.context)
-    resid = subject.y - pair.X @ fitted.beta_hat
-    sigma = pair.Z @ fitted.sigma_d_hat @ pair.Z.T + fitted.sigma2_hat * np.eye(len(resid))
+def _means_on(fitted: FittedModel, subjects, times: TimeGrid):
+    """X beta on ``times`` per distinct covariate encoding, each subject's
+    encoding index, and Z on ``times``.  X and Z are built once per
+    distinct encoding, not once per subject."""
+    terms = fitted.spec.group_terms + fitted.spec.interaction_terms
+    encoder = fitted.context.encoder
+    index, means = {}, []
+    code = np.empty(len(subjects), dtype=np.intp)
+    for i, s in enumerate(subjects):
+        key = b"".join(encoder.encode(s, t).tobytes() for t in terms) if encoder else b""
+        j = index.get(key)
+        if j is None:
+            j = index[key] = len(means)
+            at = Subject(id=s.id, times=times, y=np.zeros(len(times)), covariates=s.covariates)
+            pair = build_design(fitted.spec, at, fitted.context)
+            means.append(pair.X @ fitted.beta_hat)
+        code[i] = j
+    return np.array(means), code, pair.Z
+
+
+def random_effects_blups(fitted: FittedModel, subjects) -> np.ndarray:
+    """(n, m) BLUPs d_i = Sigma_d Z_i' V_i^-1 (y_i - X_i beta), V = Z Sigma_d Z' + sigma^2 I.
+
+    V depends only on the observation times, so it is factorized once
+    per distinct time pattern: the patterns are zero-padded to the
+    longest one (identity on the padding, which leaves every BLUP
+    unchanged) and factorized in one batched Cholesky.
+    """
+    subjects = list(subjects)
+    sigma_d = fitted.sigma_d_hat
+    if not subjects:
+        return np.zeros((0, sigma_d.shape[0]))
+    union = np.unique(np.concatenate([s.times.points for s in subjects]))
+    means, code, z_union = _means_on(fitted, subjects, TimeGrid(union))
+    p_max = max(s.n_obs for s in subjects)
+    patterns, rows = {}, []
+    pattern = np.empty(len(subjects), dtype=np.intp)
+    resid = np.zeros((len(subjects), p_max))
+    for i, s in enumerate(subjects):
+        g = patterns.setdefault(s.times.points.tobytes(), len(rows))
+        if g == len(rows):
+            rows.append(np.searchsorted(union, s.times.points))
+        pattern[i] = g
+        resid[i, : s.n_obs] = s.y - means[code[i], rows[g]]
+    z = np.zeros((len(rows), p_max, sigma_d.shape[0]))
+    diag = np.ones((len(rows), p_max))
+    for g, idx in enumerate(rows):
+        z[g, : len(idx)] = z_union[idx]
+        diag[g, : len(idx)] = fitted.sigma2_hat
+    zs = z @ sigma_d
+    v = zs @ z.transpose(0, 2, 1)
+    v[:, np.arange(p_max), np.arange(p_max)] += diag
     try:
-        cho = sla.cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(v)
+    except np.linalg.LinAlgError:
+        worst = np.linalg.eigvalsh(v).min(axis=1)[pattern].argmin()
         raise ConditioningError(
-            f"marginal covariance not factorizable for subject {subject.id!r}"
-        ) from exc
-    return fitted.sigma_d_hat @ pair.Z.T @ sla.cho_solve(cho, resid)
+            f"marginal covariance not factorizable for subject {subjects[worst].id!r}"
+        ) from None
+    w = sla.cho_solve((chol, True), zs)  # V^-1 Z Sigma_d per pattern
+    return (resid[:, None, :] @ w[pattern])[:, 0]
+
+
+def subject_profiles(fitted: FittedModel, subjects, eval_times: TimeGrid) -> np.ndarray:
+    """(n, len(eval_times)) smoothed curves X beta + Z d_i, one row per subject."""
+    subjects = list(subjects)
+    if not subjects:
+        return np.zeros((0, len(eval_times)))
+    d = random_effects_blups(fitted, subjects)
+    means, code, u = _means_on(fitted, subjects, eval_times)
+    return means[code] + d @ u.T
+
+
+def random_effects_blup(fitted: FittedModel, subject: Subject) -> np.ndarray:
+    """d = Sigma_d Z' Sigma^-1 (y - X beta) at the fitted parameters."""
+    return random_effects_blups(fitted, [subject])[0]
 
 
 def subject_profile(fitted: FittedModel, subject: Subject,
                     eval_times: Optional[TimeGrid] = None) -> ProfileCurve:
     """Smoothed predicted curve y = X beta + Z d for one subject."""
-    d_hat = random_effects_blup(fitted, subject)
     if eval_times is None:
         eval_times = subject.times
-    eval_subject = Subject(
-        id=subject.id,
-        times=eval_times,
-        y=np.zeros(len(eval_times)),
-        covariates=subject.covariates,
-    )
-    pair = build_design(fitted.spec, eval_subject, fitted.context)
-    values = pair.X @ fitted.beta_hat + pair.Z @ d_hat
+    values = subject_profiles(fitted, [subject], eval_times)[0]
     return ProfileCurve(times=eval_times, values=values, kind="subject", subject_id=subject.id)
 
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -173,13 +173,26 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _plot_rows(times, label, values, lower=None, upper=None):
-    rows = []
-    for i, t in enumerate(times):
-        lo = _g17(lower[i]) if lower is not None else ""
-        hi = _g17(upper[i]) if upper is not None else ""
-        rows.append([_g17(t), label, _g17(values[i]), lo, hi])
-    return rows
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as csv.writer would quote it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
+def _write_series(path: Path, times, series):
+    """Plot CSV, one series at a time.  ``series`` yields (label, values)
+    or (label, values, lower, upper).  The time column is formatted once,
+    into a row template that each series fills with its label and values."""
+    stamps = [_g17(t) for t in times]
+    plain = "".join(f"{t},%s,%.17g,,\n" for t in stamps)
+    banded = "".join(f"{t},%s,%.17g,%.17g,%.17g\n" for t in stamps)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("time,series,value,lower,upper\n")
+        for label, *columns in series:
+            field = _csv_field(label).replace("%", "%%")
+            template = (banded if len(columns) == 3 else plain).replace("%s", field)
+            fh.write(template % tuple(np.column_stack(columns).ravel().tolist()))
 
 
 def _eval_grid(args) -> TimeGrid:
@@ -191,34 +204,22 @@ def _cmd_profiles(args) -> int:
     cohort = dataio.read_cohort(args.data, outcome=args.outcome)
     grid = _eval_grid(args)
     subject_ids = [s for s in (args.subjects.split(",") if args.subjects else []) if s]
-    known = {s.id for s in cohort}
+    by_id = {s.id: s for s in cohort}
     for sid in subject_ids:
-        if sid not in known:
+        if sid not in by_id:
             print(f"error: unknown subject id {sid!r}", file=sys.stderr)
             return EXIT_USAGE
-
-    def profile_for(sid):
-        return blup.subject_profile(fitted, cohort.subject(sid), grid)
-
-    if args.workers > 1 and subject_ids:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            profiles = list(pool.map(profile_for, subject_ids))
-    else:
-        profiles = [profile_for(sid) for sid in subject_ids]
+    values = blup.subject_profiles(fitted, [by_id[sid] for sid in subject_ids], grid)
     pop = blup.population_curve(fitted, grid)
     band = blup.prediction_band(fitted, grid, level=args.band_level,
                                 multiplier=args.band_multiplier)
-    rows = []
-    for prof in profiles:
-        rows += _plot_rows(grid.points, f"subject:{prof.subject_id}", prof.values)
-    rows += _plot_rows(grid.points, "population", pop.values)
-    rows += _plot_rows(grid.points, "band", band.center, band.lower, band.upper)
+    series = [(f"subject:{sid}", v) for sid, v in zip(subject_ids, values)]
+    series.append(("population", pop.values))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "profiles.csv", ["time", "series", "value", "lower", "upper"], rows)
+    _write_series(out / "profiles.csv", grid.points,
+                  series + [("band", band.center, band.lower, band.upper)])
     if args.svg:
-        series = [(f"subject:{p.subject_id}", p.values) for p in profiles]
-        series.append(("population", pop.values))
         text = svg.render_plot(
             grid.points, series, band=(band.lower, band.upper),
             start_hour=args.start_hour, title="predicted profiles",
@@ -247,11 +248,10 @@ def _cmd_band(args) -> int:
     pop = blup.population_curve(fitted, grid)
     band = blup.prediction_band(fitted, grid, level=args.band_level,
                                 multiplier=args.band_multiplier)
-    rows = _plot_rows(grid.points, "population", pop.values)
-    rows += _plot_rows(grid.points, "band", band.center, band.lower, band.upper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "band.csv", ["time", "series", "value", "lower", "upper"], rows)
+    _write_series(out / "band.csv", grid.points,
+                  [("population", pop.values), ("band", band.center, band.lower, band.upper)])
     if args.svg:
         text = svg.render_plot(
             grid.points, [("population", pop.values)], band=(band.lower, band.upper),
@@ -277,7 +277,8 @@ def _cmd_simulate(args) -> int:
 def _add_common(parser, data=True, fitopts=False, plot=False):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--outcome", choices=["sbp", "dbp"], default="sbp")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="threads for simulate; the other commands ignore it")
     if data:
         parser.add_argument("--data", required=True, help="cohort CSV")
     if fitopts:

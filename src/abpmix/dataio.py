@@ -2,8 +2,9 @@
 
 Input CSV schema: header row with at least ``subject_id``, ``time`` and
 the outcome column (``sbp`` or ``dbp``); any remaining columns become
-static covariates (the first row's value wins; covariates are static by
-contract).  Times are elapsed hours since recording start.
+static covariates, which must keep one value across a subject's rows
+(a change is a SchemaError).  Times are elapsed hours since recording
+start.
 """
 
 from __future__ import annotations
@@ -29,51 +30,74 @@ def _parse_float(text: str, row: int, column: str) -> float:
         raise ParseError(f"row {row}: cannot parse {column}={text!r}") from None
 
 
+def _covariate_value(raw: str):
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
 def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence[str]] = None) -> Cohort:
     """Read a cohort CSV, one Subject per id with ascending times."""
     outcome = outcome.lower()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for required in ("subject_id", "time", outcome):
-            if required not in header:
-                raise SchemaError(f"missing column {required!r}")
-        if covariate_columns is None:
-            covariate_columns = [
-                c for c in header if c not in ("subject_id", "time") and c not in OUTCOMES
-            ]
-        else:
-            for c in covariate_columns:
-                if c not in header:
-                    raise SchemaError(f"missing column {c!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            column = {name: j for j, name in enumerate(header)}
+            for required in ("subject_id", "time", outcome):
+                if required not in column:
+                    raise SchemaError(f"missing column {required!r}")
+            if covariate_columns is None:
+                covariate_columns = [
+                    c for c in header if c not in ("subject_id", "time") and c not in OUTCOMES
+                ]
+            else:
+                for c in covariate_columns:
+                    if c not in column:
+                        raise SchemaError(f"missing column {c!r}")
+            i_sid, i_time, i_value = column["subject_id"], column["time"], column[outcome]
+            i_covs = [column[c] for c in covariate_columns]
+            width = max([i_sid, i_time, i_value] + i_covs) + 1
 
-        per_subject = {}
-        for rownum, row in enumerate(reader, start=2):
-            sid = row["subject_id"]
-            t = _parse_float(row["time"], rownum, "time")
-            v = _parse_float(row[outcome], rownum, outcome)
-            rec = per_subject.setdefault(sid, {"times": [], "values": [], "covariates": {}})
-            if t in rec["times"]:
-                raise DuplicateError(f"row {rownum}: duplicate time {t} for subject {sid!r}")
-            rec["times"].append(t)
-            rec["values"].append(v)
-            for c in covariate_columns:
-                if c not in rec["covariates"]:
-                    raw = row[c]
-                    try:
-                        rec["covariates"][c] = float(raw)
-                    except (TypeError, ValueError):
-                        rec["covariates"][c] = raw
+            per_subject = {}  # id -> (times, values, set of times, covariate cells)
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) < width:
+                    if not row:
+                        continue
+                    raise ParseError(f"row {rownum}: expected {width} fields, found {len(row)}")
+                sid = row[i_sid]
+                t = _parse_float(row[i_time], rownum, "time")
+                v = _parse_float(row[i_value], rownum, outcome)
+                cells = [row[j] for j in i_covs]
+                rec = per_subject.get(sid)
+                if rec is None:
+                    rec = per_subject[sid] = ([], [], set(), cells)
+                times, values, seen, first = rec
+                if t in seen:
+                    raise DuplicateError(f"row {rownum}: duplicate time {t} for subject {sid!r}")
+                if cells != first:
+                    for c, was, now in zip(covariate_columns, first, cells):
+                        if _covariate_value(was) != _covariate_value(now):
+                            raise SchemaError(
+                                f"row {rownum}: covariate {c!r} of subject {sid!r} changes "
+                                f"from {was!r} to {now!r}; covariates must be static"
+                            )
+                seen.add(t)
+                times.append(t)
+                values.append(v)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
     if not per_subject:
         raise SchemaError("no data rows")
     subjects = []
-    for sid, rec in per_subject.items():
-        order = np.argsort(np.asarray(rec["times"]), kind="stable")
-        times = np.asarray(rec["times"])[order]
-        values = np.asarray(rec["values"])[order]
+    for sid, (times, values, _, cells) in per_subject.items():
+        order = np.argsort(np.asarray(times), kind="stable")
+        covariates = {c: _covariate_value(raw) for c, raw in zip(covariate_columns, cells)}
         subjects.append(
-            Subject(id=sid, times=TimeGrid(times), y=values, covariates=rec["covariates"])
+            Subject(id=sid, times=TimeGrid(np.asarray(times)[order]),
+                    y=np.asarray(values)[order], covariates=covariates)
         )
     return Cohort(subjects=tuple(subjects), outcome_label=outcome.upper())
 

@@ -18,10 +18,19 @@ import numpy as np
 
 from . import basis as bas
 from .basis import BasisMatrix, PolynomialCoefficients, TimeGrid
-from .errors import RankError, SpecError
+from .errors import RankError, SchemaError, SpecError
 
 POLY_KINDS = ("orthonormal_poly", "natural_poly")
 BASIS_KINDS = POLY_KINDS + ("restricted_cubic_spline",)
+
+
+def require_fields(d, required, what: str) -> None:
+    """SchemaError unless ``d`` is a JSON object holding every required key."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what}: expected a JSON object")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise SchemaError(f"{what}: missing required fields {missing}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,7 @@ class BasisDescriptor:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "BasisDescriptor":
+        require_fields(d, ("kind",), "basis descriptor")
         extra = set(d) - {"kind", "degree", "knots"}
         if extra:
             raise SpecError(f"unknown basis descriptor fields: {sorted(extra)}")
@@ -115,6 +125,7 @@ class ModelSpec:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ModelSpec":
+        require_fields(d, ("fixed", "random"), "model spec")
         known = {
             "fixed",
             "random",

@@ -11,12 +11,22 @@ import json
 
 import numpy as np
 
-from .design import BasisContext, Cohort, CovariateEncoder, ModelSpec
+from .design import BasisContext, Cohort, CovariateEncoder, ModelSpec, require_fields
 from .dataio import SimulationConfig
 from .errors import SchemaError
 from .estimation import CovarianceParams, FittedModel
 
 SCHEMA_VERSION = 1
+
+
+def _read(path, what: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a SchemaError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what}: not valid UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _parse(text: str, what: str) -> dict:
@@ -48,8 +58,7 @@ def model_spec_from_json(text: str) -> ModelSpec:
 
 
 def load_model_spec(path) -> ModelSpec:
-    with open(path, encoding="utf-8") as fh:
-        return model_spec_from_json(fh.read())
+    return model_spec_from_json(_read(path, "model spec"))
 
 
 def fitted_model_to_json(fitted: FittedModel) -> str:
@@ -85,6 +94,7 @@ def fitted_model_from_json(text: str) -> FittedModel:
     extra = set(d) - known
     if extra:
         raise SchemaError(f"fitted model: unknown fields {sorted(extra)}")
+    require_fields(d, sorted(known - {"schema_version", "encoder"}), "fitted model")
     spec = ModelSpec.from_jsonable(d["spec"])
     encoder = CovariateEncoder.from_jsonable(d["encoder"]) if d.get("encoder") else None
     # the basis context rebuilds deterministically from the spec
@@ -115,8 +125,7 @@ def fitted_model_from_json(text: str) -> FittedModel:
 
 
 def load_fitted_model(path) -> FittedModel:
-    with open(path, encoding="utf-8") as fh:
-        return fitted_model_from_json(fh.read())
+    return fitted_model_from_json(_read(path, "fitted model"))
 
 
 def simulation_config_from_json(text: str) -> SimulationConfig:
@@ -129,6 +138,7 @@ def simulation_config_from_json(text: str) -> SimulationConfig:
     extra = set(d) - known
     if extra:
         raise SchemaError(f"simulation config: unknown fields {sorted(extra)}")
+    require_fields(d, ("spec", "beta", "sigma_d", "sigma2", "n_subjects"), "simulation config")
     spec = ModelSpec.from_jsonable(d["spec"])
     sigma_d = np.asarray(d["sigma_d"], dtype=float)
     if sigma_d.ndim == 1:
@@ -147,22 +157,24 @@ def simulation_config_from_json(text: str) -> SimulationConfig:
 
 
 def load_simulation_config(path) -> SimulationConfig:
-    with open(path, encoding="utf-8") as fh:
-        return simulation_config_from_json(fh.read())
+    return simulation_config_from_json(_read(path, "simulation config"))
 
 
 def load_thresholds(path) -> dict:
     """Per-hour bounds: {"0": [lo, hi], ...} or {"all": [lo, hi]}."""
-    with open(path, encoding="utf-8") as fh:
-        d = _parse(fh.read(), "thresholds")
+    d = _parse(_read(path, "thresholds"), "thresholds")
     try:
         if "all" in d:
             lo, hi = d["all"]
-            return {h: (float(lo), float(hi)) for h in range(24)}
-        out = {}
-        for k, bounds in d.items():
-            lo, hi = bounds
-            out[int(k)] = (float(lo), float(hi))
+            out = {h: (float(lo), float(hi)) for h in range(24)}
+        else:
+            out = {}
+            for k, bounds in d.items():
+                lo, hi = bounds
+                out[int(k)] = (float(lo), float(hi))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"thresholds: {exc}") from None
+    for h, (lo, hi) in sorted(out.items()):
+        if not lo <= hi:
+            raise SchemaError(f"thresholds: hour {h} has lower bound {lo:g} above upper {hi:g}")
     return out

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import abpmix as a
+from abpmix import serialize
 from abpmix.basis import TimeGrid
-from abpmix.errors import ConfigError
+from abpmix.cli import main
+from abpmix.dataio import write_cohort
+from abpmix.errors import ConditioningError, ConfigError
 
 from conftest import conditional_mean_blup_oracle, poly_spec, simulate
 
@@ -186,3 +189,92 @@ class TestPredictionBand:
         grid = TimeGrid(np.array([12.0]))
         with pytest.raises(ConfigError):
             a.prediction_band(fitted, grid, level=1.2)
+
+
+def incomplete_covariate_fit():
+    """A fit on 10% missing data with a group and an interaction term.
+
+    Subjects 0-11 share the complete hourly design, split over three diet
+    levels (so one time pattern carries several X); subject 12 has fewer
+    observations than random effects; the rest have their own patterns.
+    """
+    spec = a.ModelSpec(
+        fixed=a.BasisDescriptor("orthonormal_poly", 2),
+        random=a.BasisDescriptor("orthonormal_poly", 2),
+        group_terms=("diet",),
+        interaction_terms=("age",),
+    )
+    rng = np.random.default_rng(2024)
+    hours = np.arange(24.0) + 0.5
+    subjects = []
+    for i in range(40):
+        if i < 12:
+            times = hours
+        elif i == 12:
+            times = hours[[3, 15]]
+        else:
+            times = hours[rng.random(24) >= 0.1]
+        diet = ("salt", "control", "dash")[i % 3]
+        age = 30.0 + 6.0 * (i % 2)
+        u = (times - 12.0) / 12.0
+        b0, b1, b2 = rng.normal(0.0, (6.0, 5.0, 4.0))
+        y = (120.0 + 5.0 * (diet == "salt") + 0.2 * age
+             + 8.0 * np.sin(2.0 * np.pi * times / 24.0) * (1.0 + 0.01 * age)
+             + b0 + b1 * u + b2 * u**2 + rng.normal(0.0, 3.0, size=times.size))
+        subjects.append(a.Subject(id=f"c{i:02d}", times=TimeGrid(times), y=y,
+                                  covariates={"diet": diet, "age": age}))
+    cohort = a.Cohort(subjects=tuple(subjects))
+    return cohort, a.fit(spec, cohort)
+
+
+class TestBatchedProfiles:
+    @pytest.fixture(scope="class")
+    def incomplete(self):
+        return incomplete_covariate_fit()
+
+    def test_matches_conditional_mean_oracle(self, incomplete):
+        cohort, fitted = incomplete
+        grid = TimeGrid.equispaced(49)
+        got_d = a.random_effects_blups(fitted, cohort.subjects)
+        got = a.subject_profiles(fitted, cohort.subjects, grid)
+        assert got.shape == (len(cohort), len(grid))
+        for i, s in enumerate(cohort.subjects):
+            pair = design_for(fitted, s)
+            want_d = conditional_mean_blup_oracle(pair.Z, fitted.sigma_d_hat, fitted.sigma2_hat,
+                                                  s.y - pair.X @ fitted.beta_hat)
+            on_grid = design_for(fitted, a.Subject(id=s.id, times=grid, y=np.zeros(len(grid)),
+                                                   covariates=s.covariates))
+            want = on_grid.X @ fitted.beta_hat + on_grid.Z @ want_d
+            assert np.max(np.abs(got_d[i] - want_d)) <= 1e-10 * np.max(np.abs(want_d))
+            assert np.max(np.abs(got[i] - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_rows_do_not_depend_on_the_batch(self, incomplete):
+        cohort, fitted = incomplete
+        grid = TimeGrid.equispaced(25)
+        batch = a.subject_profiles(fitted, cohort.subjects[::-1], grid)[::-1]
+        for i in (0, 12, 39):
+            one = a.subject_profile(fitted, cohort.subjects[i], grid).values
+            np.testing.assert_allclose(batch[i], one, rtol=1e-12)
+
+    def test_empty_batch(self, incomplete):
+        _, fitted = incomplete
+        assert a.subject_profiles(fitted, [], TimeGrid.equispaced(7)).shape == (0, 7)
+
+    def test_unfactorizable_covariance(self, small_fit):
+        _, cohort, fitted = small_fit
+        degenerate = dataclasses.replace(fitted, sigma_d_hat=np.zeros_like(fitted.sigma_d_hat),
+                                         sigma2_hat=0.0)
+        with pytest.raises(ConditioningError, match="subject"):
+            a.subject_profiles(degenerate, cohort.subjects[:5], TimeGrid.equispaced(9))
+
+    def test_unfactorizable_covariance_exits_2(self, small_fit, tmp_path, capsys):
+        _, cohort, fitted = small_fit
+        degenerate = dataclasses.replace(fitted, sigma_d_hat=np.zeros_like(fitted.sigma_d_hat),
+                                         sigma2_hat=0.0)
+        fit_json = tmp_path / "fit.json"
+        fit_json.write_text(serialize.fitted_model_to_json(degenerate), encoding="utf-8")
+        write_cohort(tmp_path / "cohort.csv", cohort)
+        code = main(["profiles", "--fit", str(fit_json), "--data", str(tmp_path / "cohort.csv"),
+                     "--subjects", cohort.subjects[0].id, "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert "ConditioningError" in capsys.readouterr().err

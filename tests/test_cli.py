@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ import pytest
 import abpmix as a
 from abpmix import serialize
 from abpmix.basis import TimeGrid
-from abpmix.cli import main
+from abpmix.cli import _g17, _write_series, main
+from abpmix.errors import SchemaError
 from abpmix.estimation import MixedModelProblem
 
 from conftest import poly_spec
@@ -84,6 +88,40 @@ class TestFitCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "SchemaError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"schema_version": 1}',
+        '{"schema_version": 1, "fixed": {"degree": 2},'
+        ' "random": {"kind": "orthonormal_poly", "degree": 2}}',
+        '{"schema_version": 1, "fixed": 2, "random": 2}',
+    ], ids=["no-bases", "no-kind", "bases-not-objects"])
+    def test_spec_missing_required_field_is_usage_error(self, tmp_path, workspace, capsys,
+                                                         text):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["fit", "--model", str(bad), "--data", data,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+
+    def test_spec_not_utf8_is_usage_error(self, tmp_path, workspace, capsys):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"schema_version": 1}')
+        code = main(["fit", "--model", str(bad), "--data", data,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+
+    def test_cohort_not_utf8_is_usage_error(self, tmp_path, workspace, capsys):
+        _, _, model = workspace
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"subject_id,time,sbp\na\xff,0.5,120\n")
+        code = main(["fit", "--model", model, "--data", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "ParseError" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, tmp_path, workspace):
         _, _, model = workspace
@@ -228,6 +266,33 @@ class TestProfilesCommand:
         assert code == 2
 
 
+    def test_fit_json_missing_field_is_usage_error(self, workspace, tmp_path, capsys):
+        root, data, _ = workspace
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        del d["beta_hat"]
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(d))
+        code = main(["profiles", "--fit", str(fit), "--data", data,
+                     "--subjects", "s0000", "--out", str(tmp_path / "pm")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+
+    def test_plot_csv_quotes_labels_like_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        times = np.linspace(0.0, 24.0, 5)
+        v, lo, hi = rng.normal(size=(3, 5))
+        series = [('subject:o"b,1%s', v), ("subject:100%", -v), ("band", v, lo, hi)]
+        _write_series(tmp_path / "p.csv", times, series)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["time", "series", "value", "lower", "upper"])
+        for label, values, *bounds in series:
+            for i, t in enumerate(times):
+                writer.writerow([_g17(t), label, _g17(values[i])]
+                                + [_g17(b[i]) for b in bounds] + [""] * (2 - len(bounds)))
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == buf.getvalue()
+
+
 class TestBandCommand:
     def band_values(self, path):
         rows = [l.split(",") for l in path.read_text().strip().splitlines()[1:]]
@@ -269,6 +334,18 @@ class TestBandCommand:
         assert code == 2
         assert "SchemaError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [{"all": [150, 90]}, {"3": [150, 90]}])
+    def test_inverted_thresholds_are_usage_error(self, workspace, tmp_path, capsys, bounds):
+        _, data, model = workspace
+        th = tmp_path / "th.json"
+        th.write_text(json.dumps(bounds))
+        code = main(["band", "--model", model, "--thresholds", str(th),
+                     "--data", data, "--out", str(tmp_path / "bi")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+        with pytest.raises(SchemaError, match="hour"):
+            serialize.load_thresholds(th)
+
     def test_band_requires_fit_or_model(self, workspace, tmp_path):
         _, data, _ = workspace
         code = main(["band", "--data", data, "--out", str(tmp_path / "bx")])
@@ -282,6 +359,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(o1)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(o2), "--seed", "99"]) == 0
         assert (o1 / "cohort.csv").read_bytes() != (o2 / "cohort.csv").read_bytes()
+
+    def test_config_missing_field_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.json"
+        d = json.loads(Path(write_sim_config(cfg, n_subjects=5)).read_text())
+        del d["sigma2"]
+        cfg.write_text(json.dumps(d))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert "SchemaError" in capsys.readouterr().err
 
     def test_byte_identity_across_runs_and_workers(self, tmp_path):
         cfg = write_sim_config(tmp_path / "sim.json", n_subjects=15, missing_rate=0.1)

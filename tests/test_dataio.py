@@ -61,6 +61,32 @@ class TestReadCohort:
         assert s.covariates["diet"] == "control"
         assert s.covariates["age"] == 41.0
 
+    def test_covariate_change_within_subject_rejected(self, tmp_path):
+        p = write_csv(
+            tmp_path / "c.csv",
+            "subject_id,time,sbp,diet,age\na,1,120,control,41\na,2,121,salt,41\n",
+        )
+        with pytest.raises(SchemaError, match="row 3.*'diet'"):
+            a.read_cohort(p)
+
+    def test_covariate_respelled_with_same_value_accepted(self, tmp_path):
+        p = write_csv(
+            tmp_path / "c.csv",
+            "subject_id,time,sbp,diet,age\na,1,120,control,41\na,2,121,control,41.0\n",
+        )
+        assert a.read_cohort(p).subject("a").covariates["age"] == 41.0
+
+    def test_short_row_names_row(self, tmp_path):
+        p = write_csv(tmp_path / "c.csv", "subject_id,time,sbp\na,0.5,120\na,1.5\n")
+        with pytest.raises(ParseError, match="row 3"):
+            a.read_cohort(p)
+
+    def test_invalid_utf8_is_parse_error(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"subject_id,time,sbp\n\xff,0.5,120\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            a.read_cohort(str(p))
+
     def test_write_read_round_trip(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
         out = tmp_path / "out.csv"
