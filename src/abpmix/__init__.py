@@ -22,7 +22,6 @@ from .blup import (
     population_curve,
     prediction_band,
     random_effects_blup,
-    random_effects_blups,
     subject_profile,
     subject_profiles,
 )

@@ -32,91 +32,76 @@ class PredictionBand:
     level: float
 
 
-def _means_on(fitted: FittedModel, subjects, times: TimeGrid):
-    """X beta on ``times`` per distinct covariate encoding, each subject's
-    encoding index, and Z on ``times``.  X and Z are built once per
-    distinct encoding, not once per subject."""
+def _design_on(fitted: FittedModel, subject: Subject, times: TimeGrid, memo: dict):
+    """X beta and Z on ``times`` for ``subject``'s covariates.
+
+    ``build_design`` runs once per distinct (times, covariate encoding) in
+    ``memo``; Z, which carries no covariates, is kept once per times.
+    """
     terms = fitted.spec.group_terms + fitted.spec.interaction_terms
     encoder = fitted.context.encoder
-    index, means = {}, []
-    code = np.empty(len(subjects), dtype=np.intp)
-    for i, s in enumerate(subjects):
-        key = b"".join(encoder.encode(s, t).tobytes() for t in terms) if encoder else b""
-        j = index.get(key)
-        if j is None:
-            j = index[key] = len(means)
-            at = Subject(id=s.id, times=times, y=np.zeros(len(times)), covariates=s.covariates)
-            pair = build_design(fitted.spec, at, fitted.context)
-            means.append(pair.X @ fitted.beta_hat)
-        code[i] = j
-    return np.array(means), code, pair.Z
+    code = b"".join(encoder.encode(subject, t).tobytes() for t in terms) if encoder else b""
+    at = times.points.tobytes()
+    mean, z = memo.get(("mean", at, code)), memo.get(("z", at))
+    if mean is None:
+        pair = build_design(fitted.spec, Subject(id=subject.id, times=times,
+                                                 y=np.zeros(len(times)),
+                                                 covariates=subject.covariates),
+                            fitted.context)
+        mean = memo[("mean", at, code)] = pair.X @ fitted.beta_hat
+        z = memo.setdefault(("z", at), pair.Z)
+    return mean, z
 
 
-def random_effects_blups(fitted: FittedModel, subjects) -> np.ndarray:
-    """(n, m) BLUPs d_i = Sigma_d Z_i' V_i^-1 (y_i - X_i beta), V = Z Sigma_d Z' + sigma^2 I.
+def random_effects_blup(fitted: FittedModel, subject: Subject,
+                        memo: Optional[dict] = None) -> np.ndarray:
+    """d = Sigma_d Z' V^-1 (y - X beta) at the fitted parameters, V = Z Sigma_d Z' + sigma^2 I.
 
-    V depends only on the observation times, so it is factorized once
-    per distinct time pattern: the patterns are zero-padded to the
-    longest one (identity on the padding, which leaves every BLUP
-    unchanged) and factorized in one batched Cholesky.
+    V depends only on the observation times: ``memo`` (one dict shared by
+    calls on the same fit) keeps V^-1 Z Sigma_d once per distinct times.
     """
-    subjects = list(subjects)
-    sigma_d = fitted.sigma_d_hat
-    if not subjects:
-        return np.zeros((0, sigma_d.shape[0]))
-    union = np.unique(np.concatenate([s.times.points for s in subjects]))
-    means, code, z_union = _means_on(fitted, subjects, TimeGrid(union))
-    p_max = max(s.n_obs for s in subjects)
-    patterns, rows = {}, []
-    pattern = np.empty(len(subjects), dtype=np.intp)
-    resid = np.zeros((len(subjects), p_max))
-    for i, s in enumerate(subjects):
-        g = patterns.setdefault(s.times.points.tobytes(), len(rows))
-        if g == len(rows):
-            rows.append(np.searchsorted(union, s.times.points))
-        pattern[i] = g
-        resid[i, : s.n_obs] = s.y - means[code[i], rows[g]]
-    z = np.zeros((len(rows), p_max, sigma_d.shape[0]))
-    diag = np.ones((len(rows), p_max))
-    for g, idx in enumerate(rows):
-        z[g, : len(idx)] = z_union[idx]
-        diag[g, : len(idx)] = fitted.sigma2_hat
-    zs = z @ sigma_d
-    v = zs @ z.transpose(0, 2, 1)
-    v[:, np.arange(p_max), np.arange(p_max)] += diag
-    try:
-        chol = np.linalg.cholesky(v)
-    except np.linalg.LinAlgError:
-        worst = np.linalg.eigvalsh(v).min(axis=1)[pattern].argmin()
-        raise ConditioningError(
-            f"marginal covariance not factorizable for subject {subjects[worst].id!r}"
-        ) from None
-    w = sla.cho_solve((chol, True), zs)  # V^-1 Z Sigma_d per pattern
-    return (resid[:, None, :] @ w[pattern])[:, 0]
-
-
-def subject_profiles(fitted: FittedModel, subjects, eval_times: TimeGrid) -> np.ndarray:
-    """(n, len(eval_times)) smoothed curves X beta + Z d_i, one row per subject."""
-    subjects = list(subjects)
-    if not subjects:
-        return np.zeros((0, len(eval_times)))
-    d = random_effects_blups(fitted, subjects)
-    means, code, u = _means_on(fitted, subjects, eval_times)
-    return means[code] + d @ u.T
-
-
-def random_effects_blup(fitted: FittedModel, subject: Subject) -> np.ndarray:
-    """d = Sigma_d Z' Sigma^-1 (y - X beta) at the fitted parameters."""
-    return random_effects_blups(fitted, [subject])[0]
+    memo = {} if memo is None else memo
+    mean, z = _design_on(fitted, subject, subject.times, memo)
+    key = ("gain", subject.times.points.tobytes())
+    gain = memo.get(key)
+    if gain is None:
+        zs = z @ fitted.sigma_d_hat
+        v = zs @ z.T + fitted.sigma2_hat * np.eye(len(z))
+        try:
+            cho = sla.cho_factor(v, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(
+                f"marginal covariance not factorizable for subject {subject.id!r}"
+            ) from exc
+        gain = memo[key] = sla.cho_solve(cho, zs)
+    return (subject.y - mean) @ gain
 
 
 def subject_profile(fitted: FittedModel, subject: Subject,
-                    eval_times: Optional[TimeGrid] = None) -> ProfileCurve:
-    """Smoothed predicted curve y = X beta + Z d for one subject."""
+                    eval_times: Optional[TimeGrid] = None,
+                    memo: Optional[dict] = None) -> ProfileCurve:
+    """Smoothed predicted curve y = X beta + Z d for one subject.
+
+    ``memo`` shares designs and factorizations across calls on one fit.
+    """
+    memo = {} if memo is None else memo
+    d_hat = random_effects_blup(fitted, subject, memo)
     if eval_times is None:
         eval_times = subject.times
-    values = subject_profiles(fitted, [subject], eval_times)[0]
+    mean, z = _design_on(fitted, subject, eval_times, memo)
+    values = mean + z @ d_hat
     return ProfileCurve(times=eval_times, values=values, kind="subject", subject_id=subject.id)
+
+
+def subject_profiles(fitted: FittedModel, subjects, eval_times: TimeGrid) -> np.ndarray:
+    """(n, len(eval_times)) smoothed curves, one row per subject.
+
+    One memo serves the whole batch, so each distinct design is built and
+    factorized once, and the grid once per distinct covariate encoding.
+    """
+    memo = {}
+    rows = [subject_profile(fitted, s, eval_times, memo).values for s in subjects]
+    return np.array(rows).reshape(len(rows), len(eval_times))
 
 
 def population_curve(fitted: FittedModel, eval_times: TimeGrid) -> ProfileCurve:

@@ -183,16 +183,19 @@ def _csv_field(text: str) -> str:
 def _write_series(path: Path, times, series):
     """Plot CSV, one series at a time.  ``series`` yields (label, values)
     or (label, values, lower, upper).  The time column is formatted once,
-    into a row template that each series fills with its label and values."""
-    stamps = [_g17(t) for t in times]
+    into a row template; each series fills it with one printf whose
+    arguments interleave the label, quoted once, with the values."""
+    stamps = [_g17(t) for t in times]  # numbers: no '%' in the template
     plain = "".join(f"{t},%s,%.17g,,\n" for t in stamps)
     banded = "".join(f"{t},%s,%.17g,%.17g,%.17g\n" for t in stamps)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("time,series,value,lower,upper\n")
         for label, *columns in series:
-            field = _csv_field(label).replace("%", "%%")
-            template = (banded if len(columns) == 3 else plain).replace("%s", field)
-            fh.write(template % tuple(np.column_stack(columns).ravel().tolist()))
+            k = len(columns) + 1
+            args = [_csv_field(label)] * (len(stamps) * k)
+            for j, column in enumerate(columns, 1):
+                args[j::k] = column.tolist()
+            fh.write((banded if k == 4 else plain) % tuple(args))
 
 
 def _eval_grid(args) -> TimeGrid:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import abpmix as a
+from abpmix import blup as blup_module
 from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.cli import main
@@ -191,12 +192,14 @@ class TestPredictionBand:
             a.prediction_band(fitted, grid, level=1.2)
 
 
-def incomplete_covariate_fit():
+def incomplete_covariate_fit(irregular=False):
     """A fit on 10% missing data with a group and an interaction term.
 
     Subjects 0-11 share the complete hourly design, split over three diet
     levels (so one time pattern carries several X); subject 12 has fewer
     observations than random effects; the rest have their own patterns.
+    ``irregular`` jitters every time and draws a continuous age per
+    subject, so no two subjects share a design or a covariate encoding.
     """
     spec = a.ModelSpec(
         fixed=a.BasisDescriptor("orthonormal_poly", 2),
@@ -216,6 +219,9 @@ def incomplete_covariate_fit():
             times = hours[rng.random(24) >= 0.1]
         diet = ("salt", "control", "dash")[i % 3]
         age = 30.0 + 6.0 * (i % 2)
+        if irregular:
+            times = times + rng.uniform(-0.25, 0.25, size=times.size)
+            age = rng.uniform(25.0, 60.0)
         u = (times - 12.0) / 12.0
         b0, b1, b2 = rng.normal(0.0, (6.0, 5.0, 4.0))
         y = (120.0 + 5.0 * (diet == "salt") + 0.2 * age
@@ -227,15 +233,31 @@ def incomplete_covariate_fit():
     return cohort, a.fit(spec, cohort)
 
 
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestBatchedProfiles:
     @pytest.fixture(scope="class")
     def incomplete(self):
         return incomplete_covariate_fit()
 
-    def test_matches_conditional_mean_oracle(self, incomplete):
-        cohort, fitted = incomplete
+    @pytest.fixture(scope="class")
+    def irregular(self):
+        return incomplete_covariate_fit(irregular=True)
+
+    @pytest.mark.parametrize("which", ["incomplete", "irregular"])
+    def test_matches_conditional_mean_oracle(self, which, request):
+        cohort, fitted = request.getfixturevalue(which)
         grid = TimeGrid.equispaced(49)
-        got_d = a.random_effects_blups(fitted, cohort.subjects)
         got = a.subject_profiles(fitted, cohort.subjects, grid)
         assert got.shape == (len(cohort), len(grid))
         for i, s in enumerate(cohort.subjects):
@@ -245,8 +267,31 @@ class TestBatchedProfiles:
             on_grid = design_for(fitted, a.Subject(id=s.id, times=grid, y=np.zeros(len(grid)),
                                                    covariates=s.covariates))
             want = on_grid.X @ fitted.beta_hat + on_grid.Z @ want_d
-            assert np.max(np.abs(got_d[i] - want_d)) <= 1e-10 * np.max(np.abs(want_d))
+            got_d = a.random_effects_blup(fitted, s)
+            assert np.max(np.abs(got_d - want_d)) <= 1e-10 * np.max(np.abs(want_d))
             assert np.max(np.abs(got[i] - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_each_design_is_built_and_factorized_once(self, incomplete, monkeypatch):
+        cohort, fitted = incomplete
+        builds = count_calls(monkeypatch, blup_module, "build_design")
+        factors = count_calls(monkeypatch, blup_module.sla, "cho_factor")
+        a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
+        patterns = {s.times.points.tobytes() for s in cohort.subjects}
+        encodings = {(s.covariates["diet"], s.covariates["age"]) for s in cohort.subjects}
+        designs = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
+                   for s in cohort.subjects}
+        assert len(factors) == len(patterns) < len(cohort)
+        assert len(builds) == len(designs) + len(encodings) < len(cohort)
+
+    def test_irregular_designs_cost_one_build_per_subject_and_grid(self, irregular,
+                                                                   monkeypatch):
+        # nothing is shared, so the work is that of one subject at a time
+        cohort, fitted = irregular
+        builds = count_calls(monkeypatch, blup_module, "build_design")
+        factors = count_calls(monkeypatch, blup_module.sla, "cho_factor")
+        a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
+        assert len(factors) == len(cohort)
+        assert len(builds) == 2 * len(cohort)
 
     def test_rows_do_not_depend_on_the_batch(self, incomplete):
         cohort, fitted = incomplete
