@@ -7,10 +7,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import stats
+from scipy.special import ndtri
 
 from .basis import TimeGrid
-from .design import Subject, build_design
+from .design import Subject, build_design, design_key
 from .errors import ConditioningError, ConfigError
 from .estimation import FittedModel
 
@@ -38,10 +38,7 @@ def _design_on(fitted: FittedModel, subject: Subject, times: TimeGrid, memo: dic
     ``build_design`` runs once per distinct (times, covariate encoding) in
     ``memo``; Z, which carries no covariates, is kept once per times.
     """
-    terms = fitted.spec.group_terms + fitted.spec.interaction_terms
-    encoder = fitted.context.encoder
-    code = b"".join(encoder.encode(subject, t).tobytes() for t in terms) if encoder else b""
-    at = times.points.tobytes()
+    at, code = design_key(fitted.spec, subject, fitted.context, times)
     mean, z = memo.get(("mean", at, code)), memo.get(("z", at))
     if mean is None:
         pair = build_design(fitted.spec, Subject(id=subject.id, times=times,
@@ -123,7 +120,7 @@ def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.
     if multiplier is None:
         if not 0.0 < level < 1.0:
             raise ConfigError("band level must be in (0, 1)")
-        z = float(stats.norm.ppf(0.5 * (1.0 + level)))
+        z = float(ndtri(0.5 * (1.0 + level)))
     else:
         if multiplier < 0:
             raise ConfigError("band multiplier must be nonnegative")

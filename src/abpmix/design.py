@@ -33,6 +33,43 @@ def require_fields(d, required, what: str) -> None:
         raise SchemaError(f"{what}: missing required fields {missing}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _is_list(v, check) -> bool:
+    return isinstance(v, (list, tuple)) and all(check(x) for x in v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON value types, keyed by how an error message names them
+_JSON_TYPES = {
+    "a number": _is_number,
+    "an integer": _is_int,
+    "an integer or null": lambda v: v is None or _is_int(v),
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: _is_list(v, lambda x: isinstance(x, str)),
+    "a list of numbers or null": lambda v: v is None or _is_list(v, _is_number),
+    "an object of strings": lambda v: (isinstance(v, dict)
+                                       and all(isinstance(x, str) for x in v.values())),
+}
+
+
+def typed_field(d: dict, key: str, expected: str, what: str, default=None):
+    """``d[key]``, or ``default`` when absent; SchemaError unless it is ``expected``,
+    one of the JSON types named in ``_JSON_TYPES``."""
+    if key not in d:
+        return default
+    v = d[key]
+    if not _JSON_TYPES[expected](v):
+        raise SchemaError(f"{what}: {key} must be {expected}, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class BasisDescriptor:
     """Declarative description of one time basis."""
@@ -74,10 +111,12 @@ class BasisDescriptor:
         extra = set(d) - {"kind", "degree", "knots"}
         if extra:
             raise SpecError(f"unknown basis descriptor fields: {sorted(extra)}")
+        what = "basis descriptor"
+        knots = typed_field(d, "knots", "a list of numbers or null", what)
         return cls(
-            kind=d["kind"],
-            degree=d.get("degree"),
-            knots=tuple(d["knots"]) if d.get("knots") is not None else None,
+            kind=typed_field(d, "kind", "a string", what),
+            degree=typed_field(d, "degree", "an integer or null", what),
+            knots=tuple(knots) if knots is not None else None,
         )
 
 
@@ -139,15 +178,19 @@ class ModelSpec:
         extra = set(d) - known
         if extra:
             raise SpecError(f"unknown model spec fields: {sorted(extra)}")
+        what = "model spec"
         return cls(
             fixed=BasisDescriptor.from_jsonable(d["fixed"]),
             random=BasisDescriptor.from_jsonable(d["random"]),
-            random_cov=d.get("random_cov", "diagonal"),
-            group_terms=tuple(d.get("group_terms", ())),
-            interaction_terms=tuple(d.get("interaction_terms", ())),
-            reference_grid_points=int(d.get("reference_grid_points", 49)),
-            orthonormalize_random=bool(d.get("orthonormalize_random", True)),
-            reference_levels=d.get("reference_levels", {}),
+            random_cov=typed_field(d, "random_cov", "a string", what, "diagonal"),
+            group_terms=tuple(typed_field(d, "group_terms", "a list of strings", what, ())),
+            interaction_terms=tuple(typed_field(d, "interaction_terms", "a list of strings",
+                                                what, ())),
+            reference_grid_points=typed_field(d, "reference_grid_points", "an integer", what, 49),
+            orthonormalize_random=typed_field(d, "orthonormalize_random", "true or false", what,
+                                              True),
+            reference_levels=typed_field(d, "reference_levels", "an object of strings", what,
+                                         {}),
         )
 
 
@@ -215,8 +258,14 @@ class DesignPair:
     Z: np.ndarray
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+def _covariate(subject: Subject, term: str):
+    """The subject's value of a covariate a model term uses; absent or blank is a SpecError."""
+    if term not in subject.covariates:
+        raise SpecError(f"subject {subject.id!r} missing covariate {term!r}")
+    v = subject.covariates[term]
+    if isinstance(v, str) and not v.strip():
+        raise SpecError(f"subject {subject.id!r} has an empty {term!r} covariate")
+    return v
 
 
 class CovariateEncoder:
@@ -234,11 +283,7 @@ class CovariateEncoder:
         for term in self.terms:
             if cohort is None:
                 raise SpecError("covariate terms require cohort data")
-            values = []
-            for s in cohort:
-                if term not in s.covariates:
-                    raise SpecError(f"subject {s.id!r} missing covariate {term!r}")
-                values.append(s.covariates[term])
+            values = [_covariate(s, term) for s in cohort]
             if all(_is_number(v) for v in values):
                 self.term_columns[term] = [(term, None)]
             else:
@@ -260,9 +305,7 @@ class CovariateEncoder:
         return out
 
     def encode(self, subject: Subject, term: str) -> np.ndarray:
-        if term not in subject.covariates:
-            raise SpecError(f"subject {subject.id!r} missing covariate {term!r}")
-        v = subject.covariates[term]
+        v = _covariate(subject, term)
         cols = self.term_columns[term]
         if cols and cols[0][1] is None:
             if not _is_number(v):
@@ -278,6 +321,12 @@ class CovariateEncoder:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "CovariateEncoder":
+        def is_column(c):  # [label, level], level null for a numeric term
+            return (_is_list(c, lambda x: x is None or isinstance(x, str)) and len(c) == 2
+                    and isinstance(c[0], str))
+
+        if not isinstance(d, dict) or not all(_is_list(cols, is_column) for cols in d.values()):
+            raise SchemaError("encoder: expected an object of [label, level] lists")
         enc = cls.__new__(cls)
         enc.terms = tuple(d.keys())
         enc.term_columns = {
@@ -361,6 +410,18 @@ class BasisContext:
                 for col_label, _ in self.encoder.term_columns[term]:
                     labels += [f"{col_label}:{tl}" for tl in labels[1 : spec.fixed.n_columns]]
         return labels
+
+
+def design_key(spec: ModelSpec, subject: Subject, context: BasisContext,
+               times: Optional[TimeGrid] = None) -> tuple:
+    """(times, covariate encoding) as bytes: everything ``build_design``
+    reads of a subject whose observation times are ``times`` (its own by
+    default), so subjects with equal keys have equal designs."""
+    times = subject.times if times is None else times
+    encoder = context.encoder
+    terms = spec.group_terms + spec.interaction_terms
+    code = b"".join(encoder.encode(subject, t).tobytes() for t in terms) if encoder else b""
+    return times.points.tobytes(), code
 
 
 def build_design(spec: ModelSpec, subject: Subject, context: BasisContext) -> DesignPair:

@@ -24,7 +24,6 @@ ordering.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from .design import BasisContext, Cohort, CovariateEncoder, ModelSpec, build_design
+from .design import BasisContext, Cohort, ModelSpec, build_design, design_key
 from .errors import ConditioningError, RankError, SpecError
 
 LOG_VARIANCE_FLOOR = -30.0
@@ -148,6 +147,10 @@ class FittedModel:
     column_labels: list
     context: BasisContext = field(repr=False)
     problem: Optional["MixedModelProblem"] = field(default=None, repr=False)
+    # inference quantities of this fit, filled on first use by ``inference``;
+    # never serialized, and a ``dataclasses.replace`` copy starts empty
+    inference_cache: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     @property
     def q(self) -> int:
@@ -175,11 +178,17 @@ class MixedModelProblem:
         self.spec = spec
         self.cohort = cohort
         self.context = context if context is not None else BasisContext(spec, cohort)
-        designs = {}
+        # one build per distinct (times, covariate encoding); designs are
+        # then grouped by their bytes, which also merges equal designs
+        # reached from different keys
+        built, designs = {}, {}
         for subject in cohort:
-            pair = build_design(spec, subject, self.context)
-            key = (pair.X.shape, pair.X.tobytes(), pair.Z.tobytes())
-            designs.setdefault(key, (pair.X, pair.Z, []))[2].append(subject)
+            k = design_key(spec, subject, self.context)
+            if k not in built:
+                pair = build_design(spec, subject, self.context)
+                built[k] = (pair.X, pair.Z, (pair.X.shape, pair.X.tobytes(), pair.Z.tobytes()))
+            x, z, key = built[k]
+            designs.setdefault(key, (x, z, []))[2].append(subject)
         groups = []
         for key in sorted(designs):
             x, z, subjects = designs[key]

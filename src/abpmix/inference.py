@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import stats
+from scipy.special import fdtrc
 
 from .errors import ComparisonError, ContrastError, StateError
-from .estimation import FittedModel
+from .estimation import FittedModel, _dsigma_d_stack
 
 
 @dataclass(frozen=True)
@@ -52,26 +52,37 @@ class TestResult:
     label: str = ""
 
 
-def _information_inverse(fitted: FittedModel) -> np.ndarray:
+def _problem(fitted: FittedModel):
     if fitted.problem is None:
         raise StateError("fit has no attached data; call attach_data() first")
-    cached = getattr(fitted, "_vcov_theta", None)
-    if cached is not None:
-        return cached
-    h = fitted.problem.observed_information(fitted.params.theta, fitted.method)
-    # guard against indefinite FD Hessians at a boundary optimum
-    ev, vec = np.linalg.eigh(h)
-    ev = np.maximum(ev, 1e-12 * max(ev.max(), 1.0))
-    vcov = (vec / ev) @ vec.T
-    fitted._vcov_theta = vcov
-    return vcov
+    return fitted.problem
+
+
+def _information_inverse(fitted: FittedModel) -> np.ndarray:
+    """vcov(theta), computed once per fit and kept in its inference cache."""
+    cache = fitted.inference_cache
+    if "vcov_theta" not in cache:
+        h = _problem(fitted).observed_information(fitted.params.theta, fitted.method)
+        # guard against indefinite FD Hessians at a boundary optimum
+        ev, vec = np.linalg.eigh(h)
+        ev = np.maximum(ev, 1e-12 * max(ev.max(), 1.0))
+        cache["vcov_theta"] = (vec / ev) @ vec.T
+    return cache["vcov_theta"]
+
+
+def _cov_beta_derivatives(fitted: FittedModel) -> np.ndarray:
+    """d Phi / d theta_k, computed once per fit and kept in its inference cache."""
+    cache = fitted.inference_cache
+    if "dphi" not in cache:
+        cache["dphi"] = _problem(fitted).cov_beta_derivatives(fitted.params.theta,
+                                                              fitted.method)
+    return cache["dphi"]
 
 
 def _satterthwaite_single(fitted: FittedModel, c: np.ndarray) -> float:
     phi = fitted.cov_beta
     var_c = float(c @ phi @ c)
-    dphis = fitted.problem.cov_beta_derivatives(fitted.params.theta, fitted.method)
-    g = np.array([float(c @ dp @ c) for dp in dphis])
+    g = np.array([float(c @ dp @ c) for dp in _cov_beta_derivatives(fitted)])
     vv = float(g @ _information_inverse(fitted) @ g)
     if vv <= 0:
         return float(fitted.n_obs - fitted.q)
@@ -111,7 +122,7 @@ def f_test(fitted: FittedModel, contrast: Contrast) -> TestResult:
             ddf = 2.0 * e_sum / (e_sum - ndf)
         else:
             ddf = float(min(parts)) if parts else 1.0
-    p = float(stats.f.sf(f_stat, ndf, ddf))
+    p = float(fdtrc(ndf, ddf, f_stat))
     return TestResult(F=f_stat, ndf=ndf, ddf=float(ddf), p_value=p, label=contrast.label)
 
 
@@ -186,8 +197,6 @@ def variance_component_table(fitted: FittedModel):
     Standard errors come from the delta method through the observed
     information on the transformed scale.
     """
-    from .estimation import _dsigma_d_stack  # local import to avoid cycle at module load
-
     theta = fitted.params.theta
     m = fitted.params.m
     vcov = _information_inverse(fitted) if fitted.problem is not None else None

@@ -11,7 +11,8 @@ import json
 
 import numpy as np
 
-from .design import BasisContext, Cohort, CovariateEncoder, ModelSpec, require_fields
+from .design import (BasisContext, CovariateEncoder, ModelSpec, parameter_count, require_fields,
+                     typed_field)
 from .dataio import SimulationConfig
 from .errors import SchemaError
 from .estimation import CovarianceParams, FittedModel
@@ -97,28 +98,42 @@ def fitted_model_from_json(text: str) -> FittedModel:
     require_fields(d, sorted(known - {"schema_version", "encoder"}), "fitted model")
     spec = ModelSpec.from_jsonable(d["spec"])
     encoder = CovariateEncoder.from_jsonable(d["encoder"]) if d.get("encoder") else None
+    if encoder is not None:
+        lacking = set(spec.group_terms + spec.interaction_terms) - set(encoder.terms)
+        if lacking:
+            raise SchemaError(f"fitted model: encoder lacks terms {sorted(lacking)}")
     # the basis context rebuilds deterministically from the spec
     context = BasisContext(spec, cohort=None, encoder=encoder)
-    params = CovarianceParams(
-        structure=spec.random_cov,
-        m=spec.random.n_columns,
-        theta=np.asarray(d["theta"], dtype=float),
-    )
+    q, r = parameter_count(spec, encoder)
+    m = spec.random.n_columns
+
+    def array(key, shape):
+        try:
+            a = np.asarray(d[key]) if isinstance(d[key], list) else None
+        except ValueError:  # ragged nesting
+            a = None
+        if a is None or a.dtype.kind not in "iuf" or a.shape != shape:
+            raise SchemaError(f"fitted model: {key} must be an array of numbers of shape {shape}")
+        return a.astype(float)
+
+    def scalar(key, expected):
+        return typed_field(d, key, expected, "fitted model")
+
     return FittedModel(
         spec=spec,
-        method=d["method"],
-        beta_hat=np.asarray(d["beta_hat"], dtype=float),
-        cov_beta=np.asarray(d["cov_beta"], dtype=float),
-        sigma_d_hat=np.asarray(d["sigma_d_hat"], dtype=float),
-        sigma2_hat=float(d["sigma2_hat"]),
-        loglik=float(d["loglik"]),
-        converged=bool(d["converged"]),
-        iterations=int(d["iterations"]),
-        gradient_norm=float(d["gradient_norm"]),
-        params=params,
-        n_subjects=int(d["n_subjects"]),
-        n_obs=int(d["n_obs"]),
-        column_labels=list(d["column_labels"]),
+        method=scalar("method", "a string"),
+        beta_hat=array("beta_hat", (q,)),
+        cov_beta=array("cov_beta", (q, q)),
+        sigma_d_hat=array("sigma_d_hat", (m, m)),
+        sigma2_hat=float(scalar("sigma2_hat", "a number")),
+        loglik=float(scalar("loglik", "a number")),
+        converged=scalar("converged", "true or false"),
+        iterations=scalar("iterations", "an integer"),
+        gradient_norm=float(scalar("gradient_norm", "a number")),
+        params=CovarianceParams(structure=spec.random_cov, m=m, theta=array("theta", (r,))),
+        n_subjects=scalar("n_subjects", "an integer"),
+        n_obs=scalar("n_obs", "an integer"),
+        column_labels=list(scalar("column_labels", "a list of strings")),
         context=context,
         problem=None,
     )

@@ -105,6 +105,59 @@ class TestFitCommand:
         assert code == 2
         assert "SchemaError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value", [
+        (("fixed", "degree"), "3"),
+        (("fixed", "degree"), 2.0),
+        (("random", "degree"), True),
+        (("fixed", "kind"), 3),
+        (("fixed", "knots"), "1,2,3"),
+        (("fixed", "knots"), [1.0, "2", 3.0]),
+        (("random_cov",), ["diagonal"]),
+        (("group_terms",), "diet"),
+        (("interaction_terms",), [1]),
+        (("reference_grid_points",), "49"),
+        (("orthonormalize_random",), "false"),
+        (("reference_levels",), ["diet"]),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else repr(v))
+    def test_spec_value_of_wrong_type_is_usage_error(self, tmp_path, workspace, capsys,
+                                                      path, value):
+        _, data, model = workspace
+        d = json.loads(Path(model).read_text())
+        owner = d
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        code = main(["fit", "--model", str(bad), "--data", data,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+
+    def test_blank_covariate_of_a_term_is_usage_error(self, tmp_path, workspace, capsys):
+        _, data, model = workspace
+        rows = Path(data).read_text().splitlines()
+        blank = rows[1].split(",")[0]
+        lines = [rows[0] + ",sex,site"]
+        for row in rows[1:]:
+            sid = row.split(",")[0]
+            lines.append(row + ("," if sid == blank else ",F" if sid[-1] in "02468" else ",M")
+                         + ",")
+        cohort = tmp_path / "blank.csv"
+        cohort.write_text("\n".join(lines) + "\n")
+        d = json.loads(Path(model).read_text())
+        d["group_terms"] = ["sex"]
+        spec = tmp_path / "sex.json"
+        spec.write_text(json.dumps(d))
+        code = main(["fit", "--model", str(spec), "--data", str(cohort),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "SpecError" in err and repr(blank) in err and "'sex'" in err
+        # the blank 'site' column is used by no term, so the plain model still fits
+        assert main(["fit", "--model", model, "--data", str(cohort),
+                     "--out", str(tmp_path / "plain")]) == 0
+
     def test_spec_not_utf8_is_usage_error(self, tmp_path, workspace, capsys):
         _, data, _ = workspace
         bad = tmp_path / "bad.json"
@@ -270,6 +323,45 @@ class TestProfilesCommand:
         root, data, _ = workspace
         d = json.loads((root / "fit" / "fit.json").read_text())
         del d["beta_hat"]
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(d))
+        code = main(["profiles", "--fit", str(fit), "--data", data,
+                     "--subjects", "s0000", "--out", str(tmp_path / "pm")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("beta_hat", "x"),
+        ("beta_hat", [1.0, "a", 2.0]),
+        ("beta_hat", [1.0, 2.0]),
+        ("cov_beta", [[1.0]]),
+        ("cov_beta", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+        ("sigma_d_hat", [[1.0, 0.0], [0.0, 1.0]]),
+        ("sigma_d_hat", None),
+        ("theta", [0.0]),
+        ("theta", [True, False, True, False]),
+        ("sigma2_hat", "x"),
+        ("iterations", 3.5),
+        ("column_labels", "intercept"),
+        ("encoder", {"diet": 3}),
+    ], ids=lambda v: v if isinstance(v, str) else repr(v)[:20])
+    def test_fit_json_value_of_wrong_type_or_shape_is_usage_error(self, workspace, tmp_path,
+                                                                   capsys, key, value):
+        root, data, _ = workspace
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        d[key] = value
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(d))
+        code = main(["profiles", "--fit", str(fit), "--data", data,
+                     "--subjects", "s0000", "--out", str(tmp_path / "pm")])
+        assert code == 2
+        assert "SchemaError" in capsys.readouterr().err
+
+    def test_fit_json_encoder_lacking_a_term_is_usage_error(self, workspace, tmp_path, capsys):
+        root, data, _ = workspace
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        d["spec"]["group_terms"] = ["diet"]
+        d["encoder"] = {"age": [["age", None]]}
         fit = tmp_path / "fit.json"
         fit.write_text(json.dumps(d))
         code = main(["profiles", "--fit", str(fit), "--data", data,

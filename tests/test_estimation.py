@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import abpmix as a
+from abpmix import estimation
 from abpmix.basis import TimeGrid
 from abpmix.errors import SpecError
 from abpmix.estimation import (
@@ -271,3 +272,72 @@ def test_variance_floor_reported_as_zero():
     theta = np.array([LOG_VARIANCE_FLOOR, 0.0])
     sd = sigma_d_from_theta("diagonal", 1, theta)
     assert sd[0, 0] <= np.exp(LOG_VARIANCE_FLOOR) * 1.0000001
+
+
+def shared_and_jittered_cohort():
+    """36 subjects with a group (diet) and an interaction (age) term:
+    12 complete hourly subjects over six (diet, age) encodings, 12 with
+    10% of the hours missing, 12 with jittered times and 10% missing."""
+    rng = np.random.default_rng(77)
+    hours = np.arange(24.0) + 0.5
+    subjects = []
+    for i in range(36):
+        times = hours if i < 12 else hours[rng.random(24) >= 0.1]
+        if i >= 24:
+            times = times + rng.uniform(-0.25, 0.25, size=times.size)
+        diet = ("salt", "control", "dash")[i % 3]
+        age = 30.0 + 6.0 * (i % 2)
+        y = (120.0 + 5.0 * (diet == "salt") + 0.2 * age
+             + 8.0 * np.sin(2.0 * np.pi * times / 24.0) + rng.normal(0.0, 5.0)
+             + rng.normal(0.0, 3.0, size=times.size))
+        subjects.append(a.Subject(id=f"j{i:02d}", times=TimeGrid(times), y=y,
+                                  covariates={"diet": diet, "age": age}))
+    spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 2),
+                       random=a.BasisDescriptor("orthonormal_poly", 1),
+                       group_terms=("diet",), interaction_terms=("age",))
+    return spec, a.Cohort(subjects=tuple(subjects))
+
+
+class TestDesignSharing:
+    STATISTICS = ("N", "n", "q", "m", "_beta0", "_count", "_r", "_x", "_ee", "_e",
+                  "_xx_out", "_xe_out", "_ee_out", "_p_minus_m")
+
+    @staticmethod
+    def per_subject_problem(spec, cohort, monkeypatch):
+        """The problem built with one design per subject, as if no two
+        subjects shared (times, covariate encoding)."""
+        with monkeypatch.context() as mp:
+            mp.setattr(estimation, "design_key",
+                       lambda spec, subject, context, times=None: subject.id)
+            return MixedModelProblem(spec, cohort)
+
+    def test_statistics_likelihood_and_fit_bitwise_equal_to_per_subject_designs(
+            self, monkeypatch):
+        spec, cohort = shared_and_jittered_cohort()
+        shared = MixedModelProblem(spec, cohort)
+        single = self.per_subject_problem(spec, cohort, monkeypatch)
+        assert shared._count.size < len(cohort)
+        for name in self.STATISTICS:
+            want = np.asarray(getattr(single, name))
+            assert np.asarray(getattr(shared, name)).tobytes() == want.tobytes(), name
+        theta = shared._initial_theta() + 0.1
+        for method in ("REML", "ML"):
+            ll_s, g_s = shared.loglik_and_grad(theta, method)
+            ll_1, g_1 = single.loglik_and_grad(theta, method)
+            assert ll_s == ll_1 and g_s.tobytes() == g_1.tobytes()
+        f_s, f_1 = shared.fit(), single.fit()
+        assert f_s.loglik == f_1.loglik and f_s.iterations == f_1.iterations
+        for name in ("beta_hat", "cov_beta", "sigma_d_hat"):
+            assert getattr(f_s, name).tobytes() == getattr(f_1, name).tobytes()
+        assert f_s.params.theta.tobytes() == f_1.params.theta.tobytes()
+
+    def test_build_design_runs_once_per_distinct_times_and_encoding(self, monkeypatch):
+        spec, cohort = shared_and_jittered_cohort()
+        calls = []
+        build = estimation.build_design
+        monkeypatch.setattr(estimation, "build_design",
+                            lambda *args: calls.append(args[1].id) or build(*args))
+        MixedModelProblem(spec, cohort)
+        distinct = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
+                    for s in cohort}
+        assert len(calls) == len(distinct) < len(cohort)

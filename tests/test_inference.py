@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import abpmix as a
+from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.errors import ComparisonError, ContrastError, StateError
+from abpmix.estimation import MixedModelProblem
 from abpmix.inference import (
     Contrast,
     _r2_from_f,
@@ -201,3 +205,36 @@ class TestTables:
         for _, est, se in rows:
             assert est >= 0.0
             assert np.isfinite(se) and se >= 0.0
+
+
+class TestInferenceCache:
+    def test_derivatives_and_information_computed_once_per_fit(self, small_fit,
+                                                                monkeypatch):
+        fitted = dataclasses.replace(small_fit[2])  # a copy with an empty cache
+        calls = []
+
+        def count(name):
+            orig = getattr(MixedModelProblem, name)
+
+            def counting(self, *args, **kwargs):
+                calls.append(name)
+                return orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(MixedModelProblem, name, counting)
+
+        count("cov_beta_derivatives")
+        count("observed_information")
+        per_column_tests(fitted)
+        r2_statistics(fitted)
+        variance_component_table(fitted)
+        assert sorted(calls) == ["cov_beta_derivatives", "observed_information"]
+
+    def test_cache_is_per_fit_and_never_carried_or_written(self, small_fit):
+        fitted = dataclasses.replace(small_fit[2])
+        before = per_column_tests(fitted)
+        assert fitted.inference_cache
+        copy = dataclasses.replace(fitted)
+        assert copy.inference_cache == {}
+        assert per_column_tests(copy) == before
+        assert "inference_cache" not in repr(fitted)
+        assert "inference_cache" not in serialize.fitted_model_to_json(fitted)
