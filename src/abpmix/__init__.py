@@ -47,8 +47,6 @@ from .estimation import (
     FittedModel,
     MixedModelProblem,
     fit,
-    gls_beta,
-    marginal_loglikelihood,
 )
 from .inference import (
     Contrast,

@@ -122,8 +122,8 @@ def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.
             raise ConfigError("band level must be in (0, 1)")
         z = float(ndtri(0.5 * (1.0 + level)))
     else:
-        if multiplier < 0:
-            raise ConfigError("band multiplier must be nonnegative")
+        if not 0.0 <= multiplier < np.inf:
+            raise ConfigError("band multiplier must be finite and nonnegative")
         z = float(multiplier)
     s = fitted.context.fixed_time_matrix(eval_times)
     u = fitted.context.random_matrix(eval_times)

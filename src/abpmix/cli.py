@@ -14,10 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blup, dataio, inference, serialize, svg
+from . import blup, dataio, estimation, inference, serialize, svg
 from .basis import TimeGrid
 from .errors import AbpmixError
-from .estimation import MixedModelProblem
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,8 +35,8 @@ def _write_csv(path: Path, header, rows):
 
 
 def _fit_one(spec, cohort, args):
-    problem = MixedModelProblem(spec, cohort)
-    return problem.fit(method=args.method.upper(), tol=args.tol, max_iter=args.max_iter)
+    return estimation.fit(spec, cohort, method=args.method.upper(), max_iter=args.max_iter,
+                          tol=args.tol)
 
 
 def _fixed_effects_rows(fitted):
@@ -277,6 +276,20 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 def _add_common(parser, data=True, fitopts=False, plot=False):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--outcome", choices=["sbp", "dbp"], default="sbp")
@@ -286,8 +299,8 @@ def _add_common(parser, data=True, fitopts=False, plot=False):
         parser.add_argument("--data", required=True, help="cohort CSV")
     if fitopts:
         parser.add_argument("--method", choices=["reml", "ml"], default="reml")
-        parser.add_argument("--tol", type=float, default=1e-6)
-        parser.add_argument("--max-iter", type=int, default=500)
+        parser.add_argument("--tol", type=_positive_float, default=1e-6)
+        parser.add_argument("--max-iter", type=_positive_int, default=500)
     if plot:
         parser.add_argument("--band-level", type=float, default=0.90)
         parser.add_argument("--band-multiplier", type=float, default=None,

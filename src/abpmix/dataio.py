@@ -202,7 +202,8 @@ class SimulationConfig:
         object.__setattr__(self, "base_times", base)
         expected = base.size * (1.0 - self.missing_rate)
         if expected < self.spec.fixed.n_columns + 1:
-            raise ConfigError("missing_rate leaves too few expected observations per subject")
+            raise ConfigError("base_times and missing_rate leave too few expected observations "
+                              "per subject")
 
 
 def _simulate_subject(index: int, config: SimulationConfig, context: BasisContext,

@@ -390,14 +390,6 @@ class BasisContext:
         """Random-effect design: intercept plus random-basis time columns."""
         return self._matrix(self._random, times)
 
-    @property
-    def n_fixed_time_columns(self) -> int:
-        return self.spec.fixed.n_columns
-
-    @property
-    def n_random_columns(self) -> int:
-        return self.spec.random.n_columns
-
     def fixed_column_labels(self) -> list:
         spec = self.spec
         if spec.fixed.kind in POLY_KINDS:

@@ -29,13 +29,14 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from .design import BasisContext, Cohort, ModelSpec, build_design, design_key
 from .errors import ConditioningError, RankError, SpecError
 
 LOG_VARIANCE_FLOOR = -30.0
 _LOG2PI = float(np.log(2.0 * np.pi))
+_INFORMATION_STEP = 1e-4  # central-difference step of the observed information
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +61,6 @@ class CovarianceParams:
         if th.shape != (n_cov_params(self.structure, self.m),):
             raise SpecError("theta length does not match the covariance structure")
         object.__setattr__(self, "theta", th.copy())
-
-    @property
-    def log_sigma2(self) -> float:
-        return float(self.theta[-1])
 
     def sigma2(self) -> float:
         return float(np.exp(self.theta[-1]))
@@ -147,8 +144,11 @@ class FittedModel:
     column_labels: list
     context: BasisContext = field(repr=False)
     problem: Optional["MixedModelProblem"] = field(default=None, repr=False)
+    # log-likelihood after each accepted optimizer step (L-BFGS-B iterations,
+    # then Newton-polish steps); never serialized
+    ascent_history: list = field(default_factory=list, repr=False, compare=False)
     # inference quantities of this fit, filled on first use by ``inference``;
-    # never serialized, and a ``dataclasses.replace`` copy starts empty
+    # never serialized, and a ``dataclasses.replace`` copy begins empty
     inference_cache: dict = field(default_factory=dict, init=False, repr=False,
                                   compare=False)
 
@@ -331,8 +331,7 @@ class MixedModelProblem:
                    + self._xx_out / sigma2)
         return cov_beta @ np.concatenate([dmats, d_resid[None]]) @ cov_beta
 
-    def observed_information(self, theta: np.ndarray, method: str = "REML",
-                             step: float = 1e-4) -> np.ndarray:
+    def observed_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
         """Observed information of the covariance parameters.
 
         Central finite differences of the analytic gradient on the
@@ -342,12 +341,12 @@ class MixedModelProblem:
         h = np.zeros((k, k))
         for j in range(k):
             tp = theta.copy()
-            tp[j] += step
+            tp[j] += _INFORMATION_STEP
             tm = theta.copy()
-            tm[j] -= step
+            tm[j] -= _INFORMATION_STEP
             gp = self.loglik_and_grad(tp, method)[1]
             gm = self.loglik_and_grad(tm, method)[1]
-            h[j] = -(gp - gm) / (2.0 * step)
+            h[j] = -(gp - gm) / (2.0 * _INFORMATION_STEP)
         return 0.5 * (h + h.T)
 
     # -- initialization and fitting -----------------------------------------
@@ -367,31 +366,18 @@ class MixedModelProblem:
         return np.append(theta, np.log(sigma2_0))
 
     def _bounds(self):
-        if self.structure == "diagonal":
-            b = [(LOG_VARIANCE_FLOOR, 30.0)] * self.m
-        else:
+        """(lo, hi) arrays of theta; off-diagonal Cholesky entries are unbounded."""
+        lo = np.full(self.n_params, LOG_VARIANCE_FLOOR)
+        hi = np.full(self.n_params, 30.0)
+        if self.structure == "unstructured":
             rows, cols = np.tril_indices(self.m)
-            b = [
-                (LOG_VARIANCE_FLOOR / 2.0, 15.0) if i == j else (None, None)
-                for i, j in zip(rows, cols)
-            ]
-        return b + [(LOG_VARIANCE_FLOOR, 30.0)]
+            lo[:-1] = np.where(rows == cols, LOG_VARIANCE_FLOOR / 2.0, -np.inf)
+            hi[:-1] = np.where(rows == cols, 15.0, np.inf)
+        return lo, hi
 
-    def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6,
-            starts: int = 1, seed: int = 0, record_history: bool = False) -> FittedModel:
-        theta0 = self._initial_theta()
-        candidates = [theta0]
-        if starts > 1:
-            rng = np.random.default_rng(seed)
-            for _ in range(starts - 1):
-                candidates.append(theta0 + rng.normal(scale=0.5, size=theta0.size))
-
-        best = None
-        for start_theta in candidates:
-            result = self._optimize(start_theta, method, max_iter, tol, record_history)
-            if best is None or result[0] > best[0]:
-                best = result
-        ll, theta, converged, iterations, grad_norm = best
+    def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6) -> FittedModel:
+        ll, theta, converged, iterations, grad_norm, history = self._optimize(
+            self._initial_theta(), method, max_iter, tol)
 
         if self.structure == "diagonal":
             # the log parameterization cannot reach a zero variance; snap
@@ -434,41 +420,41 @@ class MixedModelProblem:
             column_labels=self.context.fixed_column_labels(),
             context=self.context,
             problem=self,
+            ascent_history=history,
         )
 
-    def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float,
-                  record_history: bool = False):
-        bounds = self._bounds()
+    def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float):
+        """(loglik, theta, converged, iterations, gradient norm, ascent history)."""
+        lo, hi = self._bounds()
         history = []
-        callback = None
-        if record_history:
-            callback = lambda th: history.append(self.loglikelihood(th, method))
 
         def objective(th):
             ll, grad = self.loglik_and_grad(th, method)
             return -ll, -grad
 
-        theta = np.clip(theta0, [b[0] if b[0] is not None else -np.inf for b in bounds],
-                        [b[1] if b[1] is not None else np.inf for b in bounds])
+        def callback(intermediate_result):
+            history.append(-intermediate_result.fun)
+
+        theta = np.clip(theta0, lo, hi)
         iterations = 0
         last_ll = -np.inf
         converged = False
         grad_norm = np.inf
-        for _ in range(3):  # restarts tighten the gradient when L-BFGS stalls
+        for _ in range(3):  # restart runs tighten the gradient when L-BFGS stalls
             res = minimize(
                 objective,
                 theta,
                 jac=True,
                 method="L-BFGS-B",
-                bounds=bounds,
+                bounds=Bounds(lo, hi),
                 callback=callback,
                 options={"maxiter": max_iter, "ftol": 1e-15, "gtol": tol},
             )
             theta = res.x
             iterations += int(res.nit)
             ll, grad = self.loglik_and_grad(theta, method)
-            grad_norm = self._projected_grad_norm(theta, grad, bounds)
-            # relative log-likelihood change across restarts; a restart that
+            grad_norm = _projected_grad_norm(theta, grad, lo, hi)
+            # relative log-likelihood change across restart runs; a restart that
             # cannot improve the objective has stalled for good
             rel_change = abs(ll - last_ll) / max(abs(ll), 1.0)
             last_ll = ll
@@ -480,8 +466,6 @@ class MixedModelProblem:
         if not converged and grad_norm <= 1e-2:
             # L-BFGS stalled close to the optimum: Newton polish with the
             # observed information drives the gradient the rest of the way
-            lo = np.array([b[0] if b[0] is not None else -np.inf for b in bounds])
-            hi = np.array([b[1] if b[1] is not None else np.inf for b in bounds])
             ll, grad = self.loglik_and_grad(theta, method)
             for _ in range(10):
                 info = self.observed_information(theta, method)
@@ -499,50 +483,33 @@ class MixedModelProblem:
                         break
                     scale *= 0.5
                 iterations += 1
-                grad_norm = self._projected_grad_norm(theta, grad, bounds)
-                if record_history:
-                    history.append(ll)
+                grad_norm = _projected_grad_norm(theta, grad, lo, hi)
+                history.append(ll)
                 if grad_norm <= tol:
                     converged = True
                     break
                 if not improved:
                     break
             last_ll = ll
-        self.last_ascent_history = history
-        return last_ll, theta, bool(converged), iterations, float(grad_norm)
+        return last_ll, theta, bool(converged), iterations, float(grad_norm), history
 
-    @staticmethod
-    def _projected_grad_norm(theta, grad, bounds):
-        g = grad.copy()
-        for j, (lo, hi) in enumerate(bounds):
-            if lo is not None and theta[j] <= lo + 1e-12 and g[j] < 0:
-                g[j] = 0.0
-            if hi is not None and theta[j] >= hi - 1e-12 and g[j] > 0:
-                g[j] = 0.0
-        return float(np.max(np.abs(g)))
+
+def _projected_grad_norm(theta, grad, lo, hi) -> float:
+    """Max |gradient| over the components not pushing against an active bound."""
+    blocked = (((theta <= lo + 1e-12) & (grad < 0))
+               | ((theta >= hi - 1e-12) & (grad > 0)))
+    return float(np.max(np.abs(np.where(blocked, 0.0, grad))))
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def marginal_loglikelihood(params: CovarianceParams, cohort: Cohort, spec: ModelSpec,
-                           method: str = "REML") -> float:
-    """Profiled marginal log-likelihood at the given covariance parameters."""
-    return MixedModelProblem(spec, cohort).loglikelihood(params.theta, method)
-
-
-def gls_beta(params: CovarianceParams, cohort: Cohort, spec: ModelSpec):
-    """GLS fixed-effect estimate and its covariance at fixed tau."""
-    return MixedModelProblem(spec, cohort).gls(params.theta)
-
-
 def fit(spec: ModelSpec, cohort: Cohort, method: str = "REML", max_iter: int = 500,
-        tol: float = 1e-6, starts: int = 1, seed: int = 0) -> FittedModel:
+        tol: float = 1e-6) -> FittedModel:
     """Maximize the REML (or ML) log-likelihood and return a FittedModel.
 
     Hitting the iteration cap is reported through ``converged=False`` on
     the result, not as an exception.
     """
-    problem = MixedModelProblem(spec, cohort)
-    return problem.fit(method=method, max_iter=max_iter, tol=tol, starts=starts, seed=seed)
+    return MixedModelProblem(spec, cohort).fit(method=method, max_iter=max_iter, tol=tol)

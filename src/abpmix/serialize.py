@@ -41,6 +41,19 @@ def _parse(text: str, what: str) -> dict:
     return d
 
 
+def _number_array(d: dict, key: str, shape: tuple, what: str) -> np.ndarray:
+    """``d[key]`` as a float array; SchemaError unless it is a list of numbers
+    of ``shape``, where a ``None`` length matches any length."""
+    try:
+        a = np.asarray(d[key]) if isinstance(d[key], list) else None
+    except ValueError:  # ragged nesting
+        a = None
+    if (a is None or a.dtype.kind not in "iuf" or a.ndim != len(shape)
+            or any(k is not None and k != n for k, n in zip(shape, a.shape))):
+        raise SchemaError(f"{what}: {key} must be an array of numbers of shape {shape}")
+    return a.astype(float)
+
+
 def _check_version(d: dict, what: str):
     v = d.get("schema_version")
     if v != SCHEMA_VERSION:
@@ -108,13 +121,7 @@ def fitted_model_from_json(text: str) -> FittedModel:
     m = spec.random.n_columns
 
     def array(key, shape):
-        try:
-            a = np.asarray(d[key]) if isinstance(d[key], list) else None
-        except ValueError:  # ragged nesting
-            a = None
-        if a is None or a.dtype.kind not in "iuf" or a.shape != shape:
-            raise SchemaError(f"fitted model: {key} must be an array of numbers of shape {shape}")
-        return a.astype(float)
+        return _number_array(d, key, shape, "fitted model")
 
     def scalar(key, expected):
         return typed_field(d, key, expected, "fitted model")
@@ -153,21 +160,25 @@ def simulation_config_from_json(text: str) -> SimulationConfig:
     extra = set(d) - known
     if extra:
         raise SchemaError(f"simulation config: unknown fields {sorted(extra)}")
-    require_fields(d, ("spec", "beta", "sigma_d", "sigma2", "n_subjects"), "simulation config")
+    what = "simulation config"
+    require_fields(d, ("spec", "beta", "sigma_d", "sigma2", "n_subjects"), what)
     spec = ModelSpec.from_jsonable(d["spec"])
-    sigma_d = np.asarray(d["sigma_d"], dtype=float)
+    # sigma_d is a matrix, or the diagonal of one
+    nested = isinstance(d["sigma_d"], list) and any(isinstance(v, list) for v in d["sigma_d"])
+    sigma_d = _number_array(d, "sigma_d", (None, None) if nested else (None,), what)
     if sigma_d.ndim == 1:
         sigma_d = np.diag(sigma_d)
+    base_times = d.get("base_times")
     return SimulationConfig(
         spec=spec,
-        beta=np.asarray(d["beta"], dtype=float),
+        beta=_number_array(d, "beta", (None,), what),
         sigma_d=sigma_d,
-        sigma2=float(d["sigma2"]),
-        n_subjects=int(d["n_subjects"]),
-        missing_rate=float(d.get("missing_rate", 0.0)),
-        time_jitter_sd=float(d.get("time_jitter_sd", 0.0)),
-        seed=int(d.get("seed", 0)),
-        base_times=np.asarray(d["base_times"], dtype=float) if d.get("base_times") else None,
+        sigma2=float(typed_field(d, "sigma2", "a number", what)),
+        n_subjects=typed_field(d, "n_subjects", "an integer", what),
+        missing_rate=float(typed_field(d, "missing_rate", "a number", what, 0.0)),
+        time_jitter_sd=float(typed_field(d, "time_jitter_sd", "a number", what, 0.0)),
+        seed=typed_field(d, "seed", "an integer", what, 0),
+        base_times=None if base_times is None else _number_array(d, "base_times", (None,), what),
     )
 
 

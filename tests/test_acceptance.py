@@ -110,7 +110,7 @@ def test_criterion_04_likelihood_oracle():
         structure = "diagonal" if i % 2 == 0 else "unstructured"
         spec, cohort, theta = random_tiny_problem(rng, structure)
         params = CovarianceParams(structure=structure, m=spec.random.n_columns, theta=theta)
-        got = a.marginal_loglikelihood(params, cohort, spec)
+        got = MixedModelProblem(spec, cohort).loglikelihood(params.theta, "REML")
         want = dense_stacked_loglik(theta, spec, cohort)
         worst = max(worst, abs(got - want))
     report(4, "REML log-likelihood matches dense stacked oracle (50 instances)",

@@ -185,6 +185,13 @@ class TestPredictionBand:
         ratio = (b.upper - b.center) / (z.upper - z.center)
         assert abs(ratio[0] - 2.0 / 1.6448536269514722) <= 1e-9
 
+    @pytest.mark.parametrize("multiplier", [np.nan, np.inf, -1.0])
+    def test_multiplier_validated(self, small_fit, multiplier):
+        _, _, fitted = small_fit
+        grid = TimeGrid(np.array([12.0]))
+        with pytest.raises(ConfigError):
+            a.prediction_band(fitted, grid, multiplier=multiplier)
+
     def test_level_validated(self, small_fit):
         _, _, fitted = small_fit
         grid = TimeGrid(np.array([12.0]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import abpmix as a
-from abpmix import estimation
+from abpmix import estimation, serialize
 from abpmix.basis import TimeGrid
 from abpmix.errors import SpecError
 from abpmix.estimation import (
@@ -51,7 +51,7 @@ class TestLoglikelihoodOracle:
         cases = [random_tiny_problem(rng, structure) for _ in range(10)]
         for spec, cohort, theta in cases + edge_case_problems(rng, structure):
             params = CovarianceParams(structure=structure, m=spec.random.n_columns, theta=theta)
-            got = a.marginal_loglikelihood(params, cohort, spec, method=method)
+            got = MixedModelProblem(spec, cohort).loglikelihood(params.theta, method)
             want = dense_stacked_loglik(theta, spec, cohort, method=method)
             assert abs(got - want) <= 1e-8
 
@@ -74,8 +74,8 @@ class TestLoglikelihoodOracle:
         for th in (t1, t2):
             p = CovarianceParams(structure="diagonal", m=2, theta=th)
             deltas.append(
-                a.marginal_loglikelihood(p, cohort, spec_a)
-                - a.marginal_loglikelihood(p, cohort, spec_b)
+                MixedModelProblem(spec_a, cohort).loglikelihood(p.theta, "REML")
+                - MixedModelProblem(spec_b, cohort).loglikelihood(p.theta, "REML")
             )
         assert abs(deltas[0] - deltas[1]) < 1e-8
 
@@ -83,9 +83,8 @@ class TestLoglikelihoodOracle:
         rng = np.random.default_rng(1)
         spec, cohort, theta = random_tiny_problem(rng)
         p = CovarianceParams(structure="diagonal", m=spec.random.n_columns, theta=theta)
-        assert a.marginal_loglikelihood(p, cohort, spec, "REML") != a.marginal_loglikelihood(
-            p, cohort, spec, "ML"
-        )
+        assert (MixedModelProblem(spec, cohort).loglikelihood(p.theta, "REML")
+                != MixedModelProblem(spec, cohort).loglikelihood(p.theta, "ML"))
 
 
 class TestGradient:
@@ -135,7 +134,7 @@ class TestGLS:
         cohort = simulate(spec, [300.0, 10.0, -5.0], np.diag([40.0, 20.0, 10.0]),
                           9.0, n_subjects=8, seed=3)
         params = CovarianceParams.from_moments("diagonal", np.zeros((3, 3)), 1.0)
-        beta, _ = a.gls_beta(params, cohort, spec)
+        beta, _ = MixedModelProblem(spec, cohort).gls(params.theta)
         ctx = a.BasisContext(spec, cohort)
         xs = np.vstack([a.build_design(spec, s, ctx).X for s in cohort])
         ys = np.concatenate([s.y for s in cohort])
@@ -157,7 +156,7 @@ class TestGLS:
         )
         cohort = a.simulate_cohort(cfg)
         params = CovarianceParams.from_moments("diagonal", np.diag([50.0, 30.0, 10.0]), 16.0)
-        beta, _ = a.gls_beta(params, cohort, spec)
+        beta, _ = MixedModelProblem(spec, cohort).gls(params.theta)
         ctx = a.BasisContext(spec, cohort)
         s0 = ctx.fixed_time_matrix(cohort.subjects[0].times)
         proj = np.mean([s0.T @ s.y for s in cohort], axis=0)
@@ -169,7 +168,7 @@ class TestGLS:
         y = np.array([100.0, 130.0, 90.0, 110.0])
         cohort = a.Cohort(subjects=(a.Subject(id="s", times=times, y=y),))
         params = CovarianceParams.from_moments("diagonal", np.diag([1.0] * 4), 1.0)
-        beta, _ = a.gls_beta(params, cohort, spec)
+        beta, _ = MixedModelProblem(spec, cohort).gls(params.theta)
         ctx = a.BasisContext(spec, cohort)
         x = a.build_design(spec, cohort.subjects[0], ctx).X
         np.testing.assert_allclose(x @ beta, y, atol=1e-7)
@@ -204,18 +203,39 @@ class TestFit:
         np.testing.assert_allclose(f1.sigma_d_hat, f2.sigma_d_hat, atol=1e-10)
         assert abs(f1.loglik - f2.loglik) <= 1e-10
 
-    def test_ascent_history_nondecreasing(self):
-        spec = poly_spec(2)
-        cohort = simulate(spec, [450.0, -12.0, 6.0], np.diag([70.0, 40.0, 20.0]),
-                          25.0, n_subjects=25, seed=13)
-        problem = MixedModelProblem(spec, cohort)
-        fitted = problem.fit(record_history=True)
-        assert fitted.converged
-        hist = np.asarray(problem.last_ascent_history)
-        assert hist.size >= 2
-        drops = np.diff(hist)
-        # accepted quasi-Newton iterates never lose more than roundoff
-        assert np.all(drops >= -1e-7 * np.maximum(np.abs(hist[:-1]), 1.0))
+    def test_ascent_history_nondecreasing(self, monkeypatch):
+        informations = []
+        information = MixedModelProblem.observed_information
+
+        def counting(self, *args):
+            informations.append(args)
+            return information(self, *args)
+
+        monkeypatch.setattr(MixedModelProblem, "observed_information", counting)
+        # degree 2 converges within L-BFGS-B; degree 4 on its cohort ends in
+        # the Newton polish, whose steps count as iterations too
+        for degree, seed, polished in ((2, 13, False), (4, 14, True)):
+            spec = poly_spec(degree)
+            cohort = simulate(spec, [450.0, -12.0, 6.0, 3.0, -2.0][: degree + 1],
+                              np.diag([70.0, 40.0, 20.0, 10.0, 5.0][: degree + 1]),
+                              25.0, n_subjects=25, seed=seed)
+            informations.clear()
+            fitted = a.fit(spec, cohort)
+            assert fitted.converged
+            assert bool(informations) == polished
+            hist = np.asarray(fitted.ascent_history)
+            assert hist.size == fitted.iterations >= 2
+            drops = np.diff(hist)
+            # accepted quasi-Newton iterates never lose more than roundoff
+            assert np.all(drops >= -1e-7 * np.maximum(np.abs(hist[:-1]), 1.0))
+
+    def test_ascent_history_is_neither_shown_nor_written(self, small_fit):
+        _, _, fitted = small_fit
+        assert len(fitted.ascent_history) == fitted.iterations
+        text = serialize.fitted_model_to_json(fitted)
+        assert "ascent_history" not in text
+        assert "ascent_history" not in repr(fitted)
+        assert serialize.fitted_model_from_json(text).ascent_history == []
 
     def test_iteration_cap_reports_nonconvergence(self):
         spec = poly_spec(2)
