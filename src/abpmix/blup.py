@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.special import ndtri
 
 from .basis import TimeGrid
 from .design import Subject, build_design, design_key
@@ -65,12 +64,12 @@ def random_effects_blup(fitted: FittedModel, subject: Subject,
         zs = z @ fitted.sigma_d_hat
         v = zs @ z.T + fitted.sigma2_hat * np.eye(len(z))
         try:
-            cho = sla.cho_factor(v, lower=True)
+            li = np.linalg.inv(np.linalg.cholesky(v))
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(
                 f"marginal covariance not factorizable for subject {subject.id!r}"
             ) from exc
-        gain = memo[key] = sla.cho_solve(cho, zs)
+        gain = memo[key] = li.T @ (li @ zs)
     return (subject.y - mean) @ gain
 
 
@@ -120,7 +119,7 @@ def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.
     if multiplier is None:
         if not 0.0 < level < 1.0:
             raise ConfigError("band level must be in (0, 1)")
-        z = float(ndtri(0.5 * (1.0 + level)))
+        z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     else:
         if not 0.0 <= multiplier < np.inf:
             raise ConfigError("band multiplier must be finite and nonnegative")

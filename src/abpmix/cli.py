@@ -293,8 +293,8 @@ def _positive_int(text: str) -> int:
 def _add_common(parser, data=True, fitopts=False, plot=False):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--outcome", choices=["sbp", "dbp"], default="sbp")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="threads for simulate; the other commands ignore it")
+    parser.add_argument("--workers", type=_positive_int, default=1,
+                        help="accepted for compatibility; no result depends on it")
     if data:
         parser.add_argument("--data", required=True, help="cohort CSV")
     if fitopts:

@@ -10,7 +10,6 @@ start.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -230,16 +229,13 @@ def _simulate_subject(index: int, config: SimulationConfig, context: BasisContex
 
 def simulate_cohort(config: SimulationConfig, workers: int = 1,
                     outcome_label: str = "SBP") -> Cohort:
-    """Draw a cohort from the model; deterministic in (seed, subject index)."""
+    """Draw a cohort from the model; deterministic in (seed, subject index).
+
+    ``workers`` is accepted for compatibility; no draw depends on it.
+    """
     context = BasisContext(config.spec)
-    m = config.sigma_d.shape[0]
     # PSD but possibly singular: eigen square root instead of Cholesky
     ev, vec = np.linalg.eigh(0.5 * (config.sigma_d + config.sigma_d.T))
     chol_d = vec @ np.diag(np.sqrt(np.maximum(ev, 0.0)))
-    indices = range(config.n_subjects)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            subjects = list(pool.map(lambda i: _simulate_subject(i, config, context, chol_d), indices))
-    else:
-        subjects = [_simulate_subject(i, config, context, chol_d) for i in indices]
+    subjects = [_simulate_subject(i, config, context, chol_d) for i in range(config.n_subjects)]
     return Cohort(subjects=tuple(subjects), outcome_label=outcome_label)

@@ -20,6 +20,11 @@ m, q) and q x q arrays; the gradient chains one m x m matrix
 d loglik / d Sigma_d to theta.  Designs and the subjects within them are
 accumulated in a canonical order, so results do not depend on subject
 ordering.
+
+Every factorization is numpy's.  scipy is needed only for L-BFGS-B:
+``scipy.optimize`` is imported inside ``_optimize``, so importing this
+module, or running the commands that only evaluate a saved fit, never
+loads scipy, which would otherwise dominate interpreter start-up.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import Bounds, minimize
 
 from .design import BasisContext, Cohort, ModelSpec, build_design, design_key
 from .errors import ConditioningError, RankError, SpecError
@@ -266,18 +269,19 @@ class MixedModelProblem:
                 + self._xx_out / sigma2)
         xtse = np.tensordot(wx, we, axes=([0, 1], [0, 1])) + self._xe_out / sigma2
         try:
-            cho = sla.cho_factor(xtsx, lower=True)
+            lx = np.linalg.cholesky(xtsx)
         except np.linalg.LinAlgError as exc:
             raise RankError("singular GLS normal matrix") from exc
-        delta = sla.cho_solve(cho, xtse)
-        cov_beta = sla.cho_solve(cho, np.eye(q))
+        lxi = np.linalg.inv(lx)
+        cov_beta = lxi.T @ lxi
+        delta = cov_beta @ xtse
         quad = (float(np.sum((li @ self._ee) * li)) + self._ee_out / sigma2
                 - float(delta @ xtse))
         logdet = (2.0 * float(count @ np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
                   + self._p_minus_m * float(theta[-1]))
         reml = method == "REML"
         if reml:
-            logdet_x = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+            logdet_x = 2.0 * float(np.sum(np.log(np.diag(lx))))
             ll = -0.5 * (logdet + logdet_x + quad + (self.n - q) * _LOG2PI)
         else:
             ll = -0.5 * (logdet + quad + self.n * _LOG2PI)
@@ -425,6 +429,9 @@ class MixedModelProblem:
 
     def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float):
         """(loglik, theta, converged, iterations, gradient norm, ascent history)."""
+        # imported here, its only use, so that commands which never fit start without scipy
+        from scipy.optimize import Bounds, minimize
+
         lo, hi = self._bounds()
         history = []
 

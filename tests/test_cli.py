@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +335,16 @@ class TestProfilesCommand:
                      "--out", str(tmp_path / "pg")])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, workspace, tmp_path, capsys, workers):
+        root, data, _ = workspace
+        out = tmp_path / "pw"
+        code = main(["profiles", "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                     "--subjects", "s0000", "--out", str(out), "--workers", workers])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
 
     def test_fit_json_missing_field_is_usage_error(self, workspace, tmp_path, capsys):
         root, data, _ = workspace
@@ -464,6 +477,18 @@ class TestBandCommand:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["band", "profiles"])
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_band_level_outside_unit_interval_is_usage_error(self, workspace, tmp_path,
+                                                            capsys, command, value):
+        root, data, _ = workspace
+        out = tmp_path / "bl"
+        code = main([command, "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                     "--out", str(out), "--band-level", value])
+        assert code == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_band_requires_fit_or_model(self, workspace, tmp_path):
         _, data, _ = workspace
         code = main(["band", "--data", data, "--out", str(tmp_path / "bx")])
@@ -499,6 +524,15 @@ class TestSimulateCommand:
         assert "SchemaError" in err and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        cfg = write_sim_config(tmp_path / "sim.json", n_subjects=5)
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identity_across_runs_and_workers(self, tmp_path):
         cfg = write_sim_config(tmp_path / "sim.json", n_subjects=15, missing_rate=0.1)
         outs = []
@@ -508,3 +542,38 @@ class TestSimulateCommand:
                          "--workers", workers]) == 0
             outs.append((out / "cohort.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+_IMPORT_GRAPH_SCRIPT = """
+import json, sys
+from abpmix.cli import main
+
+fit, data, sim, model, out = sys.argv[1:]
+codes = [
+    main(["profiles", "--fit", fit, "--data", data, "--subjects", "s0000,s0001",
+          "--out", out + "/p", "--svg"]),
+    main(["band", "--fit", fit, "--data", data, "--out", out + "/b", "--svg"]),
+    main(["simulate", "--config", sim, "--out", out + "/s"]),
+]
+before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+codes.append(main(["fit", "--model", model, "--data", data, "--out", out + "/f"]))
+after = any(name.split(".")[0] == "scipy" for name in sys.modules)
+print(json.dumps({"codes": codes, "scipy_before_fit": before, "scipy_after_fit": after}))
+"""
+
+
+def test_commands_that_do_not_fit_never_import_scipy(workspace, tmp_path):
+    """profiles, band --fit and simulate run in a fresh interpreter without
+    loading scipy; fit, in the same interpreter, still works."""
+    root, data, model = workspace
+    sim = write_sim_config(tmp_path / "sim.json", n_subjects=5)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(a.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(root / "fit" / "fit.json"), data,
+         sim, model, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(run.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["scipy_before_fit"] == []
+    assert result["scipy_after_fit"]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abpmix as a
 from abpmix import estimation, serialize
 from abpmix.basis import TimeGrid
-from abpmix.errors import SpecError
+from abpmix.errors import RankError, SpecError
 from abpmix.estimation import (
     LOG_VARIANCE_FLOOR,
     CovarianceParams,
@@ -86,6 +89,75 @@ class TestLoglikelihoodOracle:
         assert (MixedModelProblem(spec, cohort).loglikelihood(p.theta, "REML")
                 != MixedModelProblem(spec, cohort).loglikelihood(p.theta, "ML"))
 
+
+_HOURS = np.arange(8) * 3.0 + 1.5
+
+
+@st.composite
+def incomplete_covariate_problems(draw):
+    """A random incomplete cohort with a group (diet) and an interaction
+    (age) term, and covariance parameters to evaluate it at."""
+    fixed_degree = draw(st.integers(1, 2))
+    random_degree = draw(st.integers(0, fixed_degree))
+    structure = draw(st.sampled_from(["diagonal", "unstructured"]))
+    spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", fixed_degree),
+                       random=a.BasisDescriptor("orthonormal_poly", random_degree),
+                       random_cov=structure, group_terms=("diet",),
+                       interaction_terms=("age",))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=8, max_size=8),
+                          min_size=4, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subjects = []
+    for i, mask in enumerate(masks):
+        keep = np.array(mask)
+        keep[: fixed_degree + 2] |= keep.sum() < fixed_degree + 2  # enough points to span X
+        times = _HOURS[keep]
+        subjects.append(a.Subject(id=f"h{i}", times=TimeGrid(times),
+                                  y=rng.normal(120.0, 15.0, size=times.size),
+                                  covariates={"diet": ("salt", "control")[i % 2],
+                                              "age": 30.0 + 5.0 * i + rng.uniform(0.0, 4.0)}))
+    m = spec.random.n_columns
+    theta = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n_cov_params(structure, m),
+                                   max_size=n_cov_params(structure, m))))
+    return spec, a.Cohort(subjects=tuple(subjects)), theta
+
+
+def dense_gls(theta, spec, cohort):
+    """(beta, cov_beta) from the stacked X, y and block-diagonal Sigma."""
+    ctx = a.BasisContext(spec, cohort)
+    sd = sigma_d_from_theta(spec.random_cov, spec.random.n_columns, theta)
+    pairs = [a.build_design(spec, s, ctx) for s in cohort]
+    x = np.vstack([p.X for p in pairs])
+    y = np.concatenate([s.y for s in cohort])
+    sigma = sla.block_diag(*[p.Z @ sd @ p.Z.T + np.exp(theta[-1]) * np.eye(len(p.Z))
+                             for p in pairs])
+    si = np.linalg.inv(sigma)
+    cov_beta = np.linalg.inv(x.T @ si @ x)
+    return cov_beta @ (x.T @ si @ y), cov_beta
+
+
+class TestOracleProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(incomplete_covariate_problems())
+    def test_incomplete_covariate_designs_match_dense_oracles(self, problem_case):
+        spec, cohort, theta = problem_case
+        problem = MixedModelProblem(spec, cohort)
+        for method in ("REML", "ML"):
+            want = dense_stacked_loglik(theta, spec, cohort, method=method)
+            assert abs(problem.loglikelihood(theta, method) - want) <= 1e-8
+        beta, cov_beta = problem.gls(theta)
+        want_beta, want_cov = dense_gls(theta, spec, cohort)
+        assert np.max(np.abs(beta - want_beta)) <= 1e-8 * np.max(np.abs(want_beta))
+        assert np.max(np.abs(cov_beta - want_cov)) <= 1e-8 * np.max(np.abs(want_cov))
+
+    def test_singular_gls_matrix_is_rank_error(self):
+        spec, cohort = shared_and_jittered_cohort()
+        problem = MixedModelProblem(spec, cohort)
+        # zero rotated designs leave X' Sigma^-1 X = 0, which has no Cholesky factor
+        problem._x = np.zeros_like(problem._x)
+        problem._xx_out = np.zeros_like(problem._xx_out)
+        with pytest.raises(RankError, match="GLS"):
+            problem.loglikelihood(problem._initial_theta())
 
 class TestGradient:
     @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])

@@ -52,6 +52,14 @@ class TestSatterthwaite:
 
 
 class TestFTest:
+    def test_multi_row_f_is_the_wald_quadratic_form(self, small_fit):
+        _, _, fitted = small_fit
+        rng = np.random.default_rng(5)
+        for c in (Contrast.for_columns([1, 2], fitted.q).C, rng.normal(size=(2, fitted.q))):
+            cb = c @ fitted.beta_hat
+            want = float(cb @ np.linalg.inv(c @ fitted.cov_beta @ c.T) @ cb) / 2
+            assert abs(f_test(fitted, Contrast(c)).F - want) <= 1e-10 * want
+
     def test_zero_contrast_rejected(self, small_fit):
         _, _, fitted = small_fit
         with pytest.raises(ContrastError):
