@@ -2,10 +2,15 @@
 
 The marginal covariance of subject i is Sigma_i = Z_i Sigma_d Z_i' +
 sigma^2 I.  Fixed effects are profiled out by generalized least squares
-and the covariance parameters are maximized by quasi-Newton ascent
-(L-BFGS-B with the analytic gradient) on an unconstrained scale:
+and the covariance parameters are maximized on an unconstrained scale:
 log-variances for the diagonal structure, log-Cholesky entries for the
-unstructured one.
+unstructured one.  The ascent has two phases.  L-BFGS-B with the
+analytic gradient runs until the projected gradient is 1e-2 (or the
+requested tolerance, if coarser); projected Fisher scoring on the
+analytic expected information then takes it to the tolerance, solving
+only for the components not held at a bound.  For the unstructured
+structure the scoring matrix adds the curvature of Sigma_d = L L', which
+the expected information lacks where the optimum is on the boundary.
 
 Subjects sharing identical (X, Z) designs are grouped, and each distinct
 design is reduced once to small sufficient statistics.  A complete QR,
@@ -40,6 +45,7 @@ from .errors import ConditioningError, RankError, SpecError
 LOG_VARIANCE_FLOOR = -30.0
 _LOG2PI = float(np.log(2.0 * np.pi))
 _INFORMATION_STEP = 1e-4  # central-difference step of the observed information
+_SCORING_GATE = 1e-2  # projected gradient at which L-BFGS-B hands over to Fisher scoring
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +154,7 @@ class FittedModel:
     context: BasisContext = field(repr=False)
     problem: Optional["MixedModelProblem"] = field(default=None, repr=False)
     # log-likelihood after each accepted optimizer step (L-BFGS-B iterations,
-    # then Newton-polish steps); never serialized
+    # then Fisher-scoring steps); never serialized
     ascent_history: list = field(default_factory=list, repr=False, compare=False)
     # inference quantities of this fit, filled on first use by ``inference``;
     # never serialized, and a ``dataclasses.replace`` copy begins empty
@@ -246,7 +252,10 @@ class MixedModelProblem:
     # -- likelihood ---------------------------------------------------------
 
     def _evaluate(self, theta: np.ndarray, method: str, want_grad: bool):
-        """(loglik, gradient or None, beta, cov_beta, M^-1 A per design)."""
+        """(loglik, gradient, d loglik / d Sigma_d, beta, cov_beta, L^-1 per design).
+
+        M = L L'; the two derivatives are None unless ``want_grad``.
+        """
         m, q = self.m, self.q
         count = self._count
         sigma_d = sigma_d_from_theta(self.structure, m, theta)
@@ -285,8 +294,7 @@ class MixedModelProblem:
             ll = -0.5 * (logdet + logdet_x + quad + (self.n - q) * _LOG2PI)
         else:
             ll = -0.5 * (logdet + quad + self.n * _LOG2PI)
-        kx = li.transpose(0, 2, 1) @ wx
-        grad = None
+        grad = g = None
         if want_grad:
             # d ll / d Sigma_d = -1/2 sum_g R'(n K - K S K - n K A cov_beta A' K)R
             # with K = M^-1 and S the summed rotated GLS residual cross-products
@@ -297,6 +305,7 @@ class MixedModelProblem:
                  + count[:, None, None] * xd[:, :, None] * xd[:, None, :])
             inner = count[:, None, None] * minv - minv @ s @ minv
             if reml:
+                kx = li.transpose(0, 2, 1) @ wx
                 inner -= count[:, None, None] * (kx @ cov_beta @ kx.transpose(0, 2, 1))
             g = -0.5 * (r.transpose(0, 2, 1) @ inner @ r).sum(axis=0)
             grad = np.empty(theta.size)
@@ -306,24 +315,25 @@ class MixedModelProblem:
             # what Sigma_d does not account for belongs to log sigma^2
             grad[-1] = (-0.5 * (self.n - (q if reml else 0) - quad)
                         - float(np.sum(g * sigma_d)))
-        return ll, grad, self._beta0 + delta, cov_beta, kx
+        return ll, grad, g, self._beta0 + delta, cov_beta, li
 
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
         return self._evaluate(theta, method, want_grad=False)[0]
 
     def gls(self, theta: np.ndarray):
         """(beta_hat, cov_beta) at the given covariance parameters."""
-        _, _, beta, cov_beta, _ = self._evaluate(theta, "REML", want_grad=False)
+        _, _, _, beta, cov_beta, _ = self._evaluate(theta, "REML", want_grad=False)
         return beta, 0.5 * (cov_beta + cov_beta.T)
 
     def loglik_and_grad(self, theta: np.ndarray, method: str = "REML"):
-        ll, grad, _, _, _ = self._evaluate(theta, method, want_grad=True)
+        ll, grad, _, _, _, _ = self._evaluate(theta, method, want_grad=True)
         return ll, grad
 
     def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML"):
         """d cov_beta / d theta_k at theta (delta-method ingredient)."""
-        _, _, _, cov_beta, kx = self._evaluate(theta, method, want_grad=False)
+        _, _, _, _, cov_beta, li = self._evaluate(theta, method, want_grad=False)
         sigma2 = float(np.exp(theta[-1]))
+        kx = li.transpose(0, 2, 1) @ (li @ self._x)  # M^-1 Q'X per design
         # X' Sigma^-1 Z per design, and sum_g n_g b_g (x) b_g over designs
         b = kx.transpose(0, 2, 1) @ self._r
         outer = np.tensordot(self._count[:, None, None] * b, b, axes=([0], [0]))
@@ -334,6 +344,56 @@ class MixedModelProblem:
                                          axes=([0, 1], [0, 1]))
                    + self._xx_out / sigma2)
         return cov_beta @ np.concatenate([dmats, d_resid[None]]) @ cov_beta
+
+    def expected_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
+        """Expected information 1/2 tr(P dV_j P dV_k) of the covariance parameters.
+
+        P is the REML projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1
+        for ML.  Per design, with M = L L' and A_j = R dSigma_d_j R' (or
+        sigma^2 I for log sigma^2), S_j = L^-1 A_j L^-T is symmetric and
+        tr(M^-1 A_j M^-1 A_k) = sum(S_j * S_k); the p - m rotated rows
+        outside M add the terms in ``_p_minus_m`` and ``_xx_out``.
+        """
+        count = self._count
+        _, _, _, _, cov_beta, li = self._evaluate(theta, method, want_grad=False)
+        sigma2 = float(np.exp(theta[-1]))
+        u = (li @ self._r)[:, None]
+        s = np.concatenate([u @ _dsigma_d_stack(self.structure, self.m, theta)[None]
+                            @ u.transpose(0, 1, 3, 2),
+                            sigma2 * (li @ li.transpose(0, 2, 1))[:, None]], axis=1)
+        ns = count[:, None, None, None] * s
+        info = np.tensordot(ns, s, axes=([0, 2, 3], [0, 2, 3]))
+        info[-1, -1] += self._p_minus_m
+        if method == "REML":
+            wx = li @ self._x
+            h = (wx @ cov_beta @ wx.transpose(0, 2, 1))[:, None]
+            info -= 2.0 * np.tensordot(h @ ns, s, axes=([0, 2, 3], [0, 2, 3]))
+            info[-1, -1] -= 2.0 * float(np.sum(cov_beta * self._xx_out)) / sigma2
+            # F_j = sum_g n_g x_g' M^-1 A_j M^-1 x_g, then tr(C F_j C F_k)
+            f = np.tensordot(ns @ wx[:, None], wx, axes=([0, 2], [0, 1])).transpose(0, 2, 1)
+            f[-1] += self._xx_out / sigma2
+            cf = cov_beta @ f
+            info += np.tensordot(cf, cf.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
+        info *= 0.5
+        return 0.5 * (info + info.T)
+
+    def _cholesky_curvature(self, theta: np.ndarray, method: str) -> np.ndarray:
+        """-sum (d loglik / d Sigma_d) * d^2 (L L') / d theta_j d theta_k, the
+        Hessian term of the unstructured map theta -> Sigma_d = L L' that
+        the expected information lacks.
+
+        It does not vanish at an optimum on the boundary, where it lets a
+        scoring step shrink the Cholesky column of a vanishing variance.
+        The exp of the log-diagonal adds minus the gradient, which does
+        vanish there, and is left out.
+        """
+        g = self._evaluate(theta, method, want_grad=True)[2]
+        chol = _chol_from_theta(self.m, theta)
+        rows, cols = np.tril_indices(self.m)
+        scale = np.where(rows == cols, chol[rows, cols], 1.0)
+        # d L / d theta_a = scale_a e_i e_j'; the pair's term needs a shared column j
+        same_column = cols[:, None] == cols[None, :]
+        return -2.0 * np.outer(scale, scale) * g[rows[None, :], rows[:, None]] * same_column
 
     def observed_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
         """Observed information of the covariance parameters.
@@ -442,69 +502,57 @@ class MixedModelProblem:
         def callback(intermediate_result):
             history.append(-intermediate_result.fun)
 
-        theta = np.clip(theta0, lo, hi)
-        iterations = 0
-        last_ll = -np.inf
-        converged = False
-        grad_norm = np.inf
-        for _ in range(3):  # restart runs tighten the gradient when L-BFGS stalls
-            res = minimize(
-                objective,
-                theta,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=Bounds(lo, hi),
-                callback=callback,
-                options={"maxiter": max_iter, "ftol": 1e-15, "gtol": tol},
-            )
-            theta = res.x
-            iterations += int(res.nit)
-            ll, grad = self.loglik_and_grad(theta, method)
-            grad_norm = _projected_grad_norm(theta, grad, lo, hi)
-            # relative log-likelihood change across restart runs; a restart that
-            # cannot improve the objective has stalled for good
-            rel_change = abs(ll - last_ll) / max(abs(ll), 1.0)
-            last_ll = ll
-            if grad_norm <= tol and (iterations <= int(res.nit) or rel_change <= 1e-10):
-                converged = True
-                break
-            if iterations >= max_iter:
-                break
-        if not converged and grad_norm <= 1e-2:
-            # L-BFGS stalled close to the optimum: Newton polish with the
-            # observed information drives the gradient the rest of the way
-            ll, grad = self.loglik_and_grad(theta, method)
-            for _ in range(10):
-                info = self.observed_information(theta, method)
-                ev, vec = np.linalg.eigh(info)
-                ev = np.maximum(ev, 1e-10 * max(float(ev.max()), 1.0))
-                step = (vec / ev) @ vec.T @ grad
-                scale = 1.0
-                improved = False
-                for _ in range(20):
-                    trial = np.clip(theta + scale * step, lo, hi)
-                    ll_t, grad_t = self.loglik_and_grad(trial, method)
-                    if ll_t >= ll - 1e-12 * max(1.0, abs(ll)):
-                        theta, ll, grad = trial, ll_t, grad_t
-                        improved = True
-                        break
-                    scale *= 0.5
-                iterations += 1
-                grad_norm = _projected_grad_norm(theta, grad, lo, hi)
-                history.append(ll)
-                if grad_norm <= tol:
-                    converged = True
+        # phase 1: L-BFGS-B to a coarse gradient; its slow tail is left to scoring
+        res = minimize(
+            objective,
+            np.clip(theta0, lo, hi),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=Bounds(lo, hi),
+            callback=callback,
+            options={"maxiter": max_iter, "ftol": 1e-15, "gtol": max(tol, _SCORING_GATE)},
+        )
+        theta = res.x
+        iterations = int(res.nit)
+        ll, grad = self.loglik_and_grad(theta, method)
+        blocked = _blocked(theta, grad, lo, hi)
+        grad_norm = _projected_grad_norm(grad, blocked)
+        # phase 2: Fisher scoring on the free components, projected onto the bounds
+        while grad_norm > tol and iterations < max_iter:
+            free = ~blocked
+            info = self.expected_information(theta, method)
+            if self.structure == "unstructured":
+                info[:-1, :-1] += self._cholesky_curvature(theta, method)
+            info = info[np.ix_(free, free)]
+            ev, vec = np.linalg.eigh(info)
+            ev = np.maximum(ev, 1e-10 * max(float(ev.max()), 1.0))
+            step = np.zeros_like(theta)
+            step[free] = (vec / ev) @ vec.T @ grad[free]
+            scale = 1.0
+            for _ in range(20):
+                trial = np.clip(theta + scale * step, lo, hi)
+                ll_t, grad_t = self.loglik_and_grad(trial, method)
+                if ll_t >= ll:
                     break
-                if not improved:
-                    break
-            last_ll = ll
-        return last_ll, theta, bool(converged), iterations, float(grad_norm), history
+                scale *= 0.5
+            else:
+                break  # no step along the scoring direction improves
+            theta, ll, grad = trial, ll_t, grad_t
+            iterations += 1
+            history.append(ll)
+            blocked = _blocked(theta, grad, lo, hi)
+            grad_norm = _projected_grad_norm(grad, blocked)
+        return ll, theta, grad_norm <= tol, iterations, grad_norm, history
 
 
-def _projected_grad_norm(theta, grad, lo, hi) -> float:
+def _blocked(theta, grad, lo, hi) -> np.ndarray:
+    """Components at a bound whose gradient pushes outward."""
+    return (((theta <= lo + 1e-12) & (grad < 0))
+            | ((theta >= hi - 1e-12) & (grad > 0)))
+
+
+def _projected_grad_norm(grad, blocked) -> float:
     """Max |gradient| over the components not pushing against an active bound."""
-    blocked = (((theta <= lo + 1e-12) & (grad < 0))
-               | ((theta >= hi - 1e-12) & (grad > 0)))
     return float(np.max(np.abs(np.where(blocked, 0.0, grad))))
 
 

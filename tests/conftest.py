@@ -40,6 +40,45 @@ def dense_stacked_loglik(theta, spec, cohort, method="REML"):
     return -0.5 * (logdet + r @ si @ r + n * np.log(2 * np.pi))
 
 
+def dense_expected_information(theta, spec, cohort, method="REML"):
+    """Stacked 1/2 tr(P dV_j P dV_k) over the covariance parameters.
+
+    Sigma_d and its derivatives are written out from the parameterization
+    (diagonal log-variances, or a row-major lower-triangular Cholesky
+    factor with log-diagonal; the last parameter is log sigma^2), not
+    taken from the estimator.
+    """
+    ctx = BasisContext(spec, cohort)
+    m = spec.random.n_columns
+    if spec.random_cov == "diagonal":
+        variances = np.exp(theta[:m])
+        sigma_d = np.diag(variances)
+        derivs = [v * np.outer(e, e) for v, e in zip(variances, np.eye(m))]
+    else:
+        rows, cols = np.tril_indices(m)
+        chol = np.zeros((m, m))
+        chol[rows, cols] = theta[: rows.size]
+        chol[np.diag_indices(m)] = np.exp(np.diag(chol))
+        sigma_d = chol @ chol.T
+        derivs = []
+        for i, j in zip(rows, cols):
+            dl = np.zeros((m, m))
+            dl[i, j] = chol[i, j] if i == j else 1.0
+            derivs.append(dl @ chol.T + chol @ dl.T)
+    s2 = float(np.exp(theta[-1]))
+    pairs = [build_design(spec, s, ctx) for s in cohort]
+    x = np.vstack([p.X for p in pairs])
+    si = np.linalg.inv(sla.block_diag(*[p.Z @ sigma_d @ p.Z.T + s2 * np.eye(len(p.Z))
+                                        for p in pairs]))
+    proj = si
+    if method == "REML":
+        proj = si - si @ x @ np.linalg.solve(x.T @ si @ x, x.T @ si)
+    dvs = [sla.block_diag(*[p.Z @ d @ p.Z.T for p in pairs]) for d in derivs]
+    dvs.append(s2 * np.eye(x.shape[0]))
+    pdv = [proj @ dv for dv in dvs]
+    return np.array([[0.5 * np.trace(u @ v) for v in pdv] for u in pdv])
+
+
 def conditional_mean_blup_oracle(z, sigma_d, sigma2, resid):
     """E[d | y] from the joint normal of (d, y - X beta)."""
     cov_dy = sigma_d @ z.T
