@@ -206,11 +206,13 @@ def _cmd_profiles(args) -> int:
     cohort = dataio.read_cohort(args.data, outcome=args.outcome)
     grid = _eval_grid(args)
     subject_ids = [s for s in (args.subjects.split(",") if args.subjects else []) if s]
-    by_id = {s.id: s for s in cohort}
+    by_id, seen = {s.id: s for s in cohort}, set()
     for sid in subject_ids:
-        if sid not in by_id:
-            print(f"error: unknown subject id {sid!r}", file=sys.stderr)
+        if sid not in by_id or sid in seen:
+            what = "unknown" if sid not in by_id else "repeated"
+            print(f"error: {what} subject id {sid!r}", file=sys.stderr)
             return EXIT_USAGE
+        seen.add(sid)
     values = blup.subject_profiles(fitted, [by_id[sid] for sid in subject_ids], grid)
     pop = blup.population_curve(fitted, grid)
     band = blup.prediction_band(fitted, grid, level=args.band_level,
@@ -290,6 +292,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _clock_hour(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 23:
+        raise argparse.ArgumentTypeError(f"must be a clock hour from 0 to 23: {text!r}")
+    return value
+
+
 def _add_common(parser, data=True, fitopts=False, plot=False):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--outcome", choices=["sbp", "dbp"], default="sbp")
@@ -306,7 +315,7 @@ def _add_common(parser, data=True, fitopts=False, plot=False):
         parser.add_argument("--band-multiplier", type=float, default=None,
                             help="override the normal quantile (e.g. 2.0)")
         parser.add_argument("--grid-points", type=int, default=97)
-        parser.add_argument("--start-hour", type=int, default=None,
+        parser.add_argument("--start-hour", type=_clock_hour, default=None,
                             help="clock hour of recording start, for axis labels")
         parser.add_argument("--svg", action="store_true", help="also render an SVG")
 

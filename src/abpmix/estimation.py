@@ -6,11 +6,10 @@ and the covariance parameters are maximized on an unconstrained scale:
 log-variances for the diagonal structure, log-Cholesky entries for the
 unstructured one.  The ascent has two phases.  L-BFGS-B with the
 analytic gradient runs until the projected gradient is 1e-2 (or the
-requested tolerance, if coarser); projected Fisher scoring on the
-analytic expected information then takes it to the tolerance, solving
-only for the components not held at a bound.  For the unstructured
-structure the scoring matrix adds the curvature of Sigma_d = L L', which
-the expected information lacks where the optimum is on the boundary.
+requested tolerance, if coarser); Newton steps on the analytic observed
+information then take it to the tolerance, solving only for the
+components not held at a bound.  The same observed information gives
+the Satterthwaite degrees of freedom and the variance-component SEs.
 
 Subjects sharing identical (X, Z) designs are grouped, and each distinct
 design is reduced once to small sufficient statistics.  A complete QR,
@@ -44,8 +43,7 @@ from .errors import ConditioningError, RankError, SpecError
 
 LOG_VARIANCE_FLOOR = -30.0
 _LOG2PI = float(np.log(2.0 * np.pi))
-_INFORMATION_STEP = 1e-4  # central-difference step of the observed information
-_SCORING_GATE = 1e-2  # projected gradient at which L-BFGS-B hands over to Fisher scoring
+_NEWTON_GATE = 1e-2  # projected gradient at which L-BFGS-B hands over to Newton steps
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +129,24 @@ def _dsigma_d_stack(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
     return half + half.transpose(0, 2, 1)
 
 
+def _sigma_d_curvature(structure: str, m: int, theta: np.ndarray, g: np.ndarray,
+                       grad: np.ndarray) -> np.ndarray:
+    """sum(g * d^2 Sigma_d / d theta_j d theta_k) for g = d loglik / d Sigma_d;
+    a log-scale entry's second derivative repeats its first, which puts its
+    gradient ``grad`` on the diagonal."""
+    if structure == "diagonal":
+        return np.diag(grad)
+    chol = _chol_from_theta(m, theta)
+    rows, cols = np.tril_indices(m)
+    scale = np.where(rows == cols, chol[rows, cols], 1.0)
+    # d L / d theta_a = scale_a e_i e_j' adds d L_a d L_b' + d L_b d L_a' for a
+    # shared column j, which at a boundary optimum lets a Newton step shrink
+    # the Cholesky column of a vanishing variance
+    same_column = cols[:, None] == cols[None, :]
+    return (2.0 * np.outer(scale, scale) * g[rows[:, None], rows[None, :]] * same_column
+            + np.diag(np.where(rows == cols, grad, 0.0)))
+
+
 # ---------------------------------------------------------------------------
 # fitted model
 
@@ -154,7 +170,7 @@ class FittedModel:
     context: BasisContext = field(repr=False)
     problem: Optional["MixedModelProblem"] = field(default=None, repr=False)
     # log-likelihood after each accepted optimizer step (L-BFGS-B iterations,
-    # then Fisher-scoring steps); never serialized
+    # then Newton steps); never serialized
     ascent_history: list = field(default_factory=list, repr=False, compare=False)
     # inference quantities of this fit, filled on first use by ``inference``;
     # never serialized, and a ``dataclasses.replace`` copy begins empty
@@ -252,10 +268,9 @@ class MixedModelProblem:
     # -- likelihood ---------------------------------------------------------
 
     def _evaluate(self, theta: np.ndarray, method: str, want_grad: bool):
-        """(loglik, gradient, d loglik / d Sigma_d, beta, cov_beta, L^-1 per design).
-
-        M = L L'; the two derivatives are None unless ``want_grad``.
-        """
+        """(loglik, gradient, d loglik / d Sigma_d, beta, cov_beta, L^-1 and GLS
+        residual cross-products per design); M = L L', and the derivatives
+        and cross-products are None unless ``want_grad``."""
         m, q = self.m, self.q
         count = self._count
         sigma_d = sigma_d_from_theta(self.structure, m, theta)
@@ -294,7 +309,7 @@ class MixedModelProblem:
             ll = -0.5 * (logdet + logdet_x + quad + (self.n - q) * _LOG2PI)
         else:
             ll = -0.5 * (logdet + quad + self.n * _LOG2PI)
-        grad = g = None
+        grad = g = s = None
         if want_grad:
             # d ll / d Sigma_d = -1/2 sum_g R'(n K - K S K - n K A cov_beta A' K)R
             # with K = M^-1 and S the summed rotated GLS residual cross-products
@@ -315,103 +330,91 @@ class MixedModelProblem:
             # what Sigma_d does not account for belongs to log sigma^2
             grad[-1] = (-0.5 * (self.n - (q if reml else 0) - quad)
                         - float(np.sum(g * sigma_d)))
-        return ll, grad, g, self._beta0 + delta, cov_beta, li
+        return ll, grad, g, self._beta0 + delta, cov_beta, li, s
 
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
         return self._evaluate(theta, method, want_grad=False)[0]
 
     def gls(self, theta: np.ndarray):
         """(beta_hat, cov_beta) at the given covariance parameters."""
-        _, _, _, beta, cov_beta, _ = self._evaluate(theta, "REML", want_grad=False)
+        _, _, _, beta, cov_beta, _, _ = self._evaluate(theta, "REML", want_grad=False)
         return beta, 0.5 * (cov_beta + cov_beta.T)
 
     def loglik_and_grad(self, theta: np.ndarray, method: str = "REML"):
-        ll, grad, _, _, _, _ = self._evaluate(theta, method, want_grad=True)
+        ll, grad, _, _, _, _, _ = self._evaluate(theta, method, want_grad=True)
         return ll, grad
 
     def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML"):
-        """d cov_beta / d theta_k at theta (delta-method ingredient)."""
-        _, _, _, _, cov_beta, li = self._evaluate(theta, method, want_grad=False)
+        """d cov_beta / d theta_k = cov_beta F_k cov_beta at theta (delta-method ingredient)."""
+        _, _, _, _, cov_beta, li, _ = self._evaluate(theta, method, want_grad=False)
+        return cov_beta @ self._information_terms(theta, method, cov_beta, li)[4] @ cov_beta
+
+    def _information_terms(self, theta, method, cov_beta, li):
+        """(S_j and L^-1 Q'X per design, K per design, rest, F_j = X' V^-1 dV_j V^-1 X):
+        the expected information is sum_g tr(K_g S_j S_k) + rest.  With M = L L'
+        and A_j = R dSigma_d_j R' (or sigma^2 I for log sigma^2), S_j = L^-1 A_j L^-T;
+        for REML K_g = n_g (I - 2 H_g) / 2, H_g = L^-1 Q'X cov_beta X'Q L^-T.
+        ``rest`` holds the rows outside M and (REML) 1/2 tr(cov_beta F_j cov_beta F_k).
+        """
         sigma2 = float(np.exp(theta[-1]))
-        kx = li.transpose(0, 2, 1) @ (li @ self._x)  # M^-1 Q'X per design
+        dsigma = _dsigma_d_stack(self.structure, self.m, theta)
+        u = (li @ self._r)[:, None]
+        s = np.concatenate([u @ dsigma[None] @ u.transpose(0, 1, 3, 2),
+                            sigma2 * (li @ li.transpose(0, 2, 1))[:, None]], axis=1)
+        wx = li @ self._x
+        kx = li.transpose(0, 2, 1) @ wx  # M^-1 Q'X per design
         # X' Sigma^-1 Z per design, and sum_g n_g b_g (x) b_g over designs
         b = kx.transpose(0, 2, 1) @ self._r
         outer = np.tensordot(self._count[:, None, None] * b, b, axes=([0], [0]))
-        dmats = np.tensordot(_dsigma_d_stack(self.structure, self.m, theta), outer,
-                             axes=([1, 2], [1, 3]))
         # residual parameter: d Sigma = sigma^2 I
         d_resid = (sigma2 * np.tensordot(self._count[:, None, None] * kx, kx,
                                          axes=([0, 1], [0, 1]))
                    + self._xx_out / sigma2)
-        return cov_beta @ np.concatenate([dmats, d_resid[None]]) @ cov_beta
+        f = np.concatenate([np.tensordot(dsigma, outer, axes=([1, 2], [1, 3])), d_resid[None]])
+        k = np.eye(self.m)
+        rest = np.zeros((self.n_params, self.n_params))
+        rest[-1, -1] = 0.5 * self._p_minus_m
+        if method == "REML":
+            k = k - 2.0 * wx @ cov_beta @ wx.transpose(0, 2, 1)
+            rest[-1, -1] -= float(np.sum(cov_beta * self._xx_out)) / sigma2
+            cf = cov_beta @ f
+            rest += 0.5 * np.tensordot(cf, cf.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
+        return s, wx, 0.5 * self._count[:, None, None] * k, rest, f
 
     def expected_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
         """Expected information 1/2 tr(P dV_j P dV_k) of the covariance parameters.
 
-        P is the REML projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1
-        for ML.  Per design, with M = L L' and A_j = R dSigma_d_j R' (or
-        sigma^2 I for log sigma^2), S_j = L^-1 A_j L^-T is symmetric and
-        tr(M^-1 A_j M^-1 A_k) = sum(S_j * S_k); the p - m rotated rows
-        outside M add the terms in ``_p_minus_m`` and ``_xx_out``.
+        P is the REML projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1 for ML.
         """
-        count = self._count
-        _, _, _, _, cov_beta, li = self._evaluate(theta, method, want_grad=False)
-        sigma2 = float(np.exp(theta[-1]))
-        u = (li @ self._r)[:, None]
-        s = np.concatenate([u @ _dsigma_d_stack(self.structure, self.m, theta)[None]
-                            @ u.transpose(0, 1, 3, 2),
-                            sigma2 * (li @ li.transpose(0, 2, 1))[:, None]], axis=1)
-        ns = count[:, None, None, None] * s
-        info = np.tensordot(ns, s, axes=([0, 2, 3], [0, 2, 3]))
-        info[-1, -1] += self._p_minus_m
-        if method == "REML":
-            wx = li @ self._x
-            h = (wx @ cov_beta @ wx.transpose(0, 2, 1))[:, None]
-            info -= 2.0 * np.tensordot(h @ ns, s, axes=([0, 2, 3], [0, 2, 3]))
-            info[-1, -1] -= 2.0 * float(np.sum(cov_beta * self._xx_out)) / sigma2
-            # F_j = sum_g n_g x_g' M^-1 A_j M^-1 x_g, then tr(C F_j C F_k)
-            f = np.tensordot(ns @ wx[:, None], wx, axes=([0, 2], [0, 1])).transpose(0, 2, 1)
-            f[-1] += self._xx_out / sigma2
-            cf = cov_beta @ f
-            info += np.tensordot(cf, cf.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
-        info *= 0.5
+        _, _, _, _, cov_beta, li, _ = self._evaluate(theta, method, want_grad=False)
+        s, _, k, rest, _ = self._information_terms(theta, method, cov_beta, li)
+        info = np.tensordot(k[:, None] @ s, s, axes=([0, 2, 3], [0, 2, 3])) + rest
         return 0.5 * (info + info.T)
 
-    def _cholesky_curvature(self, theta: np.ndarray, method: str) -> np.ndarray:
-        """-sum (d loglik / d Sigma_d) * d^2 (L L') / d theta_j d theta_k, the
-        Hessian term of the unstructured map theta -> Sigma_d = L L' that
-        the expected information lacks.
-
-        It does not vanish at an optimum on the boundary, where it lets a
-        scoring step shrink the Cholesky column of a vanishing variance.
-        The exp of the log-diagonal adds minus the gradient, which does
-        vanish there, and is left out.
-        """
-        g = self._evaluate(theta, method, want_grad=True)[2]
-        chol = _chol_from_theta(self.m, theta)
-        rows, cols = np.tril_indices(self.m)
-        scale = np.where(rows == cols, chol[rows, cols], 1.0)
-        # d L / d theta_a = scale_a e_i e_j'; the pair's term needs a shared column j
-        same_column = cols[:, None] == cols[None, :]
-        return -2.0 * np.outer(scale, scale) * g[rows[None, :], rows[:, None]] * same_column
-
     def observed_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
-        """Observed information of the covariance parameters.
+        """Observed information: minus the Hessian of the log-likelihood in theta.
 
-        Central finite differences of the analytic gradient on the
-        transformed scale; symmetrized.
+        I_o = 2 AI - I_e - <d loglik / d V, d^2 V / d theta_j d theta_k>, AI the
+        average information 1/2 (dV_j r)' P (dV_k r) with r = P y.  Per design
+        2 AI is tr(W S_j S_k), W = L^-1 (GLS residual cross-products) L^-T,
+        plus the outside rows' residual sum of squares over sigma^2, minus
+        b cov_beta b' with b_j = X' V^-1 dV_j r.
         """
-        k = theta.size
-        h = np.zeros((k, k))
-        for j in range(k):
-            tp = theta.copy()
-            tp[j] += _INFORMATION_STEP
-            tm = theta.copy()
-            tm[j] -= _INFORMATION_STEP
-            gp = self.loglik_and_grad(tp, method)[1]
-            gm = self.loglik_and_grad(tm, method)[1]
-            h[j] = -(gp - gm) / (2.0 * _INFORMATION_STEP)
-        return 0.5 * (h + h.T)
+        _, grad, g, beta, cov_beta, li, resid = self._evaluate(theta, method, want_grad=True)
+        s, wx, k, rest, _ = self._information_terms(theta, method, cov_beta, li)
+        w = li @ resid @ li.transpose(0, 2, 1)
+        obs = np.tensordot((w - k)[:, None] @ s, s, axes=([0, 2, 3], [0, 2, 3])) - rest
+        sigma2 = float(np.exp(theta[-1]))
+        delta = beta - self._beta0
+        obs[-1, -1] += (self._ee_out - 2.0 * float(delta @ self._xe_out)
+                        + float(delta @ self._xx_out @ delta)) / sigma2
+        wu = li @ (self._e - self._count[:, None] * (self._x @ delta))[:, :, None]
+        b = np.tensordot((s @ wu[:, None])[..., 0], wx, axes=([0, 2], [0, 1]))
+        b[-1] += (self._xe_out - self._xx_out @ delta) / sigma2
+        obs -= b @ cov_beta @ b.T
+        obs[:-1, :-1] -= _sigma_d_curvature(self.structure, self.m, theta, g, grad[:-1])
+        obs[-1, -1] -= grad[-1]
+        return 0.5 * (obs + obs.T)
 
     # -- initialization and fitting -----------------------------------------
 
@@ -502,7 +505,7 @@ class MixedModelProblem:
         def callback(intermediate_result):
             history.append(-intermediate_result.fun)
 
-        # phase 1: L-BFGS-B to a coarse gradient; its slow tail is left to scoring
+        # phase 1: L-BFGS-B to a coarse gradient; its slow tail is left to Newton steps
         res = minimize(
             objective,
             np.clip(theta0, lo, hi),
@@ -510,20 +513,17 @@ class MixedModelProblem:
             method="L-BFGS-B",
             bounds=Bounds(lo, hi),
             callback=callback,
-            options={"maxiter": max_iter, "ftol": 1e-15, "gtol": max(tol, _SCORING_GATE)},
+            options={"maxiter": max_iter, "ftol": 1e-15, "gtol": max(tol, _NEWTON_GATE)},
         )
         theta = res.x
         iterations = int(res.nit)
         ll, grad = self.loglik_and_grad(theta, method)
         blocked = _blocked(theta, grad, lo, hi)
         grad_norm = _projected_grad_norm(grad, blocked)
-        # phase 2: Fisher scoring on the free components, projected onto the bounds
+        # phase 2: Newton steps on the free components, projected onto the bounds
         while grad_norm > tol and iterations < max_iter:
             free = ~blocked
-            info = self.expected_information(theta, method)
-            if self.structure == "unstructured":
-                info[:-1, :-1] += self._cholesky_curvature(theta, method)
-            info = info[np.ix_(free, free)]
+            info = self.observed_information(theta, method)[np.ix_(free, free)]
             ev, vec = np.linalg.eigh(info)
             ev = np.maximum(ev, 1e-10 * max(float(ev.max()), 1.0))
             step = np.zeros_like(theta)
@@ -536,7 +536,7 @@ class MixedModelProblem:
                     break
                 scale *= 0.5
             else:
-                break  # no step along the scoring direction improves
+                break  # no step along the Newton direction improves
             theta, ll, grad = trial, ll_t, grad_t
             iterations += 1
             history.append(ll)

@@ -2,10 +2,10 @@
 
 Denominator degrees of freedom follow the Satterthwaite moment match.
 For a single-row contrast c, ddf = 2 (c' Phi c)^2 / Var(c' Phi c), with
-the variance obtained by the delta method through the inverse observed
-information of the covariance parameters.  Multi-row contrasts use the
-spectral construction: eigen-split the contrast into single-df
-components and moment-match the sum.
+the variance obtained by the delta method through the inverse analytic
+observed information of the covariance parameters, which also gives the
+variance-component SEs.  Multi-row contrasts eigen-split the contrast
+into single-df components and moment-match the sum.
 
 The R2 statistics convert an F and its ddf into the proportion-of-
 variation scale: R2 = c F / (ddf + c F).
@@ -61,7 +61,7 @@ def _information_inverse(fitted: FittedModel) -> np.ndarray:
     cache = fitted.inference_cache
     if "vcov_theta" not in cache:
         h = _problem(fitted).observed_information(fitted.params.theta, fitted.method)
-        # guard against indefinite FD Hessians at a boundary optimum
+        # the Hessian can be indefinite at an optimum on the boundary
         ev, vec = np.linalg.eigh(h)
         ev = np.maximum(ev, 1e-12 * max(ev.max(), 1.0))
         cache["vcov_theta"] = (vec / ev) @ vec.T
@@ -197,8 +197,8 @@ def assert_comparable(specs, method: str, force_reml_compare: bool = False):
 def variance_component_table(fitted: FittedModel):
     """(name, estimate, se) rows for the covariance parameters.
 
-    Standard errors come from the delta method through the observed
-    information on the transformed scale.
+    Standard errors come from the delta method through the analytic
+    observed information on the transformed scale.
     """
     theta = fitted.params.theta
     m = fitted.params.m

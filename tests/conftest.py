@@ -40,8 +40,8 @@ def dense_stacked_loglik(theta, spec, cohort, method="REML"):
     return -0.5 * (logdet + r @ si @ r + n * np.log(2 * np.pi))
 
 
-def dense_expected_information(theta, spec, cohort, method="REML"):
-    """Stacked 1/2 tr(P dV_j P dV_k) over the covariance parameters.
+def _dense_covariance_derivatives(theta, spec, cohort):
+    """Stacked X, Sigma and its first and second derivatives in theta.
 
     Sigma_d and its derivatives are written out from the parameterization
     (diagonal log-variances, or a row-major lower-triangular Cholesky
@@ -50,33 +50,87 @@ def dense_expected_information(theta, spec, cohort, method="REML"):
     """
     ctx = BasisContext(spec, cohort)
     m = spec.random.n_columns
+    k = theta.size - 1
+    d2 = [[np.zeros((m, m)) for _ in range(k)] for _ in range(k)]
     if spec.random_cov == "diagonal":
         variances = np.exp(theta[:m])
         sigma_d = np.diag(variances)
         derivs = [v * np.outer(e, e) for v, e in zip(variances, np.eye(m))]
+        for j in range(m):
+            d2[j][j] = derivs[j]
     else:
         rows, cols = np.tril_indices(m)
         chol = np.zeros((m, m))
         chol[rows, cols] = theta[: rows.size]
         chol[np.diag_indices(m)] = np.exp(np.diag(chol))
         sigma_d = chol @ chol.T
-        derivs = []
+        dls = []
         for i, j in zip(rows, cols):
             dl = np.zeros((m, m))
             dl[i, j] = chol[i, j] if i == j else 1.0
-            derivs.append(dl @ chol.T + chol @ dl.T)
+            dls.append(dl)
+        derivs = [dl @ chol.T + chol @ dl.T for dl in dls]
+        for u, du in enumerate(dls):
+            for v, dv in enumerate(dls):
+                d2[u][v] = du @ dv.T + dv @ du.T
+            if rows[u] == cols[u]:  # d^2 L = d L on the log-diagonal
+                d2[u][u] = d2[u][u] + derivs[u]
     s2 = float(np.exp(theta[-1]))
     pairs = [build_design(spec, s, ctx) for s in cohort]
     x = np.vstack([p.X for p in pairs])
-    si = np.linalg.inv(sla.block_diag(*[p.Z @ sigma_d @ p.Z.T + s2 * np.eye(len(p.Z))
-                                        for p in pairs]))
+    sigma = sla.block_diag(*[p.Z @ sigma_d @ p.Z.T + s2 * np.eye(len(p.Z)) for p in pairs])
+    n = x.shape[0]
+
+    def stacked(d):
+        return sla.block_diag(*[p.Z @ d @ p.Z.T for p in pairs])
+
+    dvs = [stacked(d) for d in derivs] + [s2 * np.eye(n)]
+    d2vs = [[stacked(d) for d in row] + [np.zeros((n, n))] for row in d2]
+    d2vs.append([np.zeros((n, n))] * k + [s2 * np.eye(n)])
+    return x, sigma, dvs, d2vs
+
+
+def dense_expected_information(theta, spec, cohort, method="REML"):
+    """Stacked 1/2 tr(P dV_j P dV_k) over the covariance parameters."""
+    x, sigma, dvs, _ = _dense_covariance_derivatives(theta, spec, cohort)
+    si = np.linalg.inv(sigma)
     proj = si
     if method == "REML":
         proj = si - si @ x @ np.linalg.solve(x.T @ si @ x, x.T @ si)
-    dvs = [sla.block_diag(*[p.Z @ d @ p.Z.T for p in pairs]) for d in derivs]
-    dvs.append(s2 * np.eye(x.shape[0]))
     pdv = [proj @ dv for dv in dvs]
     return np.array([[0.5 * np.trace(u @ v) for v in pdv] for u in pdv])
+
+
+def dense_observed_information(theta, spec, cohort, method="REML"):
+    """Minus the stacked Hessian of the (RE)ML log-likelihood in theta.
+
+    With P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1, r = P y and T = P for
+    REML (V^-1 for ML), the Hessian is 1/2 tr(T dV_j T dV_k)
+    - 1/2 tr(T d2V_jk) - r'dV_j P dV_k r + 1/2 r'd2V_jk r.
+    """
+    x, sigma, dvs, d2vs = _dense_covariance_derivatives(theta, spec, cohort)
+    y = np.concatenate([s.y for s in cohort])
+    si = np.linalg.inv(sigma)
+    proj = si - si @ x @ np.linalg.solve(x.T @ si @ x, x.T @ si)
+    t = proj if method == "REML" else si
+    r = proj @ y
+    k = len(dvs)
+    hess = np.array([[0.5 * np.trace(t @ dvs[j] @ t @ dvs[l]) - 0.5 * np.trace(t @ d2vs[j][l])
+                      - r @ dvs[j] @ proj @ dvs[l] @ r + 0.5 * r @ d2vs[j][l] @ r
+                      for l in range(k)] for j in range(k)])
+    return -hess
+
+
+def fd_observed_information(problem, theta, method="REML", step=1e-4):
+    """Central differences of the analytic gradient, symmetrized."""
+    k = theta.size
+    h = np.zeros((k, k))
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = step
+        h[j] = -(problem.loglik_and_grad(theta + e, method)[1]
+                 - problem.loglik_and_grad(theta - e, method)[1]) / (2.0 * step)
+    return 0.5 * (h + h.T)
 
 
 def conditional_mean_blup_oracle(z, sigma_d, sigma2, resid):

@@ -335,6 +335,15 @@ class TestProfilesCommand:
                      "--out", str(tmp_path / "pg")])
         assert code == 2
 
+    def test_repeated_subject_is_usage_error(self, workspace, tmp_path, capsys):
+        root, data, _ = workspace
+        out = tmp_path / "pdup"
+        code = main(["profiles", "--fit", str(root / "fit" / "fit.json"),
+                     "--data", data, "--subjects", "s0000,s0001,s0000", "--out", str(out)])
+        assert code == 2
+        assert "repeated subject id 's0000'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_usage_error(self, workspace, tmp_path, capsys, workers):
         root, data, _ = workspace
@@ -488,6 +497,28 @@ class TestBandCommand:
         assert code == 2
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["band", "profiles"])
+    @pytest.mark.parametrize("value", ["99", "24", "-3", "1.5", "noon"])
+    def test_start_hour_outside_the_clock_is_usage_error(self, workspace, tmp_path, capsys,
+                                                         command, value):
+        root, data, _ = workspace
+        out = tmp_path / "sh"
+        code = main([command, "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                     "--out", str(out), "--svg", "--start-hour", value])
+        assert code == 2
+        assert "--start-hour" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["band", "profiles"])
+    def test_start_hour_labels_the_clock_axis(self, workspace, tmp_path, command):
+        root, data, _ = workspace
+        out = tmp_path / "sh"
+        code = main([command, "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                     "--out", str(out), "--svg", "--start-hour", "23"])
+        assert code == 0
+        text = (out / f"{command}.svg").read_text()
+        assert "clock hour" in text and ">23<" in text
 
     def test_band_requires_fit_or_model(self, workspace, tmp_path):
         _, data, _ = workspace

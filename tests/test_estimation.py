@@ -18,8 +18,10 @@ from abpmix.estimation import (
 
 from conftest import (
     dense_expected_information,
+    dense_observed_information,
     dense_stacked_loglik,
     edge_case_problems,
+    fd_observed_information,
     poly_spec,
     random_tiny_problem,
     simulate,
@@ -142,6 +144,13 @@ def assert_matches_dense_information(got, want):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def assert_matches_observed_information_oracles(problem, spec, cohort, theta, method):
+    got = problem.observed_information(theta, method)
+    assert_matches_dense_information(got, dense_observed_information(theta, spec, cohort, method))
+    fd = fd_observed_information(problem, theta, method)
+    assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
 class TestOracleProperty:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(incomplete_covariate_problems())
@@ -155,6 +164,8 @@ class TestOracleProperty:
         want_beta, want_cov = dense_gls(theta, spec, cohort)
         assert np.max(np.abs(beta - want_beta)) <= 1e-8 * np.max(np.abs(want_beta))
         assert np.max(np.abs(cov_beta - want_cov)) <= 1e-8 * np.max(np.abs(want_cov))
+        for method in ("REML", "ML"):
+            assert_matches_observed_information_oracles(problem, spec, cohort, theta, method)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(incomplete_covariate_problems())
@@ -207,28 +218,29 @@ class TestExpectedInformation:
                 got, dense_expected_information(theta, spec, cohort, method))
 
     def test_cholesky_curvature_matches_second_differences(self):
-        # phi(theta) = -sum(g * Sigma_d(theta)) at a fixed g = d loglik / d Sigma_d
-        # has the curvature as its Hessian, plus on the log-diagonal the
-        # term d phi / d theta = -gradient that the curvature leaves out
+        # the observed information, Cholesky curvature included, is minus
+        # the second differences of the log-likelihood itself
         rng = np.random.default_rng(29)
         spec, cohort, theta = edge_case_problems(rng, "unstructured")[1]
         problem = MixedModelProblem(spec, cohort)
-        g = problem._evaluate(theta, "REML", want_grad=True)[2]
-        m = problem.m
-
-        def phi(th):
-            return -float(np.sum(g * sigma_d_from_theta("unstructured", m, th)))
-
-        k, h = theta.size - 1, 1e-4
-        steps = h * np.eye(theta.size)
-        fd = np.array([[(phi(theta + steps[j] + steps[l]) - phi(theta + steps[j] - steps[l])
-                         - phi(theta - steps[j] + steps[l]) + phi(theta - steps[j] - steps[l]))
-                        / (4.0 * h * h) for l in range(k)] for j in range(k)])
-        want = problem._cholesky_curvature(theta, "REML")
-        rows, cols = np.tril_indices(m)
-        diagonal = np.flatnonzero(rows == cols)
-        want[diagonal, diagonal] -= problem.loglik_and_grad(theta)[1][diagonal]
+        ll = problem.loglikelihood
+        k, h = theta.size, 1e-4
+        steps = h * np.eye(k)
+        fd = -np.array([[(ll(theta + steps[j] + steps[l]) - ll(theta + steps[j] - steps[l])
+                          - ll(theta - steps[j] + steps[l]) + ll(theta - steps[j] - steps[l]))
+                         / (4.0 * h * h) for l in range(k)] for j in range(k)])
+        want = problem.observed_information(theta, "REML")
         assert np.max(np.abs(fd - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+class TestObservedInformation:
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    @pytest.mark.parametrize("method", ["REML", "ML"])
+    def test_matches_dense_and_difference_oracles_on_edge_cases(self, structure, method):
+        rng = np.random.default_rng(31)
+        for spec, cohort, theta in edge_case_problems(rng, structure):
+            assert_matches_observed_information_oracles(MixedModelProblem(spec, cohort), spec,
+                                                        cohort, theta, method)
 
 
 class TestGLS:
@@ -355,16 +367,15 @@ class TestFit:
 
     def test_ascent_history_nondecreasing(self, monkeypatch):
         informations = []
-        information = MixedModelProblem.expected_information
+        information = MixedModelProblem.observed_information
 
         def counting(self, *args):
             informations.append(args)
             return information(self, *args)
 
-        monkeypatch.setattr(MixedModelProblem, "expected_information", counting)
+        monkeypatch.setattr(MixedModelProblem, "observed_information", counting)
         # degree 2 at a coarse tolerance converges within L-BFGS-B; degree 4
-        # on its cohort ends in Fisher scoring, whose steps count as
-        # iterations too
+        # on its cohort ends in Newton steps, which count as iterations too
         for degree, seed, tol, scored in ((2, 13, 1e-2, False), (4, 14, 1e-6, True)):
             spec = poly_spec(degree)
             cohort = simulate(spec, [450.0, -12.0, 6.0, 3.0, -2.0][: degree + 1],
@@ -426,8 +437,8 @@ class TestFit:
                              [("diagonal", 21), ("unstructured", 28), ("unstructured", 37)])
     def test_zero_variance_component_reaches_reference_optimum(self, structure, seed):
         # the middle random variance is zero, so the optimum is on the
-        # boundary; scoring on the expected information alone, without the
-        # Cholesky curvature, left both unstructured fits at the iteration cap
+        # boundary; second-phase steps without the Cholesky curvature left
+        # both unstructured fits at the iteration cap
         spec = poly_spec(2, structure)
         cohort = simulate(spec, [450.0, -12.0, 6.0], np.diag([70.0, 0.0, 20.0]), 25.0,
                           n_subjects=40, seed=seed)
@@ -436,6 +447,19 @@ class TestFit:
         assert fitted.converged
         if structure == "diagonal":
             assert fitted.sigma_d_hat[1, 1] == 0.0
+        want = tight_lbfgsb_loglik(problem)
+        assert abs(fitted.loglik - want) <= 1e-10 * abs(want)
+
+    def test_degree_nine_unstructured_converges_at_default_cap(self):
+        # the paper's 56-parameter model on a complete paper-scale cohort
+        # with the criterion-10 variances; its optimum is near the boundary
+        spec = poly_spec(9, "unstructured")
+        cohort = simulate(spec, [700.0, -60.0, 45.0, -35.0, 28.0, -22.0, 18.0, -14.0, 11.0, -9.0],
+                          np.diag([120.0, 70.0, 45.0, 30.0, 20.0, 14.0, 10.0, 7.0, 5.0, 4.0]),
+                          16.0, n_subjects=357, seed=3)
+        problem = MixedModelProblem(spec, cohort)
+        fitted = problem.fit()
+        assert fitted.converged
         want = tight_lbfgsb_loglik(problem)
         assert abs(fitted.loglik - want) <= 1e-10 * abs(want)
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import abpmix as a
@@ -87,11 +89,21 @@ class TestFTest:
         with pytest.raises(StateError):
             f_test(fitted, Contrast.for_columns([0], fitted.q))
 
-    def test_p_value_monotone_in_f(self):
+    def test_p_value_monotone_in_f(self, small_fit):
         # holding dfs fixed, a larger F must give a smaller p
         p1 = stats.f.sf(2.0, 3, 40.0)
         p2 = stats.f.sf(5.0, 3, 40.0)
         assert p2 < p1
+        _, _, fitted = small_fit
+        for columns in ([1], [1, 2]):
+            contrast = Contrast.for_columns(columns, fitted.q)
+            res = f_test(fitted, contrast)
+            assert res.p_value == pytest.approx(stats.f.sf(res.F, res.ndf, res.ddf), rel=1e-10)
+            # a smaller effect under the same covariance: same dfs, smaller F, larger p
+            smaller = f_test(dataclasses.replace(fitted, beta_hat=0.1 * fitted.beta_hat),
+                             contrast)
+            assert smaller.ddf == pytest.approx(res.ddf, rel=1e-12)
+            assert smaller.F < res.F and smaller.p_value > res.p_value
 
     def test_strong_effect_has_small_p(self, small_fit):
         _, _, fitted = small_fit
@@ -246,3 +258,41 @@ class TestInferenceCache:
         assert per_column_tests(copy) == before
         assert "inference_cache" not in repr(fitted)
         assert "inference_cache" not in serialize.fitted_model_to_json(fitted)
+
+
+class TestAffineEquivariance:
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**16), st.booleans())
+    def test_fit_and_inference_under_affine_outcome_change(self, seed, zero_variance):
+        # y -> a y + b scales every variance by a^2, shifts the REML
+        # log-likelihood by -(n - q) log|a| and leaves the tests alone;
+        # the fits run to a tight tolerance so that optimizer precision
+        # does not hide a difference
+        scale, shift = -2.5, 130.0
+        spec = poly_spec(3)
+        cohort = simulate(spec, [450.0, -12.0, 6.0, 3.0],
+                          np.diag([70.0, 40.0, 0.0 if zero_variance else 20.0, 10.0]), 25.0,
+                          n_subjects=40, seed=seed, missing_rate=0.1)
+        moved = a.Cohort(subjects=tuple(dataclasses.replace(s, y=scale * s.y + shift)
+                                        for s in cohort))
+        f1, f2 = a.fit(spec, cohort, tol=1e-9), a.fit(spec, moved, tol=1e-9)
+        assert f1.converged and f2.converged
+        a2 = scale * scale
+        assert f2.sigma2_hat == pytest.approx(a2 * f1.sigma2_hat, rel=1e-7)
+        assert np.array_equal(f1.sigma_d_hat == 0.0, f2.sigma_d_hat == 0.0)
+        np.testing.assert_allclose(f2.sigma_d_hat, a2 * f1.sigma_d_hat, rtol=1e-7, atol=0.0)
+        shift_ll = -(f1.n_obs - f1.q) * np.log(abs(scale))
+        assert f2.loglik - f1.loglik == pytest.approx(shift_ll, abs=1e-10 * abs(f1.loglik))
+        tests1 = [r for _, _, r in per_column_tests(f1)]
+        tests2 = [r for _, _, r in per_column_tests(f2)]
+        model = Contrast.for_columns([1, 2, 3], f1.q)
+        for r1, r2 in zip(tests1 + [f_test(f1, model)], tests2 + [f_test(f2, model)]):
+            assert r2.ddf == pytest.approx(r1.ddf, rel=1e-7)
+            assert r2.p_value == pytest.approx(r1.p_value, rel=1e-7, abs=1e-9)
+        for (name, est1, se1), (_, est2, se2) in zip(variance_component_table(f1),
+                                                     variance_component_table(f2)):
+            if est1 == 0.0:
+                # a boundary component's SE is roundoff and is not compared
+                assert est2 == 0.0, name
+            else:
+                assert se2 == pytest.approx(a2 * se1, rel=1e-7), name
