@@ -40,17 +40,18 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_1d(np.asarray(self.points, dtype=float))
+        pts = np.array(self.points, dtype=float, order="C", ndmin=1)  # owned copy
         if pts.ndim != 1:
             raise GridError("time grid must be one-dimensional")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise GridError("time grid contains non-finite values")
         lo, hi = TIME_DOMAIN
         if pts.size and (pts[0] < lo or pts[-1] > hi):
             raise GridError(f"time points must lie in [{lo}, {hi}]")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        if not (pts[1:] > pts[:-1]).all():
             raise GridError("time points must be strictly increasing")
-        object.__setattr__(self, "points", _readonly(pts))
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     @classmethod
     def equispaced(cls, n: int, start: float = 0.0, end: float = 24.0) -> "TimeGrid":

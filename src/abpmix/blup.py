@@ -54,23 +54,41 @@ def random_effects_blup(fitted: FittedModel, subject: Subject,
     """d = Sigma_d Z' V^-1 (y - X beta) at the fitted parameters, V = Z Sigma_d Z' + sigma^2 I.
 
     V depends only on the observation times: ``memo`` (one dict shared by
-    calls on the same fit) keeps V^-1 Z Sigma_d once per distinct times.
+    calls on the same fit) keeps the gain V^-1 Z Sigma_d once per distinct
+    times.  A missing gain is factored together with every pattern of the
+    same length registered by ``subject_profiles``.
     """
     memo = {} if memo is None else memo
-    mean, z = _design_on(fitted, subject, subject.times, memo)
-    key = ("gain", subject.times.points.tobytes())
-    gain = memo.get(key)
+    mean, _ = _design_on(fitted, subject, subject.times, memo)
+    key = subject.times.points.tobytes()
+    gain = memo.get(("gain", key))
     if gain is None:
-        zs = z @ fitted.sigma_d_hat
-        v = zs @ z.T + fitted.sigma2_hat * np.eye(len(z))
-        try:
-            li = np.linalg.inv(np.linalg.cholesky(v))
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(
-                f"marginal covariance not factorizable for subject {subject.id!r}"
-            ) from exc
-        gain = memo[key] = li.T @ (li @ zs)
+        batch = memo.pop(("pending", len(subject.times)), {})
+        batch.setdefault(key, subject)
+        _factor_gains(fitted, batch, memo)
+        gain = memo[("gain", key)]
     return (subject.y - mean) @ gain
+
+
+def _factor_gains(fitted: FittedModel, batch: dict, memo: dict) -> None:
+    """Gains of equal-length time patterns (bytes -> a subject observed at
+    them) from one stacked Cholesky factorization and inverse."""
+    z = np.stack([_design_on(fitted, s, s.times, memo)[1] for s in batch.values()])
+    zs = z @ fitted.sigma_d_hat
+    v = zs @ z.transpose(0, 2, 1) + fitted.sigma2_hat * np.eye(z.shape[1])
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(v))
+    except np.linalg.LinAlgError:
+        for s, one in zip(batch.values(), v):  # name the first subject that fails
+            try:
+                np.linalg.cholesky(one)
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError(
+                    f"marginal covariance not factorizable for subject {s.id!r}"
+                ) from exc
+        raise
+    for key, gain in zip(batch, li.transpose(0, 2, 1) @ (li @ zs)):
+        memo[("gain", key)] = gain
 
 
 def subject_profile(fitted: FittedModel, subject: Subject,
@@ -92,10 +110,13 @@ def subject_profile(fitted: FittedModel, subject: Subject,
 def subject_profiles(fitted: FittedModel, subjects, eval_times: TimeGrid) -> np.ndarray:
     """(n, len(eval_times)) smoothed curves, one row per subject.
 
-    One memo serves the whole batch, so each distinct design is built and
-    factorized once, and the grid once per distinct covariate encoding.
+    One memo serves the whole batch: each distinct design is built once,
+    the grid once per distinct covariate encoding, and the gains of all
+    time patterns of one length come from one stacked factorization.
     """
     memo = {}
+    for s in subjects:
+        memo.setdefault(("pending", len(s.times)), {}).setdefault(s.times.points.tobytes(), s)
     rows = [subject_profile(fitted, s, eval_times, memo).values for s in subjects]
     return np.array(rows).reshape(len(rows), len(eval_times))
 

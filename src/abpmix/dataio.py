@@ -5,12 +5,24 @@ the outcome column (``sbp`` or ``dbp``); any remaining columns become
 static covariates, which must keep one value across a subject's rows
 (a change is a SchemaError).  Times are elapsed hours since recording
 start.
+
+Errors of ``read_cohort``.  Records are numbered from the header, row 1;
+blank records are skipped but counted.  Invalid UTF-8 anywhere in the
+file is a ParseError first; then a missing column is a SchemaError; then
+the earliest offending record raises.  Within a record the checks run in
+this order: a short row, an unparsable time, an unparsable outcome
+(ParseError), a time its subject already has (DuplicateError), a
+covariate whose value differs from the subject's first record
+(SchemaError).  Non-finite or out-of-range values then fail the
+``Subject`` and ``TimeGrid`` checks, in order of first appearance.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -22,11 +34,7 @@ from .errors import ConfigError, DuplicateError, ParseError, SchemaError, SpecEr
 OUTCOMES = ("sbp", "dbp")
 
 
-def _parse_float(text: str, row: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"row {row}: cannot parse {column}={text!r}") from None
+_CHUNK_ROWS = 1024  # records tokenized and converted at a time: bounds the peak memory
 
 
 def _covariate_value(raw: str):
@@ -36,68 +44,147 @@ def _covariate_value(raw: str):
         return raw
 
 
+def _changed(was: str, now: str) -> bool:
+    """Whether a covariate cell holds another value than the subject's first
+    (``41`` and ``41.0`` are one value; the same text is never a change)."""
+    return was != now and _covariate_value(was) != _covariate_value(now)
+
+
+def _floats(cells: list):
+    """``float()`` of the cells before the first one that does not parse,
+    and that cell's index (``len(cells)`` when every cell parses)."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), len(cells)
+    except ValueError:
+        for n, text in enumerate(cells):
+            try:
+                float(text)
+            except ValueError:
+                return np.fromiter(map(float, cells[:n]), float, n), n
+
+
+def _drain(fh) -> None:
+    """Decode the rest of the file, so that invalid UTF-8 is found first."""
+    for _ in fh:
+        pass
+
+
 def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence[str]] = None) -> Cohort:
-    """Read a cohort CSV, one Subject per id with ascending times."""
+    """Read a cohort CSV, one Subject per id with ascending times.
+
+    The file is tokenized by ``csv.reader`` in chunks of ``_CHUNK_ROWS``
+    records and converted column by column; one stable sort on (subject,
+    time) then finds duplicate times and orders each subject's rows.  The
+    errors and their precedence are in the module docstring.
+    """
     outcome = outcome.lower()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             column = {name: j for j, name in enumerate(header)}
-            for required in ("subject_id", "time", outcome):
-                if required not in column:
-                    raise SchemaError(f"missing column {required!r}")
             if covariate_columns is None:
                 covariate_columns = [
                     c for c in header if c not in ("subject_id", "time") and c not in OUTCOMES
                 ]
-            else:
-                for c in covariate_columns:
-                    if c not in column:
-                        raise SchemaError(f"missing column {c!r}")
-            i_sid, i_time, i_value = column["subject_id"], column["time"], column[outcome]
-            i_covs = [column[c] for c in covariate_columns]
-            width = max([i_sid, i_time, i_value] + i_covs) + 1
-
-            per_subject = {}  # id -> (times, values, set of times, covariate cells)
-            for rownum, row in enumerate(reader, start=2):
-                if len(row) < width:
-                    if not row:
-                        continue
-                    raise ParseError(f"row {rownum}: expected {width} fields, found {len(row)}")
-                sid = row[i_sid]
-                t = _parse_float(row[i_time], rownum, "time")
-                v = _parse_float(row[i_value], rownum, outcome)
-                cells = [row[j] for j in i_covs]
-                rec = per_subject.get(sid)
-                if rec is None:
-                    rec = per_subject[sid] = ([], [], set(), cells)
-                times, values, seen, first = rec
-                if t in seen:
-                    raise DuplicateError(f"row {rownum}: duplicate time {t} for subject {sid!r}")
-                if cells != first:
-                    for c, was, now in zip(covariate_columns, first, cells):
-                        if _covariate_value(was) != _covariate_value(now):
-                            raise SchemaError(
-                                f"row {rownum}: covariate {c!r} of subject {sid!r} changes "
-                                f"from {was!r} to {now!r}; covariates must be static"
-                            )
-                seen.add(t)
-                times.append(t)
-                values.append(v)
+            for required in ("subject_id", "time", outcome, *covariate_columns):
+                if required not in column:
+                    _drain(fh)
+                    raise SchemaError(f"missing column {required!r}")
+            columns, ids, error = _read_columns(reader, column, outcome, covariate_columns)
+            _drain(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    return _assemble(columns, ids, error, outcome, covariate_columns)
 
-    if not per_subject:
-        raise SchemaError("no data rows")
+
+def _read_columns(reader, column: dict, outcome: str, covariate_columns: Sequence[str]):
+    """Convert the records chunk by chunk, up to the first one that is short
+    or holds an unparsable number.
+
+    Returns the time, outcome, subject-code and record-number arrays and
+    one object array per covariate, all in record order; the subject ids
+    in order of first appearance (the codes index them); and the error of
+    the first bad record, or None.
+    """
+    i_sid, i_time, i_value = column["subject_id"], column["time"], column[outcome]
+    i_covs = [column[c] for c in covariate_columns]
+    width = max([i_sid, i_time, i_value] + i_covs) + 1
+    codes = {}
+    parts = [[] for _ in range(4 + len(i_covs))]
+    error = None
+    first = 2
+    while error is None:
+        rows = list(islice(reader, _CHUNK_ROWS))
+        if not rows:
+            break
+        start, first = first, first + len(rows)
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        short = np.flatnonzero((lengths < width) & (lengths > 0))
+        if short.size:
+            s = int(short[0])
+            error = ParseError(f"row {start + s}: expected {width} fields, found {lengths[s]}")
+            rows, lengths = rows[:s], lengths[:s]
+        rownums = np.flatnonzero(lengths) + start
+        if rownums.size < len(rows):
+            rows = list(compress(rows, lengths))
+        t, bad_t = _floats(list(map(itemgetter(i_time), rows)))
+        y, bad_y = _floats(list(map(itemgetter(i_value), rows)))
+        n = min(bad_t, bad_y)
+        if n < len(rows):
+            name, text = ("time", rows[n][i_time]) if bad_t == n else (outcome, rows[n][i_value])
+            error = ParseError(f"row {rownums[n]}: cannot parse {name}={text!r}")
+            rows, t, y, rownums = rows[:n], t[:n], y[:n], rownums[:n]
+        sids = list(map(itemgetter(i_sid), rows))
+        for sid in dict.fromkeys(sids):
+            codes.setdefault(sid, len(codes))
+        code = np.fromiter(map(codes.__getitem__, sids), np.intp, len(sids))
+        cells = [np.array(list(map(itemgetter(j), rows)), dtype=object) for j in i_covs]
+        for part, arr in zip(parts, [t, y, code, rownums] + cells):
+            part.append(arr)
+    return [np.concatenate(p) for p in parts] if codes else None, list(codes), error
+
+
+def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
+    """Subjects from the converted records, after the checks that compare
+    records: duplicate times and changed covariates."""
+    if not ids:
+        raise error if error is not None else SchemaError("no data rows")
+    t, y, code, rownum, *cells = columns
+    order = np.lexsort((t, code))  # stable: equal (code, t) keep record order
+    ts, cs = t[order], code[order]
+    dup = order[1:][(cs[1:] == cs[:-1]) & (ts[1:] == ts[:-1])]
+    bad_dup = int(dup.min()) if dup.size else t.size
+    firsts = np.unique(code, return_index=True)[1]  # each subject's first record
+    ref = firsts[code]
+    bad_cov = t.size
+    for col in cells:
+        for i in np.flatnonzero(col != col[ref]):
+            if i >= bad_cov:
+                break
+            if _changed(col[ref[i]], col[i]):
+                bad_cov = i
+                break
+    if bad_dup <= bad_cov and bad_dup < t.size:
+        raise DuplicateError(f"row {rownum[bad_dup]}: duplicate time {float(t[bad_dup])} "
+                             f"for subject {ids[code[bad_dup]]!r}")
+    if bad_cov < t.size:
+        i = bad_cov
+        for c, col in zip(covariate_columns, cells):
+            was, now = col[ref[i]], col[i]
+            if _changed(was, now):
+                raise SchemaError(
+                    f"row {rownum[i]}: covariate {c!r} of subject {ids[code[i]]!r} changes "
+                    f"from {was!r} to {now!r}; covariates must be static"
+                )
+    if error is not None:
+        raise error
+    ys = y[order]
+    edges = [0, *(np.flatnonzero(cs[1:] != cs[:-1]) + 1).tolist(), cs.size]
     subjects = []
-    for sid, (times, values, _, cells) in per_subject.items():
-        order = np.argsort(np.asarray(times), kind="stable")
-        covariates = {c: _covariate_value(raw) for c, raw in zip(covariate_columns, cells)}
-        subjects.append(
-            Subject(id=sid, times=TimeGrid(np.asarray(times)[order]),
-                    y=np.asarray(values)[order], covariates=covariates)
-        )
+    for sid, a, b, j in zip(ids, edges, edges[1:], firsts):
+        covariates = {c: _covariate_value(col[j]) for c, col in zip(covariate_columns, cells)}
+        subjects.append(Subject(id=sid, times=TimeGrid(ts[a:b]), y=ys[a:b], covariates=covariates))
     return Cohort(subjects=tuple(subjects), outcome_label=outcome.upper())
 
 
@@ -141,21 +228,19 @@ def filter_normals(cohort: Cohort, thresholds: Mapping[int, Sequence[float]]) ->
     """Keep subjects whose every measurement is within its hour's bounds.
 
     ``thresholds`` maps hour index (0-23) to (lower, upper); a threshold
-    must exist for every hour at which any subject has a measurement.
+    must exist for every hour at which any subject has a measurement (the
+    lowest hour without one is named).
     """
-    kept = []
-    for s in cohort:
-        hours = np.clip(np.floor(s.times.points).astype(int), 0, 23)
-        ok = True
-        for h, v in zip(hours, s.y):
-            if int(h) not in thresholds:
-                raise ConfigError(f"no threshold supplied for hour {int(h)}")
-            lo, hi = thresholds[int(h)]
-            if not (lo <= v <= hi):
-                ok = False
-                break
-        if ok:
-            kept.append(s)
+    hours = np.clip(np.floor(np.concatenate([s.times.points for s in cohort])).astype(int), 0, 23)
+    lo, hi = np.empty(24), np.empty(24)
+    for h in np.unique(hours).tolist():
+        if h not in thresholds:
+            raise ConfigError(f"no threshold supplied for hour {h}")
+        lo[h], hi[h] = thresholds[h]
+    y = np.concatenate([s.y for s in cohort])
+    inside = (lo[hours] <= y) & (y <= hi[hours])
+    starts = np.cumsum([0] + [s.n_obs for s in cohort][:-1])
+    kept = [s for s, ok in zip(cohort, np.logical_and.reduceat(inside, starts)) if ok]
     if not kept:
         raise ConfigError("no subjects remain after filtering")
     return Cohort(subjects=tuple(kept), outcome_label=cohort.outcome_label)

@@ -204,16 +204,15 @@ class Subject:
     covariates: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float, order="C")  # owned copy
         if len(self.times) == 0:
             raise SpecError(f"subject {self.id!r} has no observations")
         if y.shape != (len(self.times),):
             raise SpecError(f"subject {self.id!r}: y and times lengths differ")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise SpecError(f"subject {self.id!r}: non-finite outcome values")
-        arr = np.ascontiguousarray(y)
-        arr.flags.writeable = False
-        object.__setattr__(self, "y", arr)
+        y.flags.writeable = False
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "covariates", dict(self.covariates))
 
     @property

@@ -5,12 +5,16 @@ problem with materialized covariance matrices so they share no code path
 with the blockwise estimator they check.
 """
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import abpmix as a
+from abpmix.basis import TimeGrid
 from abpmix.design import BasisContext, build_design
+from abpmix.errors import DuplicateError, ParseError, SchemaError
 from abpmix.estimation import LOG_VARIANCE_FLOOR, sigma_d_from_theta
 
 
@@ -206,6 +210,77 @@ def edge_case_problems(rng, structure="diagonal"):
          with_covariates, theta_for(2)),
         (poly_spec(1, structure), mixed, theta_for(2, floor_first=True)),
     ]
+
+
+def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
+    """Reference reader: ``dataio.read_cohort`` as one loop over the
+    records, each checked as it is read; the first bad record raises."""
+
+    def parse_float(text, row, column):
+        try:
+            return float(text)
+        except ValueError:
+            raise ParseError(f"row {row}: cannot parse {column}={text!r}") from None
+
+    def covariate_value(raw):
+        try:
+            return float(raw)
+        except ValueError:
+            return raw
+
+    outcome = outcome.lower()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: j for j, name in enumerate(header)}
+        for required in ("subject_id", "time", outcome):
+            if required not in column:
+                raise SchemaError(f"missing column {required!r}")
+        if covariate_columns is None:
+            covariate_columns = [c for c in header
+                                 if c not in ("subject_id", "time") and c not in ("sbp", "dbp")]
+        else:
+            for c in covariate_columns:
+                if c not in column:
+                    raise SchemaError(f"missing column {c!r}")
+        i_sid, i_time, i_value = column["subject_id"], column["time"], column[outcome]
+        i_covs = [column[c] for c in covariate_columns]
+        width = max([i_sid, i_time, i_value] + i_covs) + 1
+        per_subject = {}  # id -> (times, values, set of times, covariate cells)
+        for rownum, row in enumerate(reader, start=2):
+            if len(row) < width:
+                if not row:
+                    continue
+                raise ParseError(f"row {rownum}: expected {width} fields, found {len(row)}")
+            sid = row[i_sid]
+            t = parse_float(row[i_time], rownum, "time")
+            v = parse_float(row[i_value], rownum, outcome)
+            cells = [row[j] for j in i_covs]
+            rec = per_subject.get(sid)
+            if rec is None:
+                rec = per_subject[sid] = ([], [], set(), cells)
+            times, values, seen, first = rec
+            if t in seen:
+                raise DuplicateError(f"row {rownum}: duplicate time {t} for subject {sid!r}")
+            if cells != first:
+                for c, was, now in zip(covariate_columns, first, cells):
+                    if was != now and covariate_value(was) != covariate_value(now):
+                        raise SchemaError(
+                            f"row {rownum}: covariate {c!r} of subject {sid!r} changes "
+                            f"from {was!r} to {now!r}; covariates must be static"
+                        )
+            seen.add(t)
+            times.append(t)
+            values.append(v)
+    if not per_subject:
+        raise SchemaError("no data rows")
+    subjects = []
+    for sid, (times, values, _, cells) in per_subject.items():
+        order = np.argsort(np.asarray(times), kind="stable")
+        covariates = {c: covariate_value(raw) for c, raw in zip(covariate_columns, cells)}
+        subjects.append(a.Subject(id=sid, times=TimeGrid(np.asarray(times)[order]),
+                                  y=np.asarray(values)[order], covariates=covariates))
+    return a.Cohort(subjects=tuple(subjects), outcome_label=outcome.upper())
 
 
 def poly_spec(degree, random_cov="diagonal"):

@@ -49,6 +49,14 @@ class TestTimeGrid:
         assert len(g) == 24
         assert g.points[0] == 0.5 and g.points[-1] == 23.5
 
+    def test_leaves_the_callers_array_writeable_and_unshared(self):
+        t = np.arange(24.0) + 0.5
+        grid = TimeGrid(t)
+        assert t.flags.writeable and not np.shares_memory(t, grid.points)
+        assert not grid.points.flags.writeable
+        t[0] = 99.0
+        assert grid.points[0] == 0.5
+
 
 class TestOrthonormalPolynomial:
     def test_degree_two_on_three_points(self):

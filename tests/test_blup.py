@@ -241,11 +241,14 @@ def incomplete_covariate_fit(irregular=False):
 
 
 def count_calls(monkeypatch, owner, name):
+    """One entry per call of ``owner.name``: the leading batch size of its
+    first argument (1 for anything but a stack of matrices)."""
     calls = []
     orig = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        first = args[0] if args else None
+        calls.append(first.shape[0] if isinstance(first, np.ndarray) and first.ndim == 3 else 1)
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -284,10 +287,13 @@ class TestBatchedProfiles:
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
         a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
         patterns = {s.times.points.tobytes() for s in cohort.subjects}
+        lengths = {len(s.times) for s in cohort.subjects}
         encodings = {(s.covariates["diet"], s.covariates["age"]) for s in cohort.subjects}
         designs = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
                    for s in cohort.subjects}
-        assert len(factors) == len(patterns) < len(cohort)
+        # one stacked factorization per pattern length, each pattern in exactly one
+        assert sum(factors) == len(patterns) < len(cohort)
+        assert len(factors) == len(lengths) < len(patterns)
         assert len(builds) == len(designs) + len(encodings) < len(cohort)
 
     def test_irregular_designs_cost_one_build_per_subject_and_grid(self, irregular,
@@ -297,7 +303,8 @@ class TestBatchedProfiles:
         builds = count_calls(monkeypatch, blup_module, "build_design")
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
         a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
-        assert len(factors) == len(cohort)
+        assert sum(factors) == len(cohort)
+        assert len(factors) == len({len(s.times) for s in cohort.subjects}) < len(cohort)
         assert len(builds) == 2 * len(cohort)
 
     def test_rows_do_not_depend_on_the_batch(self, incomplete):

@@ -1,13 +1,20 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import abpmix as a
+from abpmix import dataio
 from abpmix.basis import TimeGrid
 from abpmix.dataio import write_cohort
 from abpmix.design import BasisContext
-from abpmix.errors import ConfigError, DuplicateError, ParseError, SchemaError
+from abpmix.errors import AbpmixError, ConfigError, DuplicateError, ParseError, SchemaError
 
-from conftest import poly_spec
+from conftest import poly_spec, row_loop_read_cohort
 
 
 def write_csv(path, text):
@@ -76,6 +83,14 @@ class TestReadCohort:
         )
         assert a.read_cohort(p).subject("a").covariates["age"] == 41.0
 
+    def test_unchanged_nan_covariate_next_to_a_respelled_one_accepted(self, tmp_path):
+        # the same text is never a change, even where its value is NaN
+        p = write_csv(
+            tmp_path / "c.csv",
+            "subject_id,time,sbp,age,diet\na,1,120,41,nan\na,2,121,41.0,nan\n",
+        )
+        assert a.read_cohort(p).subject("a").covariates["age"] == 41.0
+
     def test_short_row_names_row(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", "subject_id,time,sbp\na,0.5,120\na,1.5\n")
         with pytest.raises(ParseError, match="row 3"):
@@ -84,6 +99,17 @@ class TestReadCohort:
     def test_invalid_utf8_is_parse_error(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_bytes(b"subject_id,time,sbp\n\xff,0.5,120\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            a.read_cohort(str(p))
+
+    def test_invalid_utf8_takes_precedence(self, tmp_path):
+        # the bad byte lies past the first block the decoder reads
+        body = "".join(f"s{k % 10},{k // 10 / 4},120\n" for k in range(900))
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"subject_id,time,sbp\nb,oops,120\n" + body.encode() + b"\xff,1,2\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            a.read_cohort(str(p))
+        p.write_bytes(b"subject_id,sbp\n" + body.encode() + b"\xff,1\n")
         with pytest.raises(ParseError, match="UTF-8"):
             a.read_cohort(str(p))
 
@@ -96,6 +122,81 @@ class TestReadCohort:
             t = back.subject(s.id)
             np.testing.assert_array_equal(t.times.points, s.times.points)
             np.testing.assert_array_equal(t.y, s.y)
+
+
+ID_ALPHABET = 'ab,"\n\r \u00e9'
+# each inner list spells one value
+COVARIATE_CELLS = {"age": [["41", "41.0", " 41", "4_1"], ["42"], [""]],
+                   "diet": [["control"], ["salt"], ["nan"], ["NaN"], [""]]}
+NUMBER_EDGES = ["nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "1_0", "0x1", "abc", ""]
+
+
+@st.composite
+def cohort_csv(draw):
+    """A cohort CSV text: quoted ids, blank and short records, CRLF or LF,
+    respelled or changed covariates, duplicate times, bad numbers."""
+    covariates = draw(st.sampled_from([(), ("age",), ("age", "diet"), ("diet", "age")]))
+    header = ["subject_id", "time", "sbp", *covariates]
+    if draw(st.booleans()):  # an unused outcome column, possibly last
+        header.insert(draw(st.integers(0, len(header))), "dbp")
+    ids = draw(st.lists(st.text(ID_ALPHABET, max_size=3), min_size=1, max_size=4, unique=True))
+    spellings = {sid: {c: draw(st.sampled_from(COVARIATE_CELLS[c])) for c in covariates}
+                 for sid in ids}
+    dirty = draw(st.booleans())
+    half_hours = st.integers(0, 48).map(lambda k: repr(k / 2))
+    times = st.one_of(half_hours, st.sampled_from(NUMBER_EDGES)) if dirty else half_hours
+    values = st.floats(60, 200).map(repr)
+    values = st.one_of(values, st.sampled_from(NUMBER_EDGES)) if dirty else values
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=newline)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            out.write(newline)
+            continue
+        sid = draw(st.sampled_from(ids))
+        cells = {"subject_id": sid, "time": draw(times), "sbp": draw(values), "dbp": "80"}
+        for c in covariates:
+            changed = dirty and draw(st.integers(0, 7)) == 0
+            pool = sum(COVARIATE_CELLS[c], []) if changed else spellings[sid][c]
+            cells[c] = draw(st.sampled_from(pool))
+        row = [cells[h] for h in header]
+        if kind == 1 and dirty:
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def read_outcome(read, path):
+    """Everything a reader returns, bitwise, or the class and message it raises."""
+    try:
+        cohort = read(path)
+    except AbpmixError as exc:
+        return type(exc), str(exc)
+    return cohort.outcome_label, [(s.id, s.times.points.tobytes(), s.y.tobytes(),
+                                   repr(s.covariates)) for s in cohort]
+
+
+class TestReadCohortMatchesRowLoop:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(text=cohort_csv(), chunk=st.sampled_from([1, 2, 3, 7, 8192]))
+    # a duplicate time and a changed covariate in one record
+    @example(text="subject_id,time,sbp,age\na,1,120,41\na,1,121,42\n", chunk=8192)
+    # changes in two columns, the first column's earlier
+    @example(text="subject_id,time,sbp,age,diet\na,1,1,41,x\na,2,1,42,x\na,3,1,42,y\n", chunk=1)
+    # an unchanged NaN cell before the changed one
+    @example(text="subject_id,time,sbp,diet,age\na,1,1,nan,41\na,2,1,nan,42\n", chunk=8192)
+    # a bad outcome before a bad time, across chunks
+    @example(text="subject_id,time,sbp\na,0.5,1\na,1.5,x\na,zz,1\n", chunk=2)
+    def test_same_cohort_or_same_error(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = read_outcome(row_loop_read_cohort, str(path))
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
+            got = read_outcome(a.read_cohort, str(path))
+        assert got == want
 
 
 class TestHourlyAggregate:
@@ -158,6 +259,15 @@ class TestFilterNormals:
     def test_missing_hour_threshold(self):
         with pytest.raises(ConfigError, match="hour 1"):
             a.filter_normals(self.cohort(), {0: (90, 140)})
+
+    def test_missing_hour_threshold_after_an_out_of_range_value(self):
+        # the out-of-range 190 at hour 0 must not stop the check of hour 1
+        cohort = a.Cohort(subjects=(
+            a.Subject(id="A", times=TimeGrid(np.array([0.5, 1.5])), y=np.array([190.0, 118.0])),
+            a.Subject(id="B", times=TimeGrid(np.array([0.5])), y=np.array([120.0])),
+        ))
+        with pytest.raises(ConfigError, match="hour 1"):
+            a.filter_normals(cohort, {0: (90, 140)})
 
     def test_everyone_filtered_is_an_error(self):
         with pytest.raises(ConfigError):

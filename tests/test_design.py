@@ -195,3 +195,13 @@ def test_cohort_requires_unique_ids():
     s = complete_subject()
     with pytest.raises(SpecError):
         a.Cohort(subjects=(s, s))
+
+
+def test_subject_leaves_the_callers_arrays_writeable_and_unshared():
+    t, y = np.arange(24.0) + 0.5, np.linspace(110.0, 130.0, 24)
+    s = a.Subject(id="a", times=TimeGrid(t), y=y)
+    for caller, stored in ((t, s.times.points), (y, s.y)):
+        assert caller.flags.writeable and not np.shares_memory(caller, stored)
+        assert not stored.flags.writeable
+    y[0] = 0.0
+    assert s.y[0] == 110.0
