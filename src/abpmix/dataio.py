@@ -9,7 +9,9 @@ start.
 Errors of ``read_cohort``.  Records are numbered from the header, row 1;
 blank records are skipped but counted.  Invalid UTF-8 anywhere in the
 file is a ParseError first; then a missing column is a SchemaError; then
-the earliest offending record raises.  Within a record the checks run in
+the earliest offending record raises.  A record that ``csv`` cannot
+tokenize, such as one with a field over ``csv.field_size_limit()``, is a
+ParseError, the header included.  Within a record the checks run in
 this order: a short row, an unparsable time, an unparsable outcome
 (ParseError), a time its subject already has (DuplicateError), a
 covariate whose value differs from the subject's first record
@@ -63,6 +65,18 @@ def _floats(cells: list):
                 return np.fromiter(map(float, cells[:n]), float, n), n
 
 
+def _records(reader, first: int, count: int):
+    """Up to ``count`` records, the first numbered ``first``, and the
+    ParseError of a record that ``csv`` cannot tokenize, such as one with a
+    field over ``csv.field_size_limit()``, or None."""
+    rows = []
+    try:
+        rows.extend(islice(reader, count))  # keeps the records before a failure
+    except csv.Error as exc:
+        return rows, ParseError(f"row {first + len(rows)}: {exc}")
+    return rows, None
+
+
 def _drain(fh) -> None:
     """Decode the rest of the file, so that invalid UTF-8 is found first."""
     for _ in fh:
@@ -81,7 +95,11 @@ def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
+            rows, error = _records(reader, 1, 1)
+            if error is not None:
+                _drain(fh)
+                raise error
+            header = rows[0] if rows else []
             column = {name: j for j, name in enumerate(header)}
             if covariate_columns is None:
                 covariate_columns = [
@@ -115,7 +133,7 @@ def _read_columns(reader, column: dict, outcome: str, covariate_columns: Sequenc
     error = None
     first = 2
     while error is None:
-        rows = list(islice(reader, _CHUNK_ROWS))
+        rows, error = _records(reader, first, _CHUNK_ROWS)
         if not rows:
             break
         start, first = first, first + len(rows)

@@ -4,12 +4,12 @@ The marginal covariance of subject i is Sigma_i = Z_i Sigma_d Z_i' +
 sigma^2 I.  Fixed effects are profiled out by generalized least squares
 and the covariance parameters are maximized on an unconstrained scale:
 log-variances for the diagonal structure, log-Cholesky entries for the
-unstructured one.  The ascent has two phases.  L-BFGS-B with the
-analytic gradient runs until the projected gradient is 1e-2 (or the
-requested tolerance, if coarser); Newton steps on the analytic observed
-information then take it to the tolerance, solving only for the
-components not held at a bound.  The same observed information gives
-the Satterthwaite degrees of freedom and the variance-component SEs.
+unstructured one.  One projected, Levenberg-Marquardt-damped ascent
+maximizes them, on the components not held at a bound: Fisher scoring
+on the analytic expected information while the projected gradient is
+above 1e-2, Newton steps on the analytic observed information below it.
+The same observed information gives the Satterthwaite degrees of
+freedom and the variance-component SEs.
 
 Subjects sharing identical (X, Z) designs are grouped, and each distinct
 design is reduced once to small sufficient statistics.  A complete QR,
@@ -25,10 +25,9 @@ d loglik / d Sigma_d to theta.  Designs and the subjects within them are
 accumulated in a canonical order, so results do not depend on subject
 ordering.
 
-Every factorization is numpy's.  scipy is needed only for L-BFGS-B:
-``scipy.optimize`` is imported inside ``_optimize``, so importing this
-module, or running the commands that only evaluate a saved fit, never
-loads scipy, which would otherwise dominate interpreter start-up.
+This module needs numpy alone: every factorization is numpy's and the
+ascent is its own, so fitting never loads ``scipy.optimize``, which would
+otherwise dominate interpreter start-up.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .errors import ConditioningError, RankError, SpecError
 
 LOG_VARIANCE_FLOOR = -30.0
 _LOG2PI = float(np.log(2.0 * np.pi))
-_NEWTON_GATE = 1e-2  # projected gradient at which L-BFGS-B hands over to Newton steps
+_NEWTON_GATE = 1e-2  # projected gradient below which scoring hands over to Newton steps
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +113,21 @@ def _chol_from_theta(m: int, theta: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _dsigma_d_stack(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
-    """d Sigma_d / d theta_k stacked for every covariance parameter except sigma^2."""
+def _dsigma_d_factors(structure: str, m: int, theta: np.ndarray):
+    """(rows, c) with d Sigma_d / d theta_k = e_rows_k c_k' + c_k e_rows_k' for
+    every covariance parameter except sigma^2; c is m x (parameters - 1)."""
     if structure == "diagonal":
-        out = np.zeros((m, m, m))
-        out[np.arange(m), np.arange(m), np.arange(m)] = np.exp(theta[:m])
-        return out
+        return np.arange(m), np.diag(0.5 * np.exp(theta[:m]))
     chol = _chol_from_theta(m, theta)
     rows, cols = np.tril_indices(m)
     # d L = scale_k e_i e_j', so d Sigma_d = d L L' + L d L'
-    scale = np.where(rows == cols, chol[rows, cols], 1.0)
-    half = np.zeros((rows.size, m, m))
-    half[np.arange(rows.size), rows, :] = scale[:, None] * chol[:, cols].T
+    return rows, np.where(rows == cols, chol[rows, cols], 1.0) * chol[:, cols]
+
+
+def _dsigma_d_stack(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
+    """d Sigma_d / d theta_k stacked for every covariance parameter except sigma^2."""
+    rows, c = _dsigma_d_factors(structure, m, theta)
+    half = np.eye(m)[rows][:, :, None] * c.T[:, None, :]
     return half + half.transpose(0, 2, 1)
 
 
@@ -169,8 +171,7 @@ class FittedModel:
     column_labels: list
     context: BasisContext = field(repr=False)
     problem: Optional["MixedModelProblem"] = field(default=None, repr=False)
-    # log-likelihood after each accepted optimizer step (L-BFGS-B iterations,
-    # then Newton steps); never serialized
+    # log-likelihood after each accepted ascent step; never serialized
     ascent_history: list = field(default_factory=list, repr=False, compare=False)
     # inference quantities of this fit, filled on first use by ``inference``;
     # never serialized, and a ``dataclasses.replace`` copy begins empty
@@ -357,10 +358,11 @@ class MixedModelProblem:
         ``rest`` holds the rows outside M and (REML) 1/2 tr(cov_beta F_j cov_beta F_k).
         """
         sigma2 = float(np.exp(theta[-1]))
-        dsigma = _dsigma_d_stack(self.structure, self.m, theta)
-        u = (li @ self._r)[:, None]
-        s = np.concatenate([u @ dsigma[None] @ u.transpose(0, 1, 3, 2),
-                            sigma2 * (li @ li.transpose(0, 2, 1))[:, None]], axis=1)
+        rows, c = _dsigma_d_factors(self.structure, self.m, theta)
+        u = li @ self._r
+        half = np.einsum("gaj,gbj->jgab", u[:, :, rows], u @ c)  # (parameters, designs, m, m)
+        s = np.concatenate([half + half.transpose(0, 1, 3, 2),
+                            sigma2 * (li @ li.transpose(0, 2, 1))[None]])
         wx = li @ self._x
         kx = li.transpose(0, 2, 1) @ wx  # M^-1 Q'X per design
         # X' Sigma^-1 Z per design, and sum_g n_g b_g (x) b_g over designs
@@ -370,6 +372,7 @@ class MixedModelProblem:
         d_resid = (sigma2 * np.tensordot(self._count[:, None, None] * kx, kx,
                                          axes=([0, 1], [0, 1]))
                    + self._xx_out / sigma2)
+        dsigma = _dsigma_d_stack(self.structure, self.m, theta)
         f = np.concatenate([np.tensordot(dsigma, outer, axes=([1, 2], [1, 3])), d_resid[None]])
         k = np.eye(self.m)
         rest = np.zeros((self.n_params, self.n_params))
@@ -388,7 +391,7 @@ class MixedModelProblem:
         """
         _, _, _, _, cov_beta, li, _ = self._evaluate(theta, method, want_grad=False)
         s, _, k, rest, _ = self._information_terms(theta, method, cov_beta, li)
-        info = np.tensordot(k[:, None] @ s, s, axes=([0, 2, 3], [0, 2, 3])) + rest
+        info = (k @ s).reshape(len(s), -1) @ s.reshape(len(s), -1).T + rest
         return 0.5 * (info + info.T)
 
     def observed_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
@@ -403,13 +406,13 @@ class MixedModelProblem:
         _, grad, g, beta, cov_beta, li, resid = self._evaluate(theta, method, want_grad=True)
         s, wx, k, rest, _ = self._information_terms(theta, method, cov_beta, li)
         w = li @ resid @ li.transpose(0, 2, 1)
-        obs = np.tensordot((w - k)[:, None] @ s, s, axes=([0, 2, 3], [0, 2, 3])) - rest
+        obs = ((w - k) @ s).reshape(len(s), -1) @ s.reshape(len(s), -1).T - rest
         sigma2 = float(np.exp(theta[-1]))
         delta = beta - self._beta0
         obs[-1, -1] += (self._ee_out - 2.0 * float(delta @ self._xe_out)
                         + float(delta @ self._xx_out @ delta)) / sigma2
         wu = li @ (self._e - self._count[:, None] * (self._x @ delta))[:, :, None]
-        b = np.tensordot((s @ wu[:, None])[..., 0], wx, axes=([0, 2], [0, 1]))
+        b = np.tensordot((s @ wu)[..., 0], wx, axes=([1, 2], [0, 1]))
         b[-1] += (self._xe_out - self._xx_out @ delta) / sigma2
         obs -= b @ cov_beta @ b.T
         obs[:-1, :-1] -= _sigma_d_curvature(self.structure, self.m, theta, g, grad[:-1])
@@ -445,19 +448,6 @@ class MixedModelProblem:
     def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6) -> FittedModel:
         ll, theta, converged, iterations, grad_norm, history = self._optimize(
             self._initial_theta(), method, max_iter, tol)
-
-        if self.structure == "diagonal":
-            # the log parameterization cannot reach a zero variance; snap
-            # near-degenerate components to the floor when the likelihood
-            # does not object
-            for j in range(self.m):
-                if LOG_VARIANCE_FLOOR < theta[j] and np.exp(theta[j]) < 1e-4 * np.exp(theta[-1]):
-                    trial = theta.copy()
-                    trial[j] = LOG_VARIANCE_FLOOR
-                    ll_trial = self.loglikelihood(trial, method)
-                    if ll_trial >= ll - 1e-9 * max(1.0, abs(ll)):
-                        theta, ll = trial, ll_trial
-
         params = CovarianceParams(structure=self.structure, m=self.m, theta=theta)
         beta, cov_beta = self.gls(theta)
         sigma_d = params.sigma_d()
@@ -492,57 +482,49 @@ class MixedModelProblem:
 
     def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float):
         """(loglik, theta, converged, iterations, gradient norm, ascent history)."""
-        # imported here, its only use, so that commands which never fit start without scipy
-        from scipy.optimize import Bounds, minimize
-
         lo, hi = self._bounds()
-        history = []
-
-        def objective(th):
-            ll, grad = self.loglik_and_grad(th, method)
-            return -ll, -grad
-
-        def callback(intermediate_result):
-            history.append(-intermediate_result.fun)
-
-        # phase 1: L-BFGS-B to a coarse gradient; its slow tail is left to Newton steps
-        res = minimize(
-            objective,
-            np.clip(theta0, lo, hi),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=Bounds(lo, hi),
-            callback=callback,
-            options={"maxiter": max_iter, "ftol": 1e-15, "gtol": max(tol, _NEWTON_GATE)},
-        )
-        theta = res.x
-        iterations = int(res.nit)
+        theta = np.clip(theta0, lo, hi)
         ll, grad = self.loglik_and_grad(theta, method)
-        blocked = _blocked(theta, grad, lo, hi)
-        grad_norm = _projected_grad_norm(grad, blocked)
-        # phase 2: Newton steps on the free components, projected onto the bounds
-        while grad_norm > tol and iterations < max_iter:
+        damping = 1e-3  # lambda relative to the largest |eigenvalue|
+        history = []
+        while True:
+            blocked = _blocked(theta, grad, lo, hi)
+            grad_norm = _projected_grad_norm(grad, blocked)
+            if grad_norm <= tol or len(history) >= max_iter:
+                break
             free = ~blocked
-            info = self.observed_information(theta, method)[np.ix_(free, free)]
-            ev, vec = np.linalg.eigh(info)
-            ev = np.maximum(ev, 1e-10 * max(float(ev.max()), 1.0))
-            step = np.zeros_like(theta)
-            step[free] = (vec / ev) @ vec.T @ grad[free]
-            scale = 1.0
-            for _ in range(20):
-                trial = np.clip(theta + scale * step, lo, hi)
+            # scoring far from the optimum, Newton steps near it
+            information = (self.expected_information if grad_norm > _NEWTON_GATE
+                           else self.observed_information)
+            ev, vec = np.linalg.eigh(information(theta, method)[np.ix_(free, free)])
+            top = float(np.abs(ev).max()) or 1.0
+            ev = np.maximum(ev, 0.0)
+            rotated = vec.T @ grad[free]
+            for _ in range(40):
+                trial = theta.copy()
+                trial[free] += vec @ (rotated / (ev + damping * top))
+                trial = np.clip(trial, lo, hi)
                 ll_t, grad_t = self.loglik_and_grad(trial, method)
                 if ll_t >= ll:
                     break
-                scale *= 0.5
+                damping *= 4.0
             else:
-                break  # no step along the Newton direction improves
+                break  # no damping of the step improves
+            damping = max(damping / 3.0, 1e-10)
             theta, ll, grad = trial, ll_t, grad_t
-            iterations += 1
+            if self.structure == "diagonal":
+                # the log scale cannot reach a zero variance: put fading ones
+                # at the floor when the likelihood does not object
+                log_v = theta[: self.m]
+                fading = ((grad[: self.m] < 0) & (log_v > LOG_VARIANCE_FLOOR)
+                          & (np.exp(log_v) < 1e-4 * np.exp(theta[-1])))
+                if fading.any():
+                    trial = np.append(np.where(fading, LOG_VARIANCE_FLOOR, log_v), theta[-1])
+                    ll_t, grad_t = self.loglik_and_grad(trial, method)
+                    if ll_t >= ll:
+                        theta, ll, grad = trial, ll_t, grad_t
             history.append(ll)
-            blocked = _blocked(theta, grad, lo, hi)
-            grad_norm = _projected_grad_norm(grad, blocked)
-        return ll, theta, grad_norm <= tol, iterations, grad_norm, history
+        return ll, theta, grad_norm <= tol, len(history), grad_norm, history
 
 
 def _blocked(theta, grad, lo, hi) -> np.ndarray:

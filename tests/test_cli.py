@@ -92,6 +92,15 @@ class TestFitCommand:
         assert code == 2
         assert "SchemaError" in capsys.readouterr().err
 
+    def test_field_over_csv_limit_is_usage_error(self, tmp_path, workspace, capsys):
+        _, _, model = workspace
+        data = tmp_path / "huge.csv"
+        data.write_text('subject_id,time,sbp\n"' + "s" * 200_000 + '",0.5,120\n')
+        code = main(["fit", "--model", model, "--data", str(data),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "ParseError: row 2: field larger than field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         '{"schema_version": 1}',
         '{"schema_version": 1, "fixed": {"degree": 2},'
@@ -608,3 +617,29 @@ def test_commands_that_do_not_fit_never_import_scipy(workspace, tmp_path):
     assert result["codes"] == [0, 0, 0, 0]
     assert result["scipy_before_fit"] == []
     assert result["scipy_after_fit"]
+
+
+_FIT_IMPORTS_SCRIPT = """
+import json, sys
+from abpmix.cli import main
+
+data, model, out = sys.argv[1:]
+code = main(["fit", "--model", model, "--data", data, "--out", out])
+print(json.dumps({"code": code, "scipy": sorted(name for name in sys.modules
+                                                if name.split(".")[0] == "scipy")}))
+"""
+
+
+def test_fit_never_imports_scipy_optimize(workspace, tmp_path):
+    """fit, in a fresh interpreter, maximizes the likelihood without loading
+    scipy.optimize."""
+    _, data, model = workspace
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(a.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _FIT_IMPORTS_SCRIPT, data, model, str(tmp_path / "f")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(run.stdout)
+    assert result["code"] == 0
+    assert "scipy.special" in result["scipy"]
+    assert not [name for name in result["scipy"] if name.startswith("scipy.optimize")]

@@ -96,6 +96,19 @@ class TestReadCohort:
         with pytest.raises(ParseError, match="row 3"):
             a.read_cohort(p)
 
+    def test_field_over_csv_limit_is_parse_error(self, tmp_path):
+        huge = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        p = write_csv(tmp_path / "c.csv", f"subject_id,time,sbp\na,0.5,120\n{huge},1.5,121\n")
+        with pytest.raises(ParseError, match="row 3: field larger than field limit"):
+            a.read_cohort(p)
+        p = write_csv(tmp_path / "h.csv", f"subject_id,time,{huge}\na,0.5,120\n")
+        with pytest.raises(ParseError, match="row 1: field larger than field limit"):
+            a.read_cohort(p)
+        # an earlier bad record in the same chunk still raises first
+        p = write_csv(tmp_path / "s.csv", f"subject_id,time,sbp\na,0.5\n{huge},1.5,121\n")
+        with pytest.raises(ParseError, match="row 2: expected 3 fields"):
+            a.read_cohort(p)
+
     def test_invalid_utf8_is_parse_error(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_bytes(b"subject_id,time,sbp\n\xff,0.5,120\n")

@@ -374,8 +374,9 @@ class TestFit:
             return information(self, *args)
 
         monkeypatch.setattr(MixedModelProblem, "observed_information", counting)
-        # degree 2 at a coarse tolerance converges within L-BFGS-B; degree 4
-        # on its cohort ends in Newton steps, which count as iterations too
+        # degree 2 at a coarse tolerance converges on Fisher scoring steps
+        # alone; degree 4 at the default tolerance ends in Newton steps on the
+        # observed information, which count as iterations too
         for degree, seed, tol, scored in ((2, 13, 1e-2, False), (4, 14, 1e-6, True)):
             spec = poly_spec(degree)
             cohort = simulate(spec, [450.0, -12.0, 6.0, 3.0, -2.0][: degree + 1],
@@ -388,7 +389,7 @@ class TestFit:
             hist = np.asarray(fitted.ascent_history)
             assert hist.size == fitted.iterations >= 2
             drops = np.diff(hist)
-            # accepted quasi-Newton iterates never lose more than roundoff
+            # accepted steps never lose more than roundoff
             assert np.all(drops >= -1e-7 * np.maximum(np.abs(hist[:-1]), 1.0))
 
     def test_ascent_history_is_neither_shown_nor_written(self, small_fit):
@@ -462,6 +463,20 @@ class TestFit:
         assert fitted.converged
         want = tight_lbfgsb_loglik(problem)
         assert abs(fitted.loglik - want) <= 1e-10 * abs(want)
+
+    def test_degree_nine_unstructured_incomplete_converges_at_default_cap(self):
+        # 400 subjects with 10% missing: 279 distinct designs and an optimum
+        # near the boundary, where a quasi-Newton first phase stopped at the
+        # cap with a projected gradient of 4.7e-2
+        spec = poly_spec(9, "unstructured")
+        cohort = simulate(spec, [700.0, -60.0, 45.0, -35.0, 28.0, -22.0, 18.0, -14.0, 11.0, -9.0],
+                          np.diag([120.0, 70.0, 45.0, 30.0, 20.0, 14.0, 10.0, 7.0, 5.0, 4.0]),
+                          16.0, n_subjects=400, seed=3, missing_rate=0.1)
+        fitted = a.fit(spec, cohort)
+        assert fitted.converged and fitted.gradient_norm <= 1e-6
+        assert fitted.iterations < 500
+        hist = np.asarray(fitted.ascent_history)
+        assert np.all(np.diff(hist) >= 0.0)
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(cohorts_and_permutations())
