@@ -1,15 +1,20 @@
-"""Subject-specific prediction: BLUPs, profiles, and prediction bands."""
+"""Subject-specific prediction: BLUPs, profiles, and prediction bands.
+
+A batch of profiles is array work: the time bases are evaluated once on the union
+of the batch's times and once on the grid, covariates enter as coefficients on
+them, and all time patterns of one length are factored in one stacked call.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
 from .basis import TimeGrid
-from .design import Subject, build_design, design_key
+from .design import Subject, build_design, covariate_values, mean_coefficients
 from .errors import ConditioningError, ConfigError
 from .estimation import FittedModel
 
@@ -31,94 +36,82 @@ class PredictionBand:
     level: float
 
 
-def _design_on(fitted: FittedModel, subject: Subject, times: TimeGrid, memo: dict):
-    """X beta and Z on ``times`` for ``subject``'s covariates.
-
-    ``build_design`` runs once per distinct (times, covariate encoding) in
-    ``memo``; Z, which carries no covariates, is kept once per times.
-    """
-    at, code = design_key(fitted.spec, subject, fitted.context, times)
-    mean, z = memo.get(("mean", at, code)), memo.get(("z", at))
-    if mean is None:
-        pair = build_design(fitted.spec, Subject(id=subject.id, times=times,
-                                                 y=np.zeros(len(times)),
-                                                 covariates=subject.covariates),
-                            fitted.context)
-        mean = memo[("mean", at, code)] = pair.X @ fitted.beta_hat
-        z = memo.setdefault(("z", at), pair.Z)
-    return mean, z
+def random_effects_blup(fitted: FittedModel, subject: Subject) -> np.ndarray:
+    """d = Sigma_d Z' V^-1 (y - X beta) at the fitted parameters, V = Z Sigma_d Z' + sigma^2 I."""
+    return _blups(fitted, [subject])[0][0]
 
 
-def random_effects_blup(fitted: FittedModel, subject: Subject,
-                        memo: Optional[dict] = None) -> np.ndarray:
-    """d = Sigma_d Z' V^-1 (y - X beta) at the fitted parameters, V = Z Sigma_d Z' + sigma^2 I.
-
-    V depends only on the observation times: ``memo`` (one dict shared by
-    calls on the same fit) keeps the gain V^-1 Z Sigma_d once per distinct
-    times.  A missing gain is factored together with every pattern of the
-    same length registered by ``subject_profiles``.
-    """
-    memo = {} if memo is None else memo
-    mean, _ = _design_on(fitted, subject, subject.times, memo)
-    key = subject.times.points.tobytes()
-    gain = memo.get(("gain", key))
-    if gain is None:
-        batch = memo.pop(("pending", len(subject.times)), {})
-        batch.setdefault(key, subject)
-        _factor_gains(fitted, batch, memo)
-        gain = memo[("gain", key)]
-    return (subject.y - mean) @ gain
-
-
-def _factor_gains(fitted: FittedModel, batch: dict, memo: dict) -> None:
-    """Gains of equal-length time patterns (bytes -> a subject observed at
-    them) from one stacked Cholesky factorization and inverse."""
-    z = np.stack([_design_on(fitted, s, s.times, memo)[1] for s in batch.values()])
-    zs = z @ fitted.sigma_d_hat
-    v = zs @ z.transpose(0, 2, 1) + fitted.sigma2_hat * np.eye(z.shape[1])
-    try:
-        li = np.linalg.inv(np.linalg.cholesky(v))
-    except np.linalg.LinAlgError:
-        for s, one in zip(batch.values(), v):  # name the first subject that fails
-            try:
-                np.linalg.cholesky(one)
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    f"marginal covariance not factorizable for subject {s.id!r}"
-                ) from exc
-        raise
-    for key, gain in zip(batch, li.transpose(0, 2, 1) @ (li @ zs)):
-        memo[("gain", key)] = gain
-
-
-def subject_profile(fitted: FittedModel, subject: Subject,
-                    eval_times: Optional[TimeGrid] = None,
-                    memo: Optional[dict] = None) -> ProfileCurve:
-    """Smoothed predicted curve y = X beta + Z d for one subject.
-
-    ``memo`` shares designs and factorizations across calls on one fit.
-    """
-    memo = {} if memo is None else memo
-    d_hat = random_effects_blup(fitted, subject, memo)
-    if eval_times is None:
-        eval_times = subject.times
-    mean, z = _design_on(fitted, subject, eval_times, memo)
-    values = mean + z @ d_hat
-    return ProfileCurve(times=eval_times, values=values, kind="subject", subject_id=subject.id)
+def subject_profile(fitted: FittedModel, subject, eval_times: Optional[TimeGrid] = None
+                    ) -> ProfileCurve:
+    """Smoothed predicted curve y = X beta + Z d for one subject, or for a
+    sequence of subjects on ``eval_times``: then one row of values each."""
+    one = isinstance(subject, Subject)
+    batch = [subject] if one else list(subject)
+    times = subject.times if eval_times is None else eval_times
+    values = np.zeros((0, len(times)))
+    if batch:
+        d, b, weights, offset, encoding = _blups(fitted, batch)
+        s, z = _time_matrices(fitted, batch[0], times)
+        values = (s @ b.T @ weights.T + offset).T[encoding] + d @ z.T
+    return ProfileCurve(times=times, values=values[0] if one else values, kind="subject",
+                        subject_id=subject.id if one else None)
 
 
 def subject_profiles(fitted: FittedModel, subjects, eval_times: TimeGrid) -> np.ndarray:
-    """(n, len(eval_times)) smoothed curves, one row per subject.
+    """(n, len(eval_times)) smoothed curves, one row per subject, from one
+    ``subject_profile`` call (``bench/spans.py`` times the batch under that name)."""
+    return subject_profile(fitted, list(subjects), eval_times).values
 
-    One memo serves the whole batch: each distinct design is built once,
-    the grid once per distinct covariate encoding, and the gains of all
-    time patterns of one length come from one stacked factorization.
-    """
-    memo = {}
-    for s in subjects:
-        memo.setdefault(("pending", len(s.times)), {}).setdefault(s.times.points.tobytes(), s)
-    rows = [subject_profile(fitted, s, eval_times, memo).values for s in subjects]
-    return np.array(rows).reshape(len(rows), len(eval_times))
+
+def _time_matrices(fitted: FittedModel, carrier: Subject, times: TimeGrid):
+    """(S, Z) on ``times`` via ``build_design``, which makes every X; S, the time basis, leads."""
+    pair = build_design(fitted.spec, replace(carrier, times=times, y=np.zeros(len(times))),
+                        fitted.context)
+    return pair.X[:, : fitted.spec.fixed.n_columns], pair.Z
+
+
+def _blups(fitted: FittedModel, subjects: list):
+    """(n, m) BLUPs of a batch; the mean S B' weights + offset of each
+    distinct covariate encoding (one row each); each subject's encoding.  With
+    Z = Q R (k = min(p, m) columns of Q), V^-1 Z Sigma_d = Q M^-1 R Sigma_d
+    for the fit's rotated M = R Sigma_d R' + sigma^2 I."""
+    values = [covariate_values(fitted.spec, s, fitted.context) for s in subjects]
+    b, weights, offset, encoding = mean_coefficients(fitted.spec, fitted.beta_hat, values)
+    counts = np.array([s.n_obs for s in subjects])
+    starts = np.cumsum(counts) - counts
+    union, where = np.unique(np.concatenate([s.times.points for s in subjects]),
+                             return_inverse=True)
+    basis, z = _time_matrices(fitted, subjects[0], TimeGrid(union))
+    on = np.repeat(encoding, counts)
+    resid = (np.concatenate([s.y for s in subjects])
+             - np.einsum("ji,ji->j", (basis @ b.T)[where], weights[on]) - offset[on])
+    d = np.empty((len(subjects), z.shape[1]))
+    # the first subject of each length whose V is not PD; without sigma^2 its rank is m < p
+    s2 = fitted.sigma2_hat
+    failed = list(np.flatnonzero(counts > z.shape[1])[:1]) if s2 <= 0.0 else []
+    for p in np.unique(counts):
+        members = np.flatnonzero(counts == p)
+        obs = starts[members, None] + np.arange(p)
+        patterns, which = np.unique(where[obs], axis=0, return_inverse=True)
+        which = which.reshape(-1)  # numpy 2.0.0 returns it as a column
+        q, r = np.linalg.qr(z[patterns])
+        m_rot = r @ fitted.sigma_d_hat @ r.transpose(0, 2, 1) + s2 * np.eye(r.shape[1])
+        try:
+            np.linalg.cholesky(m_rot)
+        except np.linalg.LinAlgError:
+            for i, one in zip(members, m_rot[which]):
+                try:
+                    np.linalg.cholesky(one)
+                except np.linalg.LinAlgError:
+                    failed.append(i)
+                    break
+            continue
+        gain = q @ np.linalg.solve(m_rot, r @ fitted.sigma_d_hat)
+        d[members] = np.einsum("kpm,kp->km", gain[which], resid[obs])
+    if failed:
+        raise ConditioningError("marginal covariance not factorizable for subject "
+                                f"{subjects[min(failed)].id!r}")
+    return d, b, weights, offset, encoding
 
 
 def population_curve(fitted: FittedModel, eval_times: TimeGrid) -> ProfileCurve:
@@ -145,8 +138,7 @@ def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.
         if not 0.0 <= multiplier < np.inf:
             raise ConfigError("band multiplier must be finite and nonnegative")
         z = float(multiplier)
-    s = fitted.context.fixed_time_matrix(eval_times)
-    u = fitted.context.random_matrix(eval_times)
+    s, u = fitted.context.time_matrices(eval_times)
     phi_tt = fitted.cov_beta[: s.shape[1], : s.shape[1]]
     var = (
         np.einsum("ij,jk,ik->i", s, phi_tt, s)

@@ -322,8 +322,7 @@ def _simulate_subject(index: int, config: SimulationConfig, context: BasisContex
             keep[:] = True  # degenerate draw: fall back to the full grid
         t = t[keep]
     grid = TimeGrid(t)
-    s = context.fixed_time_matrix(grid)
-    u = context.random_matrix(grid)
+    s, u = context.time_matrices(grid)
     d = chol_d @ rng.standard_normal(chol_d.shape[0])
     e = rng.standard_normal(len(grid)) * np.sqrt(config.sigma2)
     y = s @ config.beta + u @ d + e

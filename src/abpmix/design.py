@@ -342,7 +342,9 @@ class BasisContext:
         self.spec = spec
         self.reference_grid = TimeGrid.equispaced(spec.reference_grid_points, 0.0, 24.0)
         self._fixed = self._prepare(spec.fixed, orthonormalize=True)
-        self._random = self._prepare(spec.random, orthonormalize=spec.orthonormalize_random)
+        # equal descriptors share one basis (the flag matters only to natural polynomials)
+        random = (spec.random, spec.orthonormalize_random or spec.random.kind != "natural_poly")
+        self._random = self._fixed if random == (spec.fixed, True) else self._prepare(*random)
         if encoder is not None:
             self.encoder = encoder
         else:
@@ -385,9 +387,10 @@ class BasisContext:
         """Fixed-effect time-basis columns, intercept included."""
         return self._matrix(self._fixed, times)
 
-    def random_matrix(self, times: TimeGrid) -> np.ndarray:
-        """Random-effect design: intercept plus random-basis time columns."""
-        return self._matrix(self._random, times)
+    def time_matrices(self, times: TimeGrid):
+        """(fixed_time_matrix, random-effect design Z) on ``times``, one evaluation if shared."""
+        s = self.fixed_time_matrix(times)
+        return s, (s if self._random is self._fixed else self._matrix(self._random, times))
 
     def fixed_column_labels(self) -> list:
         spec = self.spec
@@ -403,16 +406,22 @@ class BasisContext:
         return labels
 
 
-def design_key(spec: ModelSpec, subject: Subject, context: BasisContext,
-               times: Optional[TimeGrid] = None) -> tuple:
+def covariate_values(spec: ModelSpec, subject: Subject, context: BasisContext):
+    """(group-term values, interaction-term values) of a subject, encoded
+    as ``build_design`` enters them; both empty for a model without terms."""
+    if not (spec.group_terms or spec.interaction_terms):
+        return np.zeros(0), np.zeros(0)
+    if context.encoder is None:
+        raise SpecError("spec names covariates but no encoder is available")
+    return tuple(np.array([v for t in terms for v in context.encoder.encode(subject, t)])
+                 for terms in (spec.group_terms, spec.interaction_terms))
+
+
+def design_key(spec: ModelSpec, subject: Subject, context: BasisContext) -> tuple:
     """(times, covariate encoding) as bytes: everything ``build_design``
-    reads of a subject whose observation times are ``times`` (its own by
-    default), so subjects with equal keys have equal designs."""
-    times = subject.times if times is None else times
-    encoder = context.encoder
-    terms = spec.group_terms + spec.interaction_terms
-    code = b"".join(encoder.encode(subject, t).tobytes() for t in terms) if encoder else b""
-    return times.points.tobytes(), code
+    reads of a subject, so subjects with equal keys have equal designs."""
+    group, interaction = covariate_values(spec, subject, context)
+    return subject.times.points.tobytes(), group.tobytes() + interaction.tobytes()
 
 
 def build_design(spec: ModelSpec, subject: Subject, context: BasisContext) -> DesignPair:
@@ -421,23 +430,23 @@ def build_design(spec: ModelSpec, subject: Subject, context: BasisContext) -> De
     X column order: intercept + time-basis columns, then group indicators,
     then interaction columns.  Z never carries covariates.
     """
-    s = context.fixed_time_matrix(subject.times)
-    blocks = [s]
-    if spec.group_terms or spec.interaction_terms:
-        if context.encoder is None:
-            raise SpecError("spec names covariates but no encoder is available")
-        p = subject.n_obs
-        for term in spec.group_terms:
-            vals = context.encoder.encode(subject, term)
-            blocks.append(np.tile(vals, (p, 1)))
-        for term in spec.interaction_terms:
-            vals = context.encoder.encode(subject, term)
-            time_cols = s[:, 1:]  # intercept interactions are the group terms
-            for v in vals:
-                blocks.append(v * time_cols)
-    x = np.hstack(blocks)
-    z = context.random_matrix(subject.times)
-    return DesignPair(X=x, Z=z)
+    s, z = context.time_matrices(subject.times)
+    group, interaction = covariate_values(spec, subject, context)
+    blocks = [s, np.tile(group, (subject.n_obs, 1))] + [v * s[:, 1:] for v in interaction]
+    return DesignPair(X=np.hstack(blocks), Z=z)
+
+
+def mean_coefficients(spec: ModelSpec, beta: np.ndarray, values: Sequence[tuple]):
+    """X beta = S B' w + o, S the fixed time basis, for subjects with the
+    given ``covariate_values``: (B, one row of w and o per distinct encoding,
+    the index of each subject's encoding)."""
+    qt, n_group = spec.fixed.n_columns, values[0][0].size
+    codes, encoding = np.unique([np.concatenate(v) for v in values], axis=0, return_inverse=True)
+    b = np.zeros((1 + codes.shape[1] - n_group, qt))
+    b[0] = beta[:qt]
+    b[1:, 1:] = beta[qt + n_group:].reshape(len(b) - 1, qt - 1)
+    weights = np.hstack([np.ones((len(codes), 1)), codes[:, n_group:]])
+    return b, weights, codes[:, :n_group] @ beta[qt: qt + n_group], encoding.reshape(-1)
 
 
 def parameter_count(spec: ModelSpec, encoder: Optional[CovariateEncoder] = None):

@@ -214,7 +214,7 @@ def test_criterion_09_band_coverage():
     band = a.prediction_band(fitted, grid, level=0.90)
     rng = np.random.default_rng(900)
     n_sim = 10_000
-    u = fitted.context.random_matrix(grid)
+    u = fitted.context.time_matrices(grid)[1]
     s = fitted.context.fixed_time_matrix(grid)
     # new subjects drawn from the fitted model, including uncertainty in
     # the estimated fixed effects

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abpmix as a
+from abpmix import basis
 from abpmix import blup as blup_module
 from abpmix import serialize
 from abpmix.basis import TimeGrid
@@ -240,6 +243,43 @@ def incomplete_covariate_fit(irregular=False):
     return cohort, a.fit(spec, cohort)
 
 
+def oracle_profile(fitted, s, grid):
+    """(BLUP, profile on ``grid``) of subject ``s`` from the dense
+    conditional mean and designs built for it alone."""
+    pair = design_for(fitted, s)
+    d = conditional_mean_blup_oracle(pair.Z, fitted.sigma_d_hat, fitted.sigma2_hat,
+                                     s.y - pair.X @ fitted.beta_hat)
+    on_grid = design_for(fitted, a.Subject(id=s.id, times=grid, y=np.zeros(len(grid)),
+                                           covariates=s.covariates))
+    return d, on_grid.X @ fitted.beta_hat + on_grid.Z @ d
+
+
+_HOURS = np.arange(24.0) + 0.5
+
+
+@st.composite
+def profile_batches(draw):
+    """(subjects, a permutation of their indices) for ``incomplete_covariate_fit``:
+    patterns of several lengths (one shorter than the random effects),
+    repeated or not, every diet level with fitted, unseen and continuous
+    ages, and jittered times that no other subject shares."""
+    mask = np.array(draw(st.lists(st.booleans(), min_size=24, max_size=24)))
+    pool = [_HOURS, _HOURS[::2], _HOURS[[3, 15]], _HOURS[mask | (np.arange(24) == 7)]]
+    rows = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans(),
+                                   st.sampled_from(["salt", "control", "dash"]),
+                                   st.one_of(st.sampled_from([30.0, 36.0, 47.5]),
+                                             st.floats(25.0, 60.0))),
+                         min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subjects = []
+    for i, (k, jitter, diet, age) in enumerate(rows):
+        times = pool[k] + (rng.uniform(-0.25, 0.25, size=pool[k].size) if jitter else 0.0)
+        subjects.append(a.Subject(id=f"b{i}", times=TimeGrid(times),
+                                  y=rng.normal(130.0, 12.0, size=times.size),
+                                  covariates={"diet": diet, "age": age}))
+    return subjects, draw(st.permutations(range(len(subjects))))
+
+
 def count_calls(monkeypatch, owner, name):
     """One entry per call of ``owner.name``: the leading batch size of its
     first argument (1 for anything but a stack of matrices)."""
@@ -271,41 +311,67 @@ class TestBatchedProfiles:
         got = a.subject_profiles(fitted, cohort.subjects, grid)
         assert got.shape == (len(cohort), len(grid))
         for i, s in enumerate(cohort.subjects):
-            pair = design_for(fitted, s)
-            want_d = conditional_mean_blup_oracle(pair.Z, fitted.sigma_d_hat, fitted.sigma2_hat,
-                                                  s.y - pair.X @ fitted.beta_hat)
-            on_grid = design_for(fitted, a.Subject(id=s.id, times=grid, y=np.zeros(len(grid)),
-                                                   covariates=s.covariates))
-            want = on_grid.X @ fitted.beta_hat + on_grid.Z @ want_d
+            want_d, want = oracle_profile(fitted, s, grid)
             got_d = a.random_effects_blup(fitted, s)
             assert np.max(np.abs(got_d - want_d)) <= 1e-10 * np.max(np.abs(want_d))
             assert np.max(np.abs(got[i] - want)) <= 1e-10 * np.max(np.abs(want))
 
-    def test_each_design_is_built_and_factorized_once(self, incomplete, monkeypatch):
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(batch=profile_batches())
+    def test_batch_rows_are_single_profiles_in_any_order(self, incomplete, batch):
+        _, fitted = incomplete
+        subjects, order = batch
+        grid = TimeGrid.equispaced(13)
+        got = a.subject_profiles(fitted, subjects, grid)
+        permuted = a.subject_profiles(fitted, [subjects[i] for i in order], grid)
+        for i, s in enumerate(subjects):
+            want = oracle_profile(fitted, s, grid)[1]
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got[i] - want)) <= 1e-10 * scale
+            one = a.subject_profile(fitted, s, grid).values
+            assert np.max(np.abs(got[i] - one)) <= 1e-12 * scale
+            assert np.max(np.abs(permuted[order.index(i)] - got[i])) <= 1e-12 * scale
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The number of observation times of each ``build_design`` call
+        made by blup, and one entry per evaluation of a polynomial basis."""
+        builds, evaluations = [], count_calls(monkeypatch, basis, "evaluate_polynomial_basis")
+        build = blup_module.build_design
+        monkeypatch.setattr(blup_module, "build_design",
+                            lambda *args: builds.append(args[1].n_obs) or build(*args))
+        return builds, evaluations
+
+    def test_each_batch_builds_two_designs_and_factorizes_each_pattern_once(self, incomplete,
+                                                                           monkeypatch):
         cohort, fitted = incomplete
-        builds = count_calls(monkeypatch, blup_module, "build_design")
+        builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
         a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
         patterns = {s.times.points.tobytes() for s in cohort.subjects}
         lengths = {len(s.times) for s in cohort.subjects}
-        encodings = {(s.covariates["diet"], s.covariates["age"]) for s in cohort.subjects}
-        designs = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
-                   for s in cohort.subjects}
+        union = np.unique(np.concatenate([s.times.points for s in cohort.subjects]))
         # one stacked factorization per pattern length, each pattern in exactly one
         assert sum(factors) == len(patterns) < len(cohort)
         assert len(factors) == len(lengths) < len(patterns)
-        assert len(builds) == len(designs) + len(encodings) < len(cohort)
+        # whatever the covariate encodings: one design on the union of the
+        # observation times, one on the grid, each evaluating the shared basis once
+        assert sorted(builds) == sorted([25, union.size])
+        assert len(evaluations) == len(builds)
 
-    def test_irregular_designs_cost_one_build_per_subject_and_grid(self, irregular,
-                                                                   monkeypatch):
-        # nothing is shared, so the work is that of one subject at a time
+    def test_irregular_designs_cost_two_builds_linear_in_observations(self, irregular,
+                                                                      monkeypatch):
+        # no two subjects share a time or a covariate encoding: the designs
+        # still come from two builds whose rows are the observations and the grid
         cohort, fitted = irregular
-        builds = count_calls(monkeypatch, blup_module, "build_design")
+        builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
         a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
+        assert len({s.covariates["age"] for s in cohort.subjects}) == len(cohort)
         assert sum(factors) == len(cohort)
         assert len(factors) == len({len(s.times) for s in cohort.subjects}) < len(cohort)
-        assert len(builds) == 2 * len(cohort)
+        assert sorted(builds) == sorted([25, cohort.n_obs])
+        assert len(evaluations) == len(builds)
 
     def test_rows_do_not_depend_on_the_batch(self, incomplete):
         cohort, fitted = incomplete
@@ -314,6 +380,35 @@ class TestBatchedProfiles:
         for i in (0, 12, 39):
             one = a.subject_profile(fitted, cohort.subjects[i], grid).values
             np.testing.assert_allclose(batch[i], one, rtol=1e-12)
+
+    def test_batch_runs_inside_one_subject_profile_call(self, incomplete, monkeypatch):
+        # bench/spans.py wraps the module-level subject_profile: the whole
+        # batch, its design builds and factorizations included, runs in one call
+        cohort, fitted = incomplete
+        inside, events = [], []  # subject_profile's argument, then None once it returns
+        profile = blup_module.subject_profile
+
+        def wrapped(*args, **kwargs):
+            inside.append(args[1])
+            try:
+                return profile(*args, **kwargs)
+            finally:
+                inside.append(None)
+
+        def seen(orig):  # records whether each call falls inside subject_profile
+            return lambda *args: events.append(inside[-1:] != [None]) or orig(*args)
+
+        monkeypatch.setattr(blup_module, "subject_profile", wrapped)
+        monkeypatch.setattr(blup_module, "build_design", seen(blup_module.build_design))
+        monkeypatch.setattr(np.linalg, "cholesky", seen(np.linalg.cholesky))
+        grid = TimeGrid.equispaced(25)
+        got = a.subject_profiles(fitted, cohort.subjects, grid)
+        assert len(inside) == 2 and list(inside[0]) == list(cohort.subjects)
+        lengths = {len(s.times) for s in cohort.subjects}
+        assert events == [True] * (2 + len(lengths))
+        want = a.subject_profile(fitted, list(cohort.subjects), grid)
+        assert want.subject_id is None and want.kind == "subject"
+        np.testing.assert_array_equal(got, want.values)
 
     def test_empty_batch(self, incomplete):
         _, fitted = incomplete
@@ -325,6 +420,19 @@ class TestBatchedProfiles:
                                          sigma2_hat=0.0)
         with pytest.raises(ConditioningError, match="subject"):
             a.subject_profiles(degenerate, cohort.subjects[:5], TimeGrid.equispaced(9))
+
+    def test_names_the_first_subject_whose_covariance_is_singular(self, small_fit):
+        # without residual variance V = Z Sigma_d Z' is singular beyond m = 3
+        # times, whatever the length of the patterns factored first
+        _, cohort, fitted = small_fit
+        noiseless = dataclasses.replace(fitted, sigma2_hat=0.0)
+        s = cohort.subjects[0]
+        few = [a.Subject(id=f"few{k}", times=TimeGrid(s.times.points[k:k + 3]), y=s.y[k:k + 3])
+               for k in range(2)]
+        batch = [few[0], cohort.subjects[1], few[1], cohort.subjects[2]]
+        with pytest.raises(ConditioningError, match=repr(cohort.subjects[1].id)):
+            a.subject_profiles(noiseless, batch, TimeGrid.equispaced(9))
+        assert a.subject_profiles(noiseless, few, TimeGrid.equispaced(9)).shape == (2, 9)
 
     def test_unfactorizable_covariance_exits_2(self, small_fit, tmp_path, capsys):
         _, cohort, fitted = small_fit

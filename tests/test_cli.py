@@ -9,12 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abpmix as a
 from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.cli import _g17, _write_series, main
-from abpmix.errors import SchemaError
+from abpmix.dataio import write_cohort
+from abpmix.errors import AbpmixError, SchemaError
 from abpmix.estimation import MixedModelProblem
 
 from conftest import poly_spec
@@ -309,6 +312,57 @@ class TestCompareCommand:
         assert code == 0
         text = (out / "comparison.csv").read_text()
         assert "RankError" in text
+
+
+def boundary_cohort(case, n_subjects, seed):
+    """A cohort at an edge of the parameter space: constant or
+    near-constant outcomes, no between-subject variation, or one subject."""
+    rng = np.random.default_rng(seed)
+    times = np.arange(24.0) + 0.5
+    curve = 120.0 + 10.0 * np.sin(2.0 * np.pi * times / 24.0)
+    if case == "single subject":
+        n_subjects = 1
+    subjects = []
+    for i in range(n_subjects):
+        y = {"constant y": np.full(times.size, 120.0),
+             "near-constant y": 120.0 + 1e-9 * rng.normal(size=times.size),
+             "no between-subject variation": curve + rng.normal(0.0, 3.0, size=times.size),
+             "single subject": curve + rng.normal(0.0, 3.0, size=times.size)}[case]
+        subjects.append(a.Subject(id=f"e{i}", times=TimeGrid(times), y=y))
+    return a.Cohort(subjects=tuple(subjects))
+
+
+class TestBoundaryFits:
+    # unstructured fits of constant outcomes run to the iteration cap: keep it small
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    @pytest.mark.parametrize("case", ["constant y", "near-constant y",
+                                      "no between-subject variation", "single subject"])
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(degree=st.integers(0, 2), n_subjects=st.integers(2, 6), seed=st.integers(0, 2**16))
+    def test_end_in_an_estimate_or_a_typed_error(self, tmp_path_factory, case, structure, degree,
+                                                 n_subjects, seed):
+        cohort = boundary_cohort(case, n_subjects, seed)
+        spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", degree),
+                           random=a.BasisDescriptor("orthonormal_poly", degree),
+                           random_cov=structure)
+        try:
+            result = a.fit(spec, cohort, max_iter=20)
+        except AbpmixError as exc:
+            result = exc
+        assert isinstance(result, (a.FittedModel, AbpmixError))
+
+        root = tmp_path_factory.mktemp("boundary")
+        data = root / "cohort.csv"
+        write_cohort(data, cohort)
+        model = write_spec(root / "model.json", degree, random_cov=structure)
+        code = main(["fit", "--model", model, "--data", str(data), "--max-iter", "20",
+                     "--out", str(root / "fit")])
+        assert code in (0, 2, 3)
+        if code != 2:
+            code = main(["profiles", "--fit", str(root / "fit" / "fit.json"),
+                         "--data", str(data), "--subjects", cohort.subjects[0].id,
+                         "--out", str(root / "profiles")])
+            assert code in (0, 2)
 
 
 class TestProfilesCommand:

@@ -338,7 +338,7 @@ class TestSimulateCohort:
         cohort = a.simulate_cohort(cfg, workers=4)
         ctx = BasisContext(spec)
         times = cohort.subjects[0].times
-        u = ctx.random_matrix(times)
+        u = ctx.time_matrices(times)[1]
         target = np.einsum("ij,jk,ik->i", u, sigma_d, u) + sigma2
         ys = np.stack([s.y for s in cohort])
         emp = ys.var(axis=0, ddof=1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abpmix as a
-from abpmix import estimation, serialize
+from abpmix import basis, estimation, serialize
 from abpmix.basis import TimeGrid
 from abpmix.errors import RankError
 from abpmix.estimation import (
@@ -544,7 +546,7 @@ class TestDesignSharing:
         subjects shared (times, covariate encoding)."""
         with monkeypatch.context() as mp:
             mp.setattr(estimation, "design_key",
-                       lambda spec, subject, context, times=None: subject.id)
+                       lambda spec, subject, context: subject.id)
             return MixedModelProblem(spec, cohort)
 
     def test_statistics_likelihood_and_fit_bitwise_equal_to_per_subject_designs(
@@ -577,3 +579,27 @@ class TestDesignSharing:
         distinct = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
                     for s in cohort}
         assert len(calls) == len(distinct) < len(cohort)
+
+    @pytest.mark.parametrize("random_degree", [2, 1])
+    def test_a_basis_shared_by_x_and_z_is_evaluated_once_per_design(self, random_degree,
+                                                                     monkeypatch):
+        spec, cohort = shared_and_jittered_cohort()
+        spec = dataclasses.replace(spec, random=a.BasisDescriptor("orthonormal_poly",
+                                                                  random_degree))
+        per_design = 1 if spec.random == spec.fixed else 2
+        calls = []
+        evaluate = basis.evaluate_polynomial_basis
+        monkeypatch.setattr(basis, "evaluate_polynomial_basis",
+                            lambda *args: calls.append(args[1]) or evaluate(*args))
+        MixedModelProblem(spec, cohort)
+        distinct = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
+                    for s in cohort}
+        assert len(calls) == per_design * len(distinct)
+        calls.clear()
+        config = a.SimulationConfig(spec=dataclasses.replace(spec, group_terms=(),
+                                                             interaction_terms=()),
+                                    beta=np.array([120.0, -5.0, 2.0]),
+                                    sigma_d=np.eye(random_degree + 1), sigma2=4.0,
+                                    n_subjects=5, seed=3, missing_rate=0.1)
+        a.simulate_cohort(config)
+        assert len(calls) == per_design * 5
