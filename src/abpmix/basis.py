@@ -54,6 +54,17 @@ class TimeGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
+    def _trusted(cls, points: np.ndarray) -> "TimeGrid":
+        """A grid that holds ``points`` itself: no copy and no checks.
+
+        Precondition: ``points`` is a read-only one-dimensional float
+        array, finite, strictly increasing and within TIME_DOMAIN.
+        """
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "points", points)
+        return grid
+
+    @classmethod
     def equispaced(cls, n: int, start: float = 0.0, end: float = 24.0) -> "TimeGrid":
         if n < 1:
             raise GridError("need at least one grid point")

@@ -15,8 +15,12 @@ ParseError, the header included.  Within a record the checks run in
 this order: a short row, an unparsable time, an unparsable outcome
 (ParseError), a time its subject already has (DuplicateError), a
 covariate whose value differs from the subject's first record
-(SchemaError).  Non-finite or out-of-range values then fail the
-``Subject`` and ``TimeGrid`` checks, in order of first appearance.
+(SchemaError).  Then one vectorized pass over the sorted cohort makes
+every check of ``TimeGrid`` and ``Subject``: finite times in [0, 24],
+strictly increasing within each subject, finite outcomes, no subject
+empty.  The first subject, in order of first appearance, that fails it
+is built through the public constructors, which raise its GridError or
+SpecError.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .basis import TimeGrid
+from .basis import TIME_DOMAIN, TimeGrid
 from .design import BasisContext, Cohort, ModelSpec, Subject
 from .errors import ConfigError, DuplicateError, ParseError, SchemaError, SpecError
 
@@ -56,13 +60,13 @@ def _floats(cells: list):
     """``float()`` of the cells before the first one that does not parse,
     and that cell's index (``len(cells)`` when every cell parses)."""
     try:
-        return np.fromiter(map(float, cells), float, len(cells)), len(cells)
+        return np.array(cells, dtype=float), len(cells)
     except ValueError:
         for n, text in enumerate(cells):
             try:
                 float(text)
             except ValueError:
-                return np.fromiter(map(float, cells[:n]), float, n), n
+                return np.array(cells[:n], dtype=float), n
 
 
 def _records(reader, first: int, count: int):
@@ -88,8 +92,12 @@ def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence
 
     The file is tokenized by ``csv.reader`` in chunks of ``_CHUNK_ROWS``
     records and converted column by column; one stable sort on (subject,
-    time) then finds duplicate times and orders each subject's rows.  The
-    errors and their precedence are in the module docstring.
+    time) then finds duplicate times and orders each subject's rows, and
+    one pass over the sorted arrays checks the whole cohort.  The sorted
+    time and outcome arrays are then made read-only, and each subject's
+    ``times.points`` and ``y`` are views (slices) of them, built without a
+    copy or a second check.  The errors and their precedence are in the
+    module docstring.
     """
     outcome = outcome.lower()
     try:
@@ -165,7 +173,9 @@ def _read_columns(reader, column: dict, outcome: str, covariate_columns: Sequenc
 
 def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
     """Subjects from the converted records, after the checks that compare
-    records: duplicate times and changed covariates."""
+    records (duplicate times, changed covariates) and one pass over the
+    sorted cohort that makes every check of ``TimeGrid`` and ``Subject``;
+    each subject then holds read-only views of the sorted arrays."""
     if not ids:
         raise error if error is not None else SchemaError("no data rows")
     t, y, code, rownum, *cells = columns
@@ -198,12 +208,25 @@ def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
     if error is not None:
         raise error
     ys = y[order]
-    edges = [0, *(np.flatnonzero(cs[1:] != cs[:-1]) + 1).tolist(), cs.size]
-    subjects = []
-    for sid, a, b, j in zip(ids, edges, edges[1:], firsts):
-        covariates = {c: _covariate_value(col[j]) for c, col in zip(covariate_columns, cells)}
-        subjects.append(Subject(id=sid, times=TimeGrid(ts[a:b]), y=ys[a:b], covariates=covariates))
-    return Cohort(subjects=tuple(subjects), outcome_label=outcome.upper())
+    lo, hi = TIME_DOMAIN
+    fine = (ts >= lo) & (ts <= hi) & np.isfinite(ys)  # a non-finite time fails a bound
+    fine[1:] &= (ts[1:] > ts[:-1]) | (cs[1:] != cs[:-1])
+    # subject k's rows are edges[k] to edges[k + 1]; an empty range is an empty subject
+    edges = np.searchsorted(cs, np.arange(len(ids) + 1)).tolist()
+    bad = np.union1d(cs[~fine], np.flatnonzero(np.diff(edges) == 0))
+    if bad.size:  # the public constructors raise the first such subject's error
+        k = int(bad[0])
+        a, b = edges[k], edges[k + 1]
+        Subject(id=ids[k], times=TimeGrid(ts[a:b]), y=ys[a:b])
+        raise AssertionError(f"subject {ids[k]!r} failed the cohort check but not its own")
+    ts.flags.writeable = False
+    ys.flags.writeable = False
+    values = [[_covariate_value(col[j]) for j in firsts.tolist()] for col in cells]
+    subjects = tuple(
+        Subject._trusted(sid, TimeGrid._trusted(ts[a:b]), ys[a:b], dict(zip(covariate_columns, v)))
+        for sid, a, b, *v in zip(ids, edges, edges[1:], *values)
+    )
+    return Cohort(subjects=subjects, outcome_label=outcome.upper())
 
 
 def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):

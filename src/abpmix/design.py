@@ -215,6 +215,18 @@ class Subject:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "covariates", dict(self.covariates))
 
+    @classmethod
+    def _trusted(cls, id: str, times: TimeGrid, y: np.ndarray, covariates: dict) -> "Subject":
+        """A subject that holds its arguments themselves: no copies and no checks.
+
+        Precondition: ``times`` is nonempty, ``y`` is a read-only float
+        array of its length with finite values, and no caller keeps
+        ``covariates``.
+        """
+        subject = object.__new__(cls)
+        subject.__dict__.update(id=id, times=times, y=y, covariates=covariates)
+        return subject
+
     @property
     def n_obs(self) -> int:
         return len(self.times)

@@ -147,12 +147,15 @@ def r2_statistics(fitted: FittedModel, terms=None):
     """Model R2 plus per-term semi-partial R2 values.
 
     The model term is every fixed effect except the intercept; by default
-    each non-intercept column is its own semi-partial term.
+    each non-intercept column is its own semi-partial term.  An
+    intercept-only model has no model term: its model R2 is NaN and it
+    has no default semi-partials.
     """
     q = fitted.q
-    model_contrast = Contrast.for_columns(range(1, q), q, label="model")
-    tr = f_test(fitted, model_contrast)
-    model_r2 = _r2_from_f(tr.F, tr.ndf, tr.ddf)
+    model_r2 = float("nan")
+    if q > 1:
+        tr = f_test(fitted, Contrast.for_columns(range(1, q), q, label="model"))
+        model_r2 = _r2_from_f(tr.F, tr.ndf, tr.ddf)
     if terms is None:
         labels = fitted.column_labels
         terms = [

@@ -74,6 +74,16 @@ class TestFitCommand:
         assert lines[0] == "parameter,degree,estimate,se,p_value,semi_partial_r2"
         assert len(lines) == 4  # header + 3 coefficients
 
+    def test_intercept_only_model_writes_its_tables(self, workspace, tmp_path):
+        _, data, _ = workspace
+        model = write_spec(tmp_path / "m0.json", 0)
+        out = tmp_path / "fit0"
+        assert main(["fit", "--model", model, "--data", data, "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO((out / "fixed_effects.csv").read_text())))
+        assert len(rows) == 2 and rows[1][0] == "intercept"
+        assert rows[1][4] != "" and rows[1][5] == ""  # a p-value; no semi-partial R2
+        assert (out / "variance_components.csv").exists()
+
     def test_unknown_flag_is_usage_error(self, workspace):
         root, data, model = workspace
         code = main(["fit", "--model", model, "--data", data, "--out", str(root / "x"),
@@ -252,6 +262,19 @@ class TestCompareCommand:
         assert lines[0].split(",")[:5] == ["model", "aic", "bic", "model_r2", "converged"]
         aics = [float(l.split(",")[1]) for l in lines[1:]]
         assert aics == sorted(aics)
+
+    def test_intercept_only_model_converges_with_empty_r2(self, workspace, tmp_path):
+        _, data, model = workspace
+        m0 = write_spec(tmp_path / "m0.json", 0)
+        out = tmp_path / "cmp0"
+        code = main(["compare", "--model", model, "--model", m0,
+                     "--data", data, "--out", str(out), "--force-reml-compare"])
+        assert code == 0
+        rows = {r["model"]: r for r in csv.DictReader(io.StringIO(
+            (out / "comparison.csv").read_text()))}
+        assert rows["m0"]["converged"] == "true"
+        assert rows["m0"]["model_r2"] == "" and rows["m0"]["error"] == ""
+        assert rows["m2"]["model_r2"] != ""
 
     def test_single_model_is_usage_error(self, workspace, tmp_path):
         _, data, model = workspace

@@ -12,7 +12,8 @@ from abpmix import dataio
 from abpmix.basis import TimeGrid
 from abpmix.dataio import write_cohort
 from abpmix.design import BasisContext
-from abpmix.errors import AbpmixError, ConfigError, DuplicateError, ParseError, SchemaError
+from abpmix.errors import (AbpmixError, ConfigError, DuplicateError, ParseError, SchemaError,
+                           SpecError)
 
 from conftest import poly_spec, row_loop_read_cohort
 
@@ -126,6 +127,22 @@ class TestReadCohort:
         with pytest.raises(ParseError, match="UTF-8"):
             a.read_cohort(str(p))
 
+    def test_subjects_hold_read_only_views(self, tmp_path):
+        cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
+        arrays = [arr for s in cohort for arr in (s.times.points, s.y)]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        # no two subjects, and no subject's times and y, share memory
+        for i, arr in enumerate(arrays):
+            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
+
+    def test_cohort_check_covers_a_subject_without_records(self):
+        columns = [np.array([0.5]), np.array([120.0]), np.array([0]), np.array([2])]
+        with pytest.raises(SpecError, match="subject 'b' has no observations"):
+            dataio._assemble(columns, ["a", "b"], None, "sbp", [])
+
     def test_write_read_round_trip(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
         out = tmp_path / "out.csv"
@@ -141,7 +158,8 @@ ID_ALPHABET = 'ab,"\n\r \u00e9'
 # each inner list spells one value
 COVARIATE_CELLS = {"age": [["41", "41.0", " 41", "4_1"], ["42"], [""]],
                    "diet": [["control"], ["salt"], ["nan"], ["NaN"], [""]]}
-NUMBER_EDGES = ["nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "1_0", "0x1", "abc", ""]
+NUMBER_EDGES = ["nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "1_0", "0x1", "abc", "",
+                "-0.5", "24.5"]
 
 
 @st.composite
@@ -203,6 +221,13 @@ class TestReadCohortMatchesRowLoop:
     @example(text="subject_id,time,sbp,diet,age\na,1,1,nan,41\na,2,1,nan,42\n", chunk=8192)
     # a bad outcome before a bad time, across chunks
     @example(text="subject_id,time,sbp\na,0.5,1\na,1.5,x\na,zz,1\n", chunk=2)
+    # the first subject's bad outcome comes in a later record than the second's bad time
+    @example(text="subject_id,time,sbp\na,1,120\nb,25,120\na,2,inf\n", chunk=8192)
+    # one subject with a non-finite time and a non-finite outcome: the time grid's error
+    @example(text="subject_id,time,sbp\na,1,nan\na,inf,120\n", chunk=1)
+    # finite times outside [0, 24], each the only bad value of its cohort
+    @example(text="subject_id,time,sbp\na,1,120\na,24.5,121\n", chunk=8192)
+    @example(text="subject_id,time,sbp\na,-0.5,120\na,1,121\n", chunk=8192)
     def test_same_cohort_or_same_error(self, tmp_path_factory, text, chunk):
         path = tmp_path_factory.mktemp("csv") / "c.csv"
         path.write_bytes(text.encode("utf-8"))

@@ -195,6 +195,13 @@ class TestR2:
         assert 0.0 <= model_r2 < 1.0
         assert len(partials) == fitted.q - 1
 
+    def test_intercept_only_model_has_no_model_term(self):
+        fitted = a.fit(poly_spec(0), one_way_cohort(20, 12, seed=7))
+        assert fitted.converged and fitted.q == 1
+        model_r2, partials = r2_statistics(fitted)
+        assert np.isnan(model_r2)
+        assert partials == []
+
 
 class TestComparability:
     def test_same_fixed_structure_allowed(self, small_fit):
