@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -172,29 +172,38 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted as csv.writer would quote it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([text])
-    return buf.getvalue()
+def _series_lines(times, block, labels, own):
+    """The plot CSV lines of a block of series, as bytes in uint8 arrays,
+    from one ``dataio.format_g17`` call on the times and every value."""
+    n = len(times)
+    numbers = dataio.format_g17(np.concatenate([times] + [c for s in block for c in s[1:]]))
+    stamps = numbers[:n][:, numbers[:n].any(axis=0)]
+    width, start, lines = numbers.shape[1], n, []
+    for k, run in groupby(range(len(block)), lambda i: len(block[i]) - 1):
+        run = list(run)  # series with k columns each, their values next in numbers
+        values = numbers[start:start + len(run) * k * n].reshape(len(run), k, n, width)
+        start += values.shape[0] * k * n
+        columns = [np.tile(stamps, (len(run), 1)), b",",
+                   (np.repeat(labels[run], n, axis=0), np.repeat(own[run], n, axis=0))]
+        for j in range(k):
+            columns += [b",", values[:, j].reshape(len(run) * n, width)]
+        lines.append(dataio.csv_lines(columns + [b"," * (3 - k) + b"\n"]))
+    return lines
 
 
 def _write_series(path: Path, times, series):
-    """Plot CSV, one series at a time.  ``series`` yields (label, values)
-    or (label, values, lower, upper).  The time column is formatted once,
-    into a row template; each series fills it with one printf whose
-    arguments interleave the label, quoted once, with the values."""
-    stamps = [_g17(t) for t in times]  # numbers: no '%' in the template
-    plain = "".join(f"{t},%s,%.17g,,\n" for t in stamps)
-    banded = "".join(f"{t},%s,%.17g,%.17g,%.17g\n" for t in stamps)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("time,series,value,lower,upper\n")
-        for label, *columns in series:
-            k = len(columns) + 1
-            args = [_csv_field(label)] * (len(stamps) * k)
-            for j, column in enumerate(columns, 1):
-                args[j::k] = column.tolist()
-            fh.write((banded if k == 4 else plain) % tuple(args))
+    """Plot CSV, a row per series and time.  ``series`` yields (label,
+    values) or (label, values, lower, upper); a series without bounds
+    leaves them empty.  The numbers go out in blocks of about
+    ``dataio.BLOCK_VALUES``, formatted by ``dataio.format_g17``."""
+    series = list(series)
+    quoted = dataio.csv_quoted([s[0] for s in series])
+    sizes = [len(times) * (len(s) - 1) for s in series]
+    with open(path, "wb") as fh:
+        fh.write(b"time,series,value,lower,upper\n")
+        labels, own = dataio.text_fields(quoted)
+        for a, b in dataio.blocks(sizes):
+            fh.writelines(_series_lines(times, series[a:b], labels[a:b], own[a:b]))
 
 
 def _eval_grid(args) -> TimeGrid:

@@ -16,16 +16,19 @@ this order: a short row, an unparsable time, an unparsable outcome
 (ParseError), a time its subject already has (DuplicateError), a
 covariate whose value differs from the subject's first record
 (SchemaError).  Then one vectorized pass over the sorted cohort makes
-every check of ``TimeGrid`` and ``Subject``: finite times in [0, 24],
-strictly increasing within each subject, finite outcomes, no subject
-empty.  The first subject, in order of first appearance, that fails it
-is built through the public constructors, which raise its GridError or
-SpecError.
+every check of ``TimeGrid`` and ``Subject``, in their order: finite times
+(GridError), times in [0, 24] (GridError), strictly increasing times
+(GridError; sorted times without duplicates always are), finite
+outcomes (SpecError).
+The first subject, in order of first appearance, that fails one raises
+its first failed check, naming the subject and that check's earliest
+record: ``row 3: subject 'b': time points must lie in [0.0, 24.0]``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
@@ -35,7 +38,7 @@ import numpy as np
 
 from .basis import TIME_DOMAIN, TimeGrid
 from .design import BasisContext, Cohort, ModelSpec, Subject
-from .errors import ConfigError, DuplicateError, ParseError, SchemaError, SpecError
+from .errors import ConfigError, DuplicateError, GridError, ParseError, SchemaError, SpecError
 
 OUTCOMES = ("sbp", "dbp")
 
@@ -209,16 +212,24 @@ def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
         raise error
     ys = y[order]
     lo, hi = TIME_DOMAIN
-    fine = (ts >= lo) & (ts <= hi) & np.isfinite(ys)  # a non-finite time fails a bound
-    fine[1:] &= (ts[1:] > ts[:-1]) | (cs[1:] != cs[:-1])
+    checks = (  # in the order of TimeGrid's and Subject's own checks
+        (~np.isfinite(ts), GridError, "time grid contains non-finite values"),
+        ((ts < lo) | (ts > hi), GridError, f"time points must lie in [{lo}, {hi}]"),
+        (np.r_[False, ~((ts[1:] > ts[:-1]) | (cs[1:] != cs[:-1]))], GridError,
+         "time points must be strictly increasing"),  # TimeGrid._trusted's precondition
+        (~np.isfinite(ys), SpecError, "non-finite outcome values"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _, _ in checks])
     # subject k's rows are edges[k] to edges[k + 1]; an empty range is an empty subject
     edges = np.searchsorted(cs, np.arange(len(ids) + 1)).tolist()
-    bad = np.union1d(cs[~fine], np.flatnonzero(np.diff(edges) == 0))
-    if bad.size:  # the public constructors raise the first such subject's error
+    bad = np.union1d(cs[failed], np.flatnonzero(np.diff(edges) == 0))
+    if bad.size:  # the first such subject's first failed check, at its earliest record
         k = int(bad[0])
         a, b = edges[k], edges[k + 1]
-        Subject(id=ids[k], times=TimeGrid(ts[a:b]), y=ys[a:b])
-        raise AssertionError(f"subject {ids[k]!r} failed the cohort check but not its own")
+        if a == b:
+            raise SpecError(f"subject {ids[k]!r} has no observations")
+        mask, kind, what = next(c for c in checks if c[0][a:b].any())
+        raise kind(f"row {rownum[order[a:b][mask[a:b]]].min()}: subject {ids[k]!r}: {what}")
     ts.flags.writeable = False
     ys.flags.writeable = False
     values = [[_covariate_value(col[j]) for j in firsts.tolist()] for col in cells]
@@ -229,18 +240,210 @@ def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
     return Cohort(subjects=subjects, outcome_label=outcome.upper())
 
 
+BLOCK_VALUES = 8192  # numbers formatted at a time by the CSV writers: bounds their peak memory
+
+_POW10 = np.array([10.0 ** k for k in range(23)])  # exact: 5**22 < 2**53
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for binary64
+_ROW = np.arange(22, dtype=np.uint8)[:, None]
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = fl(a * b)`` and ``p + e = a * b`` exactly (Dekker)."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _significand(a):
+    """For 1e-4 <= a < 1e16: D = a 10^(16 - e) rounded half to even, in
+    [1e16, 1e17), and the decimal exponent e (see ``format_g17``)."""
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _two_product(a, _POW10[16 - e])
+    off = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
+           - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+    wrong = np.flatnonzero(off)
+    if wrong.size:
+        e[wrong] += off[wrong]
+        hi[wrong], lo[wrong] = _two_product(a[wrong], _POW10[16 - e[wrong]])
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
+
+
+def _digit_rows(a):
+    """The 17 digits of each ``_significand`` as ASCII, position-major: row
+    r holds digit r of every value, rows 17 to 21 are NUL; and e."""
+    d, e = _significand(a)
+    lead = d // 10 ** 16
+    rest = d - lead * 10 ** 16
+    high = rest // 10 ** 8
+    groups = np.empty((4, d.size), np.uint16)  # the other 16 digits, four at a time
+    for j, half in enumerate((high, rest - high * 10 ** 8)):
+        half = half.astype(np.uint32)
+        top = half // 10000
+        groups[2 * j], groups[2 * j + 1] = top, half - top * 10000
+    # numpy vectorizes // of small unsigned ints by a constant, but not %
+    q1, q2, q3 = groups // 1000, groups // 100, groups // 10
+    digits = np.zeros((22, d.size), np.uint8)
+    digits[0] = lead
+    digits[1:17:4], digits[2:17:4] = q1, q2 - q1 * 10
+    digits[3:17:4], digits[4:17:4] = q3 - q2 * 10, groups - q3 * 10
+    digits[:17] += 48
+    return digits, e
+
+
+def format_g17(values) -> np.ndarray:
+    """The text ``format(v, ".17g")`` of every value, as a (n, w) uint8 array
+    (w <= 24): row i with its NUL bytes dropped is value i's ASCII text.
+
+    For 1e-4 <= |v| < 1e16, ``%.17g`` is fixed notation of the integer D
+    = |v| 10^k rounded half to even, for the k in [0, 22] that puts |v|
+    10^k in [1e16, 1e17): the point follows digit 17 - k, ``0.`` and zeros
+    lead when |v| < 1, and trailing zeros after the point are dropped.
+    Why the arrays below give exactly that D:
+
+    - 10^k is an exact double, as 5^22 < 2^53.
+    - Dekker's two-product splits |v| 10^k = hi + lo exactly.  That needs
+      IEEE binary64 with round-to-nearest, and one rounding per numpy
+      ufunc: no fused multiply-add, no extended precision.  No product
+      here comes near overflow or underflow.
+    - floor(log10 |v|) can be one off next to a power of ten, so k is
+      corrected by comparing hi and lo with 1e16 and 1e17.  A check on
+      the rounded D instead misjudges 0.09999999999999999.
+    - hi >= 1e16 > 2^53 is an even integer and |lo| <= 8, so D = hi +
+      rint(lo): rint rounds ties to even, which is how ``%.17g`` rounds
+      the ties that occur, such as 100 + 2^-15.
+    - D < 1e17: no double in range lies within 5e-18, relatively, of a
+      power of ten other than that power itself, so no rounding carries.
+
+    D's digits come from integer division of its four-digit groups.  From
+    there on the arrays are position-major, one row per character
+    position, so that placing the point, shifting in the leading zeros
+    and dropping trailing zeros are whole-row masks and blends; one
+    transpose makes the result row-major.  Zero, non-finite values and
+    other magnitudes go through ``format`` one at a time.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    n = x.size
+    if not n:
+        return np.zeros((0, 0), np.uint8)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)  # NaN is not
+    digits, e = _digit_rows(np.where(fast, a, 1.0))
+    point = np.maximum(e, 0).astype(np.uint8)  # the last digit before the point
+    for s in range(1, -min(int(e.min()), 0) + 1):  # |v| < 1: s zeros, the first before the point
+        cols = np.flatnonzero(e == -s)
+        if cols.size:
+            digits[s:s + 17, cols] = digits[:17, cols]
+            digits[:s, cols] = 48
+    last = ((digits > 48) * _ROW).max(axis=0)  # the last nonzero digit
+    digits *= _ROW <= np.maximum(last, point)  # trailing zeros after the point become NUL
+    out = np.empty((23, n), np.uint8)
+    out[0] = (x < 0) * np.uint8(45)
+    out[1] = digits[0]
+    out[2:] = digits[:21]
+    body = out[1:]  # row r: digit r up to the point, then the point, then digit r - 1
+    digits -= body  # in place from here: the blends' terms
+    digits *= _ROW <= point
+    body += digits
+    np.subtract((last > point) * np.uint8(46), body, out=digits)
+    digits *= _ROW == point + np.uint8(1)
+    body += digits
+    used = np.flatnonzero(out.any(axis=1))
+    width = used[-1] + 1 - used[0]
+    slow = np.flatnonzero(~fast)
+    spelled = text_fields([format(v, ".17g") for v in x[slow].tolist()])[0]
+    fields = np.zeros((n, max(width, spelled.shape[1])), np.uint8)
+    fields[:, :width] = out[used[0]:used[-1] + 1].T
+    fields[slow] = 0
+    fields[slow, :spelled.shape[1]] = spelled
+    return fields
+
+
+def csv_quoted(texts) -> list:
+    """Each text as ``csv.writer`` writes it as one field of a row that ends
+    in ``\\n`` (the line terminator decides which texts are quoted)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quoted = []
+    for text in texts:
+        writer.writerow((text, ""))
+        quoted.append(buf.getvalue()[:-2])
+        buf.seek(0)
+        buf.truncate()
+    return quoted
+
+
+def text_fields(texts):
+    """The UTF-8 bytes of each text, NUL-padded to a (n, w) uint8 array, and
+    the bool array of which bytes are the text's own (a text may hold NUL)."""
+    encoded = [t.encode("utf-8") for t in texts]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    width = int(lengths.max(initial=0))
+    padded = b"".join(t.ljust(width, b"\0") for t in encoded)
+    matrix = np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
+    return matrix, np.arange(width) < lengths[:, None]
+
+
+def csv_lines(columns) -> np.ndarray:
+    """CSV lines put together column by column, as bytes in a uint8 array.
+    A column is a bytes separator, the same on every line; a (lines, w)
+    uint8 array of ``format_g17`` fields, whose NUL bytes are dropped; or
+    a pair of ``text_fields`` arrays, gathered to (lines, w)."""
+    columns = [c if isinstance(c, tuple) else (c, None) for c in columns]
+    lines = next(len(c) for c, _ in columns if not isinstance(c, bytes))
+    matrix = np.empty((lines, sum(len(c) if isinstance(c, bytes) else c.shape[1]
+                                  for c, _ in columns)), np.uint8)
+    texts, start = [], 0
+    for column, keep in columns:
+        if isinstance(column, bytes):
+            column = np.frombuffer(column, np.uint8)
+        stop = start + column.shape[-1]
+        matrix[:, start:stop] = column
+        if keep is not None:
+            texts.append((start, stop, keep))
+        start = stop
+    keep = matrix != 0
+    for start, stop, mask in texts:
+        keep[:, start:stop] = mask
+    return matrix[keep]
+
+
+def blocks(sizes):
+    """(start, stop) of consecutive runs of items whose sizes add up to at
+    most BLOCK_VALUES; a larger item is a run of its own."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > BLOCK_VALUES and i > start:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if len(sizes) > start:
+        yield start, len(sizes)
+
+
+def g17_texts(values) -> list:
+    """``format(v, ".17g")`` of every value, as a list of str from one
+    ``format_g17`` call."""
+    return csv_lines([format_g17(values), b"\n"]).tobytes().decode("ascii").split("\n")[:-1]
+
+
 def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):
-    """Write a cohort back out in the input CSV schema."""
+    """Write a cohort back out in the input CSV schema; the times and
+    outcomes are ``g17_texts``."""
     outcome = outcome.lower()
     cov_names = sorted({k for s in cohort for k in s.covariates})
+    numbers = zip(g17_texts(np.concatenate([s.times.points for s in cohort])),
+                  g17_texts(np.concatenate([s.y for s in cohort])))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject_id", "time", outcome] + cov_names)
         for s in cohort:
-            for t, v in zip(s.times.points, s.y):
-                row = [s.id, format(t, ".17g"), format(v, ".17g")]
-                row += [str(s.covariates.get(c, "")) for c in cov_names]
-                writer.writerow(row)
+            covariates = [str(s.covariates.get(c, "")) for c in cov_names]
+            writer.writerows([s.id, t, v] + covariates for t, v in islice(numbers, s.n_obs))
 
 
 def hourly_aggregate(cohort: Cohort) -> Cohort:

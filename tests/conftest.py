@@ -6,6 +6,7 @@ with the blockwise estimator they check.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import scipy.linalg as sla
 import abpmix as a
 from abpmix.basis import TimeGrid
 from abpmix.design import BasisContext, build_design
-from abpmix.errors import DuplicateError, ParseError, SchemaError
+from abpmix.errors import DuplicateError, GridError, ParseError, SchemaError, SpecError
 from abpmix.estimation import LOG_VARIANCE_FLOOR, sigma_d_from_theta
 
 
@@ -214,7 +215,9 @@ def edge_case_problems(rng, structure="diagonal"):
 
 def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
     """Reference reader: ``dataio.read_cohort`` as one loop over the
-    records, each checked as it is read; the first bad record raises."""
+    records, each checked as it is read; the first bad record raises.
+    Then each subject in order of first appearance is checked, one check
+    at a time, over its records in order."""
 
     def parse_float(text, row, column):
         try:
@@ -246,7 +249,7 @@ def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
         i_sid, i_time, i_value = column["subject_id"], column["time"], column[outcome]
         i_covs = [column[c] for c in covariate_columns]
         width = max([i_sid, i_time, i_value] + i_covs) + 1
-        per_subject = {}  # id -> (times, values, set of times, covariate cells)
+        per_subject = {}  # id -> (times, values, record numbers, set of times, covariate cells)
         for rownum, row in enumerate(reader, start=2):
             if len(row) < width:
                 if not row:
@@ -258,8 +261,8 @@ def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
             cells = [row[j] for j in i_covs]
             rec = per_subject.get(sid)
             if rec is None:
-                rec = per_subject[sid] = ([], [], set(), cells)
-            times, values, seen, first = rec
+                rec = per_subject[sid] = ([], [], [], set(), cells)
+            times, values, rows, seen, first = rec
             if t in seen:
                 raise DuplicateError(f"row {rownum}: duplicate time {t} for subject {sid!r}")
             if cells != first:
@@ -272,10 +275,20 @@ def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
             seen.add(t)
             times.append(t)
             values.append(v)
+            rows.append(rownum)
     if not per_subject:
         raise SchemaError("no data rows")
+    checks = [  # what TimeGrid and then Subject check, in their order
+        (lambda t, v: not math.isfinite(t), GridError, "time grid contains non-finite values"),
+        (lambda t, v: not 0.0 <= t <= 24.0, GridError, "time points must lie in [0.0, 24.0]"),
+        (lambda t, v: not math.isfinite(v), SpecError, "non-finite outcome values"),
+    ]
     subjects = []
-    for sid, (times, values, _, cells) in per_subject.items():
+    for sid, (times, values, rows, _, cells) in per_subject.items():
+        for fails, kind, what in checks:
+            for row, t, v in zip(rows, times, values):  # in record order
+                if fails(t, v):
+                    raise kind(f"row {row}: subject {sid!r}: {what}")
         order = np.argsort(np.asarray(times), kind="stable")
         covariates = {c: covariate_value(raw) for c, raw in zip(covariate_columns, cells)}
         subjects.append(a.Subject(id=sid, times=TimeGrid(np.asarray(times)[order]),

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abpmix as a
-from abpmix import serialize
+from abpmix import dataio, serialize
 from abpmix.basis import TimeGrid
 from abpmix.cli import _g17, _write_series, main
 from abpmix.dataio import write_cohort
@@ -493,18 +494,38 @@ class TestProfilesCommand:
 
     def test_plot_csv_quotes_labels_like_csv_writer(self, tmp_path):
         rng = np.random.default_rng(3)
-        times = np.linspace(0.0, 24.0, 5)
-        v, lo, hi = rng.normal(size=(3, 5))
-        series = [('subject:o"b,1%s', v), ("subject:100%", -v), ("band", v, lo, hi)]
-        _write_series(tmp_path / "p.csv", times, series)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["time", "series", "value", "lower", "upper"])
-        for label, values, *bounds in series:
-            for i, t in enumerate(times):
-                writer.writerow([_g17(t), label, _g17(values[i])]
-                                + [_g17(b[i]) for b in bounds] + [""] * (2 - len(bounds)))
-        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == buf.getvalue()
+        times = np.linspace(0.0, 24.0, 97)
+        # every branch of format_g17; 100 + 2**-15 is a tie at the 17th digit
+        special = [-130.25, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 123.0, 1e16,
+                   100.000030517578125]
+        labels = ['subject:o"b,1%s', "subject:100%", "band", "line\nbreak", '"', ""]
+        if sys.version_info >= (3, 11):  # csv.writer writes NUL from 3.11 on
+            labels.append("nul\x00id")
+        series = []
+        for i in range(90):  # more numbers than one default block holds
+            columns = rng.normal(120.0, 40.0, size=(3 if i % 7 == 3 else 1, times.size))
+            columns[:, i % 80:i % 80 + len(special)] = special
+            series.append((f"{labels[i % len(labels)]}:{i}", *columns))
+
+        def expected(series):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["time", "series", "value", "lower", "upper"])
+            for label, values, *bounds in series:
+                for i, t in enumerate(times):
+                    writer.writerow([_g17(t), label, _g17(values[i])]
+                                    + [_g17(b[i]) for b in bounds] + [""] * (2 - len(bounds)))
+            return buf.getvalue().encode("utf-8")
+
+        # 7 numbers a block: each series alone; 300: three plain series or one banded
+        for block in (7, 300, dataio.BLOCK_VALUES):
+            with mock.patch.object(dataio, "BLOCK_VALUES", block):
+                _write_series(tmp_path / "p.csv", times, series)
+            assert (tmp_path / "p.csv").read_bytes() == expected(series)
+        # a small file, such as band's, in one call
+        few = series[3:7]  # a banded series, and a line break, a quote and NUL in labels
+        _write_series(tmp_path / "f.csv", times, few)
+        assert (tmp_path / "f.csv").read_bytes() == expected(few)
 
 
 class TestBandCommand:

@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -12,8 +14,8 @@ from abpmix import dataio
 from abpmix.basis import TimeGrid
 from abpmix.dataio import write_cohort
 from abpmix.design import BasisContext
-from abpmix.errors import (AbpmixError, ConfigError, DuplicateError, ParseError, SchemaError,
-                           SpecError)
+from abpmix.errors import (AbpmixError, ConfigError, DuplicateError, GridError, ParseError,
+                           SchemaError, SpecError)
 
 from conftest import poly_spec, row_loop_read_cohort
 
@@ -138,6 +140,15 @@ class TestReadCohort:
         for i, arr in enumerate(arrays):
             assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
 
+    def test_cohort_check_error_names_row_and_subject(self, tmp_path):
+        p = write_csv(tmp_path / "c.csv", "subject_id,time,sbp\na,1,120\nb,24.5,121\n")
+        with pytest.raises(GridError) as info:
+            a.read_cohort(p)
+        assert str(info.value) == "row 3: subject 'b': time points must lie in [0.0, 24.0]"
+        p = write_csv(tmp_path / "y.csv", "subject_id,time,sbp\na,2,120\na,1,nan\n")
+        with pytest.raises(SpecError, match=r"^row 3: subject 'a': non-finite outcome values$"):
+            a.read_cohort(p)
+
     def test_cohort_check_covers_a_subject_without_records(self):
         columns = [np.array([0.5]), np.array([120.0]), np.array([0]), np.array([2])]
         with pytest.raises(SpecError, match="subject 'b' has no observations"):
@@ -235,6 +246,70 @@ class TestReadCohortMatchesRowLoop:
         with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
             got = read_outcome(a.read_cohort, str(path))
         assert got == want
+
+
+def bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+POWERS = [10.0 ** k for k in range(-5, 18)]
+
+
+class TestFormatG17:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(bits_to_float)),
+                    max_size=40))
+    # exact ties at the 17th digit, odd m / 2**(k + 1) for |v| 10**k in [1e16, 1e17)
+    @example([100 + 2.0 ** -15, 100 + 3 * 2.0 ** -15, -(1 + 2.0 ** -17), 0.5 + 2.0 ** -18])
+    @example(POWERS + [math.nextafter(p, 0.0) for p in POWERS]
+             + [math.nextafter(p, math.inf) for p in POWERS])
+    @example([1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0)])
+    @example([0.09999999999999999])
+    @example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324])
+    def test_bytes_are_format_17g(self, values):
+        fields = dataio.format_g17(np.array(values, dtype=float))
+        assert fields.dtype == np.uint8 and len(fields) == len(values)
+        got = [bytes(row[row != 0]).decode("ascii") for row in fields]
+        assert got == [format(v, ".17g") for v in values]
+
+
+def cohort_csv_bytes(cohort, outcome="sbp"):
+    """The cohort CSV with one ``format(v, ".17g")`` per number."""
+    cov_names = sorted({k for s in cohort for k in s.covariates})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["subject_id", "time", outcome] + cov_names)
+    for s in cohort:
+        for t, v in zip(s.times.points, s.y):
+            writer.writerow([s.id, format(t, ".17g"), format(v, ".17g")]
+                            + [str(s.covariates.get(c, "")) for c in cov_names])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestWriteCohort:
+    # jittered times, then negative outcomes; both span several blocks
+    @pytest.mark.parametrize("beta, jitter", [([500.0, -10.0, 5.0], 0.3),
+                                              ([-500.0, 10.0, -5.0], 0.0)])
+    def test_bytes_match_per_value_format(self, tmp_path, beta, jitter):
+        cfg = a.SimulationConfig(spec=poly_spec(2), beta=np.array(beta),
+                                 sigma_d=np.diag([80.0, 40.0, 20.0]), sigma2=16.0,
+                                 n_subjects=400, seed=11, missing_rate=0.1,
+                                 time_jitter_sd=jitter)
+        cohort = a.simulate_cohort(cfg)
+        assert (np.concatenate([s.y for s in cohort]) < 0).all() == (beta[0] < 0)
+        write_cohort(tmp_path / "c.csv", cohort)
+        assert (tmp_path / "c.csv").read_bytes() == cohort_csv_bytes(cohort)
+
+    def test_quoted_ids_and_covariates(self, tmp_path):
+        grid = TimeGrid(np.array([0.5, 12.25]))
+        cohort = a.Cohort(subjects=(
+            a.Subject(id='o"b,1', times=grid, y=np.array([120.0, -0.0]),
+                      covariates={"diet": "salt, low", "age": 41.0}),
+            a.Subject(id="line\nbreak", times=grid, y=np.array([1e-5, 1e16]),
+                      covariates={"diet": ""}),
+        ))
+        write_cohort(tmp_path / "c.csv", cohort, outcome="DBP")
+        assert (tmp_path / "c.csv").read_bytes() == cohort_csv_bytes(cohort, "dbp")
 
 
 class TestHourlyAggregate:
