@@ -7,7 +7,6 @@ Subcommands: fit, compare, profiles, band, simulate.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from itertools import groupby
 from pathlib import Path
@@ -25,13 +24,6 @@ EXIT_NONCONVERGED = 3
 
 def _g17(x) -> str:
     return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _fit_one(spec, cohort, args):
@@ -77,12 +69,12 @@ def _cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "fit.json").write_text(serialize.fitted_model_to_json(fitted), encoding="utf-8")
-    _write_csv(
+    dataio.write_csv(
         out / "fixed_effects.csv",
         ["parameter", "degree", "estimate", "se", "p_value", "semi_partial_r2"],
         _fixed_effects_rows(fitted),
     )
-    _write_csv(
+    dataio.write_csv(
         out / "variance_components.csv",
         ["component", "estimate", "se"],
         [
@@ -164,7 +156,7 @@ def _cmd_compare(args) -> int:
                 r["error"],
             ]
         )
-    _write_csv(
+    dataio.write_csv(
         out / "comparison.csv",
         ["model", "aic", "bic", "model_r2", "converged", "n_cov_params", "error"],
         rows,

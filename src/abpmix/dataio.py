@@ -32,6 +32,7 @@ import io
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -363,11 +364,26 @@ def format_g17(values) -> np.ndarray:
     return fields
 
 
+def csv_writer(fh):
+    """A ``csv.writer`` on ``fh`` whose rows end in ``\\n``.  It writes
+    through a ``\\r\\n`` terminator, which makes it quote a field holding
+    either character, so that every row reads back as written."""
+    return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                      lineterminator="\r\n")
+
+
+def write_csv(path, header, rows):
+    """Write the header row and then ``rows`` to ``path`` with ``csv_writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv_writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def csv_quoted(texts) -> list:
-    """Each text as ``csv.writer`` writes it as one field of a row that ends
-    in ``\\n`` (the line terminator decides which texts are quoted)."""
+    """Each text as ``csv_writer`` writes it as one field of a row."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv_writer(buf)
     quoted = []
     for text in texts:
         writer.writerow((text, ""))
@@ -438,12 +454,9 @@ def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):
     cov_names = sorted({k for s in cohort for k in s.covariates})
     numbers = zip(g17_texts(np.concatenate([s.times.points for s in cohort])),
                   g17_texts(np.concatenate([s.y for s in cohort])))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "time", outcome] + cov_names)
-        for s in cohort:
-            covariates = [str(s.covariates.get(c, "")) for c in cov_names]
-            writer.writerows([s.id, t, v] + covariates for t, v in islice(numbers, s.n_obs))
+    write_csv(path, ["subject_id", "time", outcome] + cov_names,
+              ([s.id, t, v] + [str(s.covariates.get(c, "")) for c in cov_names]
+               for s in cohort for t, v in islice(numbers, s.n_obs)))
 
 
 def hourly_aggregate(cohort: Cohort) -> Cohort:

@@ -1,15 +1,20 @@
 """REML / ML estimation of the mixed model.
 
 The marginal covariance of subject i is Sigma_i = Z_i Sigma_d Z_i' +
-sigma^2 I.  Fixed effects are profiled out by generalized least squares
-and the covariance parameters are maximized on an unconstrained scale:
-log-variances for the diagonal structure, log-Cholesky entries for the
-unstructured one.  One projected, Levenberg-Marquardt-damped ascent
-maximizes them, on the components not held at a bound: Fisher scoring
-on the analytic expected information while the projected gradient is
-above 1e-2, Newton steps on the analytic observed information below it.
-The same observed information gives the Satterthwaite degrees of
+sigma^2 I.  Fixed effects are profiled out by generalized least squares.
+The covariance parameters theta (log-variances, or log-Cholesky entries
+of Sigma_d, then log sigma^2) are maximized by one projected, Levenberg-
+Marquardt-damped ascent, within bounds relative to the OLS residual
+variance: Fisher scoring on the expected information while the projected
+gradient is above 1e-2, Newton steps on the observed information below
+it.  The observed information also gives the Satterthwaite degrees of
 freedom and the variance-component SEs.
+
+Every derivative is taken on the natural scale phi = (Sigma_d flattened,
+sigma^2) and reaches theta through the one Jacobian J = d phi / d theta
+(``covariance_jacobian``): the gradient and F_j = X' V^-1 dV_j V^-1 X
+are J' times theirs on phi, an information is J' I J, and the observed
+one loses the curvature sum_phi (d loglik / d phi) d^2 phi / d theta^2.
 
 Subjects sharing identical (X, Z) designs are grouped, and each distinct
 design is reduced once to small sufficient statistics.  A complete QR,
@@ -18,12 +23,13 @@ sigma^2 and log|Sigma| = log|M| + (p - m) log sigma^2, with the m x m
 M = R Sigma_d R' + sigma^2 I.  The statistics are cross-products of the
 rotated X and of the OLS residuals y - X beta_0 (the likelihood does not
 change under this shift, and residual cross-products keep roundoff
-small).  One evaluation is then a single batched m x m Cholesky over
-the distinct designs plus array algebra on (designs, m, m), (designs,
-m, q) and q x q arrays; the gradient chains one m x m matrix
-d loglik / d Sigma_d to theta.  Designs and the subjects within them are
-accumulated in a canonical order, so results do not depend on subject
-ordering.
+small).  One evaluation is then a single batched m x m Cholesky over the
+distinct designs plus array algebra on (designs, m, m), (designs, m, q)
+and q x q arrays.  With M = L L' and u = L^-1 R, the Sigma_d block of an
+information on phi is one tensordot over the designs, H = sum_g C_g (x)
+B_g with B_g = u'u and C_g = u'T_g u.  Designs and the subjects within
+them are accumulated in a canonical order, so results do not depend on
+subject ordering.
 
 This module needs numpy alone: every factorization is numpy's and the
 ascent is its own, so fitting never loads ``scipy.optimize``, which would
@@ -43,6 +49,7 @@ from .errors import ConditioningError, RankError, SpecError
 LOG_VARIANCE_FLOOR = -30.0
 _LOG2PI = float(np.log(2.0 * np.pi))
 _NEWTON_GATE = 1e-2  # projected gradient below which scoring hands over to Newton steps
+_LL_ROUNDOFF = 1e-14  # relative log-likelihood change that roundoff can account for
 
 
 # ---------------------------------------------------------------------------
@@ -113,40 +120,43 @@ def _chol_from_theta(m: int, theta: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _dsigma_d_factors(structure: str, m: int, theta: np.ndarray):
-    """(rows, c) with d Sigma_d / d theta_k = e_rows_k c_k' + c_k e_rows_k' for
-    every covariance parameter except sigma^2; c is m x (parameters - 1)."""
+def covariance_jacobian(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
+    """J' for J = d phi / d theta and the natural scale phi = (Sigma_d
+    flattened row-major, sigma^2): row j of the (parameters, m^2 + 1)
+    array is d phi / d theta_j."""
+    jac = np.zeros((theta.size, m * m + 1))
+    jac[-1, -1] = np.exp(theta[-1])
     if structure == "diagonal":
-        return np.arange(m), np.diag(0.5 * np.exp(theta[:m]))
+        jac[np.arange(m), np.arange(m) * (m + 1)] = np.exp(theta[:m])
+        return jac
     chol = _chol_from_theta(m, theta)
     rows, cols = np.tril_indices(m)
-    # d L = scale_k e_i e_j', so d Sigma_d = d L L' + L d L'
-    return rows, np.where(rows == cols, chol[rows, cols], 1.0) * chol[:, cols]
+    # d L / d theta_a = scale_a e_i e_j', so d Sigma_d = d L L' + L d L'
+    half = np.zeros((rows.size, m, m))
+    half[np.arange(rows.size), rows] = (np.where(rows == cols, chol[rows, cols], 1.0)
+                                        * chol[:, cols]).T
+    jac[:-1, :-1] = (half + half.transpose(0, 2, 1)).reshape(rows.size, m * m)
+    return jac
 
 
-def _dsigma_d_stack(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
-    """d Sigma_d / d theta_k stacked for every covariance parameter except sigma^2."""
-    rows, c = _dsigma_d_factors(structure, m, theta)
-    half = np.eye(m)[rows][:, :, None] * c.T[:, None, :]
-    return half + half.transpose(0, 2, 1)
-
-
-def _sigma_d_curvature(structure: str, m: int, theta: np.ndarray, g: np.ndarray,
-                       grad: np.ndarray) -> np.ndarray:
-    """sum(g * d^2 Sigma_d / d theta_j d theta_k) for g = d loglik / d Sigma_d;
-    a log-scale entry's second derivative repeats its first, which puts its
-    gradient ``grad`` on the diagonal."""
+def _curvature(structure: str, m: int, theta: np.ndarray, g: np.ndarray,
+               grad: np.ndarray) -> np.ndarray:
+    """sum(d loglik / d phi * d^2 phi / d theta_j d theta_k) for g = d loglik /
+    d Sigma_d and the gradient ``grad`` in theta.  A log-scale parameter's
+    second derivative repeats its first, which puts its gradient on the
+    diagonal."""
     if structure == "diagonal":
         return np.diag(grad)
     chol = _chol_from_theta(m, theta)
     rows, cols = np.tril_indices(m)
     scale = np.where(rows == cols, chol[rows, cols], 1.0)
+    out = np.diag(np.where(np.append(rows == cols, True), grad, 0.0))
     # d L / d theta_a = scale_a e_i e_j' adds d L_a d L_b' + d L_b d L_a' for a
     # shared column j, which at a boundary optimum lets a Newton step shrink
     # the Cholesky column of a vanishing variance
     same_column = cols[:, None] == cols[None, :]
-    return (2.0 * np.outer(scale, scale) * g[rows[:, None], rows[None, :]] * same_column
-            + np.diag(np.where(rows == cols, grad, 0.0)))
+    out[:-1, :-1] += 2.0 * np.outer(scale, scale) * g[rows[:, None], rows[None, :]] * same_column
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +275,17 @@ class MixedModelProblem:
         self._x = np.asarray(x_in)                     # (G, m, q) Q'X
         self._ee = np.asarray(ee_in)                   # (G, m, m) sum of Q'e e'Q
         self._e = np.asarray(e_in)                     # (G, m) sum of Q'e
+        # log s0^2, the OLS residual variance: the ascent starts from it and
+        # its bounds are measured from it, so that both scale with the outcome
+        rss = float(np.trace(self._ee, axis1=1, axis2=2).sum()) + self._ee_out
+        self._log_s2 = float(np.log((rss or 1.0) / max(self.n - q, 1)))
 
     # -- likelihood ---------------------------------------------------------
 
     def _evaluate(self, theta: np.ndarray, method: str, want_grad: bool):
-        """(loglik, gradient, d loglik / d Sigma_d, beta, cov_beta, L^-1 and GLS
-        residual cross-products per design); M = L L', and the derivatives
-        and cross-products are None unless ``want_grad``."""
+        """(loglik, d loglik / d phi, beta, cov_beta, L^-1 and GLS residual
+        cross-products per design); M = L L', and the derivative and
+        cross-products are None unless ``want_grad``."""
         m, q = self.m, self.q
         count = self._count
         sigma_d = sigma_d_from_theta(self.structure, m, theta)
@@ -310,7 +324,7 @@ class MixedModelProblem:
             ll = -0.5 * (logdet + logdet_x + quad + (self.n - q) * _LOG2PI)
         else:
             ll = -0.5 * (logdet + quad + self.n * _LOG2PI)
-        grad = g = s = None
+        dphi = s = None
         if want_grad:
             # d ll / d Sigma_d = -1/2 sum_g R'(n K - K S K - n K A cov_beta A' K)R
             # with K = M^-1 and S the summed rotated GLS residual cross-products
@@ -324,125 +338,134 @@ class MixedModelProblem:
                 kx = li.transpose(0, 2, 1) @ wx
                 inner -= count[:, None, None] * (kx @ cov_beta @ kx.transpose(0, 2, 1))
             g = -0.5 * (r.transpose(0, 2, 1) @ inner @ r).sum(axis=0)
-            grad = np.empty(theta.size)
-            grad[:-1] = np.tensordot(_dsigma_d_stack(self.structure, m, theta), g,
-                                     axes=([1, 2], [0, 1]))
             # ll(c Sigma) has derivative -(n - q_reml - quad)/2 in c at c = 1;
-            # what Sigma_d does not account for belongs to log sigma^2
-            grad[-1] = (-0.5 * (self.n - (q if reml else 0) - quad)
-                        - float(np.sum(g * sigma_d)))
-        return ll, grad, g, self._beta0 + delta, cov_beta, li, s
+            # what Sigma_d does not account for belongs to sigma^2
+            dphi = np.append(g, (-0.5 * (self.n - (q if reml else 0) - quad)
+                                 - float(np.sum(g * sigma_d))) / sigma2)
+        return ll, dphi, self._beta0 + delta, cov_beta, li, s
 
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
         return self._evaluate(theta, method, want_grad=False)[0]
 
     def gls(self, theta: np.ndarray):
         """(beta_hat, cov_beta) at the given covariance parameters."""
-        _, _, _, beta, cov_beta, _, _ = self._evaluate(theta, "REML", want_grad=False)
+        _, _, beta, cov_beta, _, _ = self._evaluate(theta, "REML", want_grad=False)
         return beta, 0.5 * (cov_beta + cov_beta.T)
 
     def loglik_and_grad(self, theta: np.ndarray, method: str = "REML"):
-        ll, grad, _, _, _, _, _ = self._evaluate(theta, method, want_grad=True)
-        return ll, grad
+        ll, dphi, _, _, _, _ = self._evaluate(theta, method, want_grad=True)
+        return ll, covariance_jacobian(self.structure, self.m, theta) @ dphi
 
     def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML"):
         """d cov_beta / d theta_k = cov_beta F_k cov_beta at theta (delta-method ingredient)."""
-        _, _, _, _, cov_beta, li, _ = self._evaluate(theta, method, want_grad=False)
-        return cov_beta @ self._information_terms(theta, method, cov_beta, li)[4] @ cov_beta
+        _, _, _, cov_beta, li, _ = self._evaluate(theta, method, want_grad=False)
+        return cov_beta @ self._f(theta, li) @ cov_beta
 
-    def _information_terms(self, theta, method, cov_beta, li):
-        """(S_j and L^-1 Q'X per design, K per design, rest, F_j = X' V^-1 dV_j V^-1 X):
-        the expected information is sum_g tr(K_g S_j S_k) + rest.  With M = L L'
-        and A_j = R dSigma_d_j R' (or sigma^2 I for log sigma^2), S_j = L^-1 A_j L^-T;
-        for REML K_g = n_g (I - 2 H_g) / 2, H_g = L^-1 Q'X cov_beta X'Q L^-T.
-        ``rest`` holds the rows outside M and (REML) 1/2 tr(cov_beta F_j cov_beta F_k).
-        """
-        sigma2 = float(np.exp(theta[-1]))
-        rows, c = _dsigma_d_factors(self.structure, self.m, theta)
-        u = li @ self._r
-        half = np.einsum("gaj,gbj->jgab", u[:, :, rows], u @ c)  # (parameters, designs, m, m)
-        s = np.concatenate([half + half.transpose(0, 1, 3, 2),
-                            sigma2 * (li @ li.transpose(0, 2, 1))[None]])
-        wx = li @ self._x
-        kx = li.transpose(0, 2, 1) @ wx  # M^-1 Q'X per design
-        # X' Sigma^-1 Z per design, and sum_g n_g b_g (x) b_g over designs
-        b = kx.transpose(0, 2, 1) @ self._r
-        outer = np.tensordot(self._count[:, None, None] * b, b, axes=([0], [0]))
-        # residual parameter: d Sigma = sigma^2 I
-        d_resid = (sigma2 * np.tensordot(self._count[:, None, None] * kx, kx,
-                                         axes=([0, 1], [0, 1]))
-                   + self._xx_out / sigma2)
-        dsigma = _dsigma_d_stack(self.structure, self.m, theta)
-        f = np.concatenate([np.tensordot(dsigma, outer, axes=([1, 2], [1, 3])), d_resid[None]])
-        k = np.eye(self.m)
-        rest = np.zeros((self.n_params, self.n_params))
-        rest[-1, -1] = 0.5 * self._p_minus_m
-        if method == "REML":
-            k = k - 2.0 * wx @ cov_beta @ wx.transpose(0, 2, 1)
-            rest[-1, -1] -= float(np.sum(cov_beta * self._xx_out)) / sigma2
-            cf = cov_beta @ f
-            rest += 0.5 * np.tensordot(cf, cf.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
-        return s, wx, 0.5 * self._count[:, None, None] * k, rest, f
+    def _f(self, theta, li):
+        """F_k = X' V^-1 dV_k V^-1 X for every k of theta, chained from phi."""
+        kx = li.transpose(0, 2, 1) @ li @ self._x  # M^-1 Q'X per design
+        f = self._sandwich(self._count[:, None, None] * kx, kx,
+                           self._xx_out / float(np.exp(theta[-1]))**2)
+        return np.tensordot(covariance_jacobian(self.structure, self.m, theta), f, axes=1)
+
+    def _sandwich(self, left, right, outside):
+        """sum_g left_g' dM_j right_g for every j of phi, dM_j = R dSigma_d_j R'
+        or I, plus ``outside`` on the sigma^2 row.  With M^-1 Q'X as ``left``
+        it is X' V^-1 dV_j V^-1 (X or the GLS residuals)."""
+        m = self.m
+        a = left.transpose(0, 2, 1) @ self._r
+        c = self._r.transpose(0, 2, 1) @ right
+        out = np.empty((m * m + 1, a.shape[1], c.shape[2]))
+        out[:-1] = (np.tensordot(a, c, axes=([0], [0]))
+                    .transpose(1, 2, 0, 3).reshape(m * m, a.shape[1], c.shape[2]))
+        out[-1] = np.tensordot(left, right, axes=([0, 1], [0, 1])) + outside
+        return out
 
     def expected_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
-        """Expected information 1/2 tr(P dV_j P dV_k) of the covariance parameters.
-
-        P is the REML projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1 for ML.
-        """
-        _, _, _, _, cov_beta, li, _ = self._evaluate(theta, method, want_grad=False)
-        s, _, k, rest, _ = self._information_terms(theta, method, cov_beta, li)
-        info = (k @ s).reshape(len(s), -1) @ s.reshape(len(s), -1).T + rest
-        return 0.5 * (info + info.T)
+        """Expected information 1/2 tr(P dV_j P dV_k) of theta, P the REML
+        projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1 for ML."""
+        return self._information(theta, method, observed=False)
 
     def observed_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
-        """Observed information: minus the Hessian of the log-likelihood in theta.
+        """Observed information: minus the Hessian of the log-likelihood in theta."""
+        return self._information(theta, method, observed=True)
 
-        I_o = 2 AI - I_e - <d loglik / d V, d^2 V / d theta_j d theta_k>, AI the
-        average information 1/2 (dV_j r)' P (dV_k r) with r = P y.  Per design
-        2 AI is tr(W S_j S_k), W = L^-1 (GLS residual cross-products) L^-T,
-        plus the outside rows' residual sum of squares over sigma^2, minus
+    def _information(self, theta, method, observed):
+        """J' I J plus, for REML, +-1/2 tr(cov_beta F_j cov_beta F_k), for I
+        the expected or observed information on phi; the observed one less
+        the curvature.
+
+        On phi, I_e = sum_g tr(T_g S_j S_k) + rest with S_j = L^-1 dM_j L^-T
+        and T_g = K_g: n_g I / 2 for ML, n_g (I - 2 H_g) / 2 for REML, H_g =
+        L^-1 Q'X cov_beta X'Q L^-T, and ``rest`` from the rotated rows
+        outside M.  The observed one is 2 AI - I_e, AI the average
+        information 1/2 (dV_j r)' P (dV_k r) with r = P y: the same sum for
+        T_g = W_g - K_g, W = L^-1 (GLS residual cross-products) L^-T, less
+        rest, plus the outside rows' residual sum of squares, minus
         b cov_beta b' with b_j = X' V^-1 dV_j r.
         """
-        _, grad, g, beta, cov_beta, li, resid = self._evaluate(theta, method, want_grad=True)
-        s, wx, k, rest, _ = self._information_terms(theta, method, cov_beta, li)
-        w = li @ resid @ li.transpose(0, 2, 1)
-        obs = ((w - k) @ s).reshape(len(s), -1) @ s.reshape(len(s), -1).T - rest
+        _, dphi, beta, cov_beta, li, resid = self._evaluate(theta, method, want_grad=observed)
+        m = self.m
         sigma2 = float(np.exp(theta[-1]))
-        delta = beta - self._beta0
-        obs[-1, -1] += (self._ee_out - 2.0 * float(delta @ self._xe_out)
-                        + float(delta @ self._xx_out @ delta)) / sigma2
-        wu = li @ (self._e - self._count[:, None] * (self._x @ delta))[:, :, None]
-        b = np.tensordot((s @ wu)[..., 0], wx, axes=([1, 2], [0, 1]))
-        b[-1] += (self._xe_out - self._xx_out @ delta) / sigma2
-        obs -= b @ cov_beta @ b.T
-        obs[:-1, :-1] -= _sigma_d_curvature(self.structure, self.m, theta, g, grad[:-1])
-        obs[-1, -1] -= grad[-1]
-        return 0.5 * (obs + obs.T)
+        wx = li @ self._x
+        t = np.eye(m)
+        rest = 0.5 * self._p_minus_m / sigma2**2
+        if method == "REML":
+            t = t - 2.0 * wx @ cov_beta @ wx.transpose(0, 2, 1)
+            rest -= float(np.sum(cov_beta * self._xx_out)) / sigma2**3
+        t = 0.5 * self._count[:, None, None] * t
+        if observed:
+            t = li @ resid @ li.transpose(0, 2, 1) - t
+        # sum_g tr(T_g S_j S_k), with S = L^-1 L^-T for sigma^2
+        u = li @ self._r
+        ut = u.transpose(0, 2, 1)
+        p = li @ li.transpose(0, 2, 1)
+        tp = t @ p
+        info = np.empty((m * m + 1, m * m + 1))
+        info[:-1, :-1] = (np.tensordot(ut @ t @ u, ut @ u, axes=([0], [0]))
+                          .transpose(1, 2, 3, 0).reshape(m * m, m * m))
+        info[-1, :-1] = info[:-1, -1] = (ut @ tp @ u).sum(axis=0).reshape(-1)
+        info[-1, -1] = float(np.sum(tp * p)) + (-rest if observed else rest)
+        if observed:
+            delta = beta - self._beta0
+            info[-1, -1] += (self._ee_out - 2.0 * float(delta @ self._xe_out)
+                             + float(delta @ self._xx_out @ delta)) / sigma2**3
+            # M^-1 times the rotated GLS residual sums per design
+            kr = li.transpose(0, 2, 1) @ li @ (self._e - self._count[:, None]
+                                               * (self._x @ delta))[:, :, None]
+            b = self._sandwich(li.transpose(0, 2, 1) @ wx, kr,
+                               (self._xe_out - self._xx_out @ delta)[:, None] / sigma2**2)
+            info -= b[..., 0] @ cov_beta @ b[..., 0].T
+        jac = covariance_jacobian(self.structure, m, theta)
+        info = jac @ info @ jac.T
+        if method == "REML":
+            cf = cov_beta @ self._f(theta, li)
+            cfcf = 0.5 * np.tensordot(cf, cf.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
+            info += -cfcf if observed else cfcf
+        if observed:
+            info -= _curvature(self.structure, m, theta, dphi[:-1].reshape(m, m), jac @ dphi)
+        return 0.5 * (info + info.T)
 
     # -- initialization and fitting -----------------------------------------
 
     def _initial_theta(self) -> np.ndarray:
-        rss = max(float(np.trace(self._ee, axis1=1, axis2=2).sum()) + self._ee_out, 1e-8)
-        dof = max(self.n - self.q, 1)
-        s2 = rss / dof
-        sigma2_0 = 0.5 * s2
-        per_component = 0.5 * s2 / self.m
-        if self.structure == "diagonal":
-            theta = np.full(self.m, np.log(per_component))
-        else:
-            theta = np.zeros(self.m * (self.m + 1) // 2)
-            rows, cols = np.tril_indices(self.m)
-            theta[rows == cols] = 0.5 * np.log(per_component)
-        return np.append(theta, np.log(sigma2_0))
-
-    def _bounds(self):
-        """(lo, hi) arrays of theta; off-diagonal Cholesky entries are unbounded."""
-        lo = np.full(self.n_params, LOG_VARIANCE_FLOOR)
-        hi = np.full(self.n_params, 30.0)
+        """Half of s0^2 to sigma^2, the other half spread over Sigma_d's diagonal."""
+        per_component = self._log_s2 + np.log(0.5 / self.m)
+        theta = np.full(self.n_params - 1, per_component)
         if self.structure == "unstructured":
             rows, cols = np.tril_indices(self.m)
-            lo[:-1] = np.where(rows == cols, LOG_VARIANCE_FLOOR / 2.0, -np.inf)
-            hi[:-1] = np.where(rows == cols, 15.0, np.inf)
+            theta = np.where(rows == cols, 0.5 * per_component, 0.0)
+        return np.append(theta, self._log_s2 + np.log(0.5))
+
+    def _bounds(self):
+        """(lo, hi) arrays of theta: variances within [e^-30, e^30] s0^2;
+        off-diagonal Cholesky entries are unbounded."""
+        lo = np.full(self.n_params, LOG_VARIANCE_FLOOR + self._log_s2)
+        hi = np.full(self.n_params, 30.0 + self._log_s2)
+        if self.structure == "unstructured":
+            rows, cols = np.tril_indices(self.m)
+            lo[:-1] = np.where(rows == cols, lo[:-1] / 2.0, -np.inf)
+            hi[:-1] = np.where(rows == cols, hi[:-1] / 2.0, np.inf)
         return lo, hi
 
     def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6) -> FittedModel:
@@ -451,34 +474,17 @@ class MixedModelProblem:
         params = CovarianceParams(structure=self.structure, m=self.m, theta=theta)
         beta, cov_beta = self.gls(theta)
         sigma_d = params.sigma_d()
+        # log-variances at the floor are reported as exact zeros
+        at_floor = theta <= self._bounds()[0] + 1e-8
         if self.structure == "diagonal":
-            # log-variances at the floor are reported as exact zeros
-            at_floor = theta[: self.m] <= LOG_VARIANCE_FLOOR + 1e-8
-            d = np.diag(sigma_d).copy()
-            d[at_floor] = 0.0
-            sigma_d = np.diag(d)
-        sigma2 = params.sigma2()
-        if theta[-1] <= LOG_VARIANCE_FLOOR + 1e-8:
-            sigma2 = 0.0
+            sigma_d = np.diag(np.where(at_floor[:-1], 0.0, np.diag(sigma_d)))
+        sigma2 = 0.0 if at_floor[-1] else params.sigma2()
         return FittedModel(
-            spec=self.spec,
-            method=method,
-            beta_hat=beta,
-            cov_beta=cov_beta,
-            sigma_d_hat=sigma_d,
-            sigma2_hat=sigma2,
-            loglik=ll,
-            converged=converged,
-            iterations=iterations,
-            gradient_norm=grad_norm,
-            params=params,
-            n_subjects=self.N,
-            n_obs=self.n,
-            column_labels=self.context.fixed_column_labels(),
-            context=self.context,
-            problem=self,
-            ascent_history=history,
-        )
+            spec=self.spec, method=method, beta_hat=beta, cov_beta=cov_beta,
+            sigma_d_hat=sigma_d, sigma2_hat=sigma2, loglik=ll, converged=converged,
+            iterations=iterations, gradient_norm=grad_norm, params=params,
+            n_subjects=self.N, n_obs=self.n, column_labels=self.context.fixed_column_labels(),
+            context=self.context, problem=self, ascent_history=history)
 
     def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float):
         """(loglik, theta, converged, iterations, gradient norm, ascent history)."""
@@ -488,8 +494,7 @@ class MixedModelProblem:
         damping = 1e-3  # lambda relative to the largest |eigenvalue|
         history = []
         while True:
-            blocked = _blocked(theta, grad, lo, hi)
-            grad_norm = _projected_grad_norm(grad, blocked)
+            grad_norm, blocked = _projected(theta, grad, lo, hi)
             if grad_norm <= tol or len(history) >= max_iter:
                 break
             free = ~blocked
@@ -505,7 +510,9 @@ class MixedModelProblem:
                 trial[free] += vec @ (rotated / (ev + damping * top))
                 trial = np.clip(trial, lo, hi)
                 ll_t, grad_t = self.loglik_and_grad(trial, method)
-                if ll_t >= ll:
+                # where roundoff hides the gain, a smaller gradient decides
+                if ll_t >= ll or (ll_t >= ll - _LL_ROUNDOFF * abs(ll)
+                                  and _projected(trial, grad_t, lo, hi)[0] < grad_norm):
                     break
                 damping *= 4.0
             else:
@@ -516,10 +523,10 @@ class MixedModelProblem:
                 # the log scale cannot reach a zero variance: put fading ones
                 # at the floor when the likelihood does not object
                 log_v = theta[: self.m]
-                fading = ((grad[: self.m] < 0) & (log_v > LOG_VARIANCE_FLOOR)
+                fading = ((grad[: self.m] < 0) & (log_v > lo[: self.m])
                           & (np.exp(log_v) < 1e-4 * np.exp(theta[-1])))
                 if fading.any():
-                    trial = np.append(np.where(fading, LOG_VARIANCE_FLOOR, log_v), theta[-1])
+                    trial = np.append(np.where(fading, lo[: self.m], log_v), theta[-1])
                     ll_t, grad_t = self.loglik_and_grad(trial, method)
                     if ll_t >= ll:
                         theta, ll, grad = trial, ll_t, grad_t
@@ -527,15 +534,11 @@ class MixedModelProblem:
         return ll, theta, grad_norm <= tol, len(history), grad_norm, history
 
 
-def _blocked(theta, grad, lo, hi) -> np.ndarray:
-    """Components at a bound whose gradient pushes outward."""
-    return (((theta <= lo + 1e-12) & (grad < 0))
-            | ((theta >= hi - 1e-12) & (grad > 0)))
-
-
-def _projected_grad_norm(grad, blocked) -> float:
-    """Max |gradient| over the components not pushing against an active bound."""
-    return float(np.max(np.abs(np.where(blocked, 0.0, grad))))
+def _projected(theta, grad, lo, hi):
+    """(max |gradient| over the other components, the components at a bound
+    whose gradient pushes outward)."""
+    blocked = ((theta <= lo + 1e-12) & (grad < 0)) | ((theta >= hi - 1e-12) & (grad > 0))
+    return float(np.max(np.abs(np.where(blocked, 0.0, grad)))), blocked
 
 
 # ---------------------------------------------------------------------------

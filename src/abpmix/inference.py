@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComparisonError, ContrastError, StateError
-from .estimation import FittedModel, _dsigma_d_stack
+from .estimation import FittedModel, covariance_jacobian
 
 
 @dataclass(frozen=True)
@@ -200,31 +200,17 @@ def assert_comparable(specs, method: str, force_reml_compare: bool = False):
 def variance_component_table(fitted: FittedModel):
     """(name, estimate, se) rows for the covariance parameters.
 
-    Standard errors come from the delta method through the analytic
-    observed information on the transformed scale.
+    Standard errors come from the delta method: the rows of the Jacobian
+    of (Sigma_d, sigma^2) in theta around the inverse analytic observed
+    information.
     """
-    theta = fitted.params.theta
     m = fitted.params.m
-    vcov = _information_inverse(fitted) if fitted.problem is not None else None
-    dmats = _dsigma_d_stack(fitted.params.structure, m, theta)
-    rows = []
-    if fitted.params.structure == "diagonal":
-        entries = [(j, j) for j in range(m)]
-    else:
-        r, c = np.tril_indices(m)
-        entries = list(zip(r.tolist(), c.tolist()))
-    for a, b in entries:
-        name = f"var(d{a})" if a == b else f"cov(d{a},d{b})"
-        est = float(fitted.sigma_d_hat[a, b])
-        se = np.nan
-        if vcov is not None:
-            jac = np.array([d[a, b] for d in dmats] + [0.0])
-            se = float(np.sqrt(max(jac @ vcov @ jac, 0.0)))
-        rows.append((name, est, se))
-    se_s2 = np.nan
-    if vcov is not None:
-        jac = np.zeros(theta.size)
-        jac[-1] = fitted.sigma2_hat
-        se_s2 = float(np.sqrt(max(jac @ vcov @ jac, 0.0)))
-    rows.append(("sigma2", float(fitted.sigma2_hat), se_s2))
+    se = np.full(m * m + 1, np.nan)
+    if fitted.problem is not None:
+        jac = covariance_jacobian(fitted.params.structure, m, fitted.params.theta)
+        se = np.sqrt(np.maximum(np.sum(jac * (_information_inverse(fitted) @ jac), axis=0), 0.0))
+    r, c = np.tril_indices(m) if fitted.params.structure == "unstructured" else np.diag_indices(m)
+    rows = [(f"var(d{a})" if a == b else f"cov(d{a},d{b})", float(fitted.sigma_d_hat[a, b]),
+             float(se[a * m + b])) for a, b in zip(r.tolist(), c.tolist())]
+    rows.append(("sigma2", float(fitted.sigma2_hat), float(se[-1])))
     return rows

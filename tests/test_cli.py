@@ -431,6 +431,26 @@ class TestProfilesCommand:
         assert "repeated subject id 's0000'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_carriage_return_in_subject_id_reads_back(self, workspace, tmp_path):
+        # an unquoted carriage return ends a record for the reader, so the
+        # cohort and the plot CSV must quote it like a line feed
+        root, data, _ = workspace
+        cohort = dataio.read_cohort(data)
+        first = cohort.subjects[0]
+        renamed = a.Cohort(subjects=(a.Subject(id="a\rb", times=first.times, y=first.y),)
+                           + cohort.subjects[1:])
+        write_cohort(tmp_path / "c.csv", renamed)
+        back = dataio.read_cohort(tmp_path / "c.csv")
+        assert [s.id for s in back] == [s.id for s in renamed]
+        out = tmp_path / "pcr"
+        assert main(["profiles", "--fit", str(root / "fit" / "fit.json"),
+                     "--data", str(tmp_path / "c.csv"), "--subjects", "a\rb",
+                     "--out", str(out)]) == 0
+        with open(out / "profiles.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {5}
+        assert {row[1] for row in rows[1:]} == {"subject:a\rb", "population", "band"}
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_usage_error(self, workspace, tmp_path, capsys, workers):
         root, data, _ = workspace

@@ -10,7 +10,7 @@ import abpmix as a
 from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.errors import ComparisonError, ContrastError, StateError
-from abpmix.estimation import MixedModelProblem
+from abpmix.estimation import MixedModelProblem, sigma_d_from_theta
 from abpmix.inference import (
     Contrast,
     _r2_from_f,
@@ -22,7 +22,7 @@ from abpmix.inference import (
     variance_component_table,
 )
 
-from conftest import poly_spec, simulate
+from conftest import dense_observed_information, poly_spec, simulate
 
 
 def one_way_cohort(n_subjects, p, seed, mu=100.0, tau2=25.0, sigma2=9.0):
@@ -233,6 +233,34 @@ class TestTables:
             assert est >= 0.0
             assert np.isfinite(se) and se >= 0.0
 
+    def test_unstructured_ses_match_delta_method(self):
+        # an interior fit, so the observed information is positive definite;
+        # the oracle is the dense observed information around a central-
+        # difference Jacobian of (lower triangle of Sigma_d, sigma^2) in theta
+        spec = poly_spec(2, "unstructured")
+        sigma_d = np.array([[1200.0, 240.0, -120.0], [240.0, 600.0, 100.0],
+                            [-120.0, 100.0, 300.0]])
+        cohort = simulate(spec, [450.0, -12.0, 6.0], sigma_d, 4.0, n_subjects=20, seed=17,
+                          base_times=np.arange(8) * 3.0 + 1.5)
+        fitted = a.fit(spec, cohort)
+        assert fitted.converged
+        theta = fitted.params.theta
+        assert np.linalg.eigvalsh(fitted.sigma_d_hat)[0] > 100.0
+
+        def components(th):
+            return np.append(sigma_d_from_theta("unstructured", 3, th)[np.tril_indices(3)],
+                             np.exp(th[-1]))
+
+        h = 1e-5
+        jac = np.array([(components(theta + e) - components(theta - e)) / (2.0 * h)
+                        for e in h * np.eye(theta.size)]).T
+        vcov = np.linalg.inv(dense_observed_information(theta, spec, cohort))
+        want = np.sqrt(np.diag(jac @ vcov @ jac.T))
+        rows = variance_component_table(fitted)
+        assert [r[0] for r in rows] == ["var(d0)", "cov(d1,d0)", "var(d1)", "cov(d2,d0)",
+                                        "cov(d2,d1)", "var(d2)", "sigma2"]
+        np.testing.assert_allclose([se for _, _, se in rows], want, rtol=1e-6)
+
 
 class TestInferenceCache:
     def test_derivatives_and_information_computed_once_per_fit(self, small_fit,
@@ -268,14 +296,18 @@ class TestInferenceCache:
 
 
 class TestAffineEquivariance:
+    # the extreme scales check that the variance bounds move with the data's
+    # scale, so that no bound binds on the scaled fit that does not on the
+    # unscaled one
+    @pytest.mark.parametrize("scale, shift", [(-2.5, 130.0), (1e12, 1.3e14), (1e-12, 1.3e-10)])
     @settings(max_examples=16, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**16), st.booleans())
-    def test_fit_and_inference_under_affine_outcome_change(self, seed, zero_variance):
+    def test_fit_and_inference_under_affine_outcome_change(self, scale, shift, seed,
+                                                          zero_variance):
         # y -> a y + b scales every variance by a^2, shifts the REML
         # log-likelihood by -(n - q) log|a| and leaves the tests alone;
         # the fits run to a tight tolerance so that optimizer precision
         # does not hide a difference
-        scale, shift = -2.5, 130.0
         spec = poly_spec(3)
         cohort = simulate(spec, [450.0, -12.0, 6.0, 3.0],
                           np.diag([70.0, 40.0, 0.0 if zero_variance else 20.0, 10.0]), 25.0,
