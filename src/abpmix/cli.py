@@ -32,33 +32,21 @@ def _fit_one(spec, cohort, args):
 
 
 def _fixed_effects_rows(fitted):
-    rows = []
     # inference refuses non-converged fits; diagnostics still get the
     # estimates and standard errors, just no p-values or R2
-    if fitted.converged:
-        tests = {j: res for j, _, res in inference.per_column_tests(fitted)}
-        _, partials = inference.r2_statistics(fitted)
-        partial_by_label = dict(partials)
-    else:
-        tests, partial_by_label = {}, {}
+    tests = [res for _, _, res in inference.per_column_tests(fitted)] if fitted.converged else []
     se = np.sqrt(np.diag(fitted.cov_beta))
-    degree_of = {}
-    for j, label in enumerate(fitted.column_labels[: fitted.spec.fixed.n_columns]):
-        degree_of[label] = j
+    rows = []
     for j, label in enumerate(fitted.column_labels):
-        deg = degree_of.get(label, "")
-        r2 = partial_by_label.get(label, "")
-        res = tests.get(j)
-        rows.append(
-            [
-                label,
-                deg,
-                _g17(fitted.beta_hat[j]),
-                _g17(se[j]),
-                _g17(res.p_value) if res is not None else "",
-                _g17(r2) if r2 != "" else "",
-            ]
-        )
+        p_value = r2 = ""
+        if tests:
+            res = tests[j]
+            p_value = _g17(res.p_value)
+            # every column but the intercept is its own semi-partial term
+            if j > 0:
+                r2 = _g17(inference._r2_from_f(res.F, res.ndf, res.ddf))
+        rows.append([label, j if j < fitted.spec.fixed.n_columns else "",
+                     _g17(fitted.beta_hat[j]), _g17(se[j]), p_value, r2])
     return rows
 
 
@@ -123,7 +111,8 @@ def _cmd_compare(args) -> int:
         try:
             fitted = _fit_one(spec, cohort, args)
             aic, bic = inference.information_criteria(fitted)
-            model_r2 = inference.r2_statistics(fitted)[0] if fitted.converged else np.nan
+            model_r2 = (inference.r2_statistics(fitted, terms=())[0] if fitted.converged
+                        else np.nan)
             results.append(
                 {
                     "model": Path(path).stem,
@@ -234,14 +223,15 @@ def _cmd_profiles(args) -> int:
 
 
 def _cmd_band(args) -> int:
-    cohort = dataio.read_cohort(args.data, outcome=args.outcome)
+    # a reused fit needs no cohort: --data is accepted with --fit but never read
     if args.fit:
         fitted = serialize.load_fitted_model(args.fit)
     else:
-        if not args.thresholds or not args.model:
-            print("error: band needs either --fit or both --model and --thresholds",
+        if not args.thresholds or not args.model or not args.data:
+            print("error: band needs either --fit or all of --model, --thresholds and --data",
                   file=sys.stderr)
             return EXIT_USAGE
+        cohort = dataio.read_cohort(args.data, outcome=args.outcome)
         thresholds = serialize.load_thresholds(args.thresholds)
         normals = dataio.filter_normals(cohort, thresholds)
         spec = serialize.load_model_spec(args.model)
@@ -351,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", default=None, help="reuse an existing fit.json")
     p.add_argument("--model", default=None, help="model spec JSON (fit on normals)")
     p.add_argument("--thresholds", default=None, help="per-hour normal bounds JSON")
-    _add_common(p, fitopts=True, plot=True)
+    p.add_argument("--data", default=None,
+                   help="cohort CSV to select normals from; needed with --model, "
+                        "accepted and not read with --fit")
+    _add_common(p, data=False, fitopts=True, plot=True)
     p.set_defaults(func=_cmd_band)
 
     p = sub.add_parser("simulate", help="draw a synthetic cohort")

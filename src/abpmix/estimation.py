@@ -7,8 +7,9 @@ of Sigma_d, then log sigma^2) are maximized by one projected, Levenberg-
 Marquardt-damped ascent, within bounds relative to the OLS residual
 variance: Fisher scoring on the expected information while the projected
 gradient is above 1e-2, Newton steps on the observed information below
-it.  The observed information also gives the Satterthwaite degrees of
-freedom and the variance-component SEs.
+it.  At the end of the fit the observed information, inverted, is kept
+on the fitted model with d cov_beta / d theta: they give the
+Satterthwaite degrees of freedom and the variance-component SEs.
 
 Every derivative is taken on the natural scale phi = (Sigma_d flattened,
 sigma^2) and reaches theta through the one Jacobian J = d phi / d theta
@@ -180,13 +181,13 @@ class FittedModel:
     n_obs: int
     column_labels: list
     context: BasisContext = field(repr=False)
-    problem: Optional["MixedModelProblem"] = field(default=None, repr=False)
     # log-likelihood after each accepted ascent step; never serialized
     ascent_history: list = field(default_factory=list, repr=False, compare=False)
-    # inference quantities of this fit, filled on first use by ``inference``;
-    # never serialized, and a ``dataclasses.replace`` copy begins empty
-    inference_cache: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
+    # the inputs of inference, computed at the end of the fit and never
+    # serialized: the inverse observed information of theta and d cov_beta /
+    # d theta_k; None on a fit read from fit.json
+    vcov_theta: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    cov_beta_derivatives: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -195,12 +196,6 @@ class FittedModel:
     @property
     def n_cov_params(self) -> int:
         return self.params.theta.size
-
-    def attach_data(self, cohort: Cohort) -> "MixedModelProblem":
-        """Rebuild the estimation problem for a deserialized fit."""
-        if self.problem is None:
-            self.problem = MixedModelProblem(self.spec, cohort, context=self.context)
-        return self.problem
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +474,16 @@ class MixedModelProblem:
         if self.structure == "diagonal":
             sigma_d = np.diag(np.where(at_floor[:-1], 0.0, np.diag(sigma_d)))
         sigma2 = 0.0 if at_floor[-1] else params.sigma2()
+        # the Hessian can be indefinite at an optimum on the boundary
+        ev, vec = np.linalg.eigh(self.observed_information(theta, method))
+        ev = np.maximum(ev, 1e-12 * max(ev.max(), 1.0))
         return FittedModel(
             spec=self.spec, method=method, beta_hat=beta, cov_beta=cov_beta,
             sigma_d_hat=sigma_d, sigma2_hat=sigma2, loglik=ll, converged=converged,
             iterations=iterations, gradient_norm=grad_norm, params=params,
             n_subjects=self.N, n_obs=self.n, column_labels=self.context.fixed_column_labels(),
-            context=self.context, problem=self, ascent_history=history)
+            context=self.context, ascent_history=history, vcov_theta=(vec / ev) @ vec.T,
+            cov_beta_derivatives=self.cov_beta_derivatives(theta, method))
 
     def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float):
         """(loglik, theta, converged, iterations, gradient norm, ascent history)."""

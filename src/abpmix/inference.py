@@ -50,38 +50,11 @@ class TestResult:
     label: str = ""
 
 
-def _problem(fitted: FittedModel):
-    if fitted.problem is None:
-        raise StateError("fit has no attached data; call attach_data() first")
-    return fitted.problem
-
-
-def _information_inverse(fitted: FittedModel) -> np.ndarray:
-    """vcov(theta), computed once per fit and kept in its inference cache."""
-    cache = fitted.inference_cache
-    if "vcov_theta" not in cache:
-        h = _problem(fitted).observed_information(fitted.params.theta, fitted.method)
-        # the Hessian can be indefinite at an optimum on the boundary
-        ev, vec = np.linalg.eigh(h)
-        ev = np.maximum(ev, 1e-12 * max(ev.max(), 1.0))
-        cache["vcov_theta"] = (vec / ev) @ vec.T
-    return cache["vcov_theta"]
-
-
-def _cov_beta_derivatives(fitted: FittedModel) -> np.ndarray:
-    """d Phi / d theta_k, computed once per fit and kept in its inference cache."""
-    cache = fitted.inference_cache
-    if "dphi" not in cache:
-        cache["dphi"] = _problem(fitted).cov_beta_derivatives(fitted.params.theta,
-                                                              fitted.method)
-    return cache["dphi"]
-
-
 def _satterthwaite_single(fitted: FittedModel, c: np.ndarray) -> float:
     phi = fitted.cov_beta
     var_c = float(c @ phi @ c)
-    g = np.array([float(c @ dp @ c) for dp in _cov_beta_derivatives(fitted)])
-    vv = float(g @ _information_inverse(fitted) @ g)
+    g = np.array([float(c @ dp @ c) for dp in fitted.cov_beta_derivatives])
+    vv = float(g @ fitted.vcov_theta @ g)
     if vv <= 0:
         return float(fitted.n_obs - fitted.q)
     return 2.0 * var_c**2 / vv
@@ -91,6 +64,8 @@ def f_test(fitted: FittedModel, contrast: Contrast) -> TestResult:
     """F-test of C beta = 0 with Satterthwaite denominator df."""
     if not fitted.converged:
         raise StateError("cannot test a non-converged fit")
+    if fitted.vcov_theta is None:
+        raise StateError("a fit read from fit.json has no inference inputs; refit to test")
     c = contrast.C
     if c.shape[1] != fitted.q:
         raise ContrastError(
@@ -202,13 +177,14 @@ def variance_component_table(fitted: FittedModel):
 
     Standard errors come from the delta method: the rows of the Jacobian
     of (Sigma_d, sigma^2) in theta around the inverse analytic observed
-    information.
+    information.  A fit read from fit.json carries no such inverse, and its
+    standard errors are NaN.
     """
     m = fitted.params.m
     se = np.full(m * m + 1, np.nan)
-    if fitted.problem is not None:
+    if fitted.vcov_theta is not None:
         jac = covariance_jacobian(fitted.params.structure, m, fitted.params.theta)
-        se = np.sqrt(np.maximum(np.sum(jac * (_information_inverse(fitted) @ jac), axis=0), 0.0))
+        se = np.sqrt(np.maximum(np.sum(jac * (fitted.vcov_theta @ jac), axis=0), 0.0))
     r, c = np.tril_indices(m) if fitted.params.structure == "unstructured" else np.diag_indices(m)
     rows = [(f"var(d{a})" if a == b else f"cov(d{a},d{b})", float(fitted.sigma_d_hat[a, b]),
              float(se[a * m + b])) for a, b in zip(r.tolist(), c.tolist())]

@@ -43,13 +43,15 @@ def _parse(text: str, what: str) -> dict:
 
 def _number_array(d: dict, key: str, shape: tuple, what: str) -> np.ndarray:
     """``d[key]`` as a float array; SchemaError unless it is a list of numbers
-    of ``shape``, where a ``None`` length matches any length."""
+    of ``shape``, where a ``None`` length matches any length.  numpy takes
+    ``true`` among numbers as 1, so booleans are looked for separately."""
     try:
         a = np.asarray(d[key]) if isinstance(d[key], list) else None
     except ValueError:  # ragged nesting
         a = None
     if (a is None or a.dtype.kind not in "iuf" or a.ndim != len(shape)
-            or any(k is not None and k != n for k, n in zip(shape, a.shape))):
+            or any(k is not None and k != n for k, n in zip(shape, a.shape))
+            or any(isinstance(v, bool) for v in np.asarray(d[key], dtype=object).flat)):
         raise SchemaError(f"{what}: {key} must be an array of numbers of shape {shape}")
     return a.astype(float)
 
@@ -142,7 +144,6 @@ def fitted_model_from_json(text: str) -> FittedModel:
         n_obs=scalar("n_obs", "an integer"),
         column_labels=list(scalar("column_labels", "a list of strings")),
         context=context,
-        problem=None,
     )
 
 
@@ -187,19 +188,16 @@ def load_simulation_config(path) -> SimulationConfig:
 
 
 def load_thresholds(path) -> dict:
-    """Per-hour bounds: {"0": [lo, hi], ...} or {"all": [lo, hi]}."""
+    """Per-hour bounds: {"all": [lo, hi]}, or {"0": [lo, hi], ...} for any of
+    the hours "0" to "23"."""
     d = _parse(_read(path, "thresholds"), "thresholds")
-    try:
-        if "all" in d:
-            lo, hi = d["all"]
-            out = {h: (float(lo), float(hi)) for h in range(24)}
-        else:
-            out = {}
-            for k, bounds in d.items():
-                lo, hi = bounds
-                out[int(k)] = (float(lo), float(hi))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"thresholds: {exc}") from None
+    hours = {str(h): h for h in range(24)}
+    if set(d) != {"all"} and not set(d) <= hours.keys():
+        raise SchemaError('thresholds: keys must be "all" alone or hours "0" to "23", '
+                          f"not {sorted(d)}")
+    bounds = {k: tuple(_number_array(d, k, (2,), "thresholds").tolist()) for k in d}
+    out = {h: bounds["all"] for h in range(24)} if "all" in d else {
+        hours[k]: v for k, v in bounds.items()}
     for h, (lo, hi) in sorted(out.items()):
         if not lo <= hi:
             raise SchemaError(f"thresholds: hour {h} has lower bound {lo:g} above upper {hi:g}")

@@ -16,7 +16,7 @@ import abpmix as a
 from abpmix.basis import TimeGrid
 from abpmix.design import BasisContext, build_design
 from abpmix.errors import DuplicateError, GridError, ParseError, SchemaError, SpecError
-from abpmix.estimation import LOG_VARIANCE_FLOOR, sigma_d_from_theta
+from abpmix.estimation import LOG_VARIANCE_FLOOR, MixedModelProblem, sigma_d_from_theta
 
 
 def dense_stacked_loglik(theta, spec, cohort, method="REML"):
@@ -315,6 +315,34 @@ def simulate(spec, beta, sigma_d, sigma2, n_subjects, seed, **kw):
         **kw,
     )
     return a.simulate_cohort(cfg)
+
+
+def record_problem_calls(monkeypatch, names):
+    """A list that receives (name, inside the ascent) for every call of the
+    named ``MixedModelProblem`` methods; "inside" means within ``_optimize``,
+    whose Newton steps use information matrices of their own."""
+    calls, depth = [], []
+
+    def recording(name, orig):
+        def wrapper(self, *args, **kwargs):
+            calls.append((name, bool(depth)))
+            return orig(self, *args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(MixedModelProblem, name,
+                            recording(name, getattr(MixedModelProblem, name)))
+    optimize = MixedModelProblem._optimize
+
+    def optimizing(self, *args, **kwargs):
+        depth.append(True)
+        try:
+            return optimize(self, *args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(MixedModelProblem, "_optimize", optimizing)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -234,11 +234,9 @@ class TestFitCommand:
         root, data, _ = workspace
         fitted = serialize.load_fitted_model(root / "fit" / "fit.json")
         cohort = a.read_cohort(data)
-        fitted.attach_data(cohort)
         refit = serialize.fitted_model_from_json(
             serialize.fitted_model_to_json(fitted)
         )
-        refit.attach_data(cohort)
         grid = TimeGrid(np.linspace(0.5, 23.5, 30))
         v1 = a.population_curve(fitted, grid).values
         v2 = a.population_curve(refit, grid).values
@@ -336,6 +334,34 @@ class TestCompareCommand:
         assert code == 0
         text = (out / "comparison.csv").read_text()
         assert "RankError" in text
+
+    def test_unreadable_spec_reported_in_row(self, workspace, tmp_path):
+        _, data, model = workspace
+        m1 = write_spec(tmp_path / "m1.json", 1)
+        junk = tmp_path / "mjunk.json"
+        junk.write_text('{"schema_version": 1,')
+        out = tmp_path / "c7"
+        code = main(["compare", "--model", model, "--model", str(junk), "--model", m1,
+                     "--data", data, "--out", str(out), "--force-reml-compare"])
+        assert code == 0
+        rows = {r["model"]: r for r in csv.DictReader(io.StringIO(
+            (out / "comparison.csv").read_text()))}
+        assert rows["mjunk"]["error"].startswith("SchemaError")
+        assert rows["mjunk"]["aic"] == "" and rows["mjunk"]["converged"] == "false"
+        assert all(rows[m]["error"] == "" and rows[m]["converged"] == "true"
+                   for m in ("m1", "m2"))
+
+    def test_every_model_failing_is_usage_error(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        junk = tmp_path / "mjunk.json"
+        junk.write_text('{"schema_version": 1,')
+        out = tmp_path / "c8"
+        code = main(["compare", "--model", str(junk),
+                     "--model", write_spec(tmp_path / "mbad.json", 30),
+                     "--data", data, "--out", str(out), "--force-reml-compare"])
+        assert code == 2
+        assert "every model failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def boundary_cohort(case, n_subjects, seed):
@@ -579,7 +605,9 @@ class TestBandCommand:
         assert np.all(lo95 <= lo90) and np.all(hi95 >= hi90)
 
     @pytest.mark.parametrize("text", ['{"all": [100, ', '{"noon": [100, 140]}',
-                                      '[[100, 140]]'])
+                                      '[[100, 140]]', '{"all": [90, 140], "3": [100, 120]}',
+                                      '{"24": [90, 140]}', '{"all": [true, 140]}',
+                                      '{"5": ["90", 140]}'])
     def test_malformed_thresholds_is_usage_error(self, workspace, tmp_path, capsys, text):
         _, data, model = workspace
         th = tmp_path / "th.json"
@@ -651,6 +679,36 @@ class TestBandCommand:
         _, data, _ = workspace
         code = main(["band", "--data", data, "--out", str(tmp_path / "bx")])
         assert code == 2
+
+    def test_band_from_fit_reads_no_data(self, workspace, tmp_path):
+        root, data, _ = workspace
+        fit = str(root / "fit" / "fit.json")
+        read, unread = tmp_path / "bd", tmp_path / "bn"
+        assert main(["band", "--fit", fit, "--data", data, "--out", str(read)]) == 0
+        assert main(["band", "--fit", fit, "--data", str(tmp_path / "nope.csv"),
+                     "--out", str(unread)]) == 0
+        assert (unread / "band.csv").read_bytes() == (read / "band.csv").read_bytes()
+
+    def test_band_from_model_needs_data(self, workspace, tmp_path, capsys):
+        _, _, model = workspace
+        th = tmp_path / "th.json"
+        th.write_text(json.dumps({"all": [-1e6, 1e6]}))
+        out = tmp_path / "bnd"
+        code = main(["band", "--model", model, "--thresholds", str(th), "--out", str(out)])
+        assert code == 2
+        assert "--data" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_band_nonconvergence_exit_code(self, workspace, tmp_path, capsys):
+        _, data, model = workspace
+        th = tmp_path / "th.json"
+        th.write_text(json.dumps({"all": [-1e6, 1e6]}))
+        out = tmp_path / "bnc"
+        code = main(["band", "--model", model, "--thresholds", str(th), "--data", data,
+                     "--out", str(out), "--max-iter", "1"])
+        assert code == 3
+        assert "non-convergence" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -22,7 +22,7 @@ from abpmix.inference import (
     variance_component_table,
 )
 
-from conftest import dense_observed_information, poly_spec, simulate
+from conftest import dense_observed_information, poly_spec, record_problem_calls, simulate
 
 
 def one_way_cohort(n_subjects, p, seed, mu=100.0, tau2=25.0, sigma2=9.0):
@@ -262,37 +262,35 @@ class TestTables:
         np.testing.assert_allclose([se for _, _, se in rows], want, rtol=1e-6)
 
 
-class TestInferenceCache:
+class TestInferenceInputs:
     def test_derivatives_and_information_computed_once_per_fit(self, small_fit,
                                                                 monkeypatch):
-        fitted = dataclasses.replace(small_fit[2])  # a copy with an empty cache
-        calls = []
-
-        def count(name):
-            orig = getattr(MixedModelProblem, name)
-
-            def counting(self, *args, **kwargs):
-                calls.append(name)
-                return orig(self, *args, **kwargs)
-
-            monkeypatch.setattr(MixedModelProblem, name, counting)
-
-        count("cov_beta_derivatives")
-        count("observed_information")
+        spec, cohort, _ = small_fit
+        calls = record_problem_calls(monkeypatch,
+                                     ["cov_beta_derivatives", "observed_information"])
+        fitted = a.fit(spec, cohort)
         per_column_tests(fitted)
         r2_statistics(fitted)
         variance_component_table(fitted)
-        assert sorted(calls) == ["cov_beta_derivatives", "observed_information"]
+        outside = sorted(name for name, inside in calls if not inside)
+        assert outside == ["cov_beta_derivatives", "observed_information"]
 
-    def test_cache_is_per_fit_and_never_carried_or_written(self, small_fit):
-        fitted = dataclasses.replace(small_fit[2])
-        before = per_column_tests(fitted)
-        assert fitted.inference_cache
-        copy = dataclasses.replace(fitted)
-        assert copy.inference_cache == {}
-        assert per_column_tests(copy) == before
-        assert "inference_cache" not in repr(fitted)
-        assert "inference_cache" not in serialize.fitted_model_to_json(fitted)
+    def test_inputs_never_shown_or_written_and_absent_from_a_loaded_fit(self, small_fit):
+        _, _, fitted = small_fit
+        r, q = fitted.n_cov_params, fitted.q
+        assert fitted.vcov_theta.shape == (r, r)
+        assert fitted.cov_beta_derivatives.shape == (r, q, q)
+        text = serialize.fitted_model_to_json(fitted)
+        for name in ("vcov_theta", "cov_beta_derivatives"):
+            assert name not in repr(fitted)
+            assert name not in text
+        loaded = serialize.fitted_model_from_json(text)
+        assert loaded.vcov_theta is None and loaded.cov_beta_derivatives is None
+        with pytest.raises(StateError):
+            f_test(loaded, Contrast.for_columns([0], q))
+        rows = variance_component_table(loaded)
+        assert [row[:2] for row in rows] == [row[:2] for row in variance_component_table(fitted)]
+        assert all(np.isnan(se) for _, _, se in rows)
 
 
 class TestAffineEquivariance:
