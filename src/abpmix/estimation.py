@@ -18,19 +18,21 @@ are J' times theirs on phi, an information is J' I J, and the observed
 one loses the curvature sum_phi (d loglik / d phi) d^2 phi / d theta^2.
 
 Subjects sharing identical (X, Z) designs are grouped, and each distinct
-design is reduced once to small sufficient statistics.  A complete QR,
-Z = Q R, rotates the design so that Sigma^-1 = Q M^-1 Q' + (I - QQ') /
-sigma^2 and log|Sigma| = log|M| + (p - m) log sigma^2, with the m x m
-M = R Sigma_d R' + sigma^2 I.  The statistics are cross-products of the
-rotated X and of the OLS residuals y - X beta_0 (the likelihood does not
-change under this shift, and residual cross-products keep roundoff
-small).  One evaluation is then a single batched m x m Cholesky over the
-distinct designs plus array algebra on (designs, m, m), (designs, m, q)
-and q x q arrays.  With M = L L' and u = L^-1 R, the Sigma_d block of an
-information on phi is one tensordot over the designs, H = sum_g C_g (x)
-B_g with B_g = u'u and C_g = u'T_g u.  Designs and the subjects within
-them are accumulated in a canonical order, so results do not depend on
-subject ordering.
+design is reduced once to small sufficient statistics, written into
+stacks allocated up front.  A complete QR, Z = Q R, rotates the design so
+that Sigma^-1 = Q M^-1 Q' + (I - QQ') / sigma^2 and log|Sigma| = log|M| +
+(p - m) log sigma^2, with the m x m M = R Sigma_d R' + sigma^2 I.  The
+statistics are cross-products of the rotated X and of the OLS residuals
+y - X beta_0 (the likelihood does not change under this shift, and
+residual cross-products keep roundoff small).  One evaluation is then a
+single batched m x m Cholesky over the distinct designs plus array
+algebra on (designs, m, m), (designs, m, q) and q x q arrays.  With
+M = L L' and u = L^-1 R, the Sigma_d block of an information on phi is
+one tensordot over the designs, H = sum_g C_g (x) B_g with B_g = u'u and
+C_g = u'T_g u.  Designs and the subjects within them are accumulated in
+a canonical order, so results do not depend on subject ordering.  The
+last evaluation is kept, so the information at a point the ascent has
+just accepted, and the end of the fit, reuse it.
 
 This module needs numpy alone: every factorization is numpy's and the
 ascent is its own, so fitting never loads ``scipy.optimize``, which would
@@ -207,7 +209,6 @@ class MixedModelProblem:
 
     def __init__(self, spec: ModelSpec, cohort: Cohort, context: Optional[BasisContext] = None):
         self.spec = spec
-        self.cohort = cohort
         self.context = context if context is not None else BasisContext(spec, cohort)
         # one build per distinct (times, covariate encoding); designs are
         # then grouped by their bytes, which also merges equal designs
@@ -241,46 +242,47 @@ class MixedModelProblem:
         self._beta0 = np.linalg.solve(xtx, sum(x.T @ y.sum(axis=0) for x, _, y in groups))
 
         # Z = Q R by a complete QR.  Rotated by Q', the first m rows of a
-        # design (zero-padded when p < m) carry the random effects and the
-        # other p - m rows only the residual variance, so Sigma^-1 =
-        # Q M^-1 Q' + (I - QQ')/sigma^2 with M = R Sigma_d R' + sigma^2 I
-        count, r_in, x_in, ee_in, e_in = [], [], [], [], []
+        # design carry the random effects and the other p - m rows only the
+        # residual variance, so Sigma^-1 = Q M^-1 Q' + (I - QQ')/sigma^2 with
+        # M = R Sigma_d R' + sigma^2 I.  The statistics are stacked over the G
+        # distinct designs, with zeros past row min(p, m)
+        n_designs = len(groups)
+        self._count = np.array([len(y) for _, _, y in groups], dtype=float)  # (G,) subjects
+        self._r = np.zeros((n_designs, m, m))   # (G, m, m) R
+        self._x = np.zeros((n_designs, m, q))   # (G, m, q) Q'X
+        self._ee = np.zeros((n_designs, m, m))  # (G, m, m) sum of Q'e e'Q
+        self._e = np.zeros((n_designs, m))      # (G, m) sum of Q'e
         self._xx_out = np.zeros((q, q))
         self._xe_out = np.zeros(q)
         self._ee_out = 0.0
-        self._p_minus_m = 0
-        for x, z, y in groups:
+        self._p_minus_m = self.n - m * self.N  # sum of (p - m) over subjects
+        for g, (x, z, y) in enumerate(groups):
             qf, r = np.linalg.qr(z, mode="complete")
             k = min(z.shape)
             xt = qf.T @ x
             et = (y - x @ self._beta0) @ qf
-            u = np.pad(et[:, :k], ((0, 0), (0, m - k)))
-            count.append(len(y))
-            r_in.append(np.pad(r[:k], ((0, m - k), (0, 0))))
-            x_in.append(np.pad(xt[:k], ((0, m - k), (0, 0))))
-            ee_in.append(u.T @ u)
-            e_in.append(u.sum(axis=0))
+            self._r[g, :k] = r[:k]
+            self._x[g, :k] = xt[:k]
+            self._ee[g, :k, :k] = et[:, :k].T @ et[:, :k]
+            self._e[g, :k] = et[:, :k].sum(axis=0)
             self._xx_out += len(y) * (xt[k:].T @ xt[k:])
             self._xe_out += xt[k:].T @ et[:, k:].sum(axis=0)
             self._ee_out += float(np.sum(et[:, k:] ** 2))
-            self._p_minus_m += len(y) * (x.shape[0] - m)
-        # stacked over the G distinct designs
-        self._count = np.asarray(count, dtype=float)  # (G,) subjects
-        self._r = np.asarray(r_in)                     # (G, m, m) R
-        self._x = np.asarray(x_in)                     # (G, m, q) Q'X
-        self._ee = np.asarray(ee_in)                   # (G, m, m) sum of Q'e e'Q
-        self._e = np.asarray(e_in)                     # (G, m) sum of Q'e
         # log s0^2, the OLS residual variance: the ascent starts from it and
         # its bounds are measured from it, so that both scale with the outcome
         rss = float(np.trace(self._ee, axis1=1, axis2=2).sum()) + self._ee_out
         self._log_s2 = float(np.log((rss or 1.0) / max(self.n - q, 1)))
+        self._last = (None, None)  # ((method, theta bytes), the last evaluation)
 
     # -- likelihood ---------------------------------------------------------
 
-    def _evaluate(self, theta: np.ndarray, method: str, want_grad: bool):
+    def _evaluate(self, theta: np.ndarray, method: str):
         """(loglik, d loglik / d phi, beta, cov_beta, L^-1 and GLS residual
-        cross-products per design); M = L L', and the derivative and
-        cross-products are None unless ``want_grad``."""
+        cross-products per design), M = L L'; the last one is kept, read-only,
+        and returned again while theta and the method repeat."""
+        key = (method, np.asarray(theta, dtype=float).tobytes())
+        if self._last[0] == key:
+            return self._last[1]
         m, q = self.m, self.q
         count = self._count
         sigma_d = sigma_d_from_theta(self.structure, m, theta)
@@ -319,41 +321,43 @@ class MixedModelProblem:
             ll = -0.5 * (logdet + logdet_x + quad + (self.n - q) * _LOG2PI)
         else:
             ll = -0.5 * (logdet + quad + self.n * _LOG2PI)
-        dphi = s = None
-        if want_grad:
-            # d ll / d Sigma_d = -1/2 sum_g R'(n K - K S K - n K A cov_beta A' K)R
-            # with K = M^-1 and S the summed rotated GLS residual cross-products
-            minv = li.transpose(0, 2, 1) @ li
-            xd = self._x @ delta
-            ed = self._e[:, :, None] * xd[:, None, :]
-            s = (self._ee - ed - ed.transpose(0, 2, 1)
-                 + count[:, None, None] * xd[:, :, None] * xd[:, None, :])
-            inner = count[:, None, None] * minv - minv @ s @ minv
-            if reml:
-                kx = li.transpose(0, 2, 1) @ wx
-                inner -= count[:, None, None] * (kx @ cov_beta @ kx.transpose(0, 2, 1))
-            g = -0.5 * (r.transpose(0, 2, 1) @ inner @ r).sum(axis=0)
-            # ll(c Sigma) has derivative -(n - q_reml - quad)/2 in c at c = 1;
-            # what Sigma_d does not account for belongs to sigma^2
-            dphi = np.append(g, (-0.5 * (self.n - (q if reml else 0) - quad)
-                                 - float(np.sum(g * sigma_d))) / sigma2)
-        return ll, dphi, self._beta0 + delta, cov_beta, li, s
+        # d ll / d Sigma_d = -1/2 sum_g R'(n K - K S K - n K A cov_beta A' K)R
+        # with K = M^-1 and S the summed rotated GLS residual cross-products
+        minv = li.transpose(0, 2, 1) @ li
+        xd = self._x @ delta
+        ed = self._e[:, :, None] * xd[:, None, :]
+        s = (self._ee - ed - ed.transpose(0, 2, 1)
+             + count[:, None, None] * xd[:, :, None] * xd[:, None, :])
+        inner = count[:, None, None] * minv - minv @ s @ minv
+        if reml:
+            kx = li.transpose(0, 2, 1) @ wx
+            inner -= count[:, None, None] * (kx @ cov_beta @ kx.transpose(0, 2, 1))
+        g = -0.5 * (r.transpose(0, 2, 1) @ inner @ r).sum(axis=0)
+        # ll(c Sigma) has derivative -(n - q_reml - quad)/2 in c at c = 1;
+        # what Sigma_d does not account for belongs to sigma^2
+        dphi = np.append(g, (-0.5 * (self.n - (q if reml else 0) - quad)
+                             - float(np.sum(g * sigma_d))) / sigma2)
+        out = (ll, dphi, self._beta0 + delta, cov_beta, li, s)
+        for a in out[1:]:
+            a.flags.writeable = False
+        self._last = (key, out)
+        return out
 
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
-        return self._evaluate(theta, method, want_grad=False)[0]
+        return self._evaluate(theta, method)[0]
 
-    def gls(self, theta: np.ndarray):
-        """(beta_hat, cov_beta) at the given covariance parameters."""
-        _, _, beta, cov_beta, _, _ = self._evaluate(theta, "REML", want_grad=False)
-        return beta, 0.5 * (cov_beta + cov_beta.T)
+    def gls(self, theta: np.ndarray, method: str = "REML"):
+        """(beta_hat, cov_beta) at theta; the method only picks the evaluation to reuse."""
+        _, _, beta, cov_beta, _, _ = self._evaluate(theta, method)
+        return beta.copy(), 0.5 * (cov_beta + cov_beta.T)
 
     def loglik_and_grad(self, theta: np.ndarray, method: str = "REML"):
-        ll, dphi, _, _, _, _ = self._evaluate(theta, method, want_grad=True)
+        ll, dphi, _, _, _, _ = self._evaluate(theta, method)
         return ll, covariance_jacobian(self.structure, self.m, theta) @ dphi
 
     def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML"):
         """d cov_beta / d theta_k = cov_beta F_k cov_beta at theta (delta-method ingredient)."""
-        _, _, _, cov_beta, li, _ = self._evaluate(theta, method, want_grad=False)
+        _, _, _, cov_beta, li, _ = self._evaluate(theta, method)
         return cov_beta @ self._f(theta, li) @ cov_beta
 
     def _f(self, theta, li):
@@ -399,7 +403,7 @@ class MixedModelProblem:
         rest, plus the outside rows' residual sum of squares, minus
         b cov_beta b' with b_j = X' V^-1 dV_j r.
         """
-        _, dphi, beta, cov_beta, li, resid = self._evaluate(theta, method, want_grad=observed)
+        _, dphi, beta, cov_beta, li, resid = self._evaluate(theta, method)
         m = self.m
         sigma2 = float(np.exp(theta[-1]))
         wx = li @ self._x
@@ -467,7 +471,7 @@ class MixedModelProblem:
         ll, theta, converged, iterations, grad_norm, history = self._optimize(
             self._initial_theta(), method, max_iter, tol)
         params = CovarianceParams(structure=self.structure, m=self.m, theta=theta)
-        beta, cov_beta = self.gls(theta)
+        beta, cov_beta = self.gls(theta, method)
         sigma_d = params.sigma_d()
         # log-variances at the floor are reported as exact zeros
         at_floor = theta <= self._bounds()[0] + 1e-8

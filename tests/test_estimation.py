@@ -506,6 +506,8 @@ class TestFit:
         assert f1.params.theta.tobytes() == f2.params.theta.tobytes()
         assert f1.loglik == f2.loglik
         assert f1.iterations == f2.iterations
+        for name in ("beta_hat", "cov_beta", "vcov_theta", "cov_beta_derivatives"):
+            assert getattr(f1, name).tobytes() == getattr(f2, name).tobytes(), name
 
     def test_pooled_rank_deficiency_detected(self):
         # one observation per subject cannot support a slope
@@ -515,6 +517,79 @@ class TestFit:
         )
         with pytest.raises(RankError, match="pooled fixed-effect design is rank deficient"):
             a.fit(poly_spec(1), a.Cohort(subjects=subs))
+
+
+def incomplete_cohort(structure):
+    spec = poly_spec(3, structure)
+    cohort = simulate(spec, [450.0, -12.0, 6.0, 3.0], np.diag([70.0, 40.0, 20.0, 10.0]), 25.0,
+                      n_subjects=30, seed=16, missing_rate=0.1)
+    return spec, cohort
+
+
+def flat_bytes(result):
+    """The bytes of a float, an array or a tuple of them."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return b"".join(np.asarray(part, dtype=float).tobytes() for part in parts)
+
+
+class TestEvaluationReuse:
+    @staticmethod
+    def record_evaluations(monkeypatch):
+        """A list that receives ((method, theta bytes), result) for every
+        ``_evaluate`` call; a reuse returns the kept result object itself."""
+        calls = []
+        evaluate = MixedModelProblem._evaluate
+
+        def recording(self, theta, method):
+            out = evaluate(self, theta, method)
+            calls.append(((method, np.asarray(theta, dtype=float).tobytes()), out))
+            return out
+
+        monkeypatch.setattr(MixedModelProblem, "_evaluate", recording)
+        return calls
+
+    @pytest.mark.parametrize("method", ["REML", "ML"])
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_each_theta_evaluated_once_per_fit(self, structure, method, monkeypatch):
+        spec, cohort = incomplete_cohort(structure)
+        assert MixedModelProblem(spec, cohort)._count.size > 1
+        calls = self.record_evaluations(monkeypatch)
+        fitted = a.fit(spec, cohort, method=method)
+        assert fitted.converged
+        evaluations = len({id(out) for _, out in calls})
+        assert evaluations == len({key for key, _ in calls})
+        # reused: the information at each accepted point, then gls, the
+        # observed information and d cov_beta / d theta at the optimum
+        assert len(calls) - evaluations == fitted.iterations + 3
+
+    def test_interleaved_calls_match_a_fresh_problem(self):
+        spec, cohort = incomplete_cohort("unstructured")
+        problem = MixedModelProblem(spec, cohort)
+        theta1 = problem._initial_theta()
+        theta2 = theta1 + 0.3
+        for name, theta, method in [
+                ("loglik_and_grad", theta1, "REML"), ("gls", theta1, "REML"),
+                ("observed_information", theta2, "REML"), ("expected_information", theta1, "REML"),
+                ("loglik_and_grad", theta1, "ML"), ("cov_beta_derivatives", theta1, "ML"),
+                ("loglikelihood", theta1, "REML"), ("gls", theta2, "ML"),
+                ("observed_information", theta1, "ML"), ("observed_information", theta1, "REML")]:
+            got = getattr(problem, name)(theta, method)
+            want = getattr(MixedModelProblem(spec, cohort), name)(theta, method)
+            assert flat_bytes(got) == flat_bytes(want), (name, method)
+
+    def test_kept_evaluation_is_read_only(self):
+        spec, cohort = incomplete_cohort("diagonal")
+        problem = MixedModelProblem(spec, cohort)
+        theta = problem._initial_theta()
+        _, *arrays = problem._evaluate(theta, "REML")
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        # gls hands out arrays of its own, so writing to them changes no later call
+        want = flat_bytes(problem.gls(theta))
+        for array in problem.gls(theta):
+            array[...] = 0.0
+        assert flat_bytes(problem.gls(theta)) == want
 
 
 def test_sigma_d_from_theta_unstructured_is_cholesky_square():
