@@ -1,8 +1,9 @@
 """Subject-specific prediction: BLUPs, profiles, and prediction bands.
 
-A batch of profiles is array work: the time bases are evaluated once on the union
-of the batch's times and once on the grid, covariates enter as coefficients on
-them, and all time patterns of one length are factored in one stacked call.
+A batch of profiles is array work on the design pipeline of ``design``: the time
+bases are evaluated once on the union of the batch's times and once on the grid,
+X comes from ``fixed_design``, and all time patterns of one length are factored in
+one stacked call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .basis import TimeGrid
-from .design import Subject, build_design, covariate_values, mean_coefficients
+from .design import (Subject, build_design, covariate_values, distinct_rows, fixed_design,
+                     group_patterns)
 from .errors import ConditioningError, ConfigError
 from .estimation import FittedModel
 
@@ -50,9 +52,13 @@ def subject_profile(fitted: FittedModel, subject, eval_times: Optional[TimeGrid]
     times = subject.times if eval_times is None else eval_times
     values = np.zeros((0, len(times)))
     if batch:
-        d, b, weights, offset, encoding = _blups(fitted, batch)
+        d, group, interaction = _blups(fitted, batch)
         s, z = _time_matrices(fitted, batch[0], times)
-        values = (s @ b.T @ weights.T + offset).T[encoding] + d @ z.T
+        # the mean once per distinct covariate encoding
+        first, encoding = distinct_rows(np.hstack([group, interaction]))
+        mean = fixed_design(np.broadcast_to(s, (len(first),) + s.shape), group[first],
+                            interaction[first]) @ fitted.beta_hat
+        values = mean[encoding] + d @ z.T
     return ProfileCurve(times=times, values=values[0] if one else values, kind="subject",
                         subject_id=subject.id if one else None)
 
@@ -64,37 +70,27 @@ def subject_profiles(fitted: FittedModel, subjects, eval_times: TimeGrid) -> np.
 
 
 def _time_matrices(fitted: FittedModel, carrier: Subject, times: TimeGrid):
-    """(S, Z) on ``times`` via ``build_design``, which makes every X; S, the time basis, leads."""
+    """(S, Z) on ``times`` via ``build_design``: S, the time basis, leads its X."""
     pair = build_design(fitted.spec, replace(carrier, times=times, y=np.zeros(len(times))),
                         fitted.context)
     return pair.X[:, : fitted.spec.fixed.n_columns], pair.Z
 
 
 def _blups(fitted: FittedModel, subjects: list):
-    """(n, m) BLUPs of a batch; the mean S B' weights + offset of each
-    distinct covariate encoding (one row each); each subject's encoding.  With
-    Z = Q R (k = min(p, m) columns of Q), V^-1 Z Sigma_d = Q M^-1 R Sigma_d
+    """(n, m) BLUPs of a batch, then its group- and interaction-term values.
+    With Z = Q R (k = min(p, m) columns of Q), V^-1 Z Sigma_d = Q M^-1 R Sigma_d
     for the fit's rotated M = R Sigma_d R' + sigma^2 I."""
-    values = [covariate_values(fitted.spec, s, fitted.context) for s in subjects]
-    b, weights, offset, encoding = mean_coefficients(fitted.spec, fitted.beta_hat, values)
-    counts = np.array([s.n_obs for s in subjects])
-    starts = np.cumsum(counts) - counts
-    union, where = np.unique(np.concatenate([s.times.points for s in subjects]),
-                             return_inverse=True)
-    basis, z = _time_matrices(fitted, subjects[0], TimeGrid(union))
-    on = np.repeat(encoding, counts)
-    resid = (np.concatenate([s.y for s in subjects])
-             - np.einsum("ji,ji->j", (basis @ b.T)[where], weights[on]) - offset[on])
+    group, interaction = covariate_values(fitted.spec, subjects, fitted.context)
+    union, patterns = group_patterns(subjects)
+    basis, z = _time_matrices(fitted, subjects[0], union)
+    y = np.concatenate([s.y for s in subjects])
     d = np.empty((len(subjects), z.shape[1]))
     # the first subject of each length whose V is not PD; without sigma^2 its rank is m < p
     s2 = fitted.sigma2_hat
-    failed = list(np.flatnonzero(counts > z.shape[1])[:1]) if s2 <= 0.0 else []
-    for p in np.unique(counts):
-        members = np.flatnonzero(counts == p)
-        obs = starts[members, None] + np.arange(p)
-        patterns, which = np.unique(where[obs], axis=0, return_inverse=True)
-        which = which.reshape(-1)  # numpy 2.0.0 returns it as a column
-        q, r = np.linalg.qr(z[patterns])
+    failed = [members[0] for members, obs, *_ in patterns
+              if s2 <= 0.0 and obs.shape[1] > z.shape[1]]
+    for members, obs, which, rows in patterns:
+        q, r = np.linalg.qr(z[rows])
         m_rot = r @ fitted.sigma_d_hat @ r.transpose(0, 2, 1) + s2 * np.eye(r.shape[1])
         try:
             np.linalg.cholesky(m_rot)
@@ -107,11 +103,13 @@ def _blups(fitted: FittedModel, subjects: list):
                     break
             continue
         gain = q @ np.linalg.solve(m_rot, r @ fitted.sigma_d_hat)
-        d[members] = np.einsum("kpm,kp->km", gain[which], resid[obs])
+        resid = y[obs] - fixed_design(basis[rows[which]], group[members],
+                                      interaction[members]) @ fitted.beta_hat
+        d[members] = np.einsum("kpm,kp->km", gain[which], resid)
     if failed:
         raise ConditioningError("marginal covariance not factorizable for subject "
                                 f"{subjects[min(failed)].id!r}")
-    return d, b, weights, offset, encoding
+    return d, group, interaction
 
 
 def population_curve(fitted: FittedModel, eval_times: TimeGrid) -> ProfileCurve:

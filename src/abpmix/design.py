@@ -1,12 +1,13 @@
-"""Model specification and per-subject design construction.
+"""Model specification and the one design pipeline of fitting and prediction.
 
 A ``ModelSpec`` names the fixed and random time bases, the random-effects
 covariance structure, and any static covariate terms.  A ``BasisContext``
-freezes everything derived from the spec that must be shared across
-subjects: the orthonormal-polynomial coefficient table generated on the
-reference grid, and the Gram-Schmidt transforms for spline / natural
-bases (computed once on the reference grid so every subject gets the same
-linear map).
+freezes what every subject shares: the orthonormal-polynomial coefficient
+table and the Gram-Schmidt transforms of spline and natural bases, all
+generated on the reference grid.  ``group_patterns`` groups subjects per
+observation count by their distinct times, as rows of the union of all
+their times, where the bases are evaluated once; ``fixed_design`` is the
+one definition of X's columns, for one subject or stacked over many.
 """
 
 from __future__ import annotations
@@ -418,47 +419,68 @@ class BasisContext:
         return labels
 
 
-def covariate_values(spec: ModelSpec, subject: Subject, context: BasisContext):
-    """(group-term values, interaction-term values) of a subject, encoded
-    as ``build_design`` enters them; both empty for a model without terms."""
+def covariate_values(spec: ModelSpec, subjects: Sequence[Subject], context: BasisContext):
+    """(group-term values, interaction-term values) of the subjects, one row
+    each, encoded as ``fixed_design`` enters them."""
     if not (spec.group_terms or spec.interaction_terms):
-        return np.zeros(0), np.zeros(0)
+        return np.zeros((len(subjects), 0)), np.zeros((len(subjects), 0))
     if context.encoder is None:
         raise SpecError("spec names covariates but no encoder is available")
-    return tuple(np.array([v for t in terms for v in context.encoder.encode(subject, t)])
+    return tuple(np.array([[v for t in terms for v in context.encoder.encode(s, t)]
+                           for s in subjects], dtype=float)
                  for terms in (spec.group_terms, spec.interaction_terms))
 
 
-def design_key(spec: ModelSpec, subject: Subject, context: BasisContext) -> tuple:
-    """(times, covariate encoding) as bytes: everything ``build_design``
-    reads of a subject, so subjects with equal keys have equal designs."""
-    group, interaction = covariate_values(spec, subject, context)
-    return subject.times.points.tobytes(), group.tobytes() + interaction.tobytes()
+def fixed_design(s: np.ndarray, group: np.ndarray, interaction: np.ndarray) -> np.ndarray:
+    """X over the leading axes of the time basis S (..., p, intercept and
+    time columns): S, the group-term values (..., g) on every row, then
+    each interaction value (..., h) times the time columns of S."""
+    rows = s.shape[:-1]
+    inter = (interaction[..., None, :, None] * s[..., None, 1:]).reshape(
+        rows + (interaction.shape[-1] * (s.shape[-1] - 1),))
+    return np.concatenate([s, np.broadcast_to(group[..., None, :], rows + group.shape[-1:]),
+                           inter], axis=-1)
 
 
 def build_design(spec: ModelSpec, subject: Subject, context: BasisContext) -> DesignPair:
-    """Per-subject fixed and random design matrices.
-
-    X column order: intercept + time-basis columns, then group indicators,
-    then interaction columns.  Z never carries covariates.
-    """
+    """One subject's fixed and random design matrices; Z never carries covariates."""
     s, z = context.time_matrices(subject.times)
-    group, interaction = covariate_values(spec, subject, context)
-    blocks = [s, np.tile(group, (subject.n_obs, 1))] + [v * s[:, 1:] for v in interaction]
-    return DesignPair(X=np.hstack(blocks), Z=z)
+    group, interaction = covariate_values(spec, [subject], context)
+    return DesignPair(X=fixed_design(s, group[0], interaction[0]), Z=z)
 
 
-def mean_coefficients(spec: ModelSpec, beta: np.ndarray, values: Sequence[tuple]):
-    """X beta = S B' w + o, S the fixed time basis, for subjects with the
-    given ``covariate_values``: (B, one row of w and o per distinct encoding,
-    the index of each subject's encoding)."""
-    qt, n_group = spec.fixed.n_columns, values[0][0].size
-    codes, encoding = np.unique([np.concatenate(v) for v in values], axis=0, return_inverse=True)
-    b = np.zeros((1 + codes.shape[1] - n_group, qt))
-    b[0] = beta[:qt]
-    b[1:, 1:] = beta[qt + n_group:].reshape(len(b) - 1, qt - 1)
-    weights = np.hstack([np.ones((len(codes), 1)), codes[:, n_group:]])
-    return b, weights, codes[:, :n_group] @ beta[qt: qt + n_group], encoding.reshape(-1)
+def distinct_rows(keys: np.ndarray):
+    """(the index of the first of each distinct row, in lexicographic order;
+    each row's index into them)."""
+    if (keys == keys[:1]).all():  # one distinct row, as in a complete cohort: nothing to sort
+        return np.zeros(1, dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
+    order = np.lexsort(keys.T[::-1])  # stable
+    new = np.append(True, (keys[order[1:]] != keys[order[:-1]]).any(axis=1))
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def group_patterns(subjects: Sequence[Subject], codes: Optional[np.ndarray] = None):
+    """The union ``TimeGrid`` of the subjects' times and, per observation count
+    p in increasing order, (members, obs, design, rows): the subjects with p
+    observations, in the given order; (k, p) indices of their observations in
+    the concatenated times; each one's distinct (times, row of ``codes``),
+    numbered in lexicographic order; each distinct one's rows in the union."""
+    points = [s.times.points for s in subjects]
+    counts = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
+    times, starts = np.concatenate(points), np.cumsum(counts) - counts
+    groups = []
+    for p in np.flatnonzero(np.bincount(counts)):
+        members = np.flatnonzero(counts == p)
+        obs = starts[members, None] + np.arange(p)
+        pattern = times[obs]
+        first, design = distinct_rows(pattern if codes is None
+                                      else np.hstack([pattern, codes[members]]))
+        groups.append((members, obs, design, pattern[first]))
+    union = np.unique(np.concatenate([pattern.ravel() for *_, pattern in groups]))
+    return TimeGrid(union), [(members, obs, design, np.searchsorted(union, pattern))
+                             for members, obs, design, pattern in groups]
 
 
 def parameter_count(spec: ModelSpec, encoder: Optional[CovariateEncoder] = None):

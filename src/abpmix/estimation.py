@@ -7,9 +7,10 @@ of Sigma_d, then log sigma^2) are maximized by one projected, Levenberg-
 Marquardt-damped ascent, within bounds relative to the OLS residual
 variance: Fisher scoring on the expected information while the projected
 gradient is above 1e-2, Newton steps on the observed information below
-it.  At the end of the fit the observed information, inverted, is kept
-on the fitted model with d cov_beta / d theta: they give the
-Satterthwaite degrees of freedom and the variance-component SEs.
+it.  At the end of the fit the observed information, inverted over the
+parameters not reported as exact zeros, is kept on the fitted model with
+d cov_beta / d theta: they give the Satterthwaite degrees of freedom and
+the variance-component SEs.
 
 Every derivative is taken on the natural scale phi = (Sigma_d flattened,
 sigma^2) and reaches theta through the one Jacobian J = d phi / d theta
@@ -17,10 +18,12 @@ sigma^2) and reaches theta through the one Jacobian J = d phi / d theta
 are J' times theirs on phi, an information is J' I J, and the observed
 one loses the curvature sum_phi (d loglik / d phi) d^2 phi / d theta^2.
 
-Subjects sharing identical (X, Z) designs are grouped, and each distinct
-design is reduced once to small sufficient statistics, written into
-stacks allocated up front.  A complete QR, Z = Q R, rotates the design so
-that Sigma^-1 = Q M^-1 Q' + (I - QQ') / sigma^2 and log|Sigma| = log|M| +
+Subjects are grouped per observation count by distinct (times,
+covariate encoding) with ``design.group_patterns``, and each distinct
+design is reduced once to small sufficient statistics, filled by array
+reductions into stacks allocated up front.  A complete QR, Z = Q R, in
+one stacked call per observation count, rotates the design so that
+Sigma^-1 = Q M^-1 Q' + (I - QQ') / sigma^2 and log|Sigma| = log|M| +
 (p - m) log sigma^2, with the m x m M = R Sigma_d R' + sigma^2 I.  The
 statistics are cross-products of the rotated X and of the OLS residuals
 y - X beta_0 (the likelihood does not change under this shift, and
@@ -41,12 +44,14 @@ otherwise dominate interpreter start-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
-from .design import BasisContext, Cohort, ModelSpec, build_design, design_key
+from .design import (BasisContext, Cohort, ModelSpec, build_design, covariate_values,
+                     fixed_design, group_patterns)
 from .errors import ConditioningError, RankError, SpecError
 
 LOG_VARIANCE_FLOOR = -30.0
@@ -210,44 +215,46 @@ class MixedModelProblem:
     def __init__(self, spec: ModelSpec, cohort: Cohort, context: Optional[BasisContext] = None):
         self.spec = spec
         self.context = context if context is not None else BasisContext(spec, cohort)
-        # one build per distinct (times, covariate encoding); designs are
-        # then grouped by their bytes, which also merges equal designs
-        # reached from different keys
-        built, designs = {}, {}
-        for subject in cohort:
-            k = design_key(spec, subject, self.context)
-            if k not in built:
-                pair = build_design(spec, subject, self.context)
-                built[k] = (pair.X, pair.Z, (pair.X.shape, pair.X.tobytes(), pair.Z.tobytes()))
-            x, z, key = built[k]
-            designs.setdefault(key, (x, z, []))[2].append(subject)
-        groups = []
-        for key in sorted(designs):
-            x, z, subjects = designs[key]
-            subjects.sort(key=lambda s: s.id)
-            groups.append((x, z, np.array([s.y for s in subjects])))
-        self.N = len(cohort)
-        self.n = sum(y.size for _, _, y in groups)
-        self.q = q = groups[0][0].shape[1]
-        self.m = m = groups[0][1].shape[1]
+        # subjects in id order; per observation count, one design per distinct
+        # (times, covariate encoding), with X and Z rows of those on the union
+        subjects = sorted(cohort, key=attrgetter("id"))
+        group, interaction = covariate_values(spec, subjects, self.context)
+        union, patterns = group_patterns(subjects, np.hstack([group, interaction]))
+        pair = build_design(spec, replace(subjects[0], times=union, y=np.zeros(len(union))),
+                            self.context)
+        y = np.concatenate([s.y for s in subjects])
+        designs = []  # per count: X, Z, y sorted by design, the designs, their sizes and starts
+        for members, obs, design, rows in patterns:
+            by = np.argsort(design, kind="stable")
+            count = np.bincount(design)
+            starts = np.cumsum(count) - count
+            lead = members[by[starts]]  # each design's first member
+            x = fixed_design(pair.X[rows, : spec.fixed.n_columns], group[lead], interaction[lead])
+            designs.append((x, pair.Z[rows], y[obs[by]], design[by], count, starts))
+        self.N, self.n = len(subjects), y.size
+        self.q, self.m = q, m = pair.X.shape[1], pair.Z.shape[1]
         self.structure = spec.random_cov
         self.n_params = n_cov_params(self.structure, m)
 
-        xtx = sum(len(y) * (x.T @ x) for x, _, y in groups)
+        # sums over designs and rows as products of (designs x rows, columns) matrices
+        xtx = sum((c[:, None, None] * x).reshape(-1, q).T @ x.reshape(-1, q)
+                  for x, _, _, _, c, _ in designs)
         ev = np.linalg.eigvalsh(xtx)
         if ev[0] <= 1e-10 * max(ev[-1], 1.0):
             raise RankError("pooled fixed-effect design is rank deficient")
         # the statistics are built from OLS residuals; the likelihood is
         # invariant to this shift and its cross-products stay small
-        self._beta0 = np.linalg.solve(xtx, sum(x.T @ y.sum(axis=0) for x, _, y in groups))
+        xty = sum(x.reshape(-1, q).T @ np.add.reduceat(y, starts).ravel()
+                  for x, _, y, _, _, starts in designs)
+        self._beta0 = np.linalg.solve(xtx, xty)
 
         # Z = Q R by a complete QR.  Rotated by Q', the first m rows of a
         # design carry the random effects and the other p - m rows only the
         # residual variance, so Sigma^-1 = Q M^-1 Q' + (I - QQ')/sigma^2 with
         # M = R Sigma_d R' + sigma^2 I.  The statistics are stacked over the G
-        # distinct designs, with zeros past row min(p, m)
-        n_designs = len(groups)
-        self._count = np.array([len(y) for _, _, y in groups], dtype=float)  # (G,) subjects
+        # distinct designs, with zeros past row k = min(p, m)
+        n_designs = sum(len(d[4]) for d in designs)
+        self._count = np.zeros(n_designs)       # (G,) subjects
         self._r = np.zeros((n_designs, m, m))   # (G, m, m) R
         self._x = np.zeros((n_designs, m, q))   # (G, m, q) Q'X
         self._ee = np.zeros((n_designs, m, m))  # (G, m, m) sum of Q'e e'Q
@@ -256,17 +263,27 @@ class MixedModelProblem:
         self._xe_out = np.zeros(q)
         self._ee_out = 0.0
         self._p_minus_m = self.n - m * self.N  # sum of (p - m) over subjects
-        for g, (x, z, y) in enumerate(groups):
-            qf, r = np.linalg.qr(z, mode="complete")
-            k = min(z.shape)
-            xt = qf.T @ x
-            et = (y - x @ self._beta0) @ qf
-            self._r[g, :k] = r[:k]
-            self._x[g, :k] = xt[:k]
-            self._ee[g, :k, :k] = et[:, :k].T @ et[:, :k]
-            self._e[g, :k] = et[:, :k].sum(axis=0)
-            self._xx_out += len(y) * (xt[k:].T @ xt[k:])
-            self._xe_out += xt[k:].T @ et[:, k:].sum(axis=0)
+        g = 0
+        for x, z, y, design, count, starts in designs:
+            qf, r = np.linalg.qr(z, mode="complete")  # one stacked QR per count
+            k = min(z.shape[1:])
+            at = slice(g, g + len(count))
+            g = at.stop
+            xt = qf.transpose(0, 2, 1) @ x
+            # each member's residuals rotated by its design's Q, which one
+            # design alone broadcasts rather than copies per member
+            et = np.matmul((y - (x @ self._beta0)[design])[:, None, :],
+                           qf if len(qf) == 1 else qf[design])[:, 0]
+            e_sum = np.add.reduceat(et, starts)
+            self._count[at] = count
+            self._r[at, :k] = r[:, :k]
+            self._x[at, :k] = xt[:, :k]
+            self._ee[at, :k, :k] = np.add.reduceat(
+                np.einsum("ki,kj->kij", et[:, :k], et[:, :k]), starts)
+            self._e[at, :k] = e_sum[:, :k]
+            self._xx_out += ((count[:, None, None] * xt[:, k:]).reshape(-1, q).T
+                             @ xt[:, k:].reshape(-1, q))
+            self._xe_out += xt[:, k:].reshape(-1, q).T @ e_sum[:, k:].ravel()
             self._ee_out += float(np.sum(et[:, k:] ** 2))
         # log s0^2, the OLS residual variance: the ascent starts from it and
         # its bounds are measured from it, so that both scale with the outcome
@@ -474,19 +491,25 @@ class MixedModelProblem:
         beta, cov_beta = self.gls(theta, method)
         sigma_d = params.sigma_d()
         # log-variances at the floor are reported as exact zeros
-        at_floor = theta <= self._bounds()[0] + 1e-8
+        zero = theta <= self._bounds()[0] + 1e-8
         if self.structure == "diagonal":
-            sigma_d = np.diag(np.where(at_floor[:-1], 0.0, np.diag(sigma_d)))
-        sigma2 = 0.0 if at_floor[-1] else params.sigma2()
-        # the Hessian can be indefinite at an optimum on the boundary
-        ev, vec = np.linalg.eigh(self.observed_information(theta, method))
-        ev = np.maximum(ev, 1e-12 * max(ev.max(), 1.0))
+            sigma_d = np.diag(np.where(zero[:-1], 0.0, np.diag(sigma_d)))
+        else:
+            zero[:-1] = False  # a Cholesky diagonal at its floor leaves a variance
+        sigma2 = 0.0 if zero[-1] else params.sigma2()
+        # and held fixed: vcov_theta inverts the observed information over the
+        # other parameters, floored where the Hessian is indefinite at the boundary
+        free = np.ix_(~zero, ~zero)
+        ev, vec = np.linalg.eigh(self.observed_information(theta, method)[free])
+        ev = np.maximum(ev, 1e-12 * max(ev.max(initial=0.0), 1.0))
+        vcov_theta = np.zeros((theta.size, theta.size))
+        vcov_theta[free] = (vec / ev) @ vec.T
         return FittedModel(
             spec=self.spec, method=method, beta_hat=beta, cov_beta=cov_beta,
             sigma_d_hat=sigma_d, sigma2_hat=sigma2, loglik=ll, converged=converged,
             iterations=iterations, gradient_norm=grad_norm, params=params,
             n_subjects=self.N, n_obs=self.n, column_labels=self.context.fixed_column_labels(),
-            context=self.context, ascent_history=history, vcov_theta=(vec / ev) @ vec.T,
+            context=self.context, ascent_history=history, vcov_theta=vcov_theta,
             cov_beta_derivatives=self.cov_beta_derivatives(theta, method))
 
     def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float):

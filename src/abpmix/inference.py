@@ -178,13 +178,15 @@ def variance_component_table(fitted: FittedModel):
     Standard errors come from the delta method: the rows of the Jacobian
     of (Sigma_d, sigma^2) in theta around the inverse analytic observed
     information.  A fit read from fit.json carries no such inverse, and its
-    standard errors are NaN.
+    standard errors are NaN.  So is the SE of a component reported as an
+    exact zero: on the boundary a Wald SE is undefined.
     """
     m = fitted.params.m
     se = np.full(m * m + 1, np.nan)
     if fitted.vcov_theta is not None:
         jac = covariance_jacobian(fitted.params.structure, m, fitted.params.theta)
         se = np.sqrt(np.maximum(np.sum(jac * (fitted.vcov_theta @ jac), axis=0), 0.0))
+        se[np.append(fitted.sigma_d_hat, fitted.sigma2_hat) == 0.0] = np.nan
     r, c = np.tril_indices(m) if fitted.params.structure == "unstructured" else np.diag_indices(m)
     rows = [(f"var(d{a})" if a == b else f"cov(d{a},d{b})", float(fitted.sigma_d_hat[a, b]),
              float(se[a * m + b])) for a, b in zip(r.tolist(), c.tolist())]

@@ -46,7 +46,8 @@ def dense_stacked_loglik(theta, spec, cohort, method="REML"):
 
 
 def _dense_covariance_derivatives(theta, spec, cohort):
-    """Stacked X, Sigma and its first and second derivatives in theta.
+    """Stacked X, Sigma, its first derivatives in theta and a function
+    of (j, k) giving its second derivatives.
 
     Sigma_d and its derivatives are written out from the parameterization
     (diagonal log-variances, or a row-major lower-triangular Cholesky
@@ -89,10 +90,13 @@ def _dense_covariance_derivatives(theta, spec, cohort):
     def stacked(d):
         return sla.block_diag(*[p.Z @ d @ p.Z.T for p in pairs])
 
+    def d2v(j, l):  # built when asked for: k^2 stacked n x n matrices do not fit a large cohort
+        if j == k or l == k:
+            return s2 * np.eye(n) if j == l else np.zeros((n, n))
+        return stacked(d2[j][l])
+
     dvs = [stacked(d) for d in derivs] + [s2 * np.eye(n)]
-    d2vs = [[stacked(d) for d in row] + [np.zeros((n, n))] for row in d2]
-    d2vs.append([np.zeros((n, n))] * k + [s2 * np.eye(n)])
-    return x, sigma, dvs, d2vs
+    return x, sigma, dvs, d2v
 
 
 def dense_expected_information(theta, spec, cohort, method="REML"):
@@ -111,18 +115,23 @@ def dense_observed_information(theta, spec, cohort, method="REML"):
 
     With P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1, r = P y and T = P for
     REML (V^-1 for ML), the Hessian is 1/2 tr(T dV_j T dV_k)
-    - 1/2 tr(T d2V_jk) - r'dV_j P dV_k r + 1/2 r'd2V_jk r.
+    - 1/2 tr(T d2V_jk) - r'dV_j P dV_k r + 1/2 r'd2V_jk r.  A trace tr(A B)
+    is taken as the sum of A * B', so only the k products T dV_j cost n^3.
     """
-    x, sigma, dvs, d2vs = _dense_covariance_derivatives(theta, spec, cohort)
+    x, sigma, dvs, d2v = _dense_covariance_derivatives(theta, spec, cohort)
     y = np.concatenate([s.y for s in cohort])
     si = np.linalg.inv(sigma)
     proj = si - si @ x @ np.linalg.solve(x.T @ si @ x, x.T @ si)
     t = proj if method == "REML" else si
     r = proj @ y
     k = len(dvs)
-    hess = np.array([[0.5 * np.trace(t @ dvs[j] @ t @ dvs[l]) - 0.5 * np.trace(t @ d2vs[j][l])
-                      - r @ dvs[j] @ proj @ dvs[l] @ r + 0.5 * r @ d2vs[j][l] @ r
-                      for l in range(k)] for j in range(k)])
+    tdv = [t @ dv for dv in dvs]
+    hess = np.empty((k, k))
+    for j in range(k):
+        for l in range(k):
+            d2 = d2v(j, l)
+            hess[j, l] = (0.5 * np.sum(tdv[j] * tdv[l].T) - 0.5 * np.sum(t * d2.T)
+                          - r @ dvs[j] @ proj @ dvs[l] @ r + 0.5 * r @ d2 @ r)
     return -hess
 
 

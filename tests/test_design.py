@@ -3,7 +3,8 @@ import pytest
 
 import abpmix as a
 from abpmix.basis import DEFAULT_SPLINE_CLOCK_KNOTS, TimeGrid, clock_knots_to_elapsed
-from abpmix.design import CovariateEncoder
+from abpmix.design import (CovariateEncoder, covariate_values, distinct_rows, fixed_design,
+                           group_patterns)
 from abpmix.errors import SpecError
 
 from conftest import poly_spec
@@ -148,6 +149,68 @@ class TestBuildDesign:
         sub = ctx.fixed_time_matrix(TimeGrid(TimeGrid.hourly_midpoints().points[5:9]))
         # evaluating a subset of times gives the corresponding rows
         np.testing.assert_allclose(sub, full[5:9], atol=1e-12)
+
+
+class TestGroupPatterns:
+    @staticmethod
+    def grouped(times, ids=None, codes=None):
+        """group_patterns on subjects with the given times, as plain lists."""
+        ids = ids or [f"s{i}" for i in range(len(times))]
+        subjects = [a.Subject(id=sid, times=TimeGrid(np.array(t, dtype=float)), y=np.zeros(len(t)))
+                    for sid, t in zip(ids, times)]
+        union, groups = group_patterns(subjects, None if codes is None else np.array(codes))
+        for members, obs, design, rows in groups:
+            # one index per member on every numpy version, never a column
+            assert design.shape == members.shape == (len(obs),)
+            for i, o, g in zip(members, obs, design):
+                assert np.array_equal(union.points[rows[g]], subjects[i].times.points)
+        return union.points.tolist(), [tuple(a.tolist() for a in g) for g in groups]
+
+    def test_one_subject(self):
+        assert self.grouped([[1.0, 5.0, 9.0]]) == (
+            [1.0, 5.0, 9.0], [([0], [[0, 1, 2]], [0], [[0, 1, 2]])])
+
+    def test_duplicate_patterns_share_one_design_numbered_in_lexicographic_order(self):
+        union, groups = self.grouped([[2, 4], [1, 3, 5], [2, 4], [1, 3, 5], [2, 3]])
+        assert union == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert groups == [([0, 2, 4], [[0, 1], [5, 6], [10, 11]], [1, 1, 0], [[1, 2], [1, 3]]),
+                          ([1, 3], [[2, 3, 4], [7, 8, 9]], [0, 0], [[0, 2, 4]])]
+
+    def test_codes_split_equal_times(self):
+        _, groups = self.grouped([[2, 4], [2, 4], [2, 3]], codes=[[0.0], [1.0], [0.0]])
+        assert groups == [([0, 1, 2], [[0, 1], [2, 3], [4, 5]], [1, 2, 0],
+                           [[0, 1], [0, 2], [0, 2]])]
+
+    def test_all_distinct_patterns(self):
+        _, groups = self.grouped([[1, 3], [1, 2], [2, 3]])
+        assert groups == [([0, 1, 2], [[0, 1], [2, 3], [4, 5]], [1, 0, 2],
+                           [[0, 1], [0, 2], [1, 2]])]
+
+    def test_ids_out_of_order_keep_the_given_order(self):
+        # grouping reads times alone: members are positions in the given list
+        assert self.grouped([[1, 2], [3], [1, 2]], ids=["z", "m", "a"]) == (
+            [1.0, 2.0, 3.0], [([1], [[2]], [0], [[2]]), ([0, 2], [[0, 1], [3, 4]], [0, 0],
+                                                         [[0, 1]])])
+
+    def test_distinct_rows_without_columns_is_one_row(self):
+        first, inverse = distinct_rows(np.zeros((3, 0)))
+        assert first.tolist() == [0] and inverse.tolist() == [0, 0, 0]
+
+
+def test_fixed_design_stacks_the_one_subject_design():
+    spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 3),
+                       random=a.BasisDescriptor("orthonormal_poly", 1),
+                       group_terms=("diet",), interaction_terms=("diet", "age"))
+    subjects = [complete_subject(sid=f"s{i}", covariates={"diet": diet, "age": 30.0 + i},
+                                 seed=i)
+                for i, diet in enumerate(["control", "salt", "dash", "salt"])]
+    ctx = a.BasisContext(spec, a.Cohort(subjects=tuple(subjects)))
+    s, _ = ctx.time_matrices(subjects[0].times)
+    group, interaction = covariate_values(spec, subjects, ctx)
+    stacked = fixed_design(np.broadcast_to(s, (4,) + s.shape), group, interaction)
+    assert stacked.shape == (4, 24, 4 + 2 + 3 * 3)
+    for x, subject in zip(stacked, subjects):
+        assert np.array_equal(x, a.build_design(spec, subject, ctx).X)
 
 
 class TestParameterCount:

@@ -102,7 +102,9 @@ _HOURS = np.arange(8) * 3.0 + 1.5
 @st.composite
 def incomplete_covariate_problems(draw):
     """A random incomplete cohort with a group (diet) and an interaction
-    (age) term, and covariance parameters to evaluate it at."""
+    (age) term, and covariance parameters to evaluate it at.  Past the first
+    four subjects, a subject may have fewer observations than random effects;
+    any may have jittered, off-grid times."""
     fixed_degree = draw(st.integers(1, 2))
     random_degree = draw(st.integers(0, fixed_degree))
     structure = draw(st.sampled_from(["diagonal", "unstructured"]))
@@ -110,19 +112,26 @@ def incomplete_covariate_problems(draw):
                        random=a.BasisDescriptor("orthonormal_poly", random_degree),
                        random_cov=structure, group_terms=("diet",),
                        interaction_terms=("age",))
-    masks = draw(st.lists(st.lists(st.booleans(), min_size=8, max_size=8),
-                          min_size=4, max_size=8))
+    m = spec.random.n_columns
+    rows = draw(st.lists(st.tuples(st.lists(st.booleans(), min_size=8, max_size=8),
+                                   st.booleans(), st.booleans()),
+                         min_size=4, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     subjects = []
-    for i, mask in enumerate(masks):
+    for i, (mask, short, jittered) in enumerate(rows):
         keep = np.array(mask)
-        keep[: fixed_degree + 2] |= keep.sum() < fixed_degree + 2  # enough points to span X
+        if short and i >= 4:  # p < m, with at least one observation
+            keep[np.flatnonzero(keep)[max(m - 1, 1):]] = False
+            keep[0] |= not keep.any()
+        else:  # enough points to span X
+            keep[: fixed_degree + 2] |= keep.sum() < fixed_degree + 2
         times = _HOURS[keep]
+        if jittered:  # within +-1 h of hours 3 h apart: still increasing and within the day
+            times = times + rng.uniform(-1.0, 1.0, size=times.size)
         subjects.append(a.Subject(id=f"h{i}", times=TimeGrid(times),
                                   y=rng.normal(120.0, 15.0, size=times.size),
                                   covariates={"diet": ("salt", "control")[i % 2],
                                               "age": 30.0 + 5.0 * i + rng.uniform(0.0, 4.0)}))
-    m = spec.random.n_columns
     theta = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n_cov_params(structure, m),
                                    max_size=n_cov_params(structure, m))))
     return spec, a.Cohort(subjects=tuple(subjects)), theta
@@ -630,52 +639,42 @@ def shared_and_jittered_cohort():
 
 
 class TestDesignSharing:
-    STATISTICS = ("N", "n", "q", "m", "_beta0", "_count", "_r", "_x", "_ee", "_e",
-                  "_xx_out", "_xe_out", "_ee_out", "_p_minus_m")
-
-    @staticmethod
-    def per_subject_problem(spec, cohort, monkeypatch):
-        """The problem built with one design per subject, as if no two
-        subjects shared (times, covariate encoding)."""
-        with monkeypatch.context() as mp:
-            mp.setattr(estimation, "design_key",
-                       lambda spec, subject, context: subject.id)
-            return MixedModelProblem(spec, cohort)
-
-    def test_statistics_likelihood_and_fit_bitwise_equal_to_per_subject_designs(
-            self, monkeypatch):
+    @pytest.mark.parametrize("method", ["REML", "ML"])
+    def test_shared_and_jittered_designs_match_dense_oracles(self, method):
         spec, cohort = shared_and_jittered_cohort()
-        shared = MixedModelProblem(spec, cohort)
-        single = self.per_subject_problem(spec, cohort, monkeypatch)
-        assert shared._count.size < len(cohort)
-        for name in self.STATISTICS:
-            want = np.asarray(getattr(single, name))
-            assert np.asarray(getattr(shared, name)).tobytes() == want.tobytes(), name
-        theta = shared._initial_theta() + 0.1
-        for method in ("REML", "ML"):
-            ll_s, g_s = shared.loglik_and_grad(theta, method)
-            ll_1, g_1 = single.loglik_and_grad(theta, method)
-            assert ll_s == ll_1 and g_s.tobytes() == g_1.tobytes()
-        f_s, f_1 = shared.fit(), single.fit()
-        assert f_s.loglik == f_1.loglik and f_s.iterations == f_1.iterations
-        for name in ("beta_hat", "cov_beta", "sigma_d_hat"):
-            assert getattr(f_s, name).tobytes() == getattr(f_1, name).tobytes()
-        assert f_s.params.theta.tobytes() == f_1.params.theta.tobytes()
-
-    def test_build_design_runs_once_per_distinct_times_and_encoding(self, monkeypatch):
-        spec, cohort = shared_and_jittered_cohort()
-        calls = []
-        build = estimation.build_design
-        monkeypatch.setattr(estimation, "build_design",
-                            lambda *args: calls.append(args[1].id) or build(*args))
-        MixedModelProblem(spec, cohort)
+        problem = MixedModelProblem(spec, cohort)
         distinct = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
                     for s in cohort}
-        assert len(calls) == len(distinct) < len(cohort)
+        assert problem._count.size == len(distinct) < len(cohort)
+        theta = problem._initial_theta() + 0.1
+        want = dense_stacked_loglik(theta, spec, cohort, method=method)
+        assert abs(problem.loglikelihood(theta, method) - want) <= 1e-8
+        beta, cov_beta = problem.gls(theta, method)
+        want_beta, want_cov = dense_gls(theta, spec, cohort)
+        assert np.max(np.abs(beta - want_beta)) <= 1e-8 * np.max(np.abs(want_beta))
+        assert np.max(np.abs(cov_beta - want_cov)) <= 1e-8 * np.max(np.abs(want_cov))
+        assert_matches_dense_information(problem.expected_information(theta, method),
+                                         dense_expected_information(theta, spec, cohort, method))
+        assert_matches_observed_information_oracles(problem, spec, cohort, theta, method)
+
+    def test_one_build_and_one_qr_per_observation_count(self, monkeypatch):
+        spec, cohort = shared_and_jittered_cohort()
+        builds, factored = [], []
+        build, qr = estimation.build_design, np.linalg.qr
+        monkeypatch.setattr(estimation, "build_design",
+                            lambda *args: builds.append(args[1].n_obs) or build(*args))
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda z, **kw: factored.append(z.shape) or qr(z, **kw))
+        problem = MixedModelProblem(spec, cohort)
+        # one design on the union of the observation times
+        assert builds == [np.unique(np.concatenate([s.times.points for s in cohort])).size]
+        # one stacked QR per observation count, each distinct design in exactly one
+        assert sorted(shape[1] for shape in factored) == sorted({s.n_obs for s in cohort})
+        assert sum(shape[0] for shape in factored) == problem._count.size
 
     @pytest.mark.parametrize("random_degree", [2, 1])
-    def test_a_basis_shared_by_x_and_z_is_evaluated_once_per_design(self, random_degree,
-                                                                     monkeypatch):
+    def test_a_basis_shared_by_x_and_z_is_evaluated_once_per_problem(self, random_degree,
+                                                                    monkeypatch):
         spec, cohort = shared_and_jittered_cohort()
         spec = dataclasses.replace(spec, random=a.BasisDescriptor("orthonormal_poly",
                                                                   random_degree))
@@ -685,9 +684,7 @@ class TestDesignSharing:
         monkeypatch.setattr(basis, "evaluate_polynomial_basis",
                             lambda *args: calls.append(args[1]) or evaluate(*args))
         MixedModelProblem(spec, cohort)
-        distinct = {(s.times.points.tobytes(), s.covariates["diet"], s.covariates["age"])
-                    for s in cohort}
-        assert len(calls) == per_design * len(distinct)
+        assert len(calls) == per_design
         calls.clear()
         config = a.SimulationConfig(spec=dataclasses.replace(spec, group_terms=(),
                                                              interaction_terms=()),

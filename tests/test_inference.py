@@ -9,6 +9,8 @@ from scipy import stats
 import abpmix as a
 from abpmix import serialize
 from abpmix.basis import TimeGrid
+from abpmix.cli import main
+from abpmix.dataio import write_cohort
 from abpmix.errors import ComparisonError, ContrastError, StateError
 from abpmix.estimation import MixedModelProblem, sigma_d_from_theta
 from abpmix.inference import (
@@ -233,6 +235,36 @@ class TestTables:
             assert est >= 0.0
             assert np.isfinite(se) and se >= 0.0
 
+    def test_exact_zero_components_have_no_se_and_hold_still(self, tmp_path):
+        # a diagonal fit with two variances at exact zeros: they are held
+        # fixed, and the SEs of the others come from the inverse of the
+        # observed information over the free parameters alone
+        spec = poly_spec(3)
+        cohort = simulate(spec, np.linspace(100.0, 10.0, 4), np.diag([0.0, 0.0, 0.0, 75.99611989]),
+                          0.15483824435134766, n_subjects=52, seed=50,
+                          missing_rate=0.032228505938987705)
+        fitted = a.fit(spec, cohort)
+        assert fitted.converged
+        theta = fitted.params.theta
+        free = np.append(np.diag(fitted.sigma_d_hat) != 0.0, True)
+        assert free.tolist() == [False, True, False, True, True]
+        assert not fitted.vcov_theta[~free].any() and not fitted.vcov_theta[:, ~free].any()
+        vcov = np.linalg.inv(dense_observed_information(theta, spec, cohort)[np.ix_(free, free)])
+        # a variance's derivative in its log is the variance itself
+        want = np.exp(theta[free]) * np.sqrt(np.diag(vcov))
+        rows = variance_component_table(fitted)
+        assert [name for name, _, se in rows if np.isnan(se)] == ["var(d0)", "var(d2)"]
+        np.testing.assert_allclose([se for _, _, se in rows if np.isfinite(se)], want,
+                                   rtol=1e-10)
+        # variance_components.csv leaves their SE fields empty
+        write_cohort(tmp_path / "cohort.csv", cohort)
+        (tmp_path / "m3.json").write_text(serialize.model_spec_to_json(spec))
+        assert main(["fit", "--model", str(tmp_path / "m3.json"), "--data",
+                     str(tmp_path / "cohort.csv"), "--out", str(tmp_path / "fit")]) == 0
+        table = (tmp_path / "fit" / "variance_components.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in table if line.endswith(",")] == ["var(d0)",
+                                                                               "var(d2)"]
+
     def test_unstructured_ses_match_delta_method(self):
         # an interior fit, so the observed information is positive definite;
         # the oracle is the dense observed information around a central-
@@ -329,7 +361,7 @@ class TestAffineEquivariance:
         for (name, est1, se1), (_, est2, se2) in zip(variance_component_table(f1),
                                                      variance_component_table(f2)):
             if est1 == 0.0:
-                # a boundary component's SE is roundoff and is not compared
-                assert est2 == 0.0, name
+                # a component on the boundary has no Wald SE
+                assert est2 == 0.0 and np.isnan(se1) and np.isnan(se2), name
             else:
                 assert se2 == pytest.approx(a2 * se1, rel=1e-7), name
