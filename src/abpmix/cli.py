@@ -7,6 +7,7 @@ Subcommands: fit, compare, profiles, band, simulate.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from itertools import groupby
 from pathlib import Path
@@ -311,7 +312,11 @@ def _add_common(parser, data=True, fitopts=False, plot=False):
         parser.add_argument("--svg", action="store_true", help="also render an SVG")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, and it is a graph of reference cycles that only the cyclic
+    garbage collector frees."""
     parser = argparse.ArgumentParser(
         prog="abpmix",
         description="Mixed-model analysis of 24-hour ambulatory blood pressure cohorts",

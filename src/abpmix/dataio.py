@@ -6,6 +6,16 @@ static covariates, which must keep one value across a subject's rows
 (a change is a SchemaError).  Times are elapsed hours since recording
 start.
 
+Tokenizers of ``read_cohort``.  It reads chunks of ``_CHUNK_ROWS``
+records, so that the memory beyond the converted columns is one chunk's
+text and fields.  A plain chunk, one with no ``"``, CR or NUL, no field
+over ``csv.field_size_limit()`` and every record of the header's width
+(the final newline may be missing), is split at ``\n`` and ``,``, which
+is all that ``csv``'s dialect does to such text.  From the header or the
+first chunk that is not plain, or that holds a time or outcome that is
+not a number, on, ``csv.reader`` reads the rest of the file and raises
+every error below; the plain chunks before it hold none.
+
 Errors of ``read_cohort``.  Records are numbered from the header, row 1;
 blank records are skipped but counted.  Invalid UTF-8 anywhere in the
 file is a ParseError first; then a missing column is a SchemaError; then
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
@@ -64,13 +75,161 @@ def _floats(cells: list):
     """``float()`` of the cells before the first one that does not parse,
     and that cell's index (``len(cells)`` when every cell parses)."""
     try:
-        return np.array(cells, dtype=float), len(cells)
+        return np.fromiter(map(float, cells), float, len(cells)), len(cells)
     except ValueError:
         for n, text in enumerate(cells):
             try:
                 float(text)
             except ValueError:
-                return np.array(cells[:n], dtype=float), n
+                return np.fromiter(map(float, cells[:n]), float, n), n
+
+
+def _layout(header: list, outcome: str, covariate_columns: Optional[Sequence[str]]):
+    """The covariate columns (by default every column but ``subject_id``,
+    ``time`` and the outcomes) and the header indices of the subject id,
+    the time, the outcome and each covariate; a SchemaError names the
+    first missing column."""
+    column = {name: j for j, name in enumerate(header)}
+    if covariate_columns is None:
+        covariate_columns = [
+            c for c in header if c not in ("subject_id", "time") and c not in OUTCOMES
+        ]
+    wanted = ("subject_id", "time", outcome, *covariate_columns)
+    for required in wanted:
+        if required not in column:
+            raise SchemaError(f"missing column {required!r}")
+    return covariate_columns, [column[c] for c in wanted]
+
+
+@dataclass
+class _Columns:
+    """The records read so far, converted.  ``index`` holds the header
+    indices of the subject id, the time, the outcome and each covariate;
+    ``codes`` numbers the subject ids in order of first appearance;
+    ``parts`` holds one list per column of ``convert``'s arrays; ``row``
+    is the number of the next record; ``error`` is the first bad
+    record's ParseError, or None."""
+    covariate_columns: Sequence[str]
+    index: list
+    codes: dict = field(default_factory=dict)
+    parts: list = field(init=False)
+    row: int = 2
+    error: Optional[ParseError] = None
+
+    def __post_init__(self):
+        self.parts = [[] for _ in range(len(self.index) + 1)]
+
+    def convert(self, cells: list, rownums, outcome: str):
+        """One chunk's time, outcome, subject-code and record-number arrays
+        and one object array per covariate, up to the chunk's first record
+        with an unparsable time or outcome, and that record's ParseError,
+        or None.  ``cells`` holds the chunk's texts, one list per ``index``
+        column; the chunk's new subject ids join ``codes``."""
+        sids, times, values, *covs = cells
+        t, bad_t = _floats(times)
+        y, bad_y = _floats(values)
+        n = min(bad_t, bad_y)
+        error = None
+        if n < len(sids):
+            name, text = ("time", times[n]) if bad_t == n else (outcome, values[n])
+            error = ParseError(f"row {rownums[n]}: cannot parse {name}={text!r}")
+            sids, t, y, rownums, covs = sids[:n], t[:n], y[:n], rownums[:n], [c[:n] for c in covs]
+        for sid in dict.fromkeys(sids):
+            self.codes.setdefault(sid, len(self.codes))
+        code = np.fromiter(map(self.codes.__getitem__, sids), np.intp, len(sids))
+        return [t, y, code, rownums] + [np.array(c, dtype=object) for c in covs], error
+
+    def append(self, arrays: list):
+        for part, arr in zip(self.parts, arrays):
+            part.append(arr)
+
+
+def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence[str]] = None) -> Cohort:
+    """Read a cohort CSV, one Subject per id with ascending times.
+
+    The records are tokenized and converted column by column in chunks of
+    ``_CHUNK_ROWS``, so that the memory beyond the converted columns is
+    one chunk's text and fields.  Plain chunks (see the module docstring)
+    are split at ``\\n`` and ``,``; from the first chunk that is not
+    plain, or that holds a time or outcome that is not a number, on,
+    ``csv.reader`` reads the rest of the file and raises every error of
+    the module docstring.  One stable sort on (subject, time) then finds
+    duplicate times and orders each subject's rows, and one pass over the
+    sorted arrays checks the whole cohort.  The sorted time and outcome
+    arrays are then made read-only, and each subject's ``times.points``
+    and ``y`` are views (slices) of them, built without a copy or a
+    second check.
+    """
+    outcome = outcome.lower()
+    try:
+        with open(path, "rb") as fh:
+            columns = _read_plain(fh, outcome, covariate_columns)
+            if columns is None or fh.peek(1):
+                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                    columns = _read_csv(text, outcome, covariate_columns, columns)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    parts = [np.concatenate(p) for p in columns.parts] if columns.codes else None
+    return _assemble(parts, list(columns.codes), columns.error, outcome, columns.covariate_columns)
+
+
+def _plain_fields(lines: list, limit: int):
+    """The fields of ``lines``, bytes that each end in ``\\n`` but perhaps
+    the last, in order, with a ``"\\n"`` after each line's; None unless
+    the lines are valid UTF-8 without ``"``, ``\\r`` or NUL and no field
+    is over ``limit`` characters.  Then ``csv.reader`` reads each line as
+    exactly those fields."""
+    try:
+        text = b"".join(lines).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    fields = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")
+    fields.pop()  # the empty text after the last line's marker
+    if len(text) > limit and max(map(len, fields)) > limit:
+        return None
+    return fields
+
+
+def _read_plain(fh, outcome: str, covariate_columns: Optional[Sequence[str]]):
+    """Read the binary file ``fh`` up to its first chunk that is not
+    plain: whose lines ``_plain_fields`` does not split into records of
+    the header's width, or that holds a time or outcome that is not a
+    number.  Leaves ``fh`` at that chunk's first byte and returns the
+    chunks before it, or, if the header is not plain or lacks a needed
+    column, leaves ``fh`` at the start and returns None.
+
+    Each chunk of records is split once, and column j is the strided
+    slice of the fields from j on.
+    """
+    limit = csv.field_size_limit()
+    header = _plain_fields([fh.readline()], limit)
+    try:
+        columns = _Columns(*_layout(header[:-1], outcome, covariate_columns)) if header else None
+    except SchemaError:
+        columns = None
+    if columns is None:
+        fh.seek(0)
+        return None
+    stride = len(header)  # the fields of a record and its "\n"
+    while True:
+        start = fh.tell()
+        lines = list(islice(fh, _CHUNK_ROWS))
+        n = len(lines)
+        fields = _plain_fields(lines, limit) if n else None
+        if (fields is None or len(fields) != n * stride
+                or fields[stride - 1::stride].count("\n") != n):
+            break
+        rownums = np.arange(columns.row, columns.row + n)
+        arrays, error = columns.convert([fields[j::stride] for j in columns.index], rownums,
+                                        outcome)
+        if error is not None:  # csv.reader reads the chunk again and numbers the same ids
+            break
+        columns.append(arrays)
+        columns.row += n
+    fh.seek(start)
+    return columns
 
 
 def _records(reader, first: int, count: int):
@@ -91,64 +250,35 @@ def _drain(fh) -> None:
         pass
 
 
-def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence[str]] = None) -> Cohort:
-    """Read a cohort CSV, one Subject per id with ascending times.
-
-    The file is tokenized by ``csv.reader`` in chunks of ``_CHUNK_ROWS``
-    records and converted column by column; one stable sort on (subject,
-    time) then finds duplicate times and orders each subject's rows, and
-    one pass over the sorted arrays checks the whole cohort.  The sorted
-    time and outcome arrays are then made read-only, and each subject's
-    ``times.points`` and ``y`` are views (slices) of them, built without a
-    copy or a second check.  The errors and their precedence are in the
-    module docstring.
+def _read_csv(text, outcome: str, covariate_columns: Optional[Sequence[str]],
+              columns: Optional[_Columns]) -> _Columns:
+    """Read the rest of the text file ``text`` with ``csv.reader``, from
+    its header if ``columns`` is None and else from record
+    ``columns.row``, converting the records up to the first one that is
+    short or holds an unparsable number, and decode what is left after
+    that, so that invalid UTF-8 comes first.  Raises the errors that
+    come before any record's: a header ``csv`` cannot tokenize and a
+    missing column.
     """
-    outcome = outcome.lower()
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows, error = _records(reader, 1, 1)
-            if error is not None:
-                _drain(fh)
-                raise error
-            header = rows[0] if rows else []
-            column = {name: j for j, name in enumerate(header)}
-            if covariate_columns is None:
-                covariate_columns = [
-                    c for c in header if c not in ("subject_id", "time") and c not in OUTCOMES
-                ]
-            for required in ("subject_id", "time", outcome, *covariate_columns):
-                if required not in column:
-                    _drain(fh)
-                    raise SchemaError(f"missing column {required!r}")
-            columns, ids, error = _read_columns(reader, column, outcome, covariate_columns)
-            _drain(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
-    return _assemble(columns, ids, error, outcome, covariate_columns)
-
-
-def _read_columns(reader, column: dict, outcome: str, covariate_columns: Sequence[str]):
-    """Convert the records chunk by chunk, up to the first one that is short
-    or holds an unparsable number.
-
-    Returns the time, outcome, subject-code and record-number arrays and
-    one object array per covariate, all in record order; the subject ids
-    in order of first appearance (the codes index them); and the error of
-    the first bad record, or None.
-    """
-    i_sid, i_time, i_value = column["subject_id"], column["time"], column[outcome]
-    i_covs = [column[c] for c in covariate_columns]
-    width = max([i_sid, i_time, i_value] + i_covs) + 1
-    codes = {}
-    parts = [[] for _ in range(4 + len(i_covs))]
-    error = None
-    first = 2
-    while error is None:
-        rows, error = _records(reader, first, _CHUNK_ROWS)
+    reader = csv.reader(text)
+    if columns is None:
+        rows, error = _records(reader, 1, 1)
+        if error is None:
+            try:
+                columns = _Columns(*_layout(rows[0] if rows else [], outcome, covariate_columns))
+            except SchemaError as exc:
+                error = exc
+        if error is not None:
+            _drain(text)
+            raise error
+    width = max(columns.index) + 1
+    while columns.error is None:
+        rows, error = _records(reader, columns.row, _CHUNK_ROWS)
         if not rows:
+            columns.error = error
             break
-        start, first = first, first + len(rows)
+        start = columns.row
+        columns.row += len(rows)
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
         short = np.flatnonzero((lengths < width) & (lengths > 0))
         if short.size:
@@ -158,21 +288,12 @@ def _read_columns(reader, column: dict, outcome: str, covariate_columns: Sequenc
         rownums = np.flatnonzero(lengths) + start
         if rownums.size < len(rows):
             rows = list(compress(rows, lengths))
-        t, bad_t = _floats(list(map(itemgetter(i_time), rows)))
-        y, bad_y = _floats(list(map(itemgetter(i_value), rows)))
-        n = min(bad_t, bad_y)
-        if n < len(rows):
-            name, text = ("time", rows[n][i_time]) if bad_t == n else (outcome, rows[n][i_value])
-            error = ParseError(f"row {rownums[n]}: cannot parse {name}={text!r}")
-            rows, t, y, rownums = rows[:n], t[:n], y[:n], rownums[:n]
-        sids = list(map(itemgetter(i_sid), rows))
-        for sid in dict.fromkeys(sids):
-            codes.setdefault(sid, len(codes))
-        code = np.fromiter(map(codes.__getitem__, sids), np.intp, len(sids))
-        cells = [np.array(list(map(itemgetter(j), rows)), dtype=object) for j in i_covs]
-        for part, arr in zip(parts, [t, y, code, rownums] + cells):
-            part.append(arr)
-    return [np.concatenate(p) for p in parts] if codes else None, list(codes), error
+        arrays, bad = columns.convert([list(map(itemgetter(j), rows)) for j in columns.index],
+                                      rownums, outcome)
+        columns.append(arrays)
+        columns.error = bad or error
+    _drain(text)
+    return columns
 
 
 def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
@@ -380,16 +501,22 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+_SPECIAL = re.compile('[,"\r\n\0]')  # what ``csv_quoted`` passes to the writer
+
+
 def csv_quoted(texts) -> list:
-    """Each text as ``csv_writer`` writes it as one field of a row."""
+    """Each text as ``csv_writer`` writes it as one field of a row: one
+    without ``,``, ``"``, ``\\r``, ``\\n`` or NUL as it is, any other through
+    the writer (which quotes it, or raises on NUL before Python 3.11)."""
     buf = io.StringIO()
     writer = csv_writer(buf)
-    quoted = []
-    for text in texts:
-        writer.writerow((text, ""))
-        quoted.append(buf.getvalue()[:-2])
-        buf.seek(0)
-        buf.truncate()
+    quoted = list(texts)
+    for i, text in enumerate(quoted):
+        if _SPECIAL.search(text):
+            writer.writerow((text, ""))
+            quoted[i] = buf.getvalue()[:-2]
+            buf.seek(0)
+            buf.truncate()
     return quoted
 
 

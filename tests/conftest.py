@@ -6,6 +6,7 @@ with the blockwise estimator they check.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -224,9 +225,20 @@ def edge_case_problems(rng, structure="diagonal"):
 
 def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
     """Reference reader: ``dataio.read_cohort`` as one loop over the
-    records, each checked as it is read; the first bad record raises.
-    Then each subject in order of first appearance is checked, one check
-    at a time, over its records in order."""
+    records, each checked as it is read; the first bad record raises, a
+    record that ``csv`` cannot tokenize included.  Then each subject in
+    order of first appearance is checked, one check at a time, over its
+    records in order."""
+
+    def numbered(reader):
+        for rownum in itertools.count(1):
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise ParseError(f"row {rownum}: {exc}") from None
+            yield rownum, row
 
     def parse_float(text, row, column):
         try:
@@ -242,8 +254,8 @@ def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
 
     outcome = outcome.lower()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        records = numbered(csv.reader(fh))
+        header = next(records, (1, []))[1]
         column = {name: j for j, name in enumerate(header)}
         for required in ("subject_id", "time", outcome):
             if required not in column:
@@ -259,7 +271,7 @@ def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
         i_covs = [column[c] for c in covariate_columns]
         width = max([i_sid, i_time, i_value] + i_covs) + 1
         per_subject = {}  # id -> (times, values, record numbers, set of times, covariate cells)
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in records:
             if len(row) < width:
                 if not row:
                     continue

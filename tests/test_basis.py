@@ -107,6 +107,17 @@ class TestOrthonormalPolynomial:
             basis, _ = orthonormal_polynomial_basis(grid, min(9, p - 1))
             assert np.all(np.abs(basis.values) < 1.0)
 
+    def test_reference_grid_column_signs_are_pinned(self):
+        # a saved fit.json stores beta but not the basis, and a simulation
+        # config draws through it: flipping a column silently changes both.
+        # On the symmetric default grid an odd column's two end values tie up
+        # to rounding, so its sign rests on the exact order of the arithmetic.
+        grid = TimeGrid.equispaced(49, 0.0, 24.0)
+        signs = [1, 1, 1, 1, 1, 1, 1, -1, 1, 1]  # of each column's leading coefficient
+        for degree in range(10):
+            _, coeffs = orthonormal_polynomial_basis(grid, degree)
+            assert np.sign(np.diag(coeffs.coeffs)).tolist() == signs[: degree + 1]
+
     def test_coefficient_table_lower_triangular(self):
         _, coeffs = orthonormal_polynomial_basis(TimeGrid.equispaced(24), 5)
         assert np.allclose(np.triu(coeffs.coeffs, k=1), 0.0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import abpmix as a
 from abpmix import dataio, serialize
 from abpmix.basis import TimeGrid
-from abpmix.cli import _g17, _write_series, main
+from abpmix.cli import _g17, _write_series, build_parser, main
 from abpmix.dataio import write_cohort
 from abpmix.errors import AbpmixError, SchemaError
 from abpmix.estimation import MixedModelProblem
@@ -819,3 +819,13 @@ def test_fit_never_imports_scipy_optimize(workspace, tmp_path):
     assert result["code"] == 0
     assert "scipy.special" in result["scipy"]
     assert not [name for name in result["scipy"] if name.startswith("scipy.optimize")]
+
+
+def test_one_parser_per_process_and_parsing_leaves_it_unchanged():
+    parser = build_parser()
+    assert build_parser() is parser
+    argv = ["compare", "--model", "a.json", "--model", "b.json", "--data", "c.csv", "--out", "o"]
+    first = vars(parser.parse_args(argv))
+    assert first["model"] == ["a.json", "b.json"]
+    parser.parse_args(["fit", "--model", "m.json", "--data", "c.csv", "--out", "o"])
+    assert vars(parser.parse_args(argv)) == first

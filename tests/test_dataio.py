@@ -129,6 +129,30 @@ class TestReadCohort:
         with pytest.raises(ParseError, match="UTF-8"):
             a.read_cohort(str(p))
 
+    def test_invalid_utf8_after_plain_chunks_takes_precedence(self, tmp_path):
+        p = tmp_path / "c.csv"
+        # the bad byte lies past the first block the decoder reads after the bad number
+        body = "".join(f"s{k % 10},{k // 10 / 4},120\n" for k in range(900))
+        p.write_bytes(b"subject_id,time,sbp\na,0.5,120\na,1,121\nb,oops,120\nb,1,1\n"
+                      + body.encode() + b"\xff,1,2\n")
+        with mock.patch.object(dataio, "_CHUNK_ROWS", 2):
+            with pytest.raises(ParseError, match="not valid UTF-8: invalid start byte$"):
+                a.read_cohort(str(p))
+
+    def test_csv_reader_takes_over_at_the_first_chunk_that_is_not_plain(self, tmp_path):
+        lines = [b"subject_id,time,sbp\n", b"a,1,120\n", b"a,2,121\n", b'"b",1,122\n',
+                 b"b,2,oops\n"]
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"".join(lines))
+        with mock.patch.object(dataio, "_CHUNK_ROWS", 2), open(p, "rb") as fh:
+            columns = dataio._read_plain(fh, "sbp", None)
+            assert fh.tell() == len(b"".join(lines[:3]))
+        assert (columns.row, list(columns.codes)) == (4, ["a"])
+        assert [len(part) for part in columns.parts] == [1, 1, 1, 1]
+        with mock.patch.object(dataio, "_CHUNK_ROWS", 2):
+            with pytest.raises(ParseError, match="^row 5: cannot parse sbp='oops'$"):
+                a.read_cohort(str(p))
+
     def test_subjects_hold_read_only_views(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
         arrays = [arr for s in cohort for arr in (s.times.points, s.y)]
@@ -166,6 +190,7 @@ class TestReadCohort:
 
 
 ID_ALPHABET = 'ab,"\n\r \u00e9'
+PLAIN_ID_ALPHABET = "ab1 .\u00e9\u4e2d"
 # each inner list spells one value
 COVARIATE_CELLS = {"age": [["41", "41.0", " 41", "4_1"], ["42"], [""]],
                    "diet": [["control"], ["salt"], ["nan"], ["NaN"], [""]]}
@@ -174,14 +199,20 @@ NUMBER_EDGES = ["nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "1_0", "0x1", "a
 
 
 @st.composite
-def cohort_csv(draw):
-    """A cohort CSV text: quoted ids, blank and short records, CRLF or LF,
-    respelled or changed covariates, duplicate times, bad numbers."""
+def cohort_csv(draw, plain=False):
+    """A cohort CSV text with respelled or changed covariates, duplicate
+    times and bad numbers: quoted ids, blank and short records, CRLF or
+    LF; or, if ``plain``, non-ASCII and numeric ids without quotes, CR or
+    NUL, every record the header's width and LF, the final one optional."""
     covariates = draw(st.sampled_from([(), ("age",), ("age", "diet"), ("diet", "age")]))
     header = ["subject_id", "time", "sbp", *covariates]
     if draw(st.booleans()):  # an unused outcome column, possibly last
         header.insert(draw(st.integers(0, len(header))), "dbp")
-    ids = draw(st.lists(st.text(ID_ALPHABET, max_size=3), min_size=1, max_size=4, unique=True))
+    if plain:
+        id_text = st.one_of(st.text(PLAIN_ID_ALPHABET, max_size=3), st.integers(0, 99).map(str))
+    else:
+        id_text = st.text(ID_ALPHABET, max_size=3)
+    ids = draw(st.lists(id_text, min_size=1, max_size=4, unique=True))
     spellings = {sid: {c: draw(st.sampled_from(COVARIATE_CELLS[c])) for c in covariates}
                  for sid in ids}
     dirty = draw(st.booleans())
@@ -189,12 +220,12 @@ def cohort_csv(draw):
     times = st.one_of(half_hours, st.sampled_from(NUMBER_EDGES)) if dirty else half_hours
     values = st.floats(60, 200).map(repr)
     values = st.one_of(values, st.sampled_from(NUMBER_EDGES)) if dirty else values
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=newline)
     writer.writerow(header)
     for _ in range(draw(st.integers(0, 30))):
-        kind = draw(st.integers(0, 19))
+        kind = draw(st.integers(2 if plain else 0, 19))
         if kind == 0:
             out.write(newline)
             continue
@@ -208,7 +239,27 @@ def cohort_csv(draw):
         if kind == 1 and dirty:
             row = row[: draw(st.integers(1, len(row) - 1))]
         writer.writerow(row)
-    return out.getvalue()
+    text = out.getvalue()
+    return text[:-1] if plain and draw(st.booleans()) else text
+
+
+def read_plainly(text):
+    """Whether ``read_cohort`` reads ``text`` without ``csv.reader``: no
+    quote, CR or NUL, no field over ``csv.field_size_limit()``, records
+    all of the header's width, and every time and outcome a number."""
+    if any(c in text for c in '"\r\0'):
+        return False
+    header, *records = [line.split(",") for line in text.removesuffix("\n").split("\n")]
+    if (any(len(r) != len(header) for r in records)
+            or not {"subject_id", "time", "sbp"} <= set(header)
+            or max(len(f) for r in records + [header] for f in r) > csv.field_size_limit()):
+        return False
+    i, j = header.index("time"), header.index("sbp")
+    try:
+        [float(r[i]) + float(r[j]) for r in records]
+    except ValueError:
+        return False
+    return True
 
 
 def read_outcome(read, path):
@@ -240,12 +291,65 @@ class TestReadCohortMatchesRowLoop:
     @example(text="subject_id,time,sbp\na,1,120\na,24.5,121\n", chunk=8192)
     @example(text="subject_id,time,sbp\na,-0.5,120\na,1,121\n", chunk=8192)
     def test_same_cohort_or_same_error(self, tmp_path_factory, text, chunk):
-        path = tmp_path_factory.mktemp("csv") / "c.csv"
-        path.write_bytes(text.encode("utf-8"))
-        want = read_outcome(row_loop_read_cohort, str(path))
-        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
-            got = read_outcome(a.read_cohort, str(path))
-        assert got == want
+        assert_reads_like_row_loop(tmp_path_factory, text, chunk)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(text=cohort_csv(plain=True), chunk=st.sampled_from([1, 2, 3, 7, 8192]))
+    # at each edge of a plain file: a quote only in the last record, CR only
+    # on the last line, NUL, a record longer than the header, a blank
+    # line, no final newline, a field at and one over the csv field limit
+    @example(text='subject_id,time,sbp\na,1,120\n"b",2,121\n', chunk=2)
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r\n", chunk=1)
+    @example(text="subject_id,time,sbp\na,1,120\nb\0,2,121\n", chunk=8192)
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121,x\nc,1,1\n", chunk=8192)
+    # a long record, then a short one, that fill the numeric columns if they are split as
+    # one record after another of the header's width
+    @example(text="subject_id,time,sbp\na,1,120,5\n6,7\n", chunk=8192)
+    @example(text="subject_id,time,sbp\na,1,120\n\nb,2,121\n", chunk=2)
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121", chunk=1)
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121", chunk=8192)
+    @example(text=f"subject_id,time,sbp\na,1,120\n{'x' * csv.field_size_limit()},2,121\n",
+             chunk=8192)
+    @example(text=f"subject_id,time,sbp\na,1,120\n{'x' * (csv.field_size_limit() + 1)},2,121\n",
+             chunk=1)
+    @example(text=f"subject_id,time,{'x' * (csv.field_size_limit() + 1)}\na,1,120\n",
+             chunk=8192)
+    # a bad number in a later chunk than a duplicate time
+    @example(text="subject_id,time,sbp\na,1,120\na,1,121\na,2,x\n", chunk=2)
+    def test_plain_file_same_cohort_or_same_error(self, tmp_path_factory, text, chunk):
+        used_csv_reader = assert_reads_like_row_loop(tmp_path_factory, text, chunk)
+        assert used_csv_reader != read_plainly(text)
+
+    def test_write_cohort_output_is_read_without_csv_reader(self, tmp_path):
+        cfg = a.SimulationConfig(spec=poly_spec(2), beta=np.array([120.0, -10.0, 5.0]),
+                                 sigma_d=np.diag([80.0, 40.0, 20.0]), sigma2=16.0,
+                                 n_subjects=60, seed=5, missing_rate=0.1, time_jitter_sd=0.3)
+        cohort = a.Cohort(subjects=tuple(
+            a.Subject(id=f"{s.id}-\u00e9", times=s.times, y=s.y,
+                      covariates={"age": 30.0 + k % 7, "diet": ("salt", "control")[k % 2]})
+            for k, s in enumerate(a.simulate_cohort(cfg))))
+        path = tmp_path / "c.csv"
+        write_cohort(path, cohort)
+        assert sum(s.n_obs for s in cohort) > dataio._CHUNK_ROWS
+        with mock.patch("csv.reader", side_effect=AssertionError("csv.reader called")):
+            back = a.read_cohort(str(path))
+        assert [(s.id, s.covariates) for s in back] == [(s.id, s.covariates) for s in cohort]
+        for s, t in zip(cohort, back):
+            assert s.times.points.tobytes() == t.times.points.tobytes()
+            assert s.y.tobytes() == t.y.tobytes()
+
+
+def assert_reads_like_row_loop(tmp_path_factory, text, chunk):
+    """Assert that ``read_cohort`` with ``_CHUNK_ROWS = chunk`` reads the
+    text as the row loop does, and return whether it called ``csv.reader``."""
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = read_outcome(row_loop_read_cohort, str(path))
+    with (mock.patch.object(dataio, "_CHUNK_ROWS", chunk),
+          mock.patch("csv.reader", wraps=csv.reader) as reader):
+        got = read_outcome(a.read_cohort, str(path))
+    assert got == want
+    return reader.called
 
 
 def bits_to_float(bits):
@@ -310,6 +414,29 @@ class TestWriteCohort:
         ))
         write_cohort(tmp_path / "c.csv", cohort, outcome="DBP")
         assert (tmp_path / "c.csv").read_bytes() == cohort_csv_bytes(cohort, "dbp")
+
+
+def written_field(text):
+    """``text`` as ``csv_writer`` writes it as the first of two fields."""
+    buf = io.StringIO()
+    dataio.csv_writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+class TestCsvQuoted:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.text(st.one_of(st.sampled_from(',"\r\n\0 '), st.characters())),
+                    max_size=6))
+    @example(["", "a", "\r", "\n", ",", '"', " x ", "\u00e9"])
+    @example(["\0", "a\0b"])
+    def test_same_as_the_writer_or_both_raise(self, texts):
+        try:
+            want = [written_field(t) for t in texts]
+        except csv.Error:
+            with pytest.raises(csv.Error):
+                dataio.csv_quoted(texts)
+        else:
+            assert dataio.csv_quoted(texts) == want
 
 
 class TestHourlyAggregate:
