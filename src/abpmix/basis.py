@@ -110,23 +110,6 @@ class PolynomialCoefficients:
     def rescale(self, times: np.ndarray) -> np.ndarray:
         return (np.asarray(times, dtype=float) - self.offset) / self.scale
 
-    def to_jsonable(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": self.coeffs.tolist(),
-            "offset": self.offset,
-            "scale": self.scale,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "PolynomialCoefficients":
-        return cls(
-            degree=int(d["degree"]),
-            coeffs=np.asarray(d["coeffs"], dtype=float),
-            offset=float(d["offset"]),
-            scale=float(d["scale"]),
-        )
-
 
 @dataclass(frozen=True)
 class BasisMatrix:

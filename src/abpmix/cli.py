@@ -77,18 +77,6 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _failed_row(path, exc) -> dict:
-    return {
-        "model": Path(path).stem,
-        "aic": np.inf,
-        "bic": np.inf,
-        "model_r2": np.nan,
-        "converged": False,
-        "n_cov_params": -1,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
-
-
 def _cmd_compare(args) -> int:
     if len(args.model) < 2:
         print("error: need >= 2 models to compare", file=sys.stderr)
@@ -104,52 +92,32 @@ def _cmd_compare(args) -> int:
     inference.assert_comparable(specs, args.method.upper(),
                                 force_reml_compare=args.force_reml_compare)
     cohort = dataio.read_cohort(args.data, outcome=args.outcome)
-    results = []
+    results = []  # (sort key, comparison.csv row); a failed model sorts after finite AICs
     for path, spec in loaded:
-        if isinstance(spec, AbpmixError):
-            results.append(_failed_row(path, spec))
-            continue
+        name = Path(path).stem
         try:
+            if isinstance(spec, AbpmixError):
+                raise spec
             fitted = _fit_one(spec, cohort, args)
             aic, bic = inference.information_criteria(fitted)
             model_r2 = (inference.r2_statistics(fitted, terms=())[0] if fitted.converged
                         else np.nan)
-            results.append(
-                {
-                    "model": Path(path).stem,
-                    "aic": aic,
-                    "bic": bic,
-                    "model_r2": model_r2,
-                    "converged": fitted.converged,
-                    "n_cov_params": fitted.n_cov_params,
-                    "error": "",
-                }
-            )
+            numbers = [_g17(x) if np.isfinite(x) else "" for x in (aic, bic, model_r2)]
+            results.append(((aic, fitted.n_cov_params), [
+                name, *numbers, str(fitted.converged).lower(), fitted.n_cov_params, ""]))
         except AbpmixError as exc:
-            results.append(_failed_row(path, exc))
-    if not any(r["error"] == "" for r in results):
+            results.append(((np.inf, -1), [name, "", "", "", "false", "",
+                                           f"{type(exc).__name__}: {exc}"]))
+    if all(row[-1] for _, row in results):
         print("error: every model failed to fit", file=sys.stderr)
         return EXIT_USAGE
-    results.sort(key=lambda r: (r["aic"], r["n_cov_params"]))
+    results.sort(key=lambda result: result[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r["model"],
-                _g17(r["aic"]) if np.isfinite(r["aic"]) else "",
-                _g17(r["bic"]) if np.isfinite(r["bic"]) else "",
-                _g17(r["model_r2"]) if np.isfinite(r["model_r2"]) else "",
-                str(r["converged"]).lower(),
-                r["n_cov_params"] if r["n_cov_params"] >= 0 else "",
-                r["error"],
-            ]
-        )
     dataio.write_csv(
         out / "comparison.csv",
         ["model", "aic", "bic", "model_r2", "converged", "n_cov_params", "error"],
-        rows,
+        [row for _, row in results],
     )
     return EXIT_OK
 
@@ -263,7 +231,7 @@ def _cmd_simulate(args) -> int:
         import dataclasses
 
         config = dataclasses.replace(config, seed=args.seed)
-    cohort = dataio.simulate_cohort(config, workers=args.workers)
+    cohort = dataio.simulate_cohort(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_cohort(out / "cohort.csv", cohort, outcome=args.outcome)

@@ -84,21 +84,18 @@ def _floats(cells: list):
                 return np.fromiter(map(float, cells[:n]), float, n), n
 
 
-def _layout(header: list, outcome: str, covariate_columns: Optional[Sequence[str]]):
-    """The covariate columns (by default every column but ``subject_id``,
-    ``time`` and the outcomes) and the header indices of the subject id,
-    the time, the outcome and each covariate; a SchemaError names the
-    first missing column."""
+def _layout(header: list, outcome: str):
+    """The covariate columns, every column but ``subject_id``, ``time`` and
+    the outcomes, and the header indices of the subject id, the time, the
+    outcome and each covariate; a SchemaError names the first missing
+    column."""
     column = {name: j for j, name in enumerate(header)}
-    if covariate_columns is None:
-        covariate_columns = [
-            c for c in header if c not in ("subject_id", "time") and c not in OUTCOMES
-        ]
-    wanted = ("subject_id", "time", outcome, *covariate_columns)
-    for required in wanted:
+    for required in ("subject_id", "time", outcome):
         if required not in column:
             raise SchemaError(f"missing column {required!r}")
-    return covariate_columns, [column[c] for c in wanted]
+    covariate_columns = [c for c in header if c not in ("subject_id", "time", *OUTCOMES)]
+    return covariate_columns, [column[c] for c in ("subject_id", "time", outcome,
+                                                   *covariate_columns)]
 
 
 @dataclass
@@ -144,7 +141,7 @@ class _Columns:
             part.append(arr)
 
 
-def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence[str]] = None) -> Cohort:
+def read_cohort(path, outcome: str = "sbp") -> Cohort:
     """Read a cohort CSV, one Subject per id with ascending times.
 
     The records are tokenized and converted column by column in chunks of
@@ -163,10 +160,10 @@ def read_cohort(path, outcome: str = "sbp", covariate_columns: Optional[Sequence
     outcome = outcome.lower()
     try:
         with open(path, "rb") as fh:
-            columns = _read_plain(fh, outcome, covariate_columns)
+            columns = _read_plain(fh, outcome)
             if columns is None or fh.peek(1):
                 with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                    columns = _read_csv(text, outcome, covariate_columns, columns)
+                    columns = _read_csv(text, outcome, columns)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
     parts = [np.concatenate(p) for p in columns.parts] if columns.codes else None
@@ -192,7 +189,7 @@ def _plain_fields(lines: list, limit: int):
     return fields
 
 
-def _read_plain(fh, outcome: str, covariate_columns: Optional[Sequence[str]]):
+def _read_plain(fh, outcome: str):
     """Read the binary file ``fh`` up to its first chunk that is not
     plain: whose lines ``_plain_fields`` does not split into records of
     the header's width, or that holds a time or outcome that is not a
@@ -206,7 +203,7 @@ def _read_plain(fh, outcome: str, covariate_columns: Optional[Sequence[str]]):
     limit = csv.field_size_limit()
     header = _plain_fields([fh.readline()], limit)
     try:
-        columns = _Columns(*_layout(header[:-1], outcome, covariate_columns)) if header else None
+        columns = _Columns(*_layout(header[:-1], outcome)) if header else None
     except SchemaError:
         columns = None
     if columns is None:
@@ -250,8 +247,7 @@ def _drain(fh) -> None:
         pass
 
 
-def _read_csv(text, outcome: str, covariate_columns: Optional[Sequence[str]],
-              columns: Optional[_Columns]) -> _Columns:
+def _read_csv(text, outcome: str, columns: Optional[_Columns]) -> _Columns:
     """Read the rest of the text file ``text`` with ``csv.reader``, from
     its header if ``columns`` is None and else from record
     ``columns.row``, converting the records up to the first one that is
@@ -265,7 +261,7 @@ def _read_csv(text, outcome: str, covariate_columns: Optional[Sequence[str]],
         rows, error = _records(reader, 1, 1)
         if error is None:
             try:
-                columns = _Columns(*_layout(rows[0] if rows else [], outcome, covariate_columns))
+                columns = _Columns(*_layout(rows[0] if rows else [], outcome))
             except SchemaError as exc:
                 error = exc
         if error is not None:
@@ -665,6 +661,8 @@ class SimulationConfig:
             raise ConfigError("missing_rate must be in [0, 1)")
         if self.n_subjects < 1:
             raise ConfigError("need at least one subject")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         base = self.base_times
         base = np.asarray(base, dtype=float) if base is not None else np.arange(24.0) + 0.5
         object.__setattr__(self, "base_times", base)
@@ -695,12 +693,8 @@ def _simulate_subject(index: int, config: SimulationConfig, context: BasisContex
     return Subject(id=f"s{index:04d}", times=grid, y=y)
 
 
-def simulate_cohort(config: SimulationConfig, workers: int = 1,
-                    outcome_label: str = "SBP") -> Cohort:
-    """Draw a cohort from the model; deterministic in (seed, subject index).
-
-    ``workers`` is accepted for compatibility; no draw depends on it.
-    """
+def simulate_cohort(config: SimulationConfig, outcome_label: str = "SBP") -> Cohort:
+    """Draw a cohort from the model; deterministic in (seed, subject index)."""
     context = BasisContext(config.spec)
     # PSD but possibly singular: eigen square root instead of Cholesky
     ev, vec = np.linalg.eigh(0.5 * (config.sigma_d + config.sigma_d.T))

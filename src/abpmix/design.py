@@ -18,57 +18,15 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import basis as bas
-from .basis import BasisMatrix, PolynomialCoefficients, TimeGrid
-from .errors import RankError, SchemaError, SpecError
+from .basis import TimeGrid
+from .errors import SpecError
 
 POLY_KINDS = ("orthonormal_poly", "natural_poly")
 BASIS_KINDS = POLY_KINDS + ("restricted_cubic_spline",)
 
 
-def require_fields(d, required, what: str) -> None:
-    """SchemaError unless ``d`` is a JSON object holding every required key."""
-    if not isinstance(d, dict):
-        raise SchemaError(f"{what}: expected a JSON object")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise SchemaError(f"{what}: missing required fields {missing}")
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-
-
-def _is_list(v, check) -> bool:
-    return isinstance(v, (list, tuple)) and all(check(x) for x in v)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# JSON value types, keyed by how an error message names them
-_JSON_TYPES = {
-    "a number": _is_number,
-    "an integer": _is_int,
-    "an integer or null": lambda v: v is None or _is_int(v),
-    "true or false": lambda v: isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "a list of strings": lambda v: _is_list(v, lambda x: isinstance(x, str)),
-    "a list of numbers or null": lambda v: v is None or _is_list(v, _is_number),
-    "an object of strings": lambda v: (isinstance(v, dict)
-                                       and all(isinstance(x, str) for x in v.values())),
-}
-
-
-def typed_field(d: dict, key: str, expected: str, what: str, default=None):
-    """``d[key]``, or ``default`` when absent; SchemaError unless it is ``expected``,
-    one of the JSON types named in ``_JSON_TYPES``."""
-    if key not in d:
-        return default
-    v = d[key]
-    if not _JSON_TYPES[expected](v):
-        raise SchemaError(f"{what}: {key} must be {expected}, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -97,28 +55,6 @@ class BasisDescriptor:
             return self.degree + 1
         # linear term + (k-2) derived covariates + intercept
         return len(self.knots)
-
-    def to_jsonable(self) -> dict:
-        d = {"kind": self.kind}
-        if self.degree is not None:
-            d["degree"] = self.degree
-        if self.knots is not None:
-            d["knots"] = list(self.knots)
-        return d
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "BasisDescriptor":
-        require_fields(d, ("kind",), "basis descriptor")
-        extra = set(d) - {"kind", "degree", "knots"}
-        if extra:
-            raise SpecError(f"unknown basis descriptor fields: {sorted(extra)}")
-        what = "basis descriptor"
-        knots = typed_field(d, "knots", "a list of numbers or null", what)
-        return cls(
-            kind=typed_field(d, "kind", "a string", what),
-            degree=typed_field(d, "degree", "an integer or null", what),
-            knots=tuple(knots) if knots is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -150,49 +86,6 @@ class ModelSpec:
         object.__setattr__(self, "group_terms", tuple(self.group_terms))
         object.__setattr__(self, "interaction_terms", tuple(self.interaction_terms))
         object.__setattr__(self, "reference_levels", dict(self.reference_levels))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "fixed": self.fixed.to_jsonable(),
-            "random": self.random.to_jsonable(),
-            "random_cov": self.random_cov,
-            "group_terms": list(self.group_terms),
-            "interaction_terms": list(self.interaction_terms),
-            "reference_grid_points": self.reference_grid_points,
-            "orthonormalize_random": self.orthonormalize_random,
-            "reference_levels": dict(self.reference_levels),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "ModelSpec":
-        require_fields(d, ("fixed", "random"), "model spec")
-        known = {
-            "fixed",
-            "random",
-            "random_cov",
-            "group_terms",
-            "interaction_terms",
-            "reference_grid_points",
-            "orthonormalize_random",
-            "reference_levels",
-        }
-        extra = set(d) - known
-        if extra:
-            raise SpecError(f"unknown model spec fields: {sorted(extra)}")
-        what = "model spec"
-        return cls(
-            fixed=BasisDescriptor.from_jsonable(d["fixed"]),
-            random=BasisDescriptor.from_jsonable(d["random"]),
-            random_cov=typed_field(d, "random_cov", "a string", what, "diagonal"),
-            group_terms=tuple(typed_field(d, "group_terms", "a list of strings", what, ())),
-            interaction_terms=tuple(typed_field(d, "interaction_terms", "a list of strings",
-                                                what, ())),
-            reference_grid_points=typed_field(d, "reference_grid_points", "an integer", what, 49),
-            orthonormalize_random=typed_field(d, "orthonormalize_random", "true or false", what,
-                                              True),
-            reference_levels=typed_field(d, "reference_levels", "an object of strings", what,
-                                         {}),
-        )
 
 
 @dataclass(frozen=True)
@@ -324,27 +217,6 @@ class CovariateEncoder:
                 raise SpecError(f"covariate {term!r}: expected numeric value for {subject.id!r}")
             return np.array([float(v)])
         return np.array([1.0 if str(v) == lv else 0.0 for _, lv in cols])
-
-    def to_jsonable(self) -> dict:
-        return {
-            term: [[label, level] for label, level in cols]
-            for term, cols in self.term_columns.items()
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "CovariateEncoder":
-        def is_column(c):  # [label, level], level null for a numeric term
-            return (_is_list(c, lambda x: x is None or isinstance(x, str)) and len(c) == 2
-                    and isinstance(c[0], str))
-
-        if not isinstance(d, dict) or not all(_is_list(cols, is_column) for cols in d.values()):
-            raise SchemaError("encoder: expected an object of [label, level] lists")
-        enc = cls.__new__(cls)
-        enc.terms = tuple(d.keys())
-        enc.term_columns = {
-            term: [(label, level) for label, level in cols] for term, cols in d.items()
-        }
-        return enc
 
 
 class BasisContext:

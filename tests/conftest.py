@@ -7,6 +7,7 @@ with the blockwise estimator they check.
 
 import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import scipy.linalg as sla
 
 import abpmix as a
+from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.design import BasisContext, build_design
 from abpmix.errors import DuplicateError, GridError, ParseError, SchemaError, SpecError
@@ -223,7 +225,7 @@ def edge_case_problems(rng, structure="diagonal"):
     ]
 
 
-def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
+def row_loop_read_cohort(path, outcome="sbp"):
     """Reference reader: ``dataio.read_cohort`` as one loop over the
     records, each checked as it is read; the first bad record raises, a
     record that ``csv`` cannot tokenize included.  Then each subject in
@@ -260,13 +262,8 @@ def row_loop_read_cohort(path, outcome="sbp", covariate_columns=None):
         for required in ("subject_id", "time", outcome):
             if required not in column:
                 raise SchemaError(f"missing column {required!r}")
-        if covariate_columns is None:
-            covariate_columns = [c for c in header
-                                 if c not in ("subject_id", "time") and c not in ("sbp", "dbp")]
-        else:
-            for c in covariate_columns:
-                if c not in column:
-                    raise SchemaError(f"missing column {c!r}")
+        covariate_columns = [c for c in header
+                             if c not in ("subject_id", "time") and c not in ("sbp", "dbp")]
         i_sid, i_time, i_value = column["subject_id"], column["time"], column[outcome]
         i_covs = [column[c] for c in covariate_columns]
         width = max([i_sid, i_time, i_value] + i_covs) + 1
@@ -323,6 +320,13 @@ def poly_spec(degree, random_cov="diagonal"):
         random=a.BasisDescriptor("orthonormal_poly", degree),
         random_cov=random_cov,
     )
+
+
+def spec_object(spec):
+    """The spec's JSON object as fit.json and a simulation config hold it."""
+    d = json.loads(serialize.model_spec_to_json(spec))
+    del d["schema_version"]
+    return d
 
 
 def simulate(spec, beta, sigma_d, sigma2, n_subjects, seed, **kw):

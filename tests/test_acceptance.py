@@ -29,6 +29,7 @@ from conftest import (
     poly_spec,
     random_tiny_problem,
     simulate,
+    spec_object,
 )
 
 
@@ -279,7 +280,7 @@ def test_criterion_11_parameter_counts():
 def test_criterion_12_end_to_end_determinism(tmp_path):
     cfg = {
         "schema_version": 1,
-        "spec": poly_spec(2).to_jsonable(),
+        "spec": spec_object(poly_spec(2)),
         "beta": [500.0, -15.0, 8.0],
         "sigma_d": [60.0, 30.0, 15.0],
         "sigma2": 16.0,

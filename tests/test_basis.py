@@ -4,7 +4,6 @@ import pytest
 from abpmix.basis import (
     DEFAULT_SPLINE_CLOCK_KNOTS,
     BasisMatrix,
-    PolynomialCoefficients,
     TimeGrid,
     clock_knots_to_elapsed,
     evaluate_polynomial_basis,
@@ -153,12 +152,6 @@ class TestEvaluatePolynomialBasis:
         object.__setattr__(bad, "points", np.array([-0.5, 12.0]))
         with pytest.raises(DomainError):
             evaluate_polynomial_basis(coeffs, bad)
-
-    def test_coefficients_json_round_trip(self):
-        _, coeffs = orthonormal_polynomial_basis(TimeGrid.equispaced(24), 6)
-        back = PolynomialCoefficients.from_jsonable(coeffs.to_jsonable())
-        assert np.array_equal(back.coeffs, coeffs.coeffs)
-        assert back.offset == coeffs.offset and back.scale == coeffs.scale
 
 
 def spline_function(knots, coef):

@@ -21,7 +21,7 @@ from abpmix.dataio import write_cohort
 from abpmix.errors import AbpmixError, SchemaError
 from abpmix.estimation import MixedModelProblem
 
-from conftest import poly_spec
+from conftest import poly_spec, spec_object
 
 
 def write_spec(path, degree, random_cov="diagonal", random_degree=None):
@@ -39,7 +39,7 @@ def write_spec(path, degree, random_cov="diagonal", random_degree=None):
 def write_sim_config(path, degree=2, n_subjects=25, seed=5, **kw):
     d = {
         "schema_version": 1,
-        "spec": poly_spec(degree).to_jsonable(),
+        "spec": spec_object(poly_spec(degree)),
         "beta": [500.0, -15.0, 8.0][: degree + 1],
         "sigma_d": [60.0, 30.0, 15.0][: degree + 1],
         "sigma2": 16.0,
@@ -505,6 +505,7 @@ class TestProfilesCommand:
         ("beta_hat", [1.0, 2.0]),
         ("cov_beta", [[1.0]]),
         ("cov_beta", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+        ("cov_beta", [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
         ("sigma_d_hat", [[1.0, 0.0], [0.0, 1.0]]),
         ("sigma_d_hat", None),
         ("theta", [0.0]),
@@ -513,6 +514,13 @@ class TestProfilesCommand:
         ("iterations", 3.5),
         ("column_labels", "intercept"),
         ("encoder", {"diet": 3}),
+        ("method", 1),
+        ("loglik", "x"),
+        ("converged", "true"),
+        ("gradient_norm", None),
+        ("n_subjects", 2.5),
+        ("n_obs", "72"),
+        ("spec", "m2"),
     ], ids=lambda v: v if isinstance(v, str) else repr(v)[:20])
     def test_fit_json_value_of_wrong_type_or_shape_is_usage_error(self, workspace, tmp_path,
                                                                    capsys, key, value):
@@ -730,7 +738,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("field, value", [
         ("sigma2", "x"), ("beta", "x"), ("missing_rate", None),
         ("sigma_d", [[60.0, 0.0, 0.0], [0.0, 30.0]]), ("base_times", "abc"),
-        ("n_subjects", "5"), ("seed", 1.5),
+        ("n_subjects", "5"), ("seed", 1.5), ("time_jitter_sd", "0.1"), ("spec", [2]),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, field, value):
         cfg = write_sim_config(tmp_path / "sim.json", **{"n_subjects": 5, field: value})
@@ -738,6 +746,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "SchemaError" in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_seed, option", [(-1, []), (5, ["--seed", "-1"])])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, config_seed, option):
+        cfg = write_sim_config(tmp_path / "sim.json", n_subjects=5, seed=config_seed)
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", cfg, "--out", str(out)] + option) == 2
+        assert "ConfigError: seed must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -758,6 +774,112 @@ class TestSimulateCommand:
                          "--workers", workers]) == 0
             outs.append((out / "cohort.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("fmt, error", [
+    ("model spec", "SpecError"), ("basis descriptor", "SpecError"),
+    ("fitted model", "SchemaError"), ("simulation config", "SchemaError"),
+])
+def test_unknown_field_is_usage_error_of_its_format(workspace, tmp_path, capsys, fmt, error):
+    root, data, model = workspace
+    bad = tmp_path / "bad.json"
+    if fmt == "simulation config":
+        d = json.loads(Path(write_sim_config(bad, n_subjects=5)).read_text())
+        argv = ["simulate", "--config", str(bad)]
+    elif fmt == "fitted model":
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        argv = ["band", "--fit", str(bad)]
+    else:
+        d = json.loads(Path(model).read_text())
+        argv = ["fit", "--model", str(bad), "--data", data]
+    (d["fixed"] if fmt == "basis descriptor" else d)["surprise"] = 1
+    bad.write_text(json.dumps(d))
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"{error}: {fmt}: unknown fields ['surprise']" in capsys.readouterr().err
+
+
+def hand_built_fit(group_terms=()):
+    """A FittedModel made without fitting: a degree-1 mean, a random
+    intercept and the given terms of three subjects' covariates, diet
+    (categorical, reference level "control") and age (numeric)."""
+    subjects = tuple(
+        a.Subject(id=f"s{i}", times=TimeGrid.hourly_midpoints(), y=np.full(24, 120.0),
+                  covariates={"diet": diet, "age": 40.0 + i})
+        for i, diet in enumerate(["salt", "control", "dash"]))
+    spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 1),
+                       random=a.BasisDescriptor("orthonormal_poly", 0),
+                       group_terms=group_terms, reference_levels={"diet": "control"})
+    context = a.BasisContext(spec, a.Cohort(subjects=subjects))
+    labels = context.fixed_column_labels()
+    q = len(labels)
+    return a.FittedModel(
+        spec=spec, method="REML", beta_hat=np.arange(1.0, q + 1.0) / 4.0,
+        cov_beta=np.eye(q) / 8.0, sigma_d_hat=np.array([[2.5]]), sigma2_hat=16.0,
+        loglik=-123.25, converged=True, iterations=7, gradient_norm=1e-9,
+        params=a.CovarianceParams("diagonal", 1, np.array([0.5, 2.0])), n_subjects=3,
+        n_obs=72, column_labels=labels, context=context)
+
+
+class TestFitJson:
+    def test_text_is_pinned(self):
+        text = serialize.fitted_model_to_json(hand_built_fit(("diet", "age")))
+        expected = {
+            "schema_version": 1,
+            "spec": {"fixed": {"kind": "orthonormal_poly", "degree": 1},
+                     "random": {"kind": "orthonormal_poly", "degree": 0},
+                     "random_cov": "diagonal", "group_terms": ["diet", "age"],
+                     "interaction_terms": [], "reference_grid_points": 49,
+                     "orthonormalize_random": True, "reference_levels": {"diet": "control"}},
+            "method": "REML",
+            "beta_hat": [0.25, 0.5, 0.75, 1.0, 1.25],
+            "cov_beta": [[0.125 if i == j else 0.0 for j in range(5)] for i in range(5)],
+            "sigma_d_hat": [[2.5]],
+            "sigma2_hat": 16.0,
+            "loglik": -123.25,
+            "converged": True,
+            "iterations": 7,
+            "gradient_norm": 1e-9,
+            "theta": [0.5, 2.0],
+            "n_subjects": 3,
+            "n_obs": 72,
+            "column_labels": ["intercept", "time^1", "diet=dash", "diet=salt", "age"],
+            "encoder": {"diet": [["diet=dash", "dash"], ["diet=salt", "salt"]],
+                        "age": [["age", None]]},
+        }
+        assert text == json.dumps(expected, indent=2)
+        assert text.startswith('{\n  "schema_version": 1,\n  "spec": {\n    "fixed": {\n')
+        assert '\n    "age": [\n      [\n        "age",\n        null\n      ]' in text
+        plain = serialize.fitted_model_to_json(hand_built_fit())
+        assert plain.endswith('    "time^1"\n  ],\n  "encoder": null\n}')
+
+    def test_numbers_are_read_as_floats(self):
+        d = json.loads(serialize.fitted_model_to_json(hand_built_fit()))
+        d.update(sigma2_hat=16, loglik=-123, gradient_norm=0)
+        back = serialize.fitted_model_from_json(json.dumps(d))
+        assert [type(v) for v in (back.sigma2_hat, back.loglik, back.gradient_norm)] == [float] * 3
+
+    def test_round_trip_with_covariates(self, workspace):
+        _, data, _ = workspace
+        levels = ["control", "salt", "dash"]
+        cohort = a.Cohort(subjects=tuple(
+            a.Subject(id=s.id, times=s.times, y=s.y + 4.0 * (i % 3),
+                      covariates={"diet": levels[i % 3], "age": 40.0 + i % 7})
+            for i, s in enumerate(a.read_cohort(data))))
+        spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 2),
+                           random=a.BasisDescriptor("orthonormal_poly", 1),
+                           random_cov="unstructured", group_terms=("diet", "age"),
+                           interaction_terms=("diet",), reference_levels={"diet": "control"})
+        fitted = a.fit(spec, cohort)
+        text = serialize.fitted_model_to_json(fitted)
+        back = serialize.fitted_model_from_json(text)
+        assert back.context.encoder.terms == ("diet", "age")
+        assert back.context.encoder.term_columns == fitted.context.encoder.term_columns
+        assert back.column_labels == fitted.column_labels and back.spec == spec
+        assert serialize.fitted_model_to_json(back) == text
+        grid = TimeGrid(np.linspace(0.0, 24.0, 9))
+        for s in cohort.subjects[:3]:  # one subject of each diet
+            np.testing.assert_array_equal(a.subject_profile(back, s, grid).values,
+                                          a.subject_profile(fitted, s, grid).values)
 
 
 _IMPORT_GRAPH_SCRIPT = """

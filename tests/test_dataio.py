@@ -145,7 +145,7 @@ class TestReadCohort:
         p = tmp_path / "c.csv"
         p.write_bytes(b"".join(lines))
         with mock.patch.object(dataio, "_CHUNK_ROWS", 2), open(p, "rb") as fh:
-            columns = dataio._read_plain(fh, "sbp", None)
+            columns = dataio._read_plain(fh, "sbp")
             assert fh.tell() == len(b"".join(lines[:3]))
         assert (columns.row, list(columns.codes)) == (4, ["a"])
         assert [len(part) for part in columns.parts] == [1, 1, 1, 1]
@@ -528,19 +528,6 @@ class TestSimulateCohort:
             np.testing.assert_array_equal(s1.times.points, s2.times.points)
             np.testing.assert_array_equal(s1.y, s2.y)
 
-    def test_worker_count_does_not_change_output(self):
-        spec = poly_spec(2)
-        cfg = a.SimulationConfig(
-            spec=spec, beta=np.array([500.0, -10.0, 5.0]),
-            sigma_d=np.diag([50.0, 25.0, 10.0]), sigma2=16.0, n_subjects=20, seed=7,
-            missing_rate=0.1,
-        )
-        c1 = a.simulate_cohort(cfg, workers=1)
-        c4 = a.simulate_cohort(cfg, workers=4)
-        for s1, s4 in zip(c1, c4):
-            assert s1.id == s4.id
-            np.testing.assert_array_equal(s1.y, s4.y)
-
     def test_noiseless_subjects_lie_on_population_curve(self):
         spec = poly_spec(2)
         beta = np.array([480.0, -12.0, 6.0])
@@ -562,7 +549,7 @@ class TestSimulateCohort:
             spec=spec, beta=np.array([500.0, -10.0, 5.0]), sigma_d=sigma_d,
             sigma2=sigma2, n_subjects=2000, seed=19,
         )
-        cohort = a.simulate_cohort(cfg, workers=4)
+        cohort = a.simulate_cohort(cfg)
         ctx = BasisContext(spec)
         times = cohort.subjects[0].times
         u = ctx.time_matrices(times)[1]
