@@ -29,13 +29,13 @@ statistics are cross-products of the rotated X and of the OLS residuals
 y - X beta_0 (the likelihood does not change under this shift, and
 residual cross-products keep roundoff small).  One evaluation is then a
 single batched m x m Cholesky over the distinct designs plus array
-algebra on (designs, m, m), (designs, m, q) and q x q arrays.  With
-M = L L' and u = L^-1 R, the Sigma_d block of an information on phi is
-one tensordot over the designs, H = sum_g C_g (x) B_g with B_g = u'u and
-C_g = u'T_g u.  Designs and the subjects within them are accumulated in
-a canonical order, so results do not depend on subject ordering.  The
-last evaluation is kept, so the information at a point the ascent has
-just accepted, and the end of the fit, reuse it.
+algebra on (designs, m, m), (designs, m, q) and q x q arrays, its sums
+over designs 2-D matrix products.  With M = L L' and u = L^-1 R, the
+Sigma_d block of an information on phi is H = sum_g C_g (x) B_g, B_g =
+u'u and C_g = u'T_g u.  Designs and their subjects are accumulated in a
+canonical order, so results do not depend on subject ordering.  The last
+evaluation, J, L^-1 Q'X and M^-1 among its products, is kept for the
+information at a point the ascent has just accepted, and the fit's end.
 
 This module needs numpy alone: every factorization is numpy's and the
 ascent is its own, so fitting never loads ``scipy.optimize``, which would
@@ -44,6 +44,8 @@ otherwise dominate interpreter start-up.
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Optional
@@ -99,17 +101,28 @@ class CovarianceParams:
             d[d <= 0] = np.exp(LOG_VARIANCE_FLOOR)
             theta = np.append(np.log(d), np.log(sigma2))
         else:
-            jitter = np.exp(LOG_VARIANCE_FLOOR)
-            chol = np.linalg.cholesky(sigma_d + jitter * np.eye(m))
-            rows, cols = np.tril_indices(m)
+            rows, cols, diag, _, eye = index_plan(structure, m)
+            chol = np.linalg.cholesky(sigma_d + np.exp(LOG_VARIANCE_FLOOR) * eye)
             packed = chol[rows, cols]
-            packed[rows == cols] = np.log(packed[rows == cols])
+            packed[diag] = np.log(packed[diag])
             theta = np.append(packed, np.log(sigma2))
         return cls(structure=structure, m=m, theta=theta)
 
 
 def n_cov_params(structure: str, m: int) -> int:
     return (m if structure == "diagonal" else m * (m + 1) // 2) + 1
+
+
+@functools.cache
+def index_plan(structure: str, m: int) -> tuple:
+    """(rows, cols, diag, at, eye), read-only and built once: the row and
+    column of Sigma_d (or its Cholesky factor) that each parameter but sigma^2
+    sets, which of them are on the diagonal, their positions 0..P-1, eye(m)."""
+    rows, cols = np.diag_indices(m) if structure == "diagonal" else np.tril_indices(m)
+    plan = (rows, cols, rows == cols, np.arange(rows.size), np.eye(m))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def sigma_d_from_theta(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
@@ -120,11 +133,10 @@ def sigma_d_from_theta(structure: str, m: int, theta: np.ndarray) -> np.ndarray:
 
 
 def _chol_from_theta(m: int, theta: np.ndarray) -> np.ndarray:
+    rows, cols, *_ = index_plan("unstructured", m)
     chol = np.zeros((m, m))
-    rows, cols = np.tril_indices(m)
     chol[rows, cols] = theta[: rows.size]
-    di = np.diag_indices(m)
-    chol[di] = np.exp(chol[di])
+    np.fill_diagonal(chol, np.exp(chol.diagonal()))
     return chol
 
 
@@ -132,17 +144,16 @@ def covariance_jacobian(structure: str, m: int, theta: np.ndarray) -> np.ndarray
     """J' for J = d phi / d theta and the natural scale phi = (Sigma_d
     flattened row-major, sigma^2): row j of the (parameters, m^2 + 1)
     array is d phi / d theta_j."""
+    rows, cols, diag, at, _ = index_plan(structure, m)
     jac = np.zeros((theta.size, m * m + 1))
     jac[-1, -1] = np.exp(theta[-1])
     if structure == "diagonal":
-        jac[np.arange(m), np.arange(m) * (m + 1)] = np.exp(theta[:m])
+        jac[at, at * (m + 1)] = np.exp(theta[:m])
         return jac
     chol = _chol_from_theta(m, theta)
-    rows, cols = np.tril_indices(m)
     # d L / d theta_a = scale_a e_i e_j', so d Sigma_d = d L L' + L d L'
     half = np.zeros((rows.size, m, m))
-    half[np.arange(rows.size), rows] = (np.where(rows == cols, chol[rows, cols], 1.0)
-                                        * chol[:, cols]).T
+    half[at, rows] = (np.where(diag, chol[rows, cols], 1.0) * chol[:, cols]).T
     jac[:-1, :-1] = (half + half.transpose(0, 2, 1)).reshape(rows.size, m * m)
     return jac
 
@@ -155,10 +166,10 @@ def _curvature(structure: str, m: int, theta: np.ndarray, g: np.ndarray,
     diagonal."""
     if structure == "diagonal":
         return np.diag(grad)
+    rows, cols, diag, _, _ = index_plan(structure, m)
     chol = _chol_from_theta(m, theta)
-    rows, cols = np.tril_indices(m)
-    scale = np.where(rows == cols, chol[rows, cols], 1.0)
-    out = np.diag(np.where(np.append(rows == cols, True), grad, 0.0))
+    scale = np.where(diag, chol[rows, cols], 1.0)
+    out = np.diag(np.where(np.append(diag, True), grad, 0.0))
     # d L / d theta_a = scale_a e_i e_j' adds d L_a d L_b' + d L_b d L_a' for a
     # shared column j, which at a boundary optimum lets a Newton step shrink
     # the Cholesky column of a vanishing variance
@@ -209,6 +220,11 @@ class FittedModel:
 # the estimation problem
 
 
+# the log-likelihood, d loglik / d phi, J', beta, cov_beta and, per design with
+# M = L L', L^-1, the GLS residual cross-products, L^-1 Q'X and M^-1 = L^-T L^-1
+_Evaluation = namedtuple("_Evaluation", "loglik dphi jac beta cov_beta li resid wx minv")
+
+
 class MixedModelProblem:
     """Per-design sufficient statistics, likelihood and gradient."""
 
@@ -235,6 +251,7 @@ class MixedModelProblem:
         self.q, self.m = q, m = pair.X.shape[1], pair.Z.shape[1]
         self.structure = spec.random_cov
         self.n_params = n_cov_params(self.structure, m)
+        _, _, self._diag, _, self._eye = index_plan(self.structure, m)
 
         # sums over designs and rows as products of (designs x rows, columns) matrices
         xtx = sum((c[:, None, None] * x).reshape(-1, q).T @ x.reshape(-1, q)
@@ -293,24 +310,23 @@ class MixedModelProblem:
 
     # -- likelihood ---------------------------------------------------------
 
-    def _evaluate(self, theta: np.ndarray, method: str):
-        """(loglik, d loglik / d phi, beta, cov_beta, L^-1 and GLS residual
-        cross-products per design), M = L L'; the last one is kept, read-only,
-        and returned again while theta and the method repeat."""
+    def _evaluate(self, theta: np.ndarray, method: str) -> _Evaluation:
+        """The evaluation at theta; the last one is kept and returned again
+        while theta and the method repeat."""
         key = (method, np.asarray(theta, dtype=float).tobytes())
         if self._last[0] == key:
             return self._last[1]
-        m, q = self.m, self.q
+        m, q, eye = self.m, self.q, self._eye
         count = self._count
         sigma_d = sigma_d_from_theta(self.structure, m, theta)
         sigma2 = float(np.exp(theta[-1]))
         r = self._r
-        mm = r @ sigma_d @ r.transpose(0, 2, 1) + sigma2 * np.eye(m)
+        mm = r @ sigma_d @ r.transpose(0, 2, 1) + sigma2 * eye
         try:
             chol = np.linalg.cholesky(mm)
         except np.linalg.LinAlgError:
             # jitter once, then give up
-            mm = mm + (1e-10 * np.trace(mm, axis1=1, axis2=2) / m)[:, None, None] * np.eye(m)
+            mm = mm + (1e-10 * np.trace(mm, axis1=1, axis2=2) / m)[:, None, None] * eye
             try:
                 chol = np.linalg.cholesky(mm)
             except np.linalg.LinAlgError:
@@ -318,9 +334,9 @@ class MixedModelProblem:
         li = np.linalg.inv(chol)
         wx = li @ self._x
         we = (li @ self._e[:, :, None])[:, :, 0]
-        xtsx = (np.tensordot(count[:, None, None] * wx, wx, axes=([0, 1], [0, 1]))
+        xtsx = ((count[:, None, None] * wx).reshape(-1, q).T @ wx.reshape(-1, q)
                 + self._xx_out / sigma2)
-        xtse = np.tensordot(wx, we, axes=([0, 1], [0, 1])) + self._xe_out / sigma2
+        xtse = wx.reshape(-1, q).T @ we.reshape(-1) + self._xe_out / sigma2
         try:
             lx = np.linalg.cholesky(xtsx)
         except np.linalg.LinAlgError as exc:
@@ -354,47 +370,48 @@ class MixedModelProblem:
         # what Sigma_d does not account for belongs to sigma^2
         dphi = np.append(g, (-0.5 * (self.n - (q if reml else 0) - quad)
                              - float(np.sum(g * sigma_d))) / sigma2)
-        out = (ll, dphi, self._beta0 + delta, cov_beta, li, s)
+        out = _Evaluation(ll, dphi, covariance_jacobian(self.structure, m, theta),
+                          self._beta0 + delta, cov_beta, li, s, wx, minv)
         for a in out[1:]:
             a.flags.writeable = False
         self._last = (key, out)
         return out
 
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
-        return self._evaluate(theta, method)[0]
+        return self._evaluate(theta, method).loglik
 
     def gls(self, theta: np.ndarray, method: str = "REML"):
         """(beta_hat, cov_beta) at theta; the method only picks the evaluation to reuse."""
-        _, _, beta, cov_beta, _, _ = self._evaluate(theta, method)
-        return beta.copy(), 0.5 * (cov_beta + cov_beta.T)
+        ev = self._evaluate(theta, method)
+        return ev.beta.copy(), 0.5 * (ev.cov_beta + ev.cov_beta.T)
 
     def loglik_and_grad(self, theta: np.ndarray, method: str = "REML"):
-        ll, dphi, _, _, _, _ = self._evaluate(theta, method)
-        return ll, covariance_jacobian(self.structure, self.m, theta) @ dphi
+        ev = self._evaluate(theta, method)
+        return ev.loglik, ev.jac @ ev.dphi
 
     def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML"):
         """d cov_beta / d theta_k = cov_beta F_k cov_beta at theta (delta-method ingredient)."""
-        _, _, _, cov_beta, li, _ = self._evaluate(theta, method)
-        return cov_beta @ self._f(theta, li) @ cov_beta
+        ev = self._evaluate(theta, method)
+        return ev.cov_beta @ self._f(theta, ev) @ ev.cov_beta
 
-    def _f(self, theta, li):
+    def _f(self, theta, ev: _Evaluation):
         """F_k = X' V^-1 dV_k V^-1 X for every k of theta, chained from phi."""
-        kx = li.transpose(0, 2, 1) @ li @ self._x  # M^-1 Q'X per design
+        kx = ev.minv @ self._x  # M^-1 Q'X per design
         f = self._sandwich(self._count[:, None, None] * kx, kx,
                            self._xx_out / float(np.exp(theta[-1]))**2)
-        return np.tensordot(covariance_jacobian(self.structure, self.m, theta), f, axes=1)
+        return (ev.jac @ f.reshape(len(f), -1)).reshape(-1, self.q, self.q)
 
     def _sandwich(self, left, right, outside):
         """sum_g left_g' dM_j right_g for every j of phi, dM_j = R dSigma_d_j R'
         or I, plus ``outside`` on the sigma^2 row.  With M^-1 Q'X as ``left``
         it is X' V^-1 dV_j V^-1 (X or the GLS residuals)."""
-        m = self.m
+        m, n_designs, ql, width = self.m, len(left), left.shape[2], right.shape[2]
         a = left.transpose(0, 2, 1) @ self._r
         c = self._r.transpose(0, 2, 1) @ right
-        out = np.empty((m * m + 1, a.shape[1], c.shape[2]))
-        out[:-1] = (np.tensordot(a, c, axes=([0], [0]))
-                    .transpose(1, 2, 0, 3).reshape(m * m, a.shape[1], c.shape[2]))
-        out[-1] = np.tensordot(left, right, axes=([0, 1], [0, 1])) + outside
+        out = np.empty((m * m + 1, ql, width))
+        out[:-1] = ((a.reshape(n_designs, -1).T @ c.reshape(n_designs, -1))
+                    .reshape(ql, m, m, width).transpose(1, 2, 0, 3).reshape(m * m, ql, width))
+        out[-1] = left.reshape(-1, ql).T @ right.reshape(-1, width) + outside
         return out
 
     def expected_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
@@ -420,11 +437,9 @@ class MixedModelProblem:
         rest, plus the outside rows' residual sum of squares, minus
         b cov_beta b' with b_j = X' V^-1 dV_j r.
         """
-        _, dphi, beta, cov_beta, li, resid = self._evaluate(theta, method)
-        m = self.m
-        sigma2 = float(np.exp(theta[-1]))
-        wx = li @ self._x
-        t = np.eye(m)
+        _, dphi, jac, beta, cov_beta, li, resid, wx, minv = ev = self._evaluate(theta, method)
+        m, sigma2 = self.m, float(np.exp(theta[-1]))
+        t = self._eye
         rest = 0.5 * self._p_minus_m / sigma2**2
         if method == "REML":
             t = t - 2.0 * wx @ cov_beta @ wx.transpose(0, 2, 1)
@@ -438,8 +453,8 @@ class MixedModelProblem:
         p = li @ li.transpose(0, 2, 1)
         tp = t @ p
         info = np.empty((m * m + 1, m * m + 1))
-        info[:-1, :-1] = (np.tensordot(ut @ t @ u, ut @ u, axes=([0], [0]))
-                          .transpose(1, 2, 3, 0).reshape(m * m, m * m))
+        c, b = (ut @ t @ u).reshape(len(u), -1), (ut @ u).reshape(len(u), -1)  # C_g, B_g
+        info[:-1, :-1] = (c.T @ b).reshape(m, m, m, m).transpose(1, 2, 3, 0).reshape(m * m, m * m)
         info[-1, :-1] = info[:-1, -1] = (ut @ tp @ u).sum(axis=0).reshape(-1)
         info[-1, -1] = float(np.sum(tp * p)) + (-rest if observed else rest)
         if observed:
@@ -447,16 +462,14 @@ class MixedModelProblem:
             info[-1, -1] += (self._ee_out - 2.0 * float(delta @ self._xe_out)
                              + float(delta @ self._xx_out @ delta)) / sigma2**3
             # M^-1 times the rotated GLS residual sums per design
-            kr = li.transpose(0, 2, 1) @ li @ (self._e - self._count[:, None]
-                                               * (self._x @ delta))[:, :, None]
+            kr = minv @ (self._e - self._count[:, None] * (self._x @ delta))[:, :, None]
             b = self._sandwich(li.transpose(0, 2, 1) @ wx, kr,
                                (self._xe_out - self._xx_out @ delta)[:, None] / sigma2**2)
             info -= b[..., 0] @ cov_beta @ b[..., 0].T
-        jac = covariance_jacobian(self.structure, m, theta)
         info = jac @ info @ jac.T
         if method == "REML":
-            cf = cov_beta @ self._f(theta, li)
-            cfcf = 0.5 * np.tensordot(cf, cf.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
+            cf = cov_beta @ self._f(theta, ev)
+            cfcf = 0.5 * (cf.reshape(len(cf), -1) @ cf.transpose(2, 1, 0).reshape(-1, len(cf)))
             info += -cfcf if observed else cfcf
         if observed:
             info -= _curvature(self.structure, m, theta, dphi[:-1].reshape(m, m), jac @ dphi)
@@ -469,8 +482,7 @@ class MixedModelProblem:
         per_component = self._log_s2 + np.log(0.5 / self.m)
         theta = np.full(self.n_params - 1, per_component)
         if self.structure == "unstructured":
-            rows, cols = np.tril_indices(self.m)
-            theta = np.where(rows == cols, 0.5 * per_component, 0.0)
+            theta = np.where(self._diag, 0.5 * per_component, 0.0)
         return np.append(theta, self._log_s2 + np.log(0.5))
 
     def _bounds(self):
@@ -479,9 +491,8 @@ class MixedModelProblem:
         lo = np.full(self.n_params, LOG_VARIANCE_FLOOR + self._log_s2)
         hi = np.full(self.n_params, 30.0 + self._log_s2)
         if self.structure == "unstructured":
-            rows, cols = np.tril_indices(self.m)
-            lo[:-1] = np.where(rows == cols, lo[:-1] / 2.0, -np.inf)
-            hi[:-1] = np.where(rows == cols, hi[:-1] / 2.0, np.inf)
+            lo[:-1] = np.where(self._diag, lo[:-1] / 2.0, -np.inf)
+            hi[:-1] = np.where(self._diag, hi[:-1] / 2.0, np.inf)
         return lo, hi
 
     def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6) -> FittedModel:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComparisonError, ContrastError, StateError
-from .estimation import FittedModel, covariance_jacobian
+from .estimation import FittedModel, covariance_jacobian, index_plan
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def variance_component_table(fitted: FittedModel):
         jac = covariance_jacobian(fitted.params.structure, m, fitted.params.theta)
         se = np.sqrt(np.maximum(np.sum(jac * (fitted.vcov_theta @ jac), axis=0), 0.0))
         se[np.append(fitted.sigma_d_hat, fitted.sigma2_hat) == 0.0] = np.nan
-    r, c = np.tril_indices(m) if fitted.params.structure == "unstructured" else np.diag_indices(m)
+    r, c, *_ = index_plan(fitted.params.structure, m)
     rows = [(f"var(d{a})" if a == b else f"cov(d{a},d{b})", float(fitted.sigma_d_hat[a, b]),
              float(se[a * m + b])) for a, b in zip(r.tolist(), c.tolist())]
     rows.append(("sigma2", float(fitted.sigma2_hat), float(se[-1])))

@@ -6,8 +6,9 @@ config are each one field table: ``_BASIS``, ``_SPEC``, ``_FIT`` and
 ``_SIMULATION``.  A table maps its required and its optional fields to
 their types: a JSON type named in ``_TYPES``, another table, or an array
 shape, whose sizes are numbers, None for any size, or letters that the
-reader works out from the other fields.  ``_jsonable`` writes an object
-in table order; ``_fields`` reads one with these checks, in this order:
+reader works out from the other fields, then maybe a ``_TYPES`` test of
+the finite array read.  ``_jsonable`` writes an object in table order;
+``_fields`` reads one with these checks, in this order:
 
 1. it is a JSON object;
 2. it holds every required field;
@@ -38,13 +39,13 @@ SCHEMA_VERSION = 1
 
 
 def _ndim(v) -> int:
-    """How deep ``v`` nests rectangular lists of numbers, or -1.  numpy
+    """How deep ``v`` nests rectangular lists of finite numbers, or -1.  numpy
     reads ``true`` among numbers as 1, so booleans are looked for apart."""
     try:
         a = np.asarray(v) if type(v) is list else None
     except ValueError:  # ragged nesting
         return -1
-    if (a is None or a.dtype.kind not in "iuf"
+    if (a is None or a.dtype.kind not in "iuf" or not np.isfinite(a).all()
             or any(type(x) is bool for x in np.asarray(v, dtype=object).flat)):
         return -1
     return a.ndim
@@ -52,9 +53,9 @@ def _ndim(v) -> int:
 
 def _array(v, key: str, shape: tuple, what: str) -> np.ndarray:
     """``v`` as a float array of ``shape``, where None matches any size;
-    SchemaError unless it is lists of numbers of that shape."""
+    SchemaError unless it is lists of finite numbers of that shape."""
     if _ndim(v) != len(shape) or any(n not in (None, k) for n, k in zip(shape, np.shape(v))):
-        raise SchemaError(f"{what}: {key} must be an array of numbers of shape {shape}")
+        raise SchemaError(f"{what}: {key} must be an array of finite numbers of shape {shape}")
     return np.asarray(v, dtype=float)
 
 
@@ -84,6 +85,10 @@ _COLUMN = _list_of(_of(str, type(None)))  # [label, level], level null for a num
 # value, the value read from it, or None to read it as it is)
 _TYPES = {
     "a number": (_NUMBER, float),
+    "a finite nonnegative number": (lambda v: _NUMBER(v) and 0 <= v < np.inf, float),
+    # of an array read: a nonnegative diagonal, symmetric and PSD up to roundoff
+    "a covariance matrix": (lambda a: bool(np.diag(a).min() >= 0.0 and max(
+        np.abs(a - a.T).max(), -np.linalg.eigvalsh(a)[0]) <= 1e-10 * np.abs(a).max()), None),
     "an integer": (_of(int), None),
     "an integer or null": (_of(int, type(None)), None),
     "true or false": (_of(bool), None),
@@ -130,10 +135,10 @@ _SPEC = _Format(
 _FIT = _Format(
     "fitted model",
     {"spec": _SPEC, "method": "a string", "beta_hat": ("q",), "cov_beta": ("q", "q"),
-     "sigma_d_hat": ("m", "m"), "sigma2_hat": "a number", "loglik": "a number",
-     "converged": "true or false", "iterations": "an integer", "gradient_norm": "a number",
-     "theta": ("r",), "n_subjects": "an integer", "n_obs": "an integer",
-     "column_labels": "a list of strings"},
+     "sigma_d_hat": ("m", "m", "a covariance matrix"), "sigma2_hat": "a finite nonnegative number",
+     "loglik": "a number", "converged": "true or false", "iterations": "an integer",
+     "gradient_norm": "a number", "theta": ("r",), "n_subjects": "an integer",
+     "n_obs": "an integer", "column_labels": "a list of strings"},
     {"encoder": "an object of [label, level] lists or null"})
 
 _SIMULATION = _Format(
@@ -168,9 +173,12 @@ def _fields(d, fmt: _Format, sizes: Callable = lambda values: {}) -> dict:
                 raise SchemaError(f"{what}: {key} must be {kind}, got {d[key]!r}")
             values[key] = read(d[key]) if read else d[key]
     known = sizes(values)
-    for key, shape in table.items():  # the arrays, last
-        if key in d and type(shape) is tuple:
-            values[key] = _array(d[key], key, tuple(known.get(n, n) for n in shape), what)
+    for key, kind in table.items():  # the arrays, last
+        if key in d and type(kind) is tuple:
+            shape = tuple(known.get(n, n) for n in kind if n not in _TYPES)
+            values[key] = _array(d[key], key, shape, what)
+            if kind[-1] in _TYPES and not _TYPES[kind[-1]][0](values[key]):
+                raise SchemaError(f"{what}: {key} must be {kind[-1]}")
     return values
 
 

@@ -521,6 +521,17 @@ class TestProfilesCommand:
         ("n_subjects", 2.5),
         ("n_obs", "72"),
         ("spec", "m2"),
+        # impossible values: json.dumps writes NaN and Infinity, and json.loads reads them
+        ("beta_hat", [np.nan, 1.0, 2.0]),
+        ("cov_beta", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.inf]]),
+        ("sigma_d_hat", [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("sigma_d_hat", [[1.0, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0]]),
+        ("sigma_d_hat", [[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # asymmetric
+        ("sigma_d_hat", [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # eigenvalue -1
+        ("sigma2_hat", np.nan),
+        ("sigma2_hat", np.inf),
+        ("sigma2_hat", -1.0),
+        ("theta", [0.0, 0.0, 0.0, -np.inf]),
     ], ids=lambda v: v if isinstance(v, str) else repr(v)[:20])
     def test_fit_json_value_of_wrong_type_or_shape_is_usage_error(self, workspace, tmp_path,
                                                                    capsys, key, value):
@@ -880,6 +891,30 @@ class TestFitJson:
         for s in cohort.subjects[:3]:  # one subject of each diet
             np.testing.assert_array_equal(a.subject_profile(back, s, grid).values,
                                           a.subject_profile(fitted, s, grid).values)
+
+    def test_roundoff_in_sigma_d_still_loads(self, workspace):
+        root, _, _ = workspace
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        sd = np.array(d["sigma_d_hat"])
+        tiny = 1e-14 * np.abs(sd).max()
+        sd[0, 1] += tiny  # asymmetric by roundoff
+        sd[1, 1] = sd[2, 2] = 0.0  # a zero variance, then a -tiny eigenvalue
+        sd[1, 2] = sd[2, 1] = tiny
+        d["sigma_d_hat"] = sd.tolist()
+        back = serialize.fitted_model_from_json(json.dumps(d))
+        np.testing.assert_array_equal(back.sigma_d_hat, sd)
+
+    @pytest.mark.parametrize("max_iter, code", [("500", 0), ("1", 3)])
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_fit_json_written_by_fit_loads(self, workspace, tmp_path, structure, max_iter, code):
+        _, data, _ = workspace
+        model = write_spec(tmp_path / "m.json", 2, random_cov=structure)
+        out = tmp_path / "f"
+        assert main(["fit", "--model", model, "--data", data, "--out", str(out),
+                     "--max-iter", max_iter]) == code
+        text = (out / "fit.json").read_text()
+        assert serialize.fitted_model_to_json(serialize.fitted_model_from_json(text)) == text
+        assert main(["band", "--fit", str(out / "fit.json"), "--out", str(tmp_path / "b")]) == 0
 
 
 _IMPORT_GRAPH_SCRIPT = """

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abpmix as a
-from abpmix import basis, estimation, serialize
+from abpmix import basis, estimation, inference, serialize
 from abpmix.basis import TimeGrid
 from abpmix.errors import RankError
 from abpmix.estimation import (
@@ -571,8 +571,49 @@ class TestEvaluationReuse:
         # observed information and d cov_beta / d theta at the optimum
         assert len(calls) - evaluations == fitted.iterations + 3
 
-    def test_interleaved_calls_match_a_fresh_problem(self):
-        spec, cohort = incomplete_cohort("unstructured")
+    @pytest.mark.parametrize("method", ["REML", "ML"])
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_jacobian_built_once_per_theta(self, structure, method, monkeypatch):
+        spec, cohort = incomplete_cohort(structure)
+        calls = self.record_evaluations(monkeypatch)
+        jacobians = []
+        jacobian = estimation.covariance_jacobian
+
+        def recording(structure, m, theta):
+            jacobians.append(np.asarray(theta, dtype=float).tobytes())
+            return jacobian(structure, m, theta)
+
+        monkeypatch.setattr(estimation, "covariance_jacobian", recording)
+        assert a.fit(spec, cohort, method=method).converged
+        # the gradient, the informations and d cov_beta / d theta reuse the
+        # Jacobian kept with the evaluation
+        assert len(jacobians) == len(set(jacobians)) == len({key for key, _ in calls})
+
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_no_tril_indices_after_problem_setup(self, structure, monkeypatch):
+        spec, cohort = incomplete_cohort(structure)
+        estimation.index_plan.cache_clear()
+        calls, set_up = [], []
+        tril_indices, init = np.tril_indices, MixedModelProblem.__init__
+
+        def recording(*args, **kwargs):
+            calls.append(bool(set_up))
+            return tril_indices(*args, **kwargs)
+
+        def initializing(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            set_up.append(True)
+
+        monkeypatch.setattr(np, "tril_indices", recording)
+        monkeypatch.setattr(MixedModelProblem, "__init__", initializing)
+        fitted = a.fit(spec, cohort)
+        inference.variance_component_table(fitted)
+        # the unstructured index plan is built once, while the problem is set up
+        assert calls == ([False] if structure == "unstructured" else [])
+
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_interleaved_calls_match_a_fresh_problem(self, structure):
+        spec, cohort = incomplete_cohort(structure)
         problem = MixedModelProblem(spec, cohort)
         theta1 = problem._initial_theta()
         theta2 = theta1 + 0.3
@@ -581,7 +622,10 @@ class TestEvaluationReuse:
                 ("observed_information", theta2, "REML"), ("expected_information", theta1, "REML"),
                 ("loglik_and_grad", theta1, "ML"), ("cov_beta_derivatives", theta1, "ML"),
                 ("loglikelihood", theta1, "REML"), ("gls", theta2, "ML"),
-                ("observed_information", theta1, "ML"), ("observed_information", theta1, "REML")]:
+                ("observed_information", theta1, "ML"), ("observed_information", theta1, "REML"),
+                # a Jacobian or product kept under the wrong theta or method shows here
+                ("expected_information", theta2, "REML"), ("loglik_and_grad", theta1, "REML"),
+                ("cov_beta_derivatives", theta2, "REML"), ("observed_information", theta1, "ML")]:
             got = getattr(problem, name)(theta, method)
             want = getattr(MixedModelProblem(spec, cohort), name)(theta, method)
             assert flat_bytes(got) == flat_bytes(want), (name, method)
