@@ -6,7 +6,6 @@ subject-specific BLUP profiles, and model-based prediction bands.
 """
 
 from .basis import (
-    BasisMatrix,
     PolynomialCoefficients,
     TimeGrid,
     clock_knots_to_elapsed,

@@ -8,6 +8,9 @@ Four basis families are supported:
 * restricted cubic spline covariates (linear tails, C2 at the knots),
 * plain natural (monomial) polynomials.
 
+Each returns a read-only float array.  The orthonormal polynomials and the
+Gram-Schmidt transforms share one re-orthogonalization loop and sign rule.
+
 Raw times live on [0, 24] hours.  Internally the polynomial coefficients
 are expressed in an affinely rescaled variable on [-1, 1]; monomials of
 degree 9 on [0, 24] are far too ill-conditioned to work with directly.
@@ -15,8 +18,7 @@ degree 9 on [0, 24] are far too ill-conditioned to work with directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +77,6 @@ class TimeGrid:
         """The 24 hourly bin midpoints 0.5, 1.5, ..., 23.5."""
         return cls(np.arange(24, dtype=float) + 0.5)
 
-    @property
-    def spacing_kind(self) -> str:
-        gaps = np.diff(self.points)
-        if gaps.size == 0 or np.ptp(gaps) <= 1e-12:
-            return "equispaced"
-        return "irregular"
-
     def __len__(self) -> int:
         return self.points.size
 
@@ -111,26 +106,6 @@ class PolynomialCoefficients:
         return (np.asarray(times, dtype=float) - self.offset) / self.scale
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """Evaluated basis columns together with generation metadata."""
-
-    values: np.ndarray
-    kind: str
-    meta: dict
-    times: TimeGrid
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("basis matrix contains non-finite entries")
-        object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
-
-
 def orthonormality_deviation(values: np.ndarray) -> float:
     """max |B'B - I|, the diagnostic of approximate orthonormality."""
     b = np.asarray(values, dtype=float)
@@ -144,13 +119,38 @@ def _eval_table(coeffs: PolynomialCoefficients, times: np.ndarray) -> np.ndarray
     return v @ coeffs.coeffs.T
 
 
+def _orthogonalize(v: np.ndarray, coeffs: np.ndarray, cols: np.ndarray, table: np.ndarray,
+                   j: int) -> None:
+    """Two passes of modified Gram-Schmidt, in place: take from ``v`` its
+    projections on ``cols[:, :j]`` and from ``coeffs`` the same multiples of
+    the rows ``table[:j]``.  One pass loses orthogonality in proportion to
+    the conditioning; twice is enough (Giraud, Langou & Rozloznik 2005)."""
+    for _ in range(2):
+        for k in range(j):
+            proj = cols[:, k] @ v
+            coeffs -= proj * table[k]
+            v -= proj * cols[:, k]
+
+
+def _fix_signs(cols: np.ndarray, table: np.ndarray) -> None:
+    """Negate each column of ``cols`` whose largest-magnitude entry is
+    negative, and its row of ``table``.  Ties go to the last such entry, so
+    increasing columns keep a positive slope."""
+    for j in range(cols.shape[1]):
+        mag = np.abs(cols[:, j])
+        i = len(mag) - 1 - int(np.argmax(mag[::-1]))
+        if cols[i, j] < 0:
+            table[j] = -table[j]
+            cols[:, j] = -cols[:, j]
+
+
 def orthonormal_polynomial_basis(grid: TimeGrid, degree: int):
     """Exact orthonormal polynomials on a complete grid.
 
-    Built by the three-term shift recurrence in coefficient space with
-    two-pass re-orthogonalization against all earlier columns, which keeps
-    degree-9 drift below 1e-13.  Returns the evaluated matrix and the
-    coefficient table that reproduces it.
+    Built by the three-term shift recurrence in coefficient space (Forsythe
+    1957) with two-pass re-orthogonalization against all earlier columns,
+    which keeps degree-9 drift below 1e-13.  Returns the read-only
+    evaluated matrix and the coefficient table that reproduces it.
     """
     p = len(grid)
     if degree < 0:
@@ -159,58 +159,33 @@ def orthonormal_polynomial_basis(grid: TimeGrid, degree: int):
         raise RankError(f"degree {degree} needs more than {p} distinct time points")
 
     lo, hi = float(grid.points[0]), float(grid.points[-1])
-    if p == 1:
-        offset, scale = lo, 1.0
-    else:
-        offset, scale = (lo + hi) / 2.0, (hi - lo) / 2.0
+    offset, scale = (lo, 1.0) if p == 1 else ((lo + hi) / 2.0, (hi - lo) / 2.0)
     u = (grid.points - offset) / scale
     vand = np.vander(u, degree + 1, increasing=True)
 
     ncol = degree + 1
-    table = np.zeros((ncol, ncol))
-    cols = np.empty((p, ncol))
-
-    c0 = np.zeros(ncol)
-    c0[0] = 1.0
-    v = vand @ c0
-    nrm = np.linalg.norm(v)
-    table[0] = c0 / nrm
-    cols[:, 0] = v / nrm
-
-    for j in range(1, ncol):
-        # multiply the previous polynomial by u: shift coefficients up one power
+    table, cols = np.zeros((ncol, ncol)), np.empty((p, ncol))
+    for j in range(ncol):
         c = np.zeros(ncol)
-        c[1 : j + 1] = table[j - 1, :j]
+        if j == 0:
+            c[0] = 1.0
+        else:  # multiply the previous polynomial by u: shift coefficients up one power
+            c[1 : j + 1] = table[j - 1, :j]
         v = vand @ c
-        for _ in range(2):
-            for k in range(j):
-                proj = cols[:, k] @ v
-                c -= proj * table[k]
-                v -= proj * cols[:, k]
+        _orthogonalize(v, c, cols, table, j)
         nrm = np.linalg.norm(v)
-        if nrm <= 1e-13 * max(1.0, np.linalg.norm(vand @ np.abs(c))):
+        if j and nrm <= 1e-13 * max(1.0, np.linalg.norm(vand @ np.abs(c))):
             raise RankError(f"basis degenerates at degree {j}")
         table[j] = c / nrm
         cols[:, j] = v / nrm
-
-    # sign convention: largest-magnitude entry of each column positive
-    # (ties broken toward the last such entry, so increasing columns keep
-    # positive slope)
-    for j in range(ncol):
-        mag = np.abs(cols[:, j])
-        i = len(mag) - 1 - int(np.argmax(mag[::-1]))
-        if cols[i, j] < 0:
-            table[j] = -table[j]
-            cols[:, j] = -cols[:, j]
+    _fix_signs(cols, table)
 
     coeffs = PolynomialCoefficients(degree=degree, coeffs=table, offset=offset, scale=scale)
     # regenerate through the evaluation path so evaluate() is bitwise identical
-    values = _eval_table(coeffs, grid.points)
-    basis = BasisMatrix(values=values, kind="orthonormal_poly", meta={"degree": degree}, times=grid)
-    return basis, coeffs
+    return _readonly(_eval_table(coeffs, grid.points)), coeffs
 
 
-def evaluate_polynomial_basis(coeffs: PolynomialCoefficients, times: TimeGrid) -> BasisMatrix:
+def evaluate_polynomial_basis(coeffs: PolynomialCoefficients, times: TimeGrid) -> np.ndarray:
     """Evaluate a stored coefficient table at arbitrary times in [0, 24].
 
     On the generating grid this reproduces the exact basis bitwise; at
@@ -221,16 +196,10 @@ def evaluate_polynomial_basis(coeffs: PolynomialCoefficients, times: TimeGrid) -
     pts = times.points
     if pts.size and (pts[0] < lo or pts[-1] > hi):
         raise DomainError(f"times outside [{lo}, {hi}]: extrapolation refused")
-    values = _eval_table(coeffs, pts)
-    return BasisMatrix(
-        values=values,
-        kind="approx_orthonormal_poly",
-        meta={"degree": coeffs.degree},
-        times=times,
-    )
+    return _readonly(_eval_table(coeffs, pts))
 
 
-def restricted_cubic_spline_basis(times: TimeGrid, knots) -> BasisMatrix:
+def restricted_cubic_spline_basis(times: TimeGrid, knots) -> np.ndarray:
     """Restricted cubic spline covariates: the linear term plus k-2 columns.
 
     Column i (i >= 1) is
@@ -251,39 +220,22 @@ def restricted_cubic_spline_basis(times: TimeGrid, knots) -> BasisMatrix:
         raise GridError("empty time grid")
 
     t = times.points
-    k = kn.size
     tkm1, tk = kn[-2], kn[-1]
     span = tk - tkm1
 
     def plus3(x):
         return np.where(x > 0, x, 0.0) ** 3
 
-    cols = [t]
-    for i in range(k - 2):
-        ti = kn[i]
-        xi = (
-            plus3(t - ti)
-            - plus3(t - tkm1) * (tk - ti) / span
-            + plus3(t - tk) * (tkm1 - ti) / span
-        )
-        cols.append(xi)
-    values = np.column_stack(cols)
-    return BasisMatrix(
-        values=values,
-        kind="restricted_cubic_spline",
-        meta={"knots": kn.tolist()},
-        times=times,
-    )
+    cols = [plus3(t - ti) - plus3(t - tkm1) * (tk - ti) / span + plus3(t - tk) * (tkm1 - ti) / span
+            for ti in kn[:-2]]
+    return _readonly(np.column_stack([t] + cols))
 
 
-def natural_polynomial_basis(times: TimeGrid, degree: int) -> BasisMatrix:
+def natural_polynomial_basis(times: TimeGrid, degree: int) -> np.ndarray:
     """Plain monomial columns 1, t, ..., t^degree."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    values = np.vander(times.points, degree + 1, increasing=True)
-    return BasisMatrix(
-        values=values, kind="natural_poly", meta={"degree": degree}, times=times
-    )
+    return _readonly(np.vander(times.points, degree + 1, increasing=True))
 
 
 def gram_schmidt_transform(m: np.ndarray):
@@ -294,48 +246,36 @@ def gram_schmidt_transform(m: np.ndarray):
     column has its largest-magnitude entry positive.
     """
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
     p, c = m.shape
     scale = np.linalg.norm(m)
-    q = np.empty((p, c))
-    t = np.zeros((c, c))
+    q, t = np.empty((p, c)), np.zeros((c, c))
     for j in range(c):
         v = m[:, j].copy()
         tj = np.zeros(c)
         tj[j] = 1.0
-        for _ in range(2):
-            for k in range(j):
-                proj = q[:, k] @ v
-                v -= proj * q[:, k]
-                tj -= proj * t[:, k]
+        _orthogonalize(v, tj, q, t.T, j)
         nrm = np.linalg.norm(v)
         if nrm <= _ORTHO_TOL * scale:
             raise RankError(f"rank deficiency at column {j + 1}")
         q[:, j] = v / nrm
         t[:, j] = tj / nrm
-    for j in range(c):
-        mag = np.abs(q[:, j])
-        i = len(mag) - 1 - int(np.argmax(mag[::-1]))
-        if q[i, j] < 0:
-            q[:, j] = -q[:, j]
-            t[:, j] = -t[:, j]
+    _fix_signs(q, t.T)
     return q, t
 
 
-def gram_schmidt_orthonormalize(basis: BasisMatrix, add_intercept: bool = True) -> BasisMatrix:
+def gram_schmidt_orthonormalize(values: np.ndarray, add_intercept: bool = True) -> np.ndarray:
     """Orthonormalize basis columns, optionally prepending an intercept.
 
     With ``add_intercept`` the later columns are centered against a
     constant column, matching how spline covariates enter the fixed
     design.
     """
-    m = basis.values
+    m = np.asarray(values, dtype=float)
     if add_intercept:
         m = np.column_stack([np.ones(m.shape[0]), m])
-    q, _ = gram_schmidt_transform(m)
-    meta = dict(basis.meta)
-    meta["orthonormalized"] = True
-    meta["intercept_added"] = bool(add_intercept)
-    return BasisMatrix(values=q, kind=basis.kind, meta=meta, times=basis.times)
+    return _readonly(gram_schmidt_transform(m)[0])
 
 
 def clock_knots_to_elapsed(clock_knots, start_hour: float):

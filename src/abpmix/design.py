@@ -12,6 +12,7 @@ one definition of X's columns, for one subject or stacked over many.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -219,6 +220,26 @@ class CovariateEncoder:
         return np.array([1.0 if str(v) == lv else 0.0 for _, lv in cols])
 
 
+# Evaluators of prepared bases, at module level so that a BasisContext
+# pickles; each looks the basis function up when it runs.
+def _polynomial_columns(coeffs: bas.PolynomialCoefficients, times: TimeGrid) -> np.ndarray:
+    return bas.evaluate_polynomial_basis(coeffs, times)
+
+
+def _spline_columns(knots: np.ndarray, times: TimeGrid) -> np.ndarray:
+    """An intercept and the restricted cubic spline covariates."""
+    return np.column_stack([np.ones(len(times)), bas.restricted_cubic_spline_basis(times, knots)])
+
+
+def _natural_columns(degree: int, times: TimeGrid) -> np.ndarray:
+    return bas.natural_polynomial_basis(times, degree)
+
+
+def _transformed_columns(columns, t: np.ndarray, times: TimeGrid) -> np.ndarray:
+    """``columns`` at ``times`` times their Gram-Schmidt transform from the reference grid."""
+    return columns(times) @ t
+
+
 class BasisContext:
     """Shared per-spec basis machinery, generated once on the reference grid."""
 
@@ -237,45 +258,30 @@ class BasisContext:
             self.encoder = CovariateEncoder(cohort, terms, spec.reference_levels) if terms else None
 
     def _prepare(self, desc: BasisDescriptor, orthonormalize: bool):
+        """What evaluates the basis ``desc`` at any times: a picklable partial."""
         grid = self.reference_grid
         if desc.kind == "orthonormal_poly":
             _, coeffs = bas.orthonormal_polynomial_basis(grid, desc.degree)
-            return ("poly", coeffs)
+            return functools.partial(_polynomial_columns, coeffs)
         if desc.kind == "restricted_cubic_spline":
-            raw = bas.restricted_cubic_spline_basis(grid, desc.knots).values
-            m = np.column_stack([np.ones(len(grid)), raw])
-            _, t = bas.gram_schmidt_transform(m)
-            return ("rcs", (np.asarray(desc.knots, dtype=float), t))
-        # natural polynomial, optionally Gram-Schmidt transformed (flag exists
-        # to demonstrate the non-convergence of raw monomial random effects)
-        if orthonormalize:
-            m = bas.natural_polynomial_basis(grid, desc.degree).values
-            _, t = bas.gram_schmidt_transform(m)
+            columns = functools.partial(_spline_columns, np.asarray(desc.knots, dtype=float))
         else:
-            t = None
-        return ("natural", (desc.degree, t))
-
-    def _matrix(self, prepared, times: TimeGrid) -> np.ndarray:
-        kind, payload = prepared
-        if kind == "poly":
-            return bas.evaluate_polynomial_basis(payload, times).values
-        if kind == "rcs":
-            knots, t = payload
-            raw = bas.restricted_cubic_spline_basis(times, knots).values
-            m = np.column_stack([np.ones(len(times)), raw])
-            return m @ t
-        degree, t = payload
-        m = bas.natural_polynomial_basis(times, degree).values
-        return m @ t if t is not None else m
+            columns = functools.partial(_natural_columns, desc.degree)
+            # raw monomials (the flag exists to demonstrate the non-convergence
+            # of raw monomial random effects)
+            if not orthonormalize:
+                return columns
+        _, t = bas.gram_schmidt_transform(columns(grid))
+        return functools.partial(_transformed_columns, columns, t)
 
     def fixed_time_matrix(self, times: TimeGrid) -> np.ndarray:
         """Fixed-effect time-basis columns, intercept included."""
-        return self._matrix(self._fixed, times)
+        return self._fixed(times)
 
     def time_matrices(self, times: TimeGrid):
         """(fixed_time_matrix, random-effect design Z) on ``times``, one evaluation if shared."""
         s = self.fixed_time_matrix(times)
-        return s, (s if self._random is self._fixed else self._matrix(self._random, times))
+        return s, (s if self._random is self._fixed else self._random(times))
 
     def fixed_column_labels(self) -> list:
         spec = self.spec

@@ -19,13 +19,15 @@ the finite array read.  ``_jsonable`` writes an object in table order;
 A failed check is a SchemaError unless said otherwise.  An optional field
 that is left out takes the model's default.  A file with a table carries
 ``schema_version`` (currently 1), checked first.  Floats survive the JSON
-round trip exactly (shortest-repr encoding).  The thresholds file has
-hours for keys, and no table.
+round trip exactly (shortest-repr encoding); a number read must be a
+finite float, so NaN, Infinity and integers beyond the float range are
+SchemaErrors.  The thresholds file has hours for keys, and no table.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -78,14 +80,21 @@ def _list_of(test):
     return lambda v: type(v) is list and all(map(test, v))
 
 
-_NUMBER, _STRING, _NULL = _of(int, float), _of(str), _of(type(None))
+_STRING, _NULL = _of(str), _of(type(None))
+
+
+def _number(v) -> bool:
+    """A JSON number that reads as a finite float: not NaN, not infinite, not too large."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 _COLUMN = _list_of(_of(str, type(None)))  # [label, level], level null for a numeric term
 
 # JSON types, keyed by how an error message names them: (test of the JSON
 # value, the value read from it, or None to read it as it is)
 _TYPES = {
-    "a number": (_NUMBER, float),
-    "a finite nonnegative number": (lambda v: _NUMBER(v) and 0 <= v < np.inf, float),
+    "a number": (_number, float),
+    "a finite nonnegative number": (lambda v: _number(v) and v >= 0, float),
     # of an array read: a nonnegative diagonal, symmetric and PSD up to roundoff
     "a covariance matrix": (lambda a: bool(np.diag(a).min() >= 0.0 and max(
         np.abs(a - a.T).max(), -np.linalg.eigvalsh(a)[0]) <= 1e-10 * np.abs(a).max()), None),
@@ -94,7 +103,7 @@ _TYPES = {
     "true or false": (_of(bool), None),
     "a string": (_STRING, None),
     "a list of strings": (_list_of(_STRING), None),
-    "a list of numbers or null": (lambda v: _NULL(v) or _list_of(_NUMBER)(v),
+    "a list of numbers or null": (lambda v: _NULL(v) or _list_of(_number)(v),
                                   lambda v: None if v is None else tuple(v)),
     "an object of strings": (lambda v: type(v) is dict and all(map(_STRING, v.values())), None),
     "an object of [label, level] lists or null": (  # or any false value, read as null

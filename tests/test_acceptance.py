@@ -46,7 +46,7 @@ def test_criterion_01_orthonormality():
         grid = TimeGrid.equispaced(p)
         for degree in range(10):
             basis, _ = orthonormal_polynomial_basis(grid, degree)
-            worst = max(worst, orthonormality_deviation(basis.values))
+            worst = max(worst, orthonormality_deviation(basis))
     elapsed = time.perf_counter() - t0
     report(1, "orthonormality <= 1e-10 for p in {12,24,49}, degree <= 9",
            worst <= 1e-10 and elapsed < 1.0,
@@ -60,12 +60,12 @@ def test_criterion_02_coefficient_round_trip():
     for degree in (3, 6, 9):
         basis, coeffs = orthonormal_polynomial_basis(grid, degree)
         again = evaluate_polynomial_basis(coeffs, grid)
-        worst = max(worst, float(np.max(np.abs(again.values - basis.values))))
+        worst = max(worst, float(np.max(np.abs(again - basis))))
     # deviation diagnostic on a random 80% subgrid: finite, reported
     _, coeffs9 = orthonormal_polynomial_basis(grid, 9)
     keep = np.sort(rng.choice(49, size=39, replace=False))
     sub = TimeGrid(grid.points[keep])
-    dev = orthonormality_deviation(evaluate_polynomial_basis(coeffs9, sub).values)
+    dev = orthonormality_deviation(evaluate_polynomial_basis(coeffs9, sub))
     report(2, "coefficient round-trip <= 1e-12; subgrid diagnostic finite",
            worst <= 1e-12 and np.isfinite(dev),
            f"round-trip {worst:.3e}, 80%-subgrid deviation {dev:.3e}")
@@ -76,7 +76,7 @@ def test_criterion_03_spline_restriction():
     knots = clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=12.0)
 
     def f(t, coef):
-        vals = restricted_cubic_spline_basis(TimeGrid(np.atleast_1d(float(t))), knots).values
+        vals = restricted_cubic_spline_basis(TimeGrid(np.atleast_1d(float(t))), knots)
         return float((vals @ coef)[0])
 
     def second(t, coef, h):

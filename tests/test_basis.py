@@ -3,7 +3,6 @@ import pytest
 
 from abpmix.basis import (
     DEFAULT_SPLINE_CLOCK_KNOTS,
-    BasisMatrix,
     TimeGrid,
     clock_knots_to_elapsed,
     evaluate_polynomial_basis,
@@ -14,6 +13,7 @@ from abpmix.basis import (
     orthonormality_deviation,
     restricted_cubic_spline_basis,
 )
+from abpmix.design import BasisContext, BasisDescriptor, ModelSpec
 from abpmix.errors import DomainError, GridError, KnotError, RankError
 
 
@@ -38,10 +38,6 @@ class TestTimeGrid:
     def test_rejects_non_increasing(self):
         with pytest.raises(GridError):
             TimeGrid(np.array([1.0, 1.0, 2.0]))
-
-    def test_spacing_kind(self):
-        assert TimeGrid.equispaced(24).spacing_kind == "equispaced"
-        assert TimeGrid(np.array([0.0, 1.0, 5.0])).spacing_kind == "irregular"
 
     def test_hourly_midpoints(self):
         g = TimeGrid.hourly_midpoints()
@@ -71,21 +67,21 @@ class TestOrthonormalPolynomial:
         # compare up to column sign
         for j in range(3):
             diff = min(
-                np.max(np.abs(basis.values[:, j] - expected[:, j])),
-                np.max(np.abs(basis.values[:, j] + expected[:, j])),
+                np.max(np.abs(basis[:, j] - expected[:, j])),
+                np.max(np.abs(basis[:, j] + expected[:, j])),
             )
             assert diff < 1e-12
 
     def test_degree_zero_constant_column(self):
         grid = TimeGrid(np.array([0.0, 3.0, 7.0, 20.0]))
         basis, _ = orthonormal_polynomial_basis(grid, 0)
-        np.testing.assert_allclose(basis.values, np.full((4, 1), 0.5), atol=1e-15)
+        np.testing.assert_allclose(basis, np.full((4, 1), 0.5), atol=1e-15)
 
     def test_degree_nine_hourly_grid(self):
         grid = TimeGrid.hourly_midpoints()
         basis, _ = orthonormal_polynomial_basis(grid, 9)
-        assert basis.values.shape == (24, 10)
-        assert orthonormality_deviation(basis.values) <= 1e-10
+        assert basis.shape == (24, 10)
+        assert orthonormality_deviation(basis) <= 1e-10
 
     @pytest.mark.parametrize("p,degree", [(12, 9), (24, 9), (49, 9), (24, 3), (5, 4)])
     def test_matches_qr_oracle(self, p, degree):
@@ -93,8 +89,8 @@ class TestOrthonormalPolynomial:
         basis, _ = orthonormal_polynomial_basis(grid, degree)
         oracle = qr_oracle(grid.points, degree)
         # align column signs: the convention can flip under exact magnitude ties
-        signs = np.sign(np.einsum("ij,ij->j", basis.values, oracle))
-        np.testing.assert_allclose(basis.values, oracle * signs, atol=1e-9)
+        signs = np.sign(np.einsum("ij,ij->j", basis, oracle))
+        np.testing.assert_allclose(basis, oracle * signs, atol=1e-9)
 
     def test_degree_exceeds_points(self):
         with pytest.raises(RankError):
@@ -104,7 +100,7 @@ class TestOrthonormalPolynomial:
         for p in (2, 12, 24, 49):
             grid = TimeGrid.equispaced(p)
             basis, _ = orthonormal_polynomial_basis(grid, min(9, p - 1))
-            assert np.all(np.abs(basis.values) < 1.0)
+            assert np.all(np.abs(basis) < 1.0)
 
     def test_reference_grid_column_signs_are_pinned(self):
         # a saved fit.json stores beta but not the basis, and a simulation
@@ -116,6 +112,20 @@ class TestOrthonormalPolynomial:
         for degree in range(10):
             _, coeffs = orthonormal_polynomial_basis(grid, degree)
             assert np.sign(np.diag(coeffs.coeffs)).tolist() == signs[: degree + 1]
+        # The Gram-Schmidt transforms that BasisContext builds on the same grid
+        # (of each column's raw one): natural polynomials, whose column 3 has
+        # end values 2.2e-16 apart, and the default 9-knot spline.
+        knots = tuple(clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=12.0))
+        cases = [(BasisDescriptor("natural_poly", d), natural_polynomial_basis(grid, d),
+                  [1, 1, 1, -1, 1, -1][: d + 1]) for d in range(1, 6)]
+        cases.append((BasisDescriptor("restricted_cubic_spline", knots=knots),
+                      np.column_stack([np.ones(49), restricted_cubic_spline_basis(grid, knots)]),
+                      [1, 1, 1, -1, 1, -1, -1, -1, 1]))
+        for desc, m, signs in cases:
+            _, t = gram_schmidt_transform(m)
+            assert np.sign(np.diag(t)).tolist() == signs
+            context = BasisContext(ModelSpec(fixed=desc, random=desc))
+            assert np.array_equal(context.fixed_time_matrix(grid), m @ t)
 
     def test_coefficient_table_lower_triangular(self):
         _, coeffs = orthonormal_polynomial_basis(TimeGrid.equispaced(24), 5)
@@ -127,19 +137,20 @@ class TestEvaluatePolynomialBasis:
         grid = TimeGrid.equispaced(49)
         basis, coeffs = orthonormal_polynomial_basis(grid, 9)
         again = evaluate_polynomial_basis(coeffs, grid)
-        assert np.array_equal(again.values, basis.values)
+        assert np.array_equal(again, basis)
+        assert not (basis.flags.writeable or again.flags.writeable)
 
     def test_subgrid_deviation_finite(self):
         grid = TimeGrid.hourly_midpoints()
         _, coeffs = orthonormal_polynomial_basis(grid, 4)
         sub = TimeGrid(grid.points[[0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 22, 23]])
-        dev = orthonormality_deviation(evaluate_polynomial_basis(coeffs, sub).values)
+        dev = orthonormality_deviation(evaluate_polynomial_basis(coeffs, sub))
         assert np.isfinite(dev) and dev > 0
 
     def test_single_time_degree_one(self):
         grid = TimeGrid.hourly_midpoints()
         _, coeffs = orthonormal_polynomial_basis(grid, 1)
-        row = evaluate_polynomial_basis(coeffs, TimeGrid(np.array([12.0]))).values
+        row = evaluate_polynomial_basis(coeffs, TimeGrid(np.array([12.0])))
         # closed form on the hourly-midpoint grid: s0 = 1/sqrt(24),
         # s1(t) = (t - 12) / ||t - 12|| with the grid's norm
         centered = grid.points - grid.points.mean()
@@ -158,7 +169,7 @@ def spline_function(knots, coef):
     """Scalar spline f(t) = coef . [t, x_1..x_{k-2}] for derivative checks."""
 
     def f(t):
-        vals = restricted_cubic_spline_basis(TimeGrid(np.atleast_1d(t)), knots).values
+        vals = restricted_cubic_spline_basis(TimeGrid(np.atleast_1d(t)), knots)
         return float((vals @ coef)[0])
 
     return f
@@ -168,19 +179,19 @@ class TestRestrictedCubicSpline:
     def test_default_nine_knots_give_eight_columns(self):
         knots = clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=12.0)
         basis = restricted_cubic_spline_basis(TimeGrid.hourly_midpoints(), knots)
-        assert basis.values.shape == (24, 8)
+        assert basis.shape == (24, 8)
 
     def test_all_plus_functions_vanish_left_of_first_knot(self):
         basis = restricted_cubic_spline_basis(
             TimeGrid(np.array([0.0, 1.0, 2.0])), knots=(3.0, 9.0, 15.0, 21.0)
         )
-        np.testing.assert_array_equal(basis.values[:, 1:], 0.0)
-        np.testing.assert_array_equal(basis.values[:, 0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(basis[:, 1:], 0.0)
+        np.testing.assert_array_equal(basis[:, 0], [0.0, 1.0, 2.0])
 
     def test_closed_form_value(self):
         basis = restricted_cubic_spline_basis(TimeGrid(np.array([14.0])), knots=(6.0, 12.0, 18.0))
-        assert basis.values[0, 0] == 14.0
-        assert abs(basis.values[0, 1] - 496.0) < 1e-10
+        assert basis[0, 0] == 14.0
+        assert abs(basis[0, 1] - 496.0) < 1e-10
 
     def test_linear_beyond_boundary_knots(self):
         rng = np.random.default_rng(7)
@@ -237,7 +248,11 @@ class TestGramSchmidt:
         grid = TimeGrid.equispaced(12)
         basis, _ = orthonormal_polynomial_basis(grid, 3)
         out = gram_schmidt_orthonormalize(basis, add_intercept=False)
-        np.testing.assert_allclose(np.abs(out.values), np.abs(basis.values), atol=1e-12)
+        np.testing.assert_allclose(np.abs(out), np.abs(basis), atol=1e-12)
+
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_schmidt_orthonormalize(np.array([[1.0], [np.nan]]), add_intercept=False)
 
     def test_duplicate_column_names_offender(self):
         v = np.column_stack([np.arange(4.0), np.arange(4.0)])
@@ -248,15 +263,16 @@ class TestGramSchmidt:
         knots = clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=8.0)
         basis = restricted_cubic_spline_basis(TimeGrid.hourly_midpoints(), knots)
         out = gram_schmidt_orthonormalize(basis)
-        assert out.values.shape == (24, 9)
-        assert orthonormality_deviation(out.values) <= 1e-10
+        assert out.shape == (24, 9)
+        assert not (basis.flags.writeable or out.flags.writeable)
+        assert orthonormality_deviation(out) <= 1e-10
 
     def test_span_equivalence_in_least_squares(self):
         rng = np.random.default_rng(3)
         knots = clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=8.0)
         basis = restricted_cubic_spline_basis(TimeGrid.hourly_midpoints(), knots)
-        raw = np.column_stack([np.ones(24), basis.values])
-        ortho = gram_schmidt_orthonormalize(basis).values
+        raw = np.column_stack([np.ones(24), basis])
+        ortho = gram_schmidt_orthonormalize(basis)
         y = rng.normal(size=24)
         fit_raw = raw @ np.linalg.lstsq(raw, y, rcond=None)[0]
         fit_ortho = ortho @ np.linalg.lstsq(ortho, y, rcond=None)[0]
@@ -282,11 +298,6 @@ class TestClockKnots:
 
 def test_natural_polynomial_columns():
     basis = natural_polynomial_basis(TimeGrid(np.array([0.0, 2.0])), 2)
-    np.testing.assert_array_equal(basis.values, [[1, 0, 0], [1, 2, 4]])
+    np.testing.assert_array_equal(basis, [[1, 0, 0], [1, 2, 4]])
+    assert basis.dtype == float and not basis.flags.writeable
 
-
-def test_basis_matrix_rejects_nonfinite():
-    with pytest.raises(Exception):
-        BasisMatrix(
-            values=np.array([[np.nan]]), kind="natural_poly", meta={}, times=TimeGrid(np.array([1.0]))
-        )

@@ -809,6 +809,42 @@ def test_unknown_field_is_usage_error_of_its_format(workspace, tmp_path, capsys,
     assert f"{error}: {fmt}: unknown fields ['surprise']" in capsys.readouterr().err
 
 
+
+BEYOND_FLOAT = 10 ** 400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize("fmt, field, value", [
+    ("fitted model", "loglik", BEYOND_FLOAT), ("fitted model", "sigma2_hat", BEYOND_FLOAT),
+    ("fitted model", "loglik", float("nan")), ("fitted model", "gradient_norm", float("inf")),
+    ("basis descriptor", "knots", BEYOND_FLOAT),
+    ("simulation config", "sigma2", BEYOND_FLOAT), ("simulation config", "sigma2", float("nan")),
+    ("simulation config", "time_jitter_sd", BEYOND_FLOAT),
+    ("simulation config", "time_jitter_sd", -float("inf")),
+])
+def test_number_that_is_no_finite_float_is_usage_error(workspace, tmp_path, capsys, fmt, field,
+                                                        value):
+    root, data, model = workspace
+    bad = tmp_path / "bad.json"
+    if fmt == "fitted model":
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        d[field] = value
+        argv = ["band", "--fit", str(bad), "--data", data]
+    elif fmt == "basis descriptor":  # of a model spec
+        d = {"schema_version": 1,
+             "fixed": {"kind": "restricted_cubic_spline", "knots": [6.0, 12.0, value]},
+             "random": {"kind": "natural_poly", "degree": 1}}
+        argv = ["fit", "--model", str(bad), "--data", data]
+    else:
+        d = json.loads(Path(write_sim_config(bad, n_subjects=5)).read_text())
+        d[field] = value
+        argv = ["simulate", "--config", str(bad)]
+    bad.write_text(json.dumps(d))  # NaN, Infinity and -Infinity as Python's json writes them
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"SchemaError: {fmt}: {field} must be" in err and "Traceback" not in err
+    assert not out.exists()
+
 def hand_built_fit(group_terms=()):
     """A FittedModel made without fitting: a degree-1 mean, a random
     intercept and the given terms of three subjects' covariates, diet

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import abpmix as a
 from abpmix import basis, estimation, inference, serialize
-from abpmix.basis import TimeGrid
+from abpmix.basis import DEFAULT_SPLINE_CLOCK_KNOTS, TimeGrid, clock_knots_to_elapsed
 from abpmix.errors import RankError
 from abpmix.estimation import (
     LOG_VARIANCE_FLOOR,
@@ -656,6 +657,25 @@ def test_variance_floor_reported_as_zero():
     theta = np.array([LOG_VARIANCE_FLOOR, 0.0])
     sd = sigma_d_from_theta("diagonal", 1, theta)
     assert sd[0, 0] <= np.exp(LOG_VARIANCE_FLOOR) * 1.0000001
+
+
+@pytest.mark.parametrize("fixed, random, orthonormalize_random", [
+    (a.BasisDescriptor("orthonormal_poly", 2), a.BasisDescriptor("orthonormal_poly", 1), True),
+    (a.BasisDescriptor("restricted_cubic_spline",
+                       knots=tuple(clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, 12.0))),
+     a.BasisDescriptor("natural_poly", 1), True),
+    (a.BasisDescriptor("natural_poly", 2), a.BasisDescriptor("natural_poly", 1), False),
+])
+def test_fitted_model_survives_a_pickle_round_trip(fixed, random, orthonormalize_random):
+    spec = a.ModelSpec(fixed=fixed, random=random, orthonormalize_random=orthonormalize_random)
+    cohort = simulate(poly_spec(2), [400.0, -15.0, 8.0], np.diag([60.0, 20.0, 10.0]), 16.0,
+                      n_subjects=12, seed=9)
+    fitted = a.fit(spec, cohort)
+    back = pickle.loads(pickle.dumps(fitted))
+    grid = TimeGrid.hourly_midpoints()
+    for got, want in zip(back.context.time_matrices(grid), fitted.context.time_matrices(grid)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert back.beta_hat.tobytes() == fitted.beta_hat.tobytes()
 
 
 def shared_and_jittered_cohort():
