@@ -55,6 +55,9 @@ class TimeGrid:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
+    def __reduce__(self):  # numpy unpickles arrays writeable; the checks make a read-only copy
+        return TimeGrid, (self.points,)
+
     @classmethod
     def _trusted(cls, points: np.ndarray) -> "TimeGrid":
         """A grid that holds ``points`` itself: no copy and no checks.
@@ -101,6 +104,9 @@ class PolynomialCoefficients:
         if c.shape != (self.degree + 1, self.degree + 1):
             raise ValueError("coefficient table has the wrong shape")
         object.__setattr__(self, "coeffs", _readonly(c))
+
+    def __reduce__(self):  # numpy unpickles arrays writeable; _readonly resets the flag
+        return PolynomialCoefficients, (self.degree, self.coeffs, self.offset, self.scale)
 
     def rescale(self, times: np.ndarray) -> np.ndarray:
         return (np.asarray(times, dtype=float) - self.offset) / self.scale

@@ -7,6 +7,7 @@ Subcommands: fit, compare, profiles, band, simulate.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from itertools import groupby
@@ -156,14 +157,26 @@ def _write_series(path: Path, times, series):
             fh.writelines(_series_lines(times, series[a:b], labels[a:b], own[a:b]))
 
 
-def _eval_grid(args) -> TimeGrid:
-    return TimeGrid.equispaced(args.grid_points, 0.0, 24.0)
+def _write_plot(args, fitted, grid: TimeGrid, name: str, title: str, series: list) -> int:
+    """``name``.csv (and .svg with --svg) of ``series``, the population curve and the band."""
+    series = series + [("population", blup.population_curve(fitted, grid).values)]
+    band = blup.prediction_band(fitted, grid, level=args.band_level,
+                                multiplier=args.band_multiplier)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_series(out / f"{name}.csv", grid.points,
+                  series + [("band", band.center, band.lower, band.upper)])
+    if args.svg:
+        text = svg.render_plot(grid.points, series, band=(band.lower, band.upper),
+                               start_hour=args.start_hour, title=title)
+        (out / f"{name}.svg").write_text(text, encoding="utf-8")
+    return EXIT_OK
 
 
 def _cmd_profiles(args) -> int:
     fitted = serialize.load_fitted_model(args.fit)
     cohort = dataio.read_cohort(args.data, outcome=args.outcome)
-    grid = _eval_grid(args)
+    grid = TimeGrid.equispaced(args.grid_points, 0.0, 24.0)
     subject_ids = [s for s in (args.subjects.split(",") if args.subjects else []) if s]
     by_id, seen = {s.id: s for s in cohort}, set()
     for sid in subject_ids:
@@ -173,22 +186,8 @@ def _cmd_profiles(args) -> int:
             return EXIT_USAGE
         seen.add(sid)
     values = blup.subject_profiles(fitted, [by_id[sid] for sid in subject_ids], grid)
-    pop = blup.population_curve(fitted, grid)
-    band = blup.prediction_band(fitted, grid, level=args.band_level,
-                                multiplier=args.band_multiplier)
-    series = [(f"subject:{sid}", v) for sid, v in zip(subject_ids, values)]
-    series.append(("population", pop.values))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_series(out / "profiles.csv", grid.points,
-                  series + [("band", band.center, band.lower, band.upper)])
-    if args.svg:
-        text = svg.render_plot(
-            grid.points, series, band=(band.lower, band.upper),
-            start_hour=args.start_hour, title="predicted profiles",
-        )
-        (out / "profiles.svg").write_text(text, encoding="utf-8")
-    return EXIT_OK
+    return _write_plot(args, fitted, grid, "profiles", "predicted profiles",
+                       [(f"subject:{sid}", v) for sid, v in zip(subject_ids, values)])
 
 
 def _cmd_band(args) -> int:
@@ -208,28 +207,13 @@ def _cmd_band(args) -> int:
         if not fitted.converged:
             print(f"non-convergence: gradient_norm={fitted.gradient_norm:.3e}", file=sys.stderr)
             return EXIT_NONCONVERGED
-    grid = _eval_grid(args)
-    pop = blup.population_curve(fitted, grid)
-    band = blup.prediction_band(fitted, grid, level=args.band_level,
-                                multiplier=args.band_multiplier)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_series(out / "band.csv", grid.points,
-                  [("population", pop.values), ("band", band.center, band.lower, band.upper)])
-    if args.svg:
-        text = svg.render_plot(
-            grid.points, [("population", pop.values)], band=(band.lower, band.upper),
-            start_hour=args.start_hour, title="prediction band",
-        )
-        (out / "band.svg").write_text(text, encoding="utf-8")
-    return EXIT_OK
+    grid = TimeGrid.equispaced(args.grid_points, 0.0, 24.0)
+    return _write_plot(args, fitted, grid, "band", "prediction band", [])
 
 
 def _cmd_simulate(args) -> int:
     config = serialize.load_simulation_config(args.config)
     if args.seed is not None:
-        import dataclasses
-
         config = dataclasses.replace(config, seed=args.seed)
     cohort = dataio.simulate_cohort(config)
     out = Path(args.out)

@@ -14,7 +14,8 @@ over ``csv.field_size_limit()`` and every record of the header's width
 is all that ``csv``'s dialect does to such text.  From the header or the
 first chunk that is not plain, or that holds a time or outcome that is
 not a number, on, ``csv.reader`` reads the rest of the file and raises
-every error below; the plain chunks before it hold none.
+every error below; the plain chunks before it hold none.  A file with a
+CR anywhere is ``csv.reader``'s from its header.
 
 Errors of ``read_cohort``.  Records are numbered from the header, row 1;
 blank records are skipped but counted.  Invalid UTF-8 anywhere in the
@@ -38,6 +39,7 @@ record: ``row 3: subject 'b': time points must lie in [0.0, 24.0]``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from dataclasses import dataclass, field
@@ -194,14 +196,17 @@ def _read_plain(fh, outcome: str):
     plain: whose lines ``_plain_fields`` does not split into records of
     the header's width, or that holds a time or outcome that is not a
     number.  Leaves ``fh`` at that chunk's first byte and returns the
-    chunks before it, or, if the header is not plain or lacks a needed
-    column, leaves ``fh`` at the start and returns None.
+    chunks before it, or, if the file holds a CR or the header is not plain
+    or lacks a needed column, leaves ``fh`` at the start and returns None.
 
     Each chunk of records is split once, and column j is the strided
     slice of the fields from j on.
     """
     limit = csv.field_size_limit()
-    header = _plain_fields([fh.readline()], limit)
+    # split at LF alone, a file whose records end in CR alone would be one line
+    has_cr = any(b"\r" in block for block in iter(functools.partial(fh.read, 1 << 16), b""))
+    fh.seek(0)
+    header = None if has_cr else _plain_fields([fh.readline()], limit)
     try:
         columns = _Columns(*_layout(header[:-1], outcome)) if header else None
     except SchemaError:

@@ -2,21 +2,24 @@
 
 The marginal covariance of subject i is Sigma_i = Z_i Sigma_d Z_i' +
 sigma^2 I.  Fixed effects are profiled out by generalized least squares.
-The covariance parameters theta (log-variances, or log-Cholesky entries
-of Sigma_d, then log sigma^2) are maximized by one projected, Levenberg-
-Marquardt-damped ascent, within bounds relative to the OLS residual
-variance: Fisher scoring on the expected information while the projected
-gradient is above 1e-2, Newton steps on the observed information below
-it.  At the end of the fit the observed information, inverted over the
-parameters not reported as exact zeros, is kept on the fitted model with
-d cov_beta / d theta: they give the Satterthwaite degrees of freedom and
-the variance-component SEs.
+The covariance parameters are maximized by one projected, Levenberg-
+Marquardt-damped ascent within bounds relative to the OLS residual
+variance s0^2: Fisher scoring on the expected information while the
+projected gradient is above 1e-2, Newton steps on the observed
+information below it.  It steps on theta, the log-Cholesky entries of
+Sigma_d and log sigma^2, or on a diagonal (v_1..v_m, sigma^2) itself,
+damped by the information's diagonal; a v at its bound 0 is an exact
+zero, whose projected gradient is s0^2 dl/dv (v dl/dv elsewhere).  The
+fit reports theta (log-variances, a zero at its floor), the observed
+information of theta inverted over the components not at zero, and
+d cov_beta / d theta: the Satterthwaite and variance-component SEs.
 
 Every derivative is taken on the natural scale phi = (Sigma_d flattened,
 sigma^2) and reaches theta through the one Jacobian J = d phi / d theta
 (``covariance_jacobian``): the gradient and F_j = X' V^-1 dV_j V^-1 X
 are J' times theirs on phi, an information is J' I J, and the observed
-one loses the curvature sum_phi (d loglik / d phi) d^2 phi / d theta^2.
+one loses the curvature sum_phi (d loglik / d phi) d^2 phi / d theta^2,
+which the diagonal ascent's J, a constant selection of phi, does not have.
 
 Subjects are grouped per observation count by distinct (times,
 covariate encoding) with ``design.group_patterns``, and each distinct
@@ -70,7 +73,7 @@ _LL_ROUNDOFF = 1e-14  # relative log-likelihood change that roundoff can account
 class CovarianceParams:
     """Unconstrained covariance parameterization.
 
-    diagonal: theta = (m log-variances, log sigma^2)
+    diagonal: theta = (m log-variances, log sigma^2), a fitted zero at the floor
     unstructured: theta = (lower-triangular Cholesky of Sigma_d packed
     row-major with log-diagonal, log sigma^2)
     """
@@ -220,9 +223,9 @@ class FittedModel:
 # the estimation problem
 
 
-# the log-likelihood, d loglik / d phi, J', beta, cov_beta and, per design with
-# M = L L', L^-1, the GLS residual cross-products, L^-1 Q'X and M^-1 = L^-T L^-1
-_Evaluation = namedtuple("_Evaluation", "loglik dphi jac beta cov_beta li resid wx minv")
+# the log-likelihood, sigma^2, d loglik / d phi, J', beta, cov_beta and, per design
+# with M = L L', L^-1, the GLS residual cross-products, L^-1 Q'X and M^-1 = L^-T L^-1
+_Evaluation = namedtuple("_Evaluation", "loglik sigma2 dphi jac beta cov_beta li resid wx minv")
 
 
 class MixedModelProblem:
@@ -252,6 +255,7 @@ class MixedModelProblem:
         self.structure = spec.random_cov
         self.n_params = n_cov_params(self.structure, m)
         _, _, self._diag, _, self._eye = index_plan(self.structure, m)
+        self._select = np.eye(m * m + 1)[np.append(np.arange(m) * (m + 1), m * m)]
 
         # sums over designs and rows as products of (designs x rows, columns) matrices
         xtx = sum((c[:, None, None] * x).reshape(-1, q).T @ x.reshape(-1, q)
@@ -306,20 +310,20 @@ class MixedModelProblem:
         # its bounds are measured from it, so that both scale with the outcome
         rss = float(np.trace(self._ee, axis1=1, axis2=2).sum()) + self._ee_out
         self._log_s2 = float(np.log((rss or 1.0) / max(self.n - q, 1)))
-        self._last = (None, None)  # ((method, theta bytes), the last evaluation)
+        self._last = (None, None)  # ((method, natural, point bytes), the last evaluation)
 
     # -- likelihood ---------------------------------------------------------
 
-    def _evaluate(self, theta: np.ndarray, method: str) -> _Evaluation:
-        """The evaluation at theta; the last one is kept and returned again
-        while theta and the method repeat."""
-        key = (method, np.asarray(theta, dtype=float).tobytes())
+    def _evaluate(self, theta: np.ndarray, method: str, natural: bool = False) -> _Evaluation:
+        """The evaluation at theta, or with ``natural`` at a diagonal (v_1..v_m,
+        sigma^2); the last one is kept and returned again while both repeat."""
+        key = (method, natural, np.asarray(theta, dtype=float).tobytes())
         if self._last[0] == key:
             return self._last[1]
         m, q, eye = self.m, self.q, self._eye
         count = self._count
-        sigma_d = sigma_d_from_theta(self.structure, m, theta)
-        sigma2 = float(np.exp(theta[-1]))
+        sigma_d = np.diag(theta[:m]) if natural else sigma_d_from_theta(self.structure, m, theta)
+        sigma2 = float(theta[-1] if natural else np.exp(theta[-1]))
         r = self._r
         mm = r @ sigma_d @ r.transpose(0, 2, 1) + sigma2 * eye
         try:
@@ -347,7 +351,7 @@ class MixedModelProblem:
         quad = (float(np.sum((li @ self._ee) * li)) + self._ee_out / sigma2
                 - float(delta @ xtse))
         logdet = (2.0 * float(count @ np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
-                  + self._p_minus_m * float(theta[-1]))
+                  + self._p_minus_m * float(np.log(sigma2) if natural else theta[-1]))
         reml = method == "REML"
         if reml:
             logdet_x = 2.0 * float(np.sum(np.log(np.diag(lx))))
@@ -370,9 +374,9 @@ class MixedModelProblem:
         # what Sigma_d does not account for belongs to sigma^2
         dphi = np.append(g, (-0.5 * (self.n - (q if reml else 0) - quad)
                              - float(np.sum(g * sigma_d))) / sigma2)
-        out = _Evaluation(ll, dphi, covariance_jacobian(self.structure, m, theta),
-                          self._beta0 + delta, cov_beta, li, s, wx, minv)
-        for a in out[1:]:
+        jac = self._select if natural else covariance_jacobian(self.structure, m, theta)
+        out = _Evaluation(ll, sigma2, dphi, jac, self._beta0 + delta, cov_beta, li, s, wx, minv)
+        for a in out[2:]:
             a.flags.writeable = False
         self._last = (key, out)
         return out
@@ -385,20 +389,19 @@ class MixedModelProblem:
         ev = self._evaluate(theta, method)
         return ev.beta.copy(), 0.5 * (ev.cov_beta + ev.cov_beta.T)
 
-    def loglik_and_grad(self, theta: np.ndarray, method: str = "REML"):
-        ev = self._evaluate(theta, method)
+    def loglik_and_grad(self, theta: np.ndarray, method: str = "REML", natural=False):
+        ev = self._evaluate(theta, method, natural)
         return ev.loglik, ev.jac @ ev.dphi
 
-    def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML"):
+    def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML", natural=False):
         """d cov_beta / d theta_k = cov_beta F_k cov_beta at theta (delta-method ingredient)."""
-        ev = self._evaluate(theta, method)
-        return ev.cov_beta @ self._f(theta, ev) @ ev.cov_beta
+        ev = self._evaluate(theta, method, natural)
+        return ev.cov_beta @ self._f(ev) @ ev.cov_beta
 
-    def _f(self, theta, ev: _Evaluation):
+    def _f(self, ev: _Evaluation):
         """F_k = X' V^-1 dV_k V^-1 X for every k of theta, chained from phi."""
         kx = ev.minv @ self._x  # M^-1 Q'X per design
-        f = self._sandwich(self._count[:, None, None] * kx, kx,
-                           self._xx_out / float(np.exp(theta[-1]))**2)
+        f = self._sandwich(self._count[:, None, None] * kx, kx, self._xx_out / ev.sigma2**2)
         return (ev.jac @ f.reshape(len(f), -1)).reshape(-1, self.q, self.q)
 
     def _sandwich(self, left, right, outside):
@@ -414,16 +417,16 @@ class MixedModelProblem:
         out[-1] = left.reshape(-1, ql).T @ right.reshape(-1, width) + outside
         return out
 
-    def expected_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
+    def expected_information(self, theta: np.ndarray, method: str = "REML", natural=False):
         """Expected information 1/2 tr(P dV_j P dV_k) of theta, P the REML
         projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1 for ML."""
-        return self._information(theta, method, observed=False)
+        return self._information(theta, method, False, natural)
 
-    def observed_information(self, theta: np.ndarray, method: str = "REML") -> np.ndarray:
+    def observed_information(self, theta: np.ndarray, method: str = "REML", natural=False):
         """Observed information: minus the Hessian of the log-likelihood in theta."""
-        return self._information(theta, method, observed=True)
+        return self._information(theta, method, True, natural)
 
-    def _information(self, theta, method, observed):
+    def _information(self, theta, method, observed, natural):
         """J' I J plus, for REML, +-1/2 tr(cov_beta F_j cov_beta F_k), for I
         the expected or observed information on phi; the observed one less
         the curvature.
@@ -437,9 +440,9 @@ class MixedModelProblem:
         rest, plus the outside rows' residual sum of squares, minus
         b cov_beta b' with b_j = X' V^-1 dV_j r.
         """
-        _, dphi, jac, beta, cov_beta, li, resid, wx, minv = ev = self._evaluate(theta, method)
-        m, sigma2 = self.m, float(np.exp(theta[-1]))
-        t = self._eye
+        ev = self._evaluate(theta, method, natural)
+        _, sigma2, dphi, jac, beta, cov_beta, li, resid, wx, minv = ev
+        m, t = self.m, self._eye
         rest = 0.5 * self._p_minus_m / sigma2**2
         if method == "REML":
             t = t - 2.0 * wx @ cov_beta @ wx.transpose(0, 2, 1)
@@ -468,10 +471,10 @@ class MixedModelProblem:
             info -= b[..., 0] @ cov_beta @ b[..., 0].T
         info = jac @ info @ jac.T
         if method == "REML":
-            cf = cov_beta @ self._f(theta, ev)
+            cf = cov_beta @ self._f(ev)
             cfcf = 0.5 * (cf.reshape(len(cf), -1) @ cf.transpose(2, 1, 0).reshape(-1, len(cf)))
             info += -cfcf if observed else cfcf
-        if observed:
+        if observed and not natural:
             info -= _curvature(self.structure, m, theta, dphi[:-1].reshape(m, m), jac @ dphi)
         return 0.5 * (info + info.T)
 
@@ -496,85 +499,91 @@ class MixedModelProblem:
         return lo, hi
 
     def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6) -> FittedModel:
-        ll, theta, converged, iterations, grad_norm, history = self._optimize(
-            self._initial_theta(), method, max_iter, tol)
-        params = CovarianceParams(structure=self.structure, m=self.m, theta=theta)
-        beta, cov_beta = self.gls(theta, method)
-        sigma_d = params.sigma_d()
-        # log-variances at the floor are reported as exact zeros
-        zero = theta <= self._bounds()[0] + 1e-8
-        if self.structure == "diagonal":
-            sigma_d = np.diag(np.where(zero[:-1], 0.0, np.diag(sigma_d)))
+        ll, x, zero, converged, iterations, grad_norm, history = self._optimize(
+            method, max_iter, tol)
+        theta, natural = x, self.structure == "diagonal"
+        ev = self._evaluate(x, method, natural)
+        info = self.observed_information(x, method, natural)
+        derivatives = self.cov_beta_derivatives(x, method, natural)
+        if natural:  # to theta = log x, whose second derivative x adds the gradient
+            info = np.outer(x, x) * info - np.diag(x * (ev.jac @ ev.dphi))
+            derivatives = x[:, None, None] * derivatives
+            with np.errstate(divide="ignore"):  # an exact zero's log-variance is the floor
+                theta = np.maximum(np.log(x), self._bounds()[0])
+            sigma_d, sigma2 = np.diag(x[:-1]), float(x[-1])
         else:
             zero[:-1] = False  # a Cholesky diagonal at its floor leaves a variance
-        sigma2 = 0.0 if zero[-1] else params.sigma2()
-        # and held fixed: vcov_theta inverts the observed information over the
-        # other parameters, floored where the Hessian is indefinite at the boundary
+            sigma_d, sigma2 = sigma_d_from_theta(self.structure, self.m, x), float(np.exp(x[-1]))
+        # variances at their floor are reported as exact zeros and held fixed:
+        # vcov_theta inverts the observed information over the other parameters,
+        # floored where the Hessian is indefinite at the boundary
         free = np.ix_(~zero, ~zero)
-        ev, vec = np.linalg.eigh(self.observed_information(theta, method)[free])
-        ev = np.maximum(ev, 1e-12 * max(ev.max(initial=0.0), 1.0))
+        eigenvalues, vec = np.linalg.eigh(info[free])
+        eigenvalues = np.maximum(eigenvalues, 1e-12 * max(eigenvalues.max(initial=0.0), 1.0))
         vcov_theta = np.zeros((theta.size, theta.size))
-        vcov_theta[free] = (vec / ev) @ vec.T
+        vcov_theta[free] = (vec / eigenvalues) @ vec.T
         return FittedModel(
-            spec=self.spec, method=method, beta_hat=beta, cov_beta=cov_beta,
-            sigma_d_hat=sigma_d, sigma2_hat=sigma2, loglik=ll, converged=converged,
-            iterations=iterations, gradient_norm=grad_norm, params=params,
+            spec=self.spec, method=method, beta_hat=ev.beta.copy(),
+            cov_beta=0.5 * (ev.cov_beta + ev.cov_beta.T), sigma_d_hat=sigma_d,
+            sigma2_hat=0.0 if zero[-1] else sigma2, loglik=ll, converged=converged,
+            iterations=iterations, gradient_norm=grad_norm,
+            params=CovarianceParams(structure=self.structure, m=self.m, theta=theta),
             n_subjects=self.N, n_obs=self.n, column_labels=self.context.fixed_column_labels(),
             context=self.context, ascent_history=history, vcov_theta=vcov_theta,
-            cov_beta_derivatives=self.cov_beta_derivatives(theta, method))
+            cov_beta_derivatives=derivatives)
 
-    def _optimize(self, theta0: np.ndarray, method: str, max_iter: int, tol: float):
-        """(loglik, theta, converged, iterations, gradient norm, ascent history)."""
+    def _optimize(self, method: str, max_iter: int, tol: float):
+        """(loglik, point, components at their lower bound, converged, iterations,
+        gradient norm, ascent history); a diagonal point is (v_1..v_m, sigma^2)."""
         lo, hi = self._bounds()
-        theta = np.clip(theta0, lo, hi)
-        ll, grad = self.loglik_and_grad(theta, method)
+        x = np.clip(self._initial_theta(), lo, hi)
+        natural = self.structure == "diagonal"
+        if natural:
+            x, lo, hi = np.exp(x), np.append(np.zeros(self.m), np.exp(lo[-1])), np.exp(hi)
+        s0sq = np.exp(self._log_s2) if natural else None
+        ll, grad = self.loglik_and_grad(x, method, natural)
         damping = 1e-3  # lambda relative to the largest |eigenvalue|
         history = []
         while True:
-            grad_norm, blocked = _projected(theta, grad, lo, hi)
+            grad_norm, blocked = _projected(x, grad, lo, hi, s0sq)
             if grad_norm <= tol or len(history) >= max_iter:
                 break
             free = ~blocked
             # scoring far from the optimum, Newton steps near it
             information = (self.expected_information if grad_norm > _NEWTON_GATE
                            else self.observed_information)
-            ev, vec = np.linalg.eigh(information(theta, method)[np.ix_(free, free)])
+            info = information(x, method, natural)[np.ix_(free, free)]
+            # variances span orders of magnitude: damp each by its own information (Marquardt)
+            diag = np.abs(np.diag(info))
+            d = np.where(diag > 0.0, diag, 1.0) ** -0.5 if natural else 1.0
+            ev, vec = np.linalg.eigh(np.outer(d, d) * info)
             top = float(np.abs(ev).max()) or 1.0
             ev = np.maximum(ev, 0.0)
-            rotated = vec.T @ grad[free]
+            rotated = vec.T @ (d * grad[free])
             for _ in range(40):
-                trial = theta.copy()
-                trial[free] += vec @ (rotated / (ev + damping * top))
+                trial = x.copy()
+                trial[free] += d * (vec @ (rotated / (ev + damping * top)))
                 trial = np.clip(trial, lo, hi)
-                ll_t, grad_t = self.loglik_and_grad(trial, method)
+                ll_t, grad_t = self.loglik_and_grad(trial, method, natural)
                 # where roundoff hides the gain, a smaller gradient decides
                 if ll_t >= ll or (ll_t >= ll - _LL_ROUNDOFF * abs(ll)
-                                  and _projected(trial, grad_t, lo, hi)[0] < grad_norm):
+                                  and _projected(trial, grad_t, lo, hi, s0sq)[0] < grad_norm):
                     break
                 damping *= 4.0
             else:
                 break  # no damping of the step improves
             damping = max(damping / 3.0, 1e-10)
-            theta, ll, grad = trial, ll_t, grad_t
-            if self.structure == "diagonal":
-                # the log scale cannot reach a zero variance: put fading ones
-                # at the floor when the likelihood does not object
-                log_v = theta[: self.m]
-                fading = ((grad[: self.m] < 0) & (log_v > lo[: self.m])
-                          & (np.exp(log_v) < 1e-4 * np.exp(theta[-1])))
-                if fading.any():
-                    trial = np.append(np.where(fading, lo[: self.m], log_v), theta[-1])
-                    ll_t, grad_t = self.loglik_and_grad(trial, method)
-                    if ll_t >= ll:
-                        theta, ll, grad = trial, ll_t, grad_t
+            x, ll, grad = trial, ll_t, grad_t
             history.append(ll)
-        return ll, theta, grad_norm <= tol, len(history), grad_norm, history
+        return ll, x, x <= lo, grad_norm <= tol, len(history), grad_norm, history
 
 
-def _projected(theta, grad, lo, hi):
-    """(max |gradient| over the other components, the components at a bound
-    whose gradient pushes outward)."""
-    blocked = ((theta <= lo + 1e-12) & (grad < 0)) | ((theta >= hi - 1e-12) & (grad > 0))
+def _projected(x, grad, lo, hi, s0sq=None):
+    """(max |gradient| over the free components, the components at a bound it pushes
+    outward); with s0sq = s0^2, x are variances and it is v dl/dv, s0^2 dl/dv at 0."""
+    blocked = ((x <= lo) & (grad < 0)) | ((x >= hi) & (grad > 0))
+    if s0sq is not None:
+        grad = np.where(x > 0.0, x, s0sq) * grad
     return float(np.max(np.abs(np.where(blocked, 0.0, grad)))), blocked
 
 

@@ -34,11 +34,7 @@ class Contrast:
 
     @classmethod
     def for_columns(cls, indices, q: int, label: str = "") -> "Contrast":
-        indices = list(indices)
-        c = np.zeros((len(indices), q))
-        for row, idx in enumerate(indices):
-            c[row, idx] = 1.0
-        return cls(C=c, label=label)
+        return cls(C=np.eye(q)[list(indices)], label=label)
 
 
 @dataclass(frozen=True)

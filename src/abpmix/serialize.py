@@ -19,9 +19,9 @@ the finite array read.  ``_jsonable`` writes an object in table order;
 A failed check is a SchemaError unless said otherwise.  An optional field
 that is left out takes the model's default.  A file with a table carries
 ``schema_version`` (currently 1), checked first.  Floats survive the JSON
-round trip exactly (shortest-repr encoding); a number read must be a
-finite float, so NaN, Infinity and integers beyond the float range are
-SchemaErrors.  The thresholds file has hours for keys, and no table.
+round trip exactly (shortest-repr encoding); a number must read as a
+finite float and an integer as an int64: NaN, Infinity and integers out
+of range are SchemaErrors.  The thresholds file has hours for keys, no table.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ _TYPES = {
     # of an array read: a nonnegative diagonal, symmetric and PSD up to roundoff
     "a covariance matrix": (lambda a: bool(np.diag(a).min() >= 0.0 and max(
         np.abs(a - a.T).max(), -np.linalg.eigvalsh(a)[0]) <= 1e-10 * np.abs(a).max()), None),
-    "an integer": (_of(int), None),
-    "an integer or null": (_of(int, type(None)), None),
+    "an integer": (lambda v: type(v) is int and -2**63 <= v < 2**63, None),  # an int64
+    "an integer or null": (lambda v: _NULL(v) or _TYPES["an integer"][0](v), None),
     "true or false": (_of(bool), None),
     "a string": (_STRING, None),
     "a list of strings": (_list_of(_STRING), None),

@@ -845,6 +845,33 @@ def test_number_that_is_no_finite_float_is_usage_error(workspace, tmp_path, caps
     assert f"SchemaError: {fmt}: {field} must be" in err and "Traceback" not in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("fmt, field", [
+    ("model spec", "reference_grid_points"), ("fitted model", "iterations"),
+    ("simulation config", "seed"), ("simulation config", "n_subjects"),
+])
+def test_integer_beyond_int64_is_usage_error(workspace, tmp_path, capsys, fmt, field):
+    # a reference grid of 10^400 points once reached np.linspace and a traceback
+    root, data, model = workspace
+    bad = tmp_path / "bad.json"
+    if fmt == "fitted model":
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        argv = ["band", "--fit", str(bad), "--data", data]
+    elif fmt == "model spec":
+        d = json.loads(Path(model).read_text())
+        argv = ["fit", "--model", str(bad), "--data", data]
+    else:
+        d = json.loads(Path(write_sim_config(bad, n_subjects=5)).read_text())
+        argv = ["simulate", "--config", str(bad)]
+    d[field] = BEYOND_FLOAT
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"SchemaError: {fmt}: {field} must be an integer" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def hand_built_fit(group_terms=()):
     """A FittedModel made without fitting: a degree-1 mean, a random
     intercept and the given terms of three subjects' covariates, diet

@@ -153,6 +153,29 @@ class TestReadCohort:
             with pytest.raises(ParseError, match="^row 5: cannot parse sbp='oops'$"):
                 a.read_cohort(str(p))
 
+    def test_cr_only_file_reads_as_its_lf_twin(self, tmp_path):
+        body = b"subject_id,time,sbp\n" + "".join(
+            f"s{k % 100},{k // 100 / 8},{120 + k % 7}\n" for k in range(2_400)).encode()
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        lf.write_bytes(body)
+        cr.write_bytes(body.replace(b"\n", b"\r"))
+        got, want = a.read_cohort(str(cr)), a.read_cohort(str(lf))
+        assert ([(s.id, s.times.points.tobytes(), s.y.tobytes()) for s in got]
+                == [(s.id, s.times.points.tobytes(), s.y.tobytes()) for s in want])
+
+        # the plain reader, which splits at LF alone, reads no line of it: the
+        # whole file would be its header
+        class Recording(io.BytesIO):
+            lines = []
+
+            def readline(self, size=-1):
+                self.lines.append(super().readline(size))
+                return self.lines[-1]
+
+        fh = Recording(cr.read_bytes())
+        assert dataio._read_plain(fh, "sbp") is None and fh.tell() == 0
+        assert Recording.lines == []
+
     def test_subjects_hold_read_only_views(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
         arrays = [arr for s in cohort for arr in (s.times.points, s.y)]

@@ -370,6 +370,22 @@ def cohorts_and_permutations(draw):
     return spec, cohort, a.Cohort(subjects=tuple(cohort.subjects[i] for i in order))
 
 
+def sweep_cohorts(count):
+    """The first ``count`` cohorts of a sweep over boundary optima: degree
+    2-4, each variance U(1, 100) zeroed with probability 0.6, sigma^2 =
+    10^U(-2, 0), 8-60 subjects and a missing rate U(0, 0.3)."""
+    rng = np.random.default_rng(2026)
+    for seed in range(count):
+        degree = int(rng.integers(2, 5))
+        variances = rng.uniform(1.0, 100.0, degree + 1)
+        variances[rng.random(degree + 1) < 0.6] = 0.0
+        sigma2 = 10.0 ** rng.uniform(-2.0, 0.0)
+        n_subjects, missing_rate = int(rng.integers(8, 61)), rng.uniform(0.0, 0.3)
+        spec = poly_spec(degree)
+        yield spec, simulate(spec, np.linspace(100.0, 10.0, degree + 1), np.diag(variances),
+                             sigma2, n_subjects=n_subjects, seed=seed, missing_rate=missing_rate)
+
+
 class TestFit:
     def test_intercept_only_sigma2_is_sample_variance(self):
         # one subject, random intercept: REML leaves sigma2 identified as
@@ -481,6 +497,26 @@ class TestFit:
         want = tight_lbfgsb_loglik(problem)
         assert abs(fitted.loglik - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("method", ["REML", "ML"])
+    def test_diagonal_boundary_optima_meet_kkt_and_the_reference(self, method):
+        # the first 12 cohorts of a sweep with most variances zero and a
+        # small sigma^2: each exact zero must have a gradient that does not
+        # push inward, s0^2 d loglik / dv <= tol, and no fit may end below
+        # the polished L-BFGS-B optimum on the log scale
+        zeros = 0
+        for spec, cohort in sweep_cohorts(12):
+            problem = MixedModelProblem(spec, cohort)
+            fitted = problem.fit(method=method)
+            assert fitted.converged
+            v = np.diag(fitted.sigma_d_hat)
+            _, grad = problem.loglik_and_grad(np.append(v, fitted.sigma2_hat), method,
+                                              natural=True)
+            assert np.all(np.exp(problem._log_s2) * grad[:-1][v == 0.0] <= 1e-6)
+            zeros += int(np.sum(v == 0.0))
+            want = tight_lbfgsb_loglik(problem, method)
+            assert fitted.loglik >= want - 1e-10 * abs(want)
+        assert zeros >= 9  # REML has 9 exact zeros on these cohorts, ML 10
+
     def test_degree_nine_unstructured_converges_at_default_cap(self):
         # the paper's 56-parameter model on a complete paper-scale cohort
         # with the criterion-10 variances; its optimum is near the boundary
@@ -545,14 +581,14 @@ def flat_bytes(result):
 class TestEvaluationReuse:
     @staticmethod
     def record_evaluations(monkeypatch):
-        """A list that receives ((method, theta bytes), result) for every
-        ``_evaluate`` call; a reuse returns the kept result object itself."""
+        """A list that receives ((method, natural, theta bytes), result) for
+        every ``_evaluate`` call; a reuse returns the kept result object itself."""
         calls = []
         evaluate = MixedModelProblem._evaluate
 
-        def recording(self, theta, method):
-            out = evaluate(self, theta, method)
-            calls.append(((method, np.asarray(theta, dtype=float).tobytes()), out))
+        def recording(self, theta, method, natural=False):
+            out = evaluate(self, theta, method, natural)
+            calls.append(((method, natural, np.asarray(theta, dtype=float).tobytes()), out))
             return out
 
         monkeypatch.setattr(MixedModelProblem, "_evaluate", recording)
@@ -587,8 +623,9 @@ class TestEvaluationReuse:
         monkeypatch.setattr(estimation, "covariance_jacobian", recording)
         assert a.fit(spec, cohort, method=method).converged
         # the gradient, the informations and d cov_beta / d theta reuse the
-        # Jacobian kept with the evaluation
-        assert len(jacobians) == len(set(jacobians)) == len({key for key, _ in calls})
+        # Jacobian kept with the evaluation; the diagonal ascent's is a constant
+        built = len({key for key, _ in calls}) if structure == "unstructured" else 0
+        assert len(jacobians) == len(set(jacobians)) == built
 
     @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
     def test_no_tril_indices_after_problem_setup(self, structure, monkeypatch):
@@ -635,7 +672,7 @@ class TestEvaluationReuse:
         spec, cohort = incomplete_cohort("diagonal")
         problem = MixedModelProblem(spec, cohort)
         theta = problem._initial_theta()
-        _, *arrays = problem._evaluate(theta, "REML")
+        _, _, *arrays = problem._evaluate(theta, "REML")  # past loglik and sigma^2
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0.0
@@ -676,6 +713,24 @@ def test_fitted_model_survives_a_pickle_round_trip(fixed, random, orthonormalize
     for got, want in zip(back.context.time_matrices(grid), fitted.context.time_matrices(grid)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert back.beta_hat.tobytes() == fitted.beta_hat.tobytes()
+
+
+def test_unpickled_grid_and_coefficient_table_stay_read_only():
+    # numpy unpickles arrays writeable; the basis dataclasses promise read-only ones
+    spec = poly_spec(2)
+    fitted = a.fit(spec, simulate(spec, [400.0, -15.0, 8.0], np.diag([60.0, 20.0, 10.0]), 16.0,
+                                  n_subjects=12, seed=9))
+    want = fitted.context._fixed.args[0]
+    for back in (pickle.loads(pickle.dumps(fitted.context)),
+                 pickle.loads(pickle.dumps(fitted)).context):
+        coeffs = back._fixed.args[0]
+        assert (coeffs.degree, coeffs.offset, coeffs.scale) == (want.degree, want.offset,
+                                                                want.scale)
+        for got, was in ((back.reference_grid.points, fitted.context.reference_grid.points),
+                         (coeffs.coeffs, want.coeffs)):
+            assert got.tobytes() == was.tobytes()
+            with pytest.raises(ValueError):
+                got[...] = 0.0
 
 
 def shared_and_jittered_cohort():
