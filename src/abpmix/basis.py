@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError, GridError, KnotError, RankError
 
 TIME_DOMAIN = (0.0, 24.0)
+MAX_GRID_POINTS = 86_401  # one point a second over 24 h
 
 _ORTHO_TOL = 1e-10
 
@@ -71,8 +72,14 @@ class TimeGrid:
 
     @classmethod
     def equispaced(cls, n: int, start: float = 0.0, end: float = 24.0) -> "TimeGrid":
+        """``n`` equally spaced points from ``start`` to ``end``.  ``n`` is
+        at least 1 and at most MAX_GRID_POINTS, 86,401, one point a second
+        over 24 h; a larger count is a GridError before anything is
+        allocated."""
         if n < 1:
             raise GridError("need at least one grid point")
+        if n > MAX_GRID_POINTS:
+            raise GridError(f"at most {MAX_GRID_POINTS} grid points, not {n}")
         return cls(np.linspace(start, end, n))
 
     @classmethod

@@ -8,14 +8,15 @@ start.
 
 Tokenizers of ``read_cohort``.  It reads chunks of ``_CHUNK_ROWS``
 records, so that the memory beyond the converted columns is one chunk's
-text and fields.  A plain chunk, one with no ``"``, CR or NUL, no field
-over ``csv.field_size_limit()`` and every record of the header's width
-(the final newline may be missing), is split at ``\n`` and ``,``, which
-is all that ``csv``'s dialect does to such text.  From the header or the
-first chunk that is not plain, or that holds a time or outcome that is
-not a number, on, ``csv.reader`` reads the rest of the file and raises
-every error below; the plain chunks before it hold none.  A file with a
-CR anywhere is ``csv.reader``'s from its header.
+text and fields.  A plain file is read with universal newlines and split
+at line ends and ``,``, which is all that ``csv``'s dialect does to its
+text: outside quotes, ``csv.reader`` too ends a record at LF, CRLF or a
+lone CR.  A file is plain if its header has every needed column and
+every chunk has no ``"`` or NUL, no field over ``csv.field_size_limit()``,
+every record of the header's width (the final line end may be missing)
+and every time and outcome a number.  At the first chunk that is not,
+``csv.reader`` reads the file again from its header and raises every
+error below; a plain file holds none of them before its cohort checks.
 
 Errors of ``read_cohort``.  Records are numbered from the header, row 1;
 blank records are skipped but counted.  Invalid UTF-8 anywhere in the
@@ -39,7 +40,6 @@ record: ``row 3: subject 'b': time points must lie in [0.0, 24.0]``.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import re
 from dataclasses import dataclass, field
@@ -148,41 +148,35 @@ def read_cohort(path, outcome: str = "sbp") -> Cohort:
 
     The records are tokenized and converted column by column in chunks of
     ``_CHUNK_ROWS``, so that the memory beyond the converted columns is
-    one chunk's text and fields.  Plain chunks (see the module docstring)
-    are split at ``\\n`` and ``,``; from the first chunk that is not
-    plain, or that holds a time or outcome that is not a number, on,
-    ``csv.reader`` reads the rest of the file and raises every error of
-    the module docstring.  One stable sort on (subject, time) then finds
-    duplicate times and orders each subject's rows, and one pass over the
-    sorted arrays checks the whole cohort.  The sorted time and outcome
-    arrays are then made read-only, and each subject's ``times.points``
-    and ``y`` are views (slices) of them, built without a copy or a
-    second check.
+    one chunk's text and fields.  A plain file (see the module docstring)
+    is split at line ends and ``,``; any other is read again from its
+    header by ``csv.reader``, which raises every error of the module
+    docstring.  One stable sort on (subject, time) then finds duplicate
+    times and orders each subject's rows, and one pass over the sorted
+    arrays checks the whole cohort.  The sorted time and outcome arrays
+    are then made read-only, and each subject's ``times.points`` and
+    ``y`` are views (slices) of them, built without a copy or a second
+    check.
     """
     outcome = outcome.lower()
     try:
-        with open(path, "rb") as fh:
+        with open(path, encoding="utf-8", newline=None) as fh:
             columns = _read_plain(fh, outcome)
-            if columns is None or fh.peek(1):
-                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                    columns = _read_csv(text, outcome, columns)
+        if columns is None:
+            with open(path, encoding="utf-8", newline="") as fh:
+                columns = _read_csv(fh, outcome)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
     parts = [np.concatenate(p) for p in columns.parts] if columns.codes else None
     return _assemble(parts, list(columns.codes), columns.error, outcome, columns.covariate_columns)
 
 
-def _plain_fields(lines: list, limit: int):
-    """The fields of ``lines``, bytes that each end in ``\\n`` but perhaps
-    the last, in order, with a ``"\\n"`` after each line's; None unless
-    the lines are valid UTF-8 without ``"``, ``\\r`` or NUL and no field
-    is over ``limit`` characters.  Then ``csv.reader`` reads each line as
-    exactly those fields."""
-    try:
-        text = b"".join(lines).decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if '"' in text or "\r" in text or "\0" in text:
+def _plain_fields(text: str, limit: int):
+    """The fields of ``text``, lines that each end in ``\\n`` but perhaps
+    the last, in order, with a ``"\\n"`` after each line's; None if the
+    text holds ``"`` or NUL or a field is over ``limit`` characters.
+    Otherwise ``csv.reader`` reads each line as exactly those fields."""
+    if '"' in text or "\0" in text:
         return None
     fields = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")
     fields.pop()  # the empty text after the last line's marker
@@ -191,46 +185,37 @@ def _plain_fields(lines: list, limit: int):
     return fields
 
 
-def _read_plain(fh, outcome: str):
-    """Read the binary file ``fh`` up to its first chunk that is not
-    plain: whose lines ``_plain_fields`` does not split into records of
-    the header's width, or that holds a time or outcome that is not a
-    number.  Leaves ``fh`` at that chunk's first byte and returns the
-    chunks before it, or, if the file holds a CR or the header is not plain
-    or lacks a needed column, leaves ``fh`` at the start and returns None.
+def _read_plain(fh, outcome: str) -> Optional[_Columns]:
+    """The columns of the text file ``fh``, opened with universal newlines,
+    or None at its header or first chunk that is not plain: whose lines
+    ``_plain_fields`` does not split into records of the header's width,
+    that holds a time or outcome that is not a number, or, for the header,
+    that lacks a needed column.
 
     Each chunk of records is split once, and column j is the strided
     slice of the fields from j on.
     """
     limit = csv.field_size_limit()
-    # split at LF alone, a file whose records end in CR alone would be one line
-    has_cr = any(b"\r" in block for block in iter(functools.partial(fh.read, 1 << 16), b""))
-    fh.seek(0)
-    header = None if has_cr else _plain_fields([fh.readline()], limit)
+    header = _plain_fields(fh.readline(), limit)
+    if header is None:
+        return None
     try:
-        columns = _Columns(*_layout(header[:-1], outcome)) if header else None
+        columns = _Columns(*_layout(header[:-1], outcome))
     except SchemaError:
-        columns = None
-    if columns is None:
-        fh.seek(0)
         return None
     stride = len(header)  # the fields of a record and its "\n"
-    while True:
-        start = fh.tell()
-        lines = list(islice(fh, _CHUNK_ROWS))
+    while lines := list(islice(fh, _CHUNK_ROWS)):
         n = len(lines)
-        fields = _plain_fields(lines, limit) if n else None
+        fields = _plain_fields("".join(lines), limit)
         if (fields is None or len(fields) != n * stride
                 or fields[stride - 1::stride].count("\n") != n):
-            break
-        rownums = np.arange(columns.row, columns.row + n)
-        arrays, error = columns.convert([fields[j::stride] for j in columns.index], rownums,
-                                        outcome)
-        if error is not None:  # csv.reader reads the chunk again and numbers the same ids
-            break
+            return None
+        arrays, error = columns.convert([fields[j::stride] for j in columns.index],
+                                        np.arange(columns.row, columns.row + n), outcome)
+        if error is not None:
+            return None
         columns.append(arrays)
         columns.row += n
-    fh.seek(start)
     return columns
 
 
@@ -252,26 +237,23 @@ def _drain(fh) -> None:
         pass
 
 
-def _read_csv(text, outcome: str, columns: Optional[_Columns]) -> _Columns:
-    """Read the rest of the text file ``text`` with ``csv.reader``, from
-    its header if ``columns`` is None and else from record
-    ``columns.row``, converting the records up to the first one that is
-    short or holds an unparsable number, and decode what is left after
-    that, so that invalid UTF-8 comes first.  Raises the errors that
-    come before any record's: a header ``csv`` cannot tokenize and a
-    missing column.
+def _read_csv(text, outcome: str) -> _Columns:
+    """Read the text file ``text`` with ``csv.reader`` from its header,
+    converting the records up to the first one that is short or holds an
+    unparsable number, and decode what is left after that, so that
+    invalid UTF-8 comes first.  Raises the errors that come before any
+    record's: a header ``csv`` cannot tokenize and a missing column.
     """
     reader = csv.reader(text)
-    if columns is None:
-        rows, error = _records(reader, 1, 1)
-        if error is None:
-            try:
-                columns = _Columns(*_layout(rows[0] if rows else [], outcome))
-            except SchemaError as exc:
-                error = exc
-        if error is not None:
-            _drain(text)
-            raise error
+    rows, error = _records(reader, 1, 1)
+    if error is None:
+        try:
+            columns = _Columns(*_layout(rows[0] if rows else [], outcome))
+        except SchemaError as exc:
+            error = exc
+    if error is not None:
+        _drain(text)
+        raise error
     width = max(columns.index) + 1
     while columns.error is None:
         rows, error = _records(reader, columns.row, _CHUNK_ROWS)

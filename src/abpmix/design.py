@@ -361,6 +361,11 @@ def group_patterns(subjects: Sequence[Subject], codes: Optional[np.ndarray] = No
                              for members, obs, design, pattern in groups]
 
 
+def n_cov_params(structure: str, m: int) -> int:
+    """The covariance parameters of an m-column random basis, sigma^2 included."""
+    return (m if structure == "diagonal" else m * (m + 1) // 2) + 1
+
+
 def parameter_count(spec: ModelSpec, encoder: Optional[CovariateEncoder] = None):
     """(q fixed columns, r covariance parameters including sigma^2).
 
@@ -374,6 +379,4 @@ def parameter_count(spec: ModelSpec, encoder: Optional[CovariateEncoder] = None)
     for term in spec.interaction_terms:
         cols = encoder.n_columns(term) if encoder is not None else 1
         q += cols * (qt - 1)
-    m = spec.random.n_columns
-    r = (m if spec.random_cov == "diagonal" else m * (m + 1) // 2) + 1
-    return q, r
+    return q, n_cov_params(spec.random_cov, spec.random.n_columns)

@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .design import (BasisContext, Cohort, ModelSpec, build_design, covariate_values,
-                     fixed_design, group_patterns)
+                     fixed_design, group_patterns, n_cov_params)
 from .errors import ConditioningError, RankError, SpecError
 
 LOG_VARIANCE_FLOOR = -30.0
@@ -110,10 +110,6 @@ class CovarianceParams:
             packed[diag] = np.log(packed[diag])
             theta = np.append(packed, np.log(sigma2))
         return cls(structure=structure, m=m, theta=theta)
-
-
-def n_cov_params(structure: str, m: int) -> int:
-    return (m if structure == "diagonal" else m * (m + 1) // 2) + 1
 
 
 @functools.cache

@@ -872,6 +872,38 @@ def test_integer_beyond_int64_is_usage_error(workspace, tmp_path, capsys, fmt, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["model spec", "fitted model"])
+def test_oversized_reference_grid_is_usage_error(workspace, tmp_path, capsys, fmt):
+    # 10^12 points once reached np.linspace, whose failed 7.28 TiB allocation was a traceback
+    root, data, model = workspace
+    bad = tmp_path / "bad.json"
+    if fmt == "fitted model":
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        d["spec"]["reference_grid_points"] = 10 ** 12
+        argv = ["band", "--fit", str(bad)]
+    else:
+        d = json.loads(Path(model).read_text())
+        d["reference_grid_points"] = 10 ** 12
+        argv = ["fit", "--model", str(bad), "--data", data]
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "GridError: at most 86401 grid points, not 1000000000000" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profiles", "band"])
+def test_oversized_plot_grid_is_usage_error(workspace, tmp_path, capsys, command):
+    root, data, _ = workspace
+    out = tmp_path / "o"
+    assert main([command, "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                 "--grid-points", str(10 ** 12), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "GridError: at most 86401 grid points, not 1000000000000" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def hand_built_fit(group_terms=()):
     """A FittedModel made without fitting: a degree-1 mean, a random
     intercept and the given terms of three subjects' covariates, diet

@@ -115,8 +115,13 @@ class TestReadCohort:
     def test_invalid_utf8_is_parse_error(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_bytes(b"subject_id,time,sbp\n\xff,0.5,120\n")
-        with pytest.raises(ParseError, match="UTF-8"):
+        with pytest.raises(ParseError, match="UTF-8") as plain:
             a.read_cohort(str(p))
+        # the same error from csv.reader, which a quote sends the file to
+        p.write_bytes(b'subject_id,time,sbp\n"a",1,120\n\xff,0.5,120\n')
+        with pytest.raises(ParseError) as quoted:
+            a.read_cohort(str(p))
+        assert str(quoted.value) == str(plain.value)
 
     def test_invalid_utf8_takes_precedence(self, tmp_path):
         # the bad byte lies past the first block the decoder reads
@@ -139,19 +144,19 @@ class TestReadCohort:
             with pytest.raises(ParseError, match="not valid UTF-8: invalid start byte$"):
                 a.read_cohort(str(p))
 
-    def test_csv_reader_takes_over_at_the_first_chunk_that_is_not_plain(self, tmp_path):
-        lines = [b"subject_id,time,sbp\n", b"a,1,120\n", b"a,2,121\n", b'"b",1,122\n',
-                 b"b,2,oops\n"]
+    def test_a_last_chunk_that_is_not_plain_sends_the_file_to_csv_reader(self, tmp_path):
+        head = b'subject_id,time,sbp\na,1,120\na,2,121\n"b",1,122\n'
         p = tmp_path / "c.csv"
-        p.write_bytes(b"".join(lines))
-        with mock.patch.object(dataio, "_CHUNK_ROWS", 2), open(p, "rb") as fh:
-            columns = dataio._read_plain(fh, "sbp")
-            assert fh.tell() == len(b"".join(lines[:3]))
-        assert (columns.row, list(columns.codes)) == (4, ["a"])
-        assert [len(part) for part in columns.parts] == [1, 1, 1, 1]
-        with mock.patch.object(dataio, "_CHUNK_ROWS", 2):
-            with pytest.raises(ParseError, match="^row 5: cannot parse sbp='oops'$"):
-                a.read_cohort(str(p))
+        outcomes = []
+        for last in (b"b,2,oops\n", b"b,2,123\n"):
+            p.write_bytes(head + last)
+            with mock.patch.object(dataio, "_CHUNK_ROWS", 2):
+                with open(p, encoding="utf-8", newline=None) as fh:
+                    assert dataio._read_plain(fh, "sbp") is None
+                outcomes.append(read_outcome(a.read_cohort, str(p)))
+            assert outcomes[-1] == read_outcome(row_loop_read_cohort, str(p))
+        assert outcomes[0] == (ParseError, "row 5: cannot parse sbp='oops'")
+        assert [s[0] for s in outcomes[1][1]] == ["a", "b"]  # read from the header
 
     def test_cr_only_file_reads_as_its_lf_twin(self, tmp_path):
         body = b"subject_id,time,sbp\n" + "".join(
@@ -159,22 +164,12 @@ class TestReadCohort:
         lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
         lf.write_bytes(body)
         cr.write_bytes(body.replace(b"\n", b"\r"))
-        got, want = a.read_cohort(str(cr)), a.read_cohort(str(lf))
+        want = a.read_cohort(str(lf))
+        # universal newlines end its records where csv.reader would, without csv.reader
+        with mock.patch("csv.reader", side_effect=AssertionError("csv.reader called")):
+            got = a.read_cohort(str(cr))
         assert ([(s.id, s.times.points.tobytes(), s.y.tobytes()) for s in got]
                 == [(s.id, s.times.points.tobytes(), s.y.tobytes()) for s in want])
-
-        # the plain reader, which splits at LF alone, reads no line of it: the
-        # whole file would be its header
-        class Recording(io.BytesIO):
-            lines = []
-
-            def readline(self, size=-1):
-                self.lines.append(super().readline(size))
-                return self.lines[-1]
-
-        fh = Recording(cr.read_bytes())
-        assert dataio._read_plain(fh, "sbp") is None and fh.tell() == 0
-        assert Recording.lines == []
 
     def test_subjects_hold_read_only_views(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
@@ -225,8 +220,9 @@ NUMBER_EDGES = ["nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "1_0", "0x1", "a
 def cohort_csv(draw, plain=False):
     """A cohort CSV text with respelled or changed covariates, duplicate
     times and bad numbers: quoted ids, blank and short records, CRLF or
-    LF; or, if ``plain``, non-ASCII and numeric ids without quotes, CR or
-    NUL, every record the header's width and LF, the final one optional."""
+    LF; or, if ``plain``, non-ASCII and numeric ids without quotes or
+    NUL, every record the header's width and LF, CRLF or CR, the final
+    one optional."""
     covariates = draw(st.sampled_from([(), ("age",), ("age", "diet"), ("diet", "age")]))
     header = ["subject_id", "time", "sbp", *covariates]
     if draw(st.booleans()):  # an unused outcome column, possibly last
@@ -243,7 +239,7 @@ def cohort_csv(draw, plain=False):
     times = st.one_of(half_hours, st.sampled_from(NUMBER_EDGES)) if dirty else half_hours
     values = st.floats(60, 200).map(repr)
     values = st.one_of(values, st.sampled_from(NUMBER_EDGES)) if dirty else values
-    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"] if plain else ["\n", "\r\n"]))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=newline)
     writer.writerow(header)
@@ -263,15 +259,17 @@ def cohort_csv(draw, plain=False):
             row = row[: draw(st.integers(1, len(row) - 1))]
         writer.writerow(row)
     text = out.getvalue()
-    return text[:-1] if plain and draw(st.booleans()) else text
+    return text.removesuffix(newline) if plain and draw(st.booleans()) else text
 
 
 def read_plainly(text):
     """Whether ``read_cohort`` reads ``text`` without ``csv.reader``: no
-    quote, CR or NUL, no field over ``csv.field_size_limit()``, records
-    all of the header's width, and every time and outcome a number."""
-    if any(c in text for c in '"\r\0'):
+    quote or NUL, no field over ``csv.field_size_limit()``, records all of
+    the header's width, each ended by LF, CRLF or CR, and every time and
+    outcome a number."""
+    if any(c in text for c in '"\0'):
         return False
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     header, *records = [line.split(",") for line in text.removesuffix("\n").split("\n")]
     if (any(len(r) != len(header) for r in records)
             or not {"subject_id", "time", "sbp"} <= set(header)
@@ -318,11 +316,14 @@ class TestReadCohortMatchesRowLoop:
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(text=cohort_csv(plain=True), chunk=st.sampled_from([1, 2, 3, 7, 8192]))
-    # at each edge of a plain file: a quote only in the last record, CR only
-    # on the last line, NUL, a record longer than the header, a blank
-    # line, no final newline, a field at and one over the csv field limit
+    # at each edge of a plain file: a quote only in the last record, CRLF or
+    # CR only on the last line, CR then CRLF (a blank line), NUL, a record
+    # longer than the header, a blank line, no final newline, a field at and
+    # one over the csv field limit
     @example(text='subject_id,time,sbp\na,1,120\n"b",2,121\n', chunk=2)
     @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r\n", chunk=1)
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r", chunk=8192)
+    @example(text="subject_id,time,sbp\ra,1,120\r\r\nb,2,121\r\n", chunk=8192)
     @example(text="subject_id,time,sbp\na,1,120\nb\0,2,121\n", chunk=8192)
     @example(text="subject_id,time,sbp\na,1,120\nb,2,121,x\nc,1,1\n", chunk=8192)
     # a long record, then a short one, that fill the numeric columns if they are split as
@@ -354,12 +355,15 @@ class TestReadCohortMatchesRowLoop:
         path = tmp_path / "c.csv"
         write_cohort(path, cohort)
         assert sum(s.n_obs for s in cohort) > dataio._CHUNK_ROWS
-        with mock.patch("csv.reader", side_effect=AssertionError("csv.reader called")):
-            back = a.read_cohort(str(path))
-        assert [(s.id, s.covariates) for s in back] == [(s.id, s.covariates) for s in cohort]
-        for s, t in zip(cohort, back):
-            assert s.times.points.tobytes() == t.times.points.tobytes()
-            assert s.y.tobytes() == t.y.tobytes()
+        written = path.read_bytes()
+        for newline in (b"\n", b"\r\n", b"\r"):  # as written, and as if by CRLF or CR tools
+            path.write_bytes(written.replace(b"\n", newline))
+            with mock.patch("csv.reader", side_effect=AssertionError("csv.reader called")):
+                back = a.read_cohort(str(path))
+            assert [(s.id, s.covariates) for s in back] == [(s.id, s.covariates) for s in cohort]
+            for s, t in zip(cohort, back):
+                assert s.times.points.tobytes() == t.times.points.tobytes()
+                assert s.y.tobytes() == t.y.tobytes()
 
 
 def assert_reads_like_row_loop(tmp_path_factory, text, chunk):
