@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +21,6 @@ from .errors import AbpmixError
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
-
-
-def _g17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _fit_one(spec, cohort, args):
@@ -40,15 +35,15 @@ def _fixed_effects_rows(fitted):
     se = np.sqrt(np.diag(fitted.cov_beta))
     rows = []
     for j, label in enumerate(fitted.column_labels):
-        p_value = r2 = ""
+        p_value = r2 = None
         if tests:
             res = tests[j]
-            p_value = _g17(res.p_value)
+            p_value = res.p_value
             # every column but the intercept is its own semi-partial term
             if j > 0:
-                r2 = _g17(inference._r2_from_f(res.F, res.ndf, res.ddf))
-        rows.append([label, j if j < fitted.spec.fixed.n_columns else "",
-                     _g17(fitted.beta_hat[j]), _g17(se[j]), p_value, r2])
+                r2 = inference._r2_from_f(res.F, res.ndf, res.ddf)
+        rows.append([label, j if j < fitted.spec.fixed.n_columns else None,
+                     fitted.beta_hat[j], se[j], p_value, r2])
     return rows
 
 
@@ -59,19 +54,11 @@ def _cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "fit.json").write_text(serialize.fitted_model_to_json(fitted), encoding="utf-8")
-    dataio.write_csv(
-        out / "fixed_effects.csv",
-        ["parameter", "degree", "estimate", "se", "p_value", "semi_partial_r2"],
-        _fixed_effects_rows(fitted),
-    )
-    dataio.write_csv(
-        out / "variance_components.csv",
-        ["component", "estimate", "se"],
-        [
-            [name, _g17(est), _g17(se) if np.isfinite(se) else ""]
-            for name, est, se in inference.variance_component_table(fitted)
-        ],
-    )
+    dataio.write_csv(out / "fixed_effects.csv",
+                     ["parameter", "degree", "estimate", "se", "p_value", "semi_partial_r2"],
+                     _fixed_effects_rows(fitted))
+    dataio.write_csv(out / "variance_components.csv", ["component", "estimate", "se"],
+                     inference.variance_component_table(fitted))
     if not fitted.converged:
         print(f"non-convergence: gradient_norm={fitted.gradient_norm:.3e}", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -103,11 +90,11 @@ def _cmd_compare(args) -> int:
             aic, bic = inference.information_criteria(fitted)
             model_r2 = (inference.r2_statistics(fitted, terms=())[0] if fitted.converged
                         else np.nan)
-            numbers = [_g17(x) if np.isfinite(x) else "" for x in (aic, bic, model_r2)]
             results.append(((aic, fitted.n_cov_params), [
-                name, *numbers, str(fitted.converged).lower(), fitted.n_cov_params, ""]))
+                name, aic, bic, model_r2, str(fitted.converged).lower(), fitted.n_cov_params,
+                None]))
         except AbpmixError as exc:
-            results.append(((np.inf, -1), [name, "", "", "", "false", "",
+            results.append(((np.inf, -1), [name, None, None, None, "false", None,
                                            f"{type(exc).__name__}: {exc}"]))
     if all(row[-1] for _, row in results):
         print("error: every model failed to fit", file=sys.stderr)
@@ -115,46 +102,10 @@ def _cmd_compare(args) -> int:
     results.sort(key=lambda result: result[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_csv(
-        out / "comparison.csv",
-        ["model", "aic", "bic", "model_r2", "converged", "n_cov_params", "error"],
-        [row for _, row in results],
-    )
+    dataio.write_csv(out / "comparison.csv",
+                     ["model", "aic", "bic", "model_r2", "converged", "n_cov_params", "error"],
+                     [row for _, row in results])
     return EXIT_OK
-
-
-def _series_lines(times, block, labels, own):
-    """The plot CSV lines of a block of series, as bytes in uint8 arrays,
-    from one ``dataio.format_g17`` call on the times and every value."""
-    n = len(times)
-    numbers = dataio.format_g17(np.concatenate([times] + [c for s in block for c in s[1:]]))
-    stamps = numbers[:n][:, numbers[:n].any(axis=0)]
-    width, start, lines = numbers.shape[1], n, []
-    for k, run in groupby(range(len(block)), lambda i: len(block[i]) - 1):
-        run = list(run)  # series with k columns each, their values next in numbers
-        values = numbers[start:start + len(run) * k * n].reshape(len(run), k, n, width)
-        start += values.shape[0] * k * n
-        columns = [np.tile(stamps, (len(run), 1)), b",",
-                   (np.repeat(labels[run], n, axis=0), np.repeat(own[run], n, axis=0))]
-        for j in range(k):
-            columns += [b",", values[:, j].reshape(len(run) * n, width)]
-        lines.append(dataio.csv_lines(columns + [b"," * (3 - k) + b"\n"]))
-    return lines
-
-
-def _write_series(path: Path, times, series):
-    """Plot CSV, a row per series and time.  ``series`` yields (label,
-    values) or (label, values, lower, upper); a series without bounds
-    leaves them empty.  The numbers go out in blocks of about
-    ``dataio.BLOCK_VALUES``, formatted by ``dataio.format_g17``."""
-    series = list(series)
-    quoted = dataio.csv_quoted([s[0] for s in series])
-    sizes = [len(times) * (len(s) - 1) for s in series]
-    with open(path, "wb") as fh:
-        fh.write(b"time,series,value,lower,upper\n")
-        labels, own = dataio.text_fields(quoted)
-        for a, b in dataio.blocks(sizes):
-            fh.writelines(_series_lines(times, series[a:b], labels[a:b], own[a:b]))
 
 
 def _write_plot(args, fitted, grid: TimeGrid, name: str, title: str, series: list) -> int:
@@ -164,8 +115,8 @@ def _write_plot(args, fitted, grid: TimeGrid, name: str, title: str, series: lis
                                 multiplier=args.band_multiplier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_series(out / f"{name}.csv", grid.points,
-                  series + [("band", band.center, band.lower, band.upper)])
+    dataio.write_series(out / f"{name}.csv", grid.points,
+                        series + [("band", band.center, band.lower, band.upper)])
     if args.svg:
         text = svg.render_plot(grid.points, series, band=(band.lower, band.upper),
                                start_hour=args.start_hour, title=title)
@@ -326,6 +277,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: IOError: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,4 +1,4 @@
-"""Cohort input, hourly aggregation, reference filtering, and simulation.
+"""Cohort input, CSV output, hourly aggregation, reference filtering, and simulation.
 
 Input CSV schema: header row with at least ``subject_id``, ``time`` and
 the outcome column (``sbp`` or ``dbp``); any remaining columns become
@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, groupby, islice
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -460,7 +460,7 @@ def format_g17(values) -> np.ndarray:
     used = np.flatnonzero(out.any(axis=1))
     width = used[-1] + 1 - used[0]
     slow = np.flatnonzero(~fast)
-    spelled = text_fields([format(v, ".17g") for v in x[slow].tolist()])[0]
+    spelled = _text_fields([format(v, ".17g") for v in x[slow].tolist()])[0]
     fields = np.zeros((n, max(width, spelled.shape[1])), np.uint8)
     fields[:, :width] = out[used[0]:used[-1] + 1].T
     fields[slow] = 0
@@ -468,42 +468,40 @@ def format_g17(values) -> np.ndarray:
     return fields
 
 
-def csv_writer(fh):
-    """A ``csv.writer`` on ``fh`` whose rows end in ``\\n``.  It writes
-    through a ``\\r\\n`` terminator, which makes it quote a field holding
-    either character, so that every row reads back as written."""
-    return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
-                      lineterminator="\r\n")
-
-
-def write_csv(path, header, rows):
-    """Write the header row and then ``rows`` to ``path`` with ``csv_writer``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-_SPECIAL = re.compile('[,"\r\n\0]')  # what ``csv_quoted`` passes to the writer
+_SPECIAL = re.compile('[,"\r\n\0]')  # what ``csv_quoted`` passes to ``csv.writer``
 
 
 def csv_quoted(texts) -> list:
-    """Each text as ``csv_writer`` writes it as one field of a row: one
-    without ``,``, ``"``, ``\\r``, ``\\n`` or NUL as it is, any other through
-    the writer (which quotes it, or raises on NUL before Python 3.11)."""
-    buf = io.StringIO()
-    writer = csv_writer(buf)
+    """Each text as one CSV field: one without ``,``, ``"``, ``\\r``, ``\\n``
+    or NUL as it is, any other as a ``csv.writer`` with a ``\\r\\n``
+    terminator quotes it, so that every row reads back as written (or
+    raises on NUL before Python 3.11)."""
     quoted = list(texts)
     for i, text in enumerate(quoted):
         if _SPECIAL.search(text):
-            writer.writerow((text, ""))
-            quoted[i] = buf.getvalue()[:-2]
-            buf.seek(0)
-            buf.truncate()
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+            quoted[i] = buf.getvalue()[:-3]  # less the empty field's "," and the "\r\n"
     return quoted
 
 
-def text_fields(texts):
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    return format(float(v), ".17g") if v is not None and math.isfinite(v) else ""
+
+
+def write_csv(path, header, rows):
+    """Write the header row and then ``rows`` to ``path``, a line of fields
+    joined by ``,`` each.  A str cell goes through ``csv_quoted``, a number
+    is ``format(float(v), ".17g")``, and None or a number that is not
+    finite is an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for row in chain([header], rows):
+            fh.write(",".join(csv_quoted(map(_cell, row))) + "\n")
+
+
+def _text_fields(texts):
     """The UTF-8 bytes of each text, NUL-padded to a (n, w) uint8 array, and
     the bool array of which bytes are the text's own (a text may hold NUL)."""
     encoded = [t.encode("utf-8") for t in texts]
@@ -514,11 +512,11 @@ def text_fields(texts):
     return matrix, np.arange(width) < lengths[:, None]
 
 
-def csv_lines(columns) -> np.ndarray:
+def _csv_lines(columns) -> np.ndarray:
     """CSV lines put together column by column, as bytes in a uint8 array.
     A column is a bytes separator, the same on every line; a (lines, w)
     uint8 array of ``format_g17`` fields, whose NUL bytes are dropped; or
-    a pair of ``text_fields`` arrays, gathered to (lines, w)."""
+    a pair of ``_text_fields`` arrays, gathered to (lines, w)."""
     columns = [c if isinstance(c, tuple) else (c, None) for c in columns]
     lines = next(len(c) for c, _ in columns if not isinstance(c, bytes))
     matrix = np.empty((lines, sum(len(c) if isinstance(c, bytes) else c.shape[1]
@@ -538,7 +536,7 @@ def csv_lines(columns) -> np.ndarray:
     return matrix[keep]
 
 
-def blocks(sizes):
+def _blocks(sizes):
     """(start, stop) of consecutive runs of items whose sizes add up to at
     most BLOCK_VALUES; a larger item is a run of its own."""
     start, total = 0, 0
@@ -551,22 +549,61 @@ def blocks(sizes):
         yield start, len(sizes)
 
 
-def g17_texts(values) -> list:
-    """``format(v, ".17g")`` of every value, as a list of str from one
-    ``format_g17`` call."""
-    return csv_lines([format_g17(values), b"\n"]).tobytes().decode("ascii").split("\n")[:-1]
+def _series_lines(times, block, labels, own):
+    """The plot CSV lines of a block of series, as bytes in uint8 arrays,
+    from one ``format_g17`` call on the times and every value."""
+    n = len(times)
+    numbers = format_g17(np.concatenate([times] + [c for s in block for c in s[1:]]))
+    stamps = numbers[:n][:, numbers[:n].any(axis=0)]
+    width, start, lines = numbers.shape[1], n, []
+    for k, run in groupby(range(len(block)), lambda i: len(block[i]) - 1):
+        run = list(run)  # series with k columns each, their values next in numbers
+        values = numbers[start:start + len(run) * k * n].reshape(len(run), k, n, width)
+        start += values.shape[0] * k * n
+        columns = [np.tile(stamps, (len(run), 1)), b",",
+                   (np.repeat(labels[run], n, axis=0), np.repeat(own[run], n, axis=0))]
+        for j in range(k):
+            columns += [b",", values[:, j].reshape(len(run) * n, width)]
+        lines.append(_csv_lines(columns + [b"," * (3 - k) + b"\n"]))
+    return lines
+
+
+def write_series(path, times, series):
+    """Plot CSV, a row per series and time.  ``series`` yields (label,
+    values) or (label, values, lower, upper); a series without bounds
+    leaves them empty.  The numbers go out in blocks of about
+    ``BLOCK_VALUES``, formatted by ``format_g17``."""
+    series = list(series)
+    labels, own = _text_fields(csv_quoted([s[0] for s in series]))
+    sizes = [len(times) * (len(s) - 1) for s in series]
+    with open(path, "wb") as fh:
+        fh.write(b"time,series,value,lower,upper\n")
+        for a, b in _blocks(sizes):
+            fh.writelines(_series_lines(times, series[a:b], labels[a:b], own[a:b]))
 
 
 def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):
-    """Write a cohort back out in the input CSV schema; the times and
-    outcomes are ``g17_texts``."""
-    outcome = outcome.lower()
+    """Write a cohort back out in the input CSV schema, in blocks of about
+    ``BLOCK_VALUES`` numbers, whose times and outcomes ``format_g17``
+    formats.  Each subject's id and covariates are quoted once and
+    repeated over its rows."""
     cov_names = sorted({k for s in cohort for k in s.covariates})
-    numbers = zip(g17_texts(np.concatenate([s.times.points for s in cohort])),
-                  g17_texts(np.concatenate([s.y for s in cohort])))
-    write_csv(path, ["subject_id", "time", outcome] + cov_names,
-              ([s.id, t, v] + [str(s.covariates.get(c, "")) for c in cov_names]
-               for s in cohort for t, v in islice(numbers, s.n_obs)))
+    texts = [_text_fields(csv_quoted(column)) for column in [[s.id for s in cohort]] + [
+        [str(s.covariates.get(c, "")) for s in cohort] for c in cov_names]]
+    subject = np.repeat(np.arange(len(cohort)), [s.n_obs for s in cohort])
+    t = np.concatenate([s.times.points for s in cohort])
+    y = np.concatenate([s.y for s in cohort])
+    step = max(BLOCK_VALUES // 2, 1)  # two numbers a row
+    write_csv(path, ["subject_id", "time", outcome.lower(), *cov_names], [])
+    with open(path, "ab") as fh:
+        for a in range(0, t.size, step):
+            k = subject[a:a + step]  # each row's subject
+            numbers = format_g17(np.concatenate([t[a:a + step], y[a:a + step]]))
+            ids, *covs = [(matrix[k], own[k]) for matrix, own in texts]
+            columns = [ids, b",", numbers[:k.size], b",", numbers[k.size:]]
+            for cov in covs:
+                columns += [b",", cov]
+            fh.write(_csv_lines(columns + [b"\n"]))
 
 
 def hourly_aggregate(cohort: Cohort) -> Cohort:

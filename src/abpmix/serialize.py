@@ -143,7 +143,7 @@ _SPEC = _Format(
 # q fixed-effect columns, m random effects, r covariance parameters
 _FIT = _Format(
     "fitted model",
-    {"spec": _SPEC, "method": "a string", "beta_hat": ("q",), "cov_beta": ("q", "q"),
+    {"spec": _SPEC, "method": "a string", "beta_hat": ("q",), "cov_beta": ("q", "q", "a covariance matrix"),
      "sigma_d_hat": ("m", "m", "a covariance matrix"), "sigma2_hat": "a finite nonnegative number",
      "loglik": "a number", "converged": "true or false", "iterations": "an integer",
      "gradient_norm": "a number", "theta": ("r",), "n_subjects": "an integer",

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abpmix as a
-from abpmix import dataio, serialize
+from abpmix import blup, dataio, serialize
 from abpmix.basis import TimeGrid
-from abpmix.cli import _g17, _write_series, build_parser, main
-from abpmix.dataio import write_cohort
+from abpmix.cli import build_parser, main
+from abpmix.dataio import write_cohort, write_series
 from abpmix.errors import AbpmixError, SchemaError
 from abpmix.estimation import MixedModelProblem
 
@@ -429,6 +429,19 @@ class TestProfilesCommand:
                           "population", "band"}
         assert (out / "profiles.svg").read_text()[:4] == "<svg"
 
+    def test_out_of_memory_is_usage_error(self, workspace, tmp_path, capsys):
+        # what numpy raises for a grid of subject profiles too large to allocate
+        root, data, _ = workspace
+        out = tmp_path / "pmem"
+        with mock.patch.object(blup, "subject_profiles",
+                               side_effect=MemoryError("Unable to allocate 1.93 GiB")):
+            code = main(["profiles", "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                         "--subjects", "s0000", "--grid-points", "86401", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 1.93 GiB\n"
+        assert not out.exists()
+
     def test_empty_subject_list(self, workspace, tmp_path):
         root, data, _ = workspace
         out = tmp_path / "p0"
@@ -524,6 +537,8 @@ class TestProfilesCommand:
         # impossible values: json.dumps writes NaN and Infinity, and json.loads reads them
         ("beta_hat", [np.nan, 1.0, 2.0]),
         ("cov_beta", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.inf]]),
+        ("cov_beta", [[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # asymmetric
+        ("cov_beta", [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # eigenvalue -1
         ("sigma_d_hat", [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         ("sigma_d_hat", [[1.0, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0]]),
         ("sigma_d_hat", [[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # asymmetric
@@ -573,23 +588,26 @@ class TestProfilesCommand:
             series.append((f"{labels[i % len(labels)]}:{i}", *columns))
 
         def expected(series):
+            def g17(x):
+                return format(float(x), ".17g")
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["time", "series", "value", "lower", "upper"])
             for label, values, *bounds in series:
                 for i, t in enumerate(times):
-                    writer.writerow([_g17(t), label, _g17(values[i])]
-                                    + [_g17(b[i]) for b in bounds] + [""] * (2 - len(bounds)))
+                    writer.writerow([g17(t), label, g17(values[i])]
+                                    + [g17(b[i]) for b in bounds] + [""] * (2 - len(bounds)))
             return buf.getvalue().encode("utf-8")
 
         # 7 numbers a block: each series alone; 300: three plain series or one banded
         for block in (7, 300, dataio.BLOCK_VALUES):
             with mock.patch.object(dataio, "BLOCK_VALUES", block):
-                _write_series(tmp_path / "p.csv", times, series)
+                write_series(tmp_path / "p.csv", times, series)
             assert (tmp_path / "p.csv").read_bytes() == expected(series)
         # a small file, such as band's, in one call
         few = series[3:7]  # a banded series, and a line break, a quote and NUL in labels
-        _write_series(tmp_path / "f.csv", times, few)
+        write_series(tmp_path / "f.csv", times, few)
         assert (tmp_path / "f.csv").read_bytes() == expected(few)
 
 
@@ -716,6 +734,21 @@ class TestBandCommand:
         code = main(["band", "--model", model, "--thresholds", str(th), "--out", str(out)])
         assert code == 2
         assert "--data" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_band_from_fit_with_negative_cov_beta_is_usage_error(self, workspace, tmp_path,
+                                                                  capsys):
+        # without the check, every band bound is the square root of a negative variance
+        root, _, _ = workspace
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        d["cov_beta"][0][0] = -1e6
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(d))
+        out = tmp_path / "bcov"
+        code = main(["band", "--fit", str(fit), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "cov_beta" in err
         assert not out.exists()
 
     def test_band_nonconvergence_exit_code(self, workspace, tmp_path, capsys):

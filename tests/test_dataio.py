@@ -418,6 +418,12 @@ def cohort_csv_bytes(cohort, outcome="sbp"):
 
 
 class TestWriteCohort:
+    # 7 numbers a block: three rows, so that blocks cut through subjects
+    @pytest.fixture(autouse=True, params=[7, 300, dataio.BLOCK_VALUES])
+    def block_values(self, request):
+        with mock.patch.object(dataio, "BLOCK_VALUES", request.param):
+            yield
+
     # jittered times, then negative outcomes; both span several blocks
     @pytest.mark.parametrize("beta, jitter", [([500.0, -10.0, 5.0], 0.3),
                                               ([-500.0, 10.0, -5.0], 0.0)])
@@ -444,10 +450,11 @@ class TestWriteCohort:
 
 
 def written_field(text):
-    """``text`` as ``csv_writer`` writes it as the first of two fields."""
+    """``text`` as a ``csv.writer`` with a ``\\r\\n`` terminator writes it as
+    the first of two fields."""
     buf = io.StringIO()
-    dataio.csv_writer(buf).writerow((text, ""))
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+    return buf.getvalue()[:-3]
 
 
 class TestCsvQuoted:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import abpmix as a
 from abpmix import basis, estimation, inference, serialize
 from abpmix.basis import DEFAULT_SPLINE_CLOCK_KNOTS, TimeGrid, clock_knots_to_elapsed
-from abpmix.errors import RankError
+from abpmix.cli import main
+from abpmix.dataio import write_cohort
+from abpmix.errors import ConditioningError, RankError
 from abpmix.estimation import (
     LOG_VARIANCE_FLOOR,
     CovarianceParams,
@@ -576,6 +578,61 @@ def flat_bytes(result):
     """The bytes of a float, an array or a tuple of them."""
     parts = result if isinstance(result, tuple) else (result,)
     return b"".join(np.asarray(part, dtype=float).tobytes() for part in parts)
+
+
+class TestCholeskyJitter:
+    """``_evaluate`` factorizes the stacked marginal covariances once; if
+    that fails it adds a 1e-10 relative jitter and tries once more."""
+
+    @staticmethod
+    def failing_batched_cholesky(monkeypatch, failures):
+        """Make the first ``failures`` stacked (3-D) ``np.linalg.cholesky``
+        calls raise ``LinAlgError``; the other calls factorize as before.
+        Returns the list holding the number of failures still to come."""
+        cholesky, left = np.linalg.cholesky, [failures]
+
+        def failing(a):
+            if np.ndim(a) == 3 and left[0] > 0:
+                left[0] -= 1
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        return left
+
+    @staticmethod
+    def problem(structure):
+        spec = poly_spec(3, structure)
+        sigma_d = np.diag([60.0, 30.0, 15.0, 8.0])
+        cohort = simulate(spec, [120.0, -8.0, 4.0, -2.0], sigma_d, 16.0, 40, seed=9)
+        theta = CovarianceParams.from_moments(structure, sigma_d, 16.0).theta
+        return spec, cohort, theta
+
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_one_failure_is_jittered_away(self, structure, monkeypatch):
+        spec, cohort, theta = self.problem(structure)
+        want = MixedModelProblem(spec, cohort).loglikelihood(theta, "REML")
+        problem = MixedModelProblem(spec, cohort)
+        left = self.failing_batched_cholesky(monkeypatch, 1)
+        got = problem.loglikelihood(theta, "REML")
+        assert left == [0]
+        assert abs(got - want) <= 1e-8 * abs(want)
+
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_a_second_failure_is_a_conditioning_error(self, structure, monkeypatch, tmp_path,
+                                                       capsys):
+        spec, cohort, theta = self.problem(structure)
+        problem = MixedModelProblem(spec, cohort)
+        self.failing_batched_cholesky(monkeypatch, np.inf)
+        with pytest.raises(ConditioningError, match="not factorizable"):
+            problem._evaluate(theta, "REML")
+        write_cohort(tmp_path / "cohort.csv", cohort)
+        (tmp_path / "spec.json").write_text(serialize.model_spec_to_json(spec))
+        code = main(["fit", "--model", str(tmp_path / "spec.json"),
+                     "--data", str(tmp_path / "cohort.csv"), "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert "error: ConditioningError: marginal covariance not factorizable" in (
+            capsys.readouterr().err)
 
 
 class TestEvaluationReuse:
