@@ -41,8 +41,9 @@ evaluation, J, L^-1 Q'X and M^-1 among its products, is kept for the
 information at a point the ascent has just accepted, and the fit's end.
 
 This module needs numpy alone: every factorization is numpy's and the
-ascent is its own, so fitting never loads ``scipy.optimize``, which would
-otherwise dominate interpreter start-up.
+ascent is its own.  Like ``inference``, whose F tail is computed with
+``math``, it imports no scipy, which would otherwise dominate the start-up
+of a fresh ``abpmix fit``.
 """
 
 from __future__ import annotations

@@ -1045,65 +1045,67 @@ class TestFitJson:
         assert main(["band", "--fit", str(out / "fit.json"), "--out", str(tmp_path / "b")]) == 0
 
 
-_IMPORT_GRAPH_SCRIPT = """
-import json, sys
+_NO_SCIPY_SCRIPT = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 from abpmix.cli import main
 
-fit, data, sim, model, out = sys.argv[1:]
-codes = [
-    main(["profiles", "--fit", fit, "--data", data, "--subjects", "s0000,s0001",
-          "--out", out + "/p", "--svg"]),
-    main(["band", "--fit", fit, "--data", data, "--out", out + "/b", "--svg"]),
-    main(["simulate", "--config", sim, "--out", out + "/s"]),
-]
-before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-codes.append(main(["fit", "--model", model, "--data", data, "--out", out + "/f"]))
-after = any(name.split(".")[0] == "scipy" for name in sys.modules)
-print(json.dumps({"codes": codes, "scipy_before_fit": before, "scipy_after_fit": after}))
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(name for name in sys.modules if name.startswith("scipy"))}))
 """
 
 
-def test_commands_that_do_not_fit_never_import_scipy(workspace, tmp_path):
-    """profiles, band --fit and simulate run in a fresh interpreter without
-    loading scipy; fit, in the same interpreter, still works."""
-    root, data, model = workspace
-    sim = write_sim_config(tmp_path / "sim.json", n_subjects=5)
+def _every_command(out):
+    data, fit = f"{out}/sim/cohort.csv", f"{out}/fit/fit.json"
+    return [
+        ["simulate", "--config", "sim.json", "--out", f"{out}/sim"],
+        ["fit", "--model", "m2.json", "--data", data, "--out", f"{out}/fit"],
+        ["compare", "--model", "m2.json", "--model", "m1.json", "--data", data,
+         "--out", f"{out}/compare", "--force-reml-compare"],
+        ["profiles", "--fit", fit, "--data", data, "--subjects", "s0000,s0001",
+         "--out", f"{out}/profiles", "--svg"],
+        ["band", "--fit", fit, "--data", data, "--out", f"{out}/band_fit", "--svg"],
+        ["band", "--model", "m2.json", "--thresholds", "th.json", "--data", data,
+         "--out", f"{out}/band_model"],
+    ]
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path, monkeypatch):
+    """Every command, in one fresh interpreter whose imports of scipy fail,
+    exits 0, loads no scipy module and writes the files of a run that could
+    import it."""
+    write_sim_config(tmp_path / "sim.json")
+    write_spec(tmp_path / "m1.json", 1)
+    write_spec(tmp_path / "m2.json", 2)
+    (tmp_path / "th.json").write_text(json.dumps({"all": [-1e6, 1e6]}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(a.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(root / "fit" / "fit.json"), data,
-         sim, model, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(run.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
-    assert result["scipy_before_fit"] == []
-    assert result["scipy_after_fit"]
-
-
-_FIT_IMPORTS_SCRIPT = """
-import json, sys
-from abpmix.cli import main
-
-data, model, out = sys.argv[1:]
-code = main(["fit", "--model", model, "--data", data, "--out", out])
-print(json.dumps({"code": code, "scipy": sorted(name for name in sys.modules
-                                                if name.split(".")[0] == "scipy")}))
-"""
-
-
-def test_fit_never_imports_scipy_optimize(workspace, tmp_path):
-    """fit, in a fresh interpreter, maximizes the likelihood without loading
-    scipy.optimize."""
-    _, data, model = workspace
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(a.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _FIT_IMPORTS_SCRIPT, data, model, str(tmp_path / "f")],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(run.stdout)
-    assert result["code"] == 0
-    assert "scipy.special" in result["scipy"]
-    assert not [name for name in result["scipy"] if name.startswith("scipy.optimize")]
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_every_command("blocked"))],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(run.stdout) == {"codes": [0] * 6, "scipy": []}
+    monkeypatch.chdir(tmp_path)
+    assert [main(argv) for argv in _every_command("open")] == [0] * 6
+    blocked = _files(tmp_path / "blocked")
+    assert sorted(blocked) == [
+        "band_fit/band.csv", "band_fit/band.svg", "band_model/band.csv",
+        "compare/comparison.csv", "fit/fit.json", "fit/fixed_effects.csv",
+        "fit/variance_components.csv", "profiles/profiles.csv", "profiles/profiles.svg",
+        "sim/cohort.csv"]
+    assert blocked == _files(tmp_path / "open")
 
 
 def test_one_parser_per_process_and_parsing_leaves_it_unchanged():

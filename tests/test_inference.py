@@ -1,10 +1,13 @@
 import dataclasses
+import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import fdtrc
 
 import abpmix as a
 from abpmix import serialize
@@ -15,6 +18,7 @@ from abpmix.errors import ComparisonError, ContrastError, StateError
 from abpmix.estimation import MixedModelProblem, sigma_d_from_theta
 from abpmix.inference import (
     Contrast,
+    _f_tail,
     _r2_from_f,
     assert_comparable,
     f_test,
@@ -111,6 +115,100 @@ class TestFTest:
         _, _, fitted = small_fit
         res = f_test(fitted, Contrast.for_columns([0], fitted.q))
         assert res.p_value < 1e-6
+
+
+def _f_at_tail(ndf, ddf, tail):
+    """The F whose upper tail is about ``tail``: bisection on log F, by scipy."""
+    lo, hi = math.log(1e-300), math.log(1e300)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fdtrc(ndf, ddf, math.exp(mid)) > tail else (lo, mid)
+    return math.exp(lo)
+
+
+# (ndf, ddf, F, upper tail): mpmath 1.3.0 betainc(ddf/2, ndf/2, 0, x) at 40
+# digits, x = ddf / (ddf + ndf F) from the exact floats, rounded to 17 digits.
+# Against these, scipy 1.17.1's fdtrc returns 0.0 for the three rows of ndf 29
+# and 30, and is 1.7e-8 off at ndf 27 and 5.1e-4 off at ndf 26.
+_F_TAIL_TABLE = [
+    # small ddf, tails below those of the scipy property
+    (1, 0.7302, 5.913408012885749e+163, 1.0000000000000078e-60),
+    (4, 3.318, 3.897070237649473e+90, 1.0000000000000167e-150),
+    (8, 9406.12, 75.1707059240401, 1.0000000000000997e-120),
+    (11, 27.61, 4.05821984357031e+16, 1.000000000000037e-220),
+    (17, 357.73, 890.5500696401816, 1.0000000000001636e-280),
+    (26, 2811.39, 75.55676902181536, 1.000000000000536e-299),
+    # ddf from 1e4 to 1e6
+    (1, 20721.52939735855, 0.1484759763593109, 7.0000000000000009e-1),
+    (1, 309244.7171673664, 0.4549374933151464, 5.0e-1),
+    (1, 353572.9826594997, 0.01579079677634991, 9.0000000000000011e-1),
+    (2, 432584.2352089082, 1.203976155241403, 2.9999999999999904e-1),
+    (3, 26622.75960341191, 2.08400173879419, 1.0000000000000005e-1),
+    (4, 13326.86288321201, 3.320580666392035, 1.0000000000000036e-2),
+    (5, 523164.2323641012, 6.171402286392967, 9.9999999999999768e-6),
+    (6, 860462.0848818161, 3.742997559410825, 9.9999999999999538e-4),
+    (7, 97817.68096669919, 8.701799556503437, 1.0000000000000112e-10),
+    (9, 19771.88091349854, 12.89374027077724, 1.0000000000000381e-20),
+    (10, 44165.61672544964, 21.58652796122526, 1.0000000000000603e-40),
+    (12, 25540.20553363426, 26.61580816755791, 1.0000000000000372e-60),
+    (15, 31070.21877611549, 34.79724065131719, 9.9999999999995805e-101),
+    (18, 15156.13698577738, 43.5528367719827, 1.000000000000018e-150),
+    (20, 27851.80303320673, 51.27847880245757, 1.0000000000001925e-200),
+    (24, 219473.7508450089, 52.56854762329692, 9.9999999999984875e-251),
+    (27, 26750.87129671231, 55.46443892661657, 1.0000000000005817e-290),
+    (29, 369432.0251473927, 51.96613882249034, 7.6256257096968454e-299),
+    (30, 12616.93880860799, 53.48905792094887, 1.0000000000002048e-299),
+    (30, 305526.3123024894, 50.63879548256712, 2.0000000000006587e-300),
+]
+
+
+class TestFTail:
+    # Against mpmath, scipy 1.17.1's fdtrc is itself off by up to 7e-13
+    # relative in this range, by 9e-13 near a tail of 1e-275 and by 9e-7
+    # below 1e-285, while _f_tail stays within 2.5e-13 throughout.  So the
+    # property stops at 1e-60, and the mpmath table holds the deeper tails.
+    @settings(max_examples=200, deadline=None)
+    @given(ndf=st.integers(1, 30),
+           ddf=st.floats(0.5, 1e4).filter(lambda v: not v.is_integer()),
+           log_tail=st.floats(-60.0, 0.0))
+    def test_matches_scipy(self, ndf, ddf, log_tail):
+        f = _f_at_tail(ndf, ddf, 10.0 ** log_tail)
+        assert _f_tail(ndf, ddf, f) == pytest.approx(fdtrc(ndf, ddf, f), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("ndf, ddf, f, tail", _F_TAIL_TABLE)
+    def test_matches_mpmath(self, ndf, ddf, f, tail):
+        assert _f_tail(ndf, ddf, f) == pytest.approx(tail, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("ndf, ddf", [(1, 0.5), (3, 12.5), (30, 1e6)])
+    def test_zero_f_has_tail_exactly_one(self, ndf, ddf):
+        assert _f_tail(ndf, ddf, 0.0) == 1.0
+
+    @pytest.mark.parametrize("ndf, ddf", [(1, 0.5), (1, 27.3), (2, 4.0), (5, 357.7),
+                                          (30, 7851.2), (1, 1e6)])
+    def test_decreases_in_f(self, ndf, ddf):
+        tails = [_f_tail(ndf, ddf, f) for f in np.geomspace(1e-4, 1e4, 400)]
+        assert all(0.0 <= t <= 1.0 for t in tails)
+        assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+        assert tails[0] > tails[-1]
+        # across the switch between the fraction for the tail and the one for
+        # its complement, at (ddf/2 + 1) r = ndf/2 + 1 with r = ndf F / ddf
+        switch = (0.5 * ndf + 1.0) / (0.5 * ddf + 1.0) * ddf / ndf
+        near = [_f_tail(ndf, ddf, switch * (1.0 + k * 1e-9)) for k in range(-5, 6)]
+        assert all(later < earlier for earlier, later in zip(near, near[1:]))
+
+    def test_huge_ddf_returns_in_bounded_time(self):
+        start = time.perf_counter()
+        for ddf in (1e7, 1e300):
+            tails = [_f_tail(ndf, ddf, f) for ndf in (1, 2, 30)
+                     for f in np.geomspace(1e-3, 1e3, 60)]
+            assert all(0.0 <= t <= 1.0 for t in tails)
+        assert time.perf_counter() - start < 5.0
+
+    def test_outside_the_domain(self):
+        assert _f_tail(2, 10.0, math.inf) == 0.0
+        for ndf, ddf, f in [(2, 10.0, math.nan), (2, 10.0, -1.0), (0, 10.0, 1.0),
+                            (2, 0.0, 1.0), (2, math.inf, 1.0)]:
+            assert math.isnan(_f_tail(ndf, ddf, f))
 
 
 class TestInformationCriteria:
