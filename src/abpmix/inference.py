@@ -4,8 +4,11 @@ Denominator degrees of freedom follow the Satterthwaite moment match.
 For a single-row contrast c, ddf = 2 (c' Phi c)^2 / Var(c' Phi c), with
 the variance obtained by the delta method through the inverse analytic
 observed information of the covariance parameters, which also gives the
-variance-component SEs.  Multi-row contrasts eigen-split the contrast
-into single-df components and moment-match the sum.
+variance-component SEs.  One vectorized pass, three einsums, gives the
+ddf of every row of a stack of single-df contrasts: all q columns at once
+for the per-column tests, whose results are also the default semi-partial
+R2 terms, and all the pieces into which a multi-row contrast is
+eigen-split before their sum is moment-matched.
 
 The R2 statistics convert an F and its ddf into the proportion-of-
 variation scale: R2 = c F / (ddf + c F).
@@ -127,54 +130,47 @@ def _f_tail(ndf: float, ddf: float, F: float) -> float:
     return 1.0 - pre / _beta_fraction(b, a, y, x, (b + 1.0 - (a - 1.0) * r) / (1.0 + r))
 
 
-def _satterthwaite_single(fitted: FittedModel, c: np.ndarray) -> float:
-    phi = fitted.cov_beta
-    var_c = float(c @ phi @ c)
-    g = np.array([float(c @ dp @ c) for dp in fitted.cov_beta_derivatives])
-    vv = float(g @ fitted.vcov_theta @ g)
-    if vv <= 0:
-        return float(fitted.n_obs - fitted.q)
-    return 2.0 * var_c**2 / vv
+def _satterthwaite(fitted: FittedModel, rows: np.ndarray) -> np.ndarray:
+    """The ddf 2 (c' Phi c)^2 / Var(c' Phi c) of every single-df row c of ``rows``.
+
+    A delta-method variance <= 0 gives n_obs - q; a NaN one gives NaN.
+    """
+    var = np.einsum("ri,ij,rj->r", rows, fitted.cov_beta, rows)
+    g = np.einsum("ri,kij,rj->rk", rows, fitted.cov_beta_derivatives, rows)
+    vv = np.einsum("rk,kl,rl->r", g, fitted.vcov_theta, g)
+    return np.divide(2.0 * var**2, vv, out=np.full(vv.shape, float(fitted.n_obs - fitted.q)),
+                     where=~(vv <= 0))
 
 
-def f_test(fitted: FittedModel, contrast: Contrast) -> TestResult:
-    """F-test of C beta = 0 with Satterthwaite denominator df."""
+def _require_inference_inputs(fitted: FittedModel) -> None:
     if not fitted.converged:
         raise StateError("cannot test a non-converged fit")
     if fitted.vcov_theta is None:
         raise StateError("a fit read from fit.json has no inference inputs; refit to test")
+
+
+def f_test(fitted: FittedModel, contrast: Contrast) -> TestResult:
+    """F-test of C beta = 0 with Satterthwaite denominator df."""
+    _require_inference_inputs(fitted)
     c = contrast.C
     if c.shape[1] != fitted.q:
-        raise ContrastError(
-            f"contrast has {c.shape[1]} columns, model has {fitted.q}"
-        )
-    rank = np.linalg.matrix_rank(c)
-    if rank < c.shape[0]:
+        raise ContrastError(f"contrast has {c.shape[1]} columns, model has {fitted.q}")
+    if np.linalg.matrix_rank(c) < c.shape[0]:
         raise ContrastError("contrast matrix is rank deficient")
     ndf = c.shape[0]
     mid = c @ fitted.cov_beta @ c.T
-    cb = c @ fitted.beta_hat
     # mid is positive definite: |L^-1 C beta|^2 = beta'C' mid^-1 C beta
-    w = np.linalg.solve(np.linalg.cholesky(mid), cb)
+    w = np.linalg.solve(np.linalg.cholesky(mid), c @ fitted.beta_hat)
     f_stat = float(w @ w) / ndf
-
     if ndf == 1:
-        ddf = _satterthwaite_single(fitted, c[0])
+        ddf = float(_satterthwaite(fitted, c)[0])
     else:
-        # spectral construction: split into orthogonal single-df pieces
+        # split into orthogonal single-df pieces, at least one of which passes
+        # the cut, and moment-match their sum; a NaN piece makes the ddf NaN
         ev, vec = np.linalg.eigh(mid)
-        ctil = vec.T @ c
-        parts = []
-        for lam, row in zip(ev, ctil):
-            if lam <= 1e-12 * ev.max():
-                continue
-            parts.append(_satterthwaite_single(fitted, row))
-        e_sum = sum(nu / (nu - 2.0) for nu in parts if nu > 2.0)
-        if e_sum > ndf:
-            ddf = 2.0 * e_sum / (e_sum - ndf)
-        else:
-            ddf = float(min(parts)) if parts else 1.0
-    ddf = float(ddf)
+        nu = _satterthwaite(fitted, (vec.T @ c)[ev > 1e-12 * ev.max()])
+        e_sum = np.sum(np.divide(nu, nu - 2.0, out=np.zeros_like(nu), where=~(nu <= 2.0)))
+        ddf = float(2.0 * e_sum / (e_sum - ndf) if e_sum > ndf else np.min(nu))
     return TestResult(F=f_stat, ndf=ndf, ddf=ddf, p_value=_f_tail(ndf, ddf, f_stat),
                       label=contrast.label)
 
@@ -197,9 +193,9 @@ def r2_statistics(fitted: FittedModel, terms=None):
     """Model R2 plus per-term semi-partial R2 values.
 
     The model term is every fixed effect except the intercept; by default
-    each non-intercept column is its own semi-partial term.  An
-    intercept-only model has no model term: its model R2 is NaN and it
-    has no default semi-partials.
+    each non-intercept column is its own semi-partial term, read from
+    ``per_column_tests``.  An intercept-only model has no model term: its
+    model R2 is NaN and it has no default semi-partials.
     """
     q = fitted.q
     model_r2 = float("nan")
@@ -207,25 +203,27 @@ def r2_statistics(fitted: FittedModel, terms=None):
         tr = f_test(fitted, Contrast.for_columns(range(1, q), q, label="model"))
         model_r2 = _r2_from_f(tr.F, tr.ndf, tr.ddf)
     if terms is None:
-        labels = fitted.column_labels
-        terms = [
-            Contrast.for_columns([j], q, label=labels[j] if j < len(labels) else f"b{j}")
-            for j in range(1, q)
-        ]
-    partials = []
-    for term in terms:
-        res = f_test(fitted, term)
-        partials.append((res.label, _r2_from_f(res.F, res.ndf, res.ddf)))
-    return model_r2, partials
+        tests = [res for _, _, res in per_column_tests(fitted)[1:]] if q > 1 else []
+    else:
+        tests = [f_test(fitted, term) for term in terms]
+    return model_r2, [(res.label, _r2_from_f(res.F, res.ndf, res.ddf)) for res in tests]
 
 
 def per_column_tests(fitted: FittedModel):
-    """Single-column F-tests for every fixed effect (Table-1-style rows)."""
-    out = []
+    """Single-column F-tests for every fixed effect (Table-1-style rows).
+
+    The tests ``f_test`` makes of each column alone, in one pass: F =
+    beta_j^2 / Phi_jj, and every column's ddf from one ``_satterthwaite``.
+    """
+    _require_inference_inputs(fitted)
     labels = fitted.column_labels
-    for j in range(fitted.q):
+    f_stats = fitted.beta_hat**2 / np.diag(fitted.cov_beta)
+    ddfs = _satterthwaite(fitted, np.eye(fitted.q))
+    out = []
+    for j, (f_stat, ddf) in enumerate(zip(f_stats.tolist(), ddfs.tolist())):
         label = labels[j] if j < len(labels) else f"b{j}"
-        out.append((j, label, f_test(fitted, Contrast.for_columns([j], fitted.q, label=label))))
+        out.append((j, label, TestResult(F=f_stat, ndf=1, ddf=ddf,
+                                         p_value=_f_tail(1, ddf, f_stat), label=label)))
     return out
 
 

@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import fdtrc
 
 import abpmix as a
-from abpmix import serialize
+from abpmix import inference, serialize
 from abpmix.basis import TimeGrid
 from abpmix.cli import main
 from abpmix.dataio import write_cohort
@@ -59,6 +59,88 @@ class TestSatterthwaite:
         assert 0.0 <= res.p_value <= 1.0
 
 
+@pytest.fixture(scope="module")
+def inference_fits():
+    """Two converged fits for the one-pass Satterthwaite tests: a diagonal
+    fit with exact-zero variances, whose vcov_theta has zero rows, and an
+    unstructured fit on a cohort with 10% missing data."""
+    spec = poly_spec(3)
+    cohort = simulate(spec, np.linspace(100.0, 10.0, 4), np.diag([0.0, 0.0, 0.0, 75.99611989]),
+                      0.15483824435134766, n_subjects=52, seed=50,
+                      missing_rate=0.032228505938987705)
+    boundary = a.fit(spec, cohort)
+    assert not boundary.vcov_theta[0].any()
+    spec = poly_spec(2, "unstructured")
+    sigma_d = np.array([[900.0, 200.0, -100.0], [200.0, 400.0, 60.0], [-100.0, 60.0, 200.0]])
+    cohort = simulate(spec, [480.0, -15.0, 8.0], sigma_d, 16.0, n_subjects=40, seed=21,
+                      missing_rate=0.1)
+    interior = a.fit(spec, cohort)
+    assert boundary.converged and interior.converged
+    return boundary, interior
+
+
+class TestOnePassSatterthwaite:
+    def test_per_column_tests_match_f_test_on_each_column(self, inference_fits):
+        for fitted in inference_fits:
+            q, labels = fitted.q, fitted.column_labels
+            rows = per_column_tests(fitted)
+            assert [(j, label) for j, label, _ in rows] == list(enumerate(labels))
+            for j, label, res in rows:
+                one = f_test(fitted, Contrast.for_columns([j], q, label=label))
+                assert res.ndf == one.ndf == 1 and res.label == one.label == label
+                assert res.F == pytest.approx(one.F, rel=1e-12, abs=0.0)
+                assert res.ddf == pytest.approx(one.ddf, rel=1e-12, abs=0.0)
+                assert res.p_value == pytest.approx(one.p_value, rel=1e-12, abs=0.0)
+                # the moment match written out for the one column
+                g = fitted.cov_beta_derivatives[:, j, j]
+                want = 2.0 * fitted.cov_beta[j, j] ** 2 / (g @ fitted.vcov_theta @ g)
+                assert res.ddf == pytest.approx(want, rel=1e-12)
+            _, partials = r2_statistics(fitted)
+            assert partials == [(label, _r2_from_f(res.F, 1, res.ddf))
+                                for _, label, res in rows[1:]]
+
+    def test_zero_delta_method_variance_falls_back_to_n_obs_minus_q(self, small_fit):
+        _, _, fitted = small_fit
+        known = dataclasses.replace(fitted, vcov_theta=np.zeros_like(fitted.vcov_theta))
+        want = float(fitted.n_obs - fitted.q)
+        assert f_test(known, Contrast.for_columns([1], known.q)).ddf == want
+        assert [res.ddf for _, _, res in per_column_tests(known)] == [want] * known.q
+        # every piece of the split at n - q moment-matches to n - q
+        many = f_test(known, Contrast.for_columns([1, 2], known.q))
+        assert many.ddf == pytest.approx(want, rel=1e-12)
+        assert many.p_value == pytest.approx(stats.f.sf(many.F, 2, want), rel=1e-10)
+
+    def test_nan_delta_method_variance_gives_nan_ddf_on_every_path(self, small_fit,
+                                                                   monkeypatch):
+        _, _, fitted = small_fit
+        unknown = dataclasses.replace(fitted, vcov_theta=np.full_like(fitted.vcov_theta, np.nan))
+        results = [f_test(unknown, Contrast.for_columns([1], unknown.q)),
+                   f_test(unknown, Contrast.for_columns([1, 2], unknown.q))]
+        results += [res for _, _, res in per_column_tests(unknown)]
+        assert all(math.isnan(res.ddf) and math.isnan(res.p_value) for res in results)
+        # one NaN piece of a multi-row split makes the ddf NaN, in either order,
+        # though the other piece alone would moment-match to 6
+        for pieces in ([np.nan, 3.0], [3.0, np.nan]):
+            monkeypatch.setattr(inference, "_satterthwaite",
+                                lambda fitted, rows, nu=np.array(pieces): nu)
+            assert math.isnan(f_test(fitted, Contrast.for_columns([1, 2], fitted.q)).ddf)
+
+    def test_per_column_and_default_partials_make_no_per_test_calls(self, small_fit,
+                                                                    monkeypatch):
+        _, _, fitted = small_fit
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].label)
+            return f_test(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "f_test", counting)
+        inference.per_column_tests(fitted)
+        assert calls == []
+        inference.r2_statistics(fitted)
+        assert calls == ["model"]
+
+
 class TestFTest:
     def test_multi_row_f_is_the_wald_quadratic_form(self, small_fit):
         _, _, fitted = small_fit
@@ -94,6 +176,8 @@ class TestFTest:
         assert not fitted.converged
         with pytest.raises(StateError):
             f_test(fitted, Contrast.for_columns([0], fitted.q))
+        with pytest.raises(StateError):
+            per_column_tests(fitted)
 
     def test_p_value_monotone_in_f(self, small_fit):
         # holding dfs fixed, a larger F must give a smaller p
@@ -418,6 +502,8 @@ class TestInferenceInputs:
         assert loaded.vcov_theta is None and loaded.cov_beta_derivatives is None
         with pytest.raises(StateError):
             f_test(loaded, Contrast.for_columns([0], q))
+        with pytest.raises(StateError):
+            per_column_tests(loaded)
         rows = variance_component_table(loaded)
         assert [row[:2] for row in rows] == [row[:2] for row in variance_component_table(fitted)]
         assert all(np.isnan(se) for _, _, se in rows)
