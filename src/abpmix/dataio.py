@@ -6,17 +6,21 @@ static covariates, which must keep one value across a subject's rows
 (a change is a SchemaError).  Times are elapsed hours since recording
 start.
 
-Tokenizers of ``read_cohort``.  It reads chunks of ``_CHUNK_ROWS``
-records, so that the memory beyond the converted columns is one chunk's
-text and fields.  A plain file is read with universal newlines and split
-at line ends and ``,``, which is all that ``csv``'s dialect does to its
-text: outside quotes, ``csv.reader`` too ends a record at LF, CRLF or a
-lone CR.  A file is plain if its header has every needed column and
-every chunk has no ``"`` or NUL, no field over ``csv.field_size_limit()``,
-every record of the header's width (the final line end may be missing)
-and every time and outcome a number.  At the first chunk that is not,
-``csv.reader`` reads the file again from its header and raises every
-error below; a plain file holds none of them before its cohort checks.
+Tokenizers of ``read_cohort``.  One ``np.loadtxt`` call tokenizes and
+converts a file, quoted or not, unless ``loadtxt`` might read it
+otherwise than ``csv.reader``.  Then one ``csv.reader`` loop over the
+records reads the file instead and raises every error below.  That is
+so for a file with:
+
+- a NUL, a header that holds a quote or lacks a needed column, or no
+  record after the header;
+- a line that may be longer than ``csv.field_size_limit()``;
+- a record that ``loadtxt`` cannot read: a short or whitespace-only
+  record, or a time or outcome that numpy's parser refuses, such as
+  ``1_0``, which ``float()`` reads;
+- a blank record or a line end inside quotes, which ``loadtxt`` passes
+  over: its record count plus one is then not the file's count of LF,
+  CRLF and lone CR line ends (an unterminated last line included).
 
 Errors of ``read_cohort``.  Records are numbered from the header, row 1;
 blank records are skipped but counted.  Invalid UTF-8 anywhere in the
@@ -43,9 +47,9 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, islice
-from operator import itemgetter
+from array import array
+from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,9 +59,6 @@ from .design import BasisContext, Cohort, ModelSpec, Subject
 from .errors import ConfigError, DuplicateError, GridError, ParseError, SchemaError, SpecError
 
 OUTCOMES = ("sbp", "dbp")
-
-
-_CHUNK_ROWS = 1024  # records tokenized and converted at a time: bounds the peak memory
 
 
 def _covariate_value(raw: str):
@@ -73,17 +74,11 @@ def _changed(was: str, now: str) -> bool:
     return was != now and _covariate_value(was) != _covariate_value(now)
 
 
-def _floats(cells: list):
-    """``float()`` of the cells before the first one that does not parse,
-    and that cell's index (``len(cells)`` when every cell parses)."""
+def _number(text: str, name: str, row: int) -> float:
     try:
-        return np.fromiter(map(float, cells), float, len(cells)), len(cells)
+        return float(text)
     except ValueError:
-        for n, text in enumerate(cells):
-            try:
-                float(text)
-            except ValueError:
-                return np.fromiter(map(float, cells[:n]), float, n), n
+        raise ParseError(f"row {row}: cannot parse {name}={text!r}") from None
 
 
 def _layout(header: list, outcome: str):
@@ -100,183 +95,116 @@ def _layout(header: list, outcome: str):
                                                    *covariate_columns)]
 
 
-@dataclass
-class _Columns:
-    """The records read so far, converted.  ``index`` holds the header
-    indices of the subject id, the time, the outcome and each covariate;
-    ``codes`` numbers the subject ids in order of first appearance;
-    ``parts`` holds one list per column of ``convert``'s arrays; ``row``
-    is the number of the next record; ``error`` is the first bad
-    record's ParseError, or None."""
-    covariate_columns: Sequence[str]
-    index: list
-    codes: dict = field(default_factory=dict)
-    parts: list = field(init=False)
-    row: int = 2
-    error: Optional[ParseError] = None
-
-    def __post_init__(self):
-        self.parts = [[] for _ in range(len(self.index) + 1)]
-
-    def convert(self, cells: list, rownums, outcome: str):
-        """One chunk's time, outcome, subject-code and record-number arrays
-        and one object array per covariate, up to the chunk's first record
-        with an unparsable time or outcome, and that record's ParseError,
-        or None.  ``cells`` holds the chunk's texts, one list per ``index``
-        column; the chunk's new subject ids join ``codes``."""
-        sids, times, values, *covs = cells
-        t, bad_t = _floats(times)
-        y, bad_y = _floats(values)
-        n = min(bad_t, bad_y)
-        error = None
-        if n < len(sids):
-            name, text = ("time", times[n]) if bad_t == n else (outcome, values[n])
-            error = ParseError(f"row {rownums[n]}: cannot parse {name}={text!r}")
-            sids, t, y, rownums, covs = sids[:n], t[:n], y[:n], rownums[:n], [c[:n] for c in covs]
-        for sid in dict.fromkeys(sids):
-            self.codes.setdefault(sid, len(self.codes))
-        code = np.fromiter(map(self.codes.__getitem__, sids), np.intp, len(sids))
-        return [t, y, code, rownums] + [np.array(c, dtype=object) for c in covs], error
-
-    def append(self, arrays: list):
-        for part, arr in zip(self.parts, arrays):
-            part.append(arr)
+_LINE_END = re.compile(r"\r\n?|\n")  # where csv.reader ends a record outside quotes
+_NOT_LINE_END = re.compile(r"[^\r\n]")
 
 
 def read_cohort(path, outcome: str = "sbp") -> Cohort:
     """Read a cohort CSV, one Subject per id with ascending times.
 
-    The records are tokenized and converted column by column in chunks of
-    ``_CHUNK_ROWS``, so that the memory beyond the converted columns is
-    one chunk's text and fields.  A plain file (see the module docstring)
-    is split at line ends and ``,``; any other is read again from its
-    header by ``csv.reader``, which raises every error of the module
-    docstring.  One stable sort on (subject, time) then finds duplicate
-    times and orders each subject's rows, and one pass over the sorted
-    arrays checks the whole cohort.  The sorted time and outcome arrays
-    are then made read-only, and each subject's ``times.points`` and
-    ``y`` are views (slices) of them, built without a copy or a second
-    check.
+    The file is first read whole, so that invalid UTF-8 anywhere is the
+    first error.  A file that ``_loadable`` accepts is then tokenized and
+    converted by one ``np.loadtxt`` call; ``_read_records`` reads any
+    other with ``csv.reader``, and so every file that holds an error of
+    the module docstring.  One stable sort on (subject, time) then finds
+    duplicate times and orders each subject's rows, and one pass over the
+    sorted arrays checks the whole cohort.  The sorted time and outcome
+    arrays are then made read-only, and each subject's ``times.points``
+    and ``y`` are views (slices) of them, built without a copy or a
+    second check.
     """
     outcome = outcome.lower()
     try:
-        with open(path, encoding="utf-8", newline=None) as fh:
-            columns = _read_plain(fh, outcome)
-        if columns is None:
+        with open(path, encoding="utf-8", newline="") as fh:
+            loadable = _loadable(fh.read(), outcome)  # no copy of the text outlives this
+        read = _loadtxt(path, *loadable) if loadable else None
+        if read is None:
             with open(path, encoding="utf-8", newline="") as fh:
-                columns = _read_csv(fh, outcome)
+                read = _read_records(fh, outcome)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
-    parts = [np.concatenate(p) for p in columns.parts] if columns.codes else None
-    return _assemble(parts, list(columns.codes), columns.error, outcome, columns.covariate_columns)
+    columns, ids, error, covariate_columns = read
+    return _assemble(columns, ids, error, outcome, covariate_columns)
 
 
-def _plain_fields(text: str, limit: int):
-    """The fields of ``text``, lines that each end in ``\\n`` but perhaps
-    the last, in order, with a ``"\\n"`` after each line's; None if the
-    text holds ``"`` or NUL or a field is over ``limit`` characters.
-    Otherwise ``csv.reader`` reads each line as exactly those fields."""
-    if '"' in text or "\0" in text:
+def _loadable(text: str, outcome: str):
+    """The layout of ``text`` and its number of lines, if ``np.loadtxt``
+    may read it as ``csv.reader`` does: no NUL, a header with every needed
+    column and no quote, a record after it, and no line over
+    ``csv.field_size_limit()``; else None."""
+    header_end = _LINE_END.search(text)
+    if header_end is None or "\0" in text or not _NOT_LINE_END.search(text, header_end.end()):
         return None
-    fields = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")
-    fields.pop()  # the empty text after the last line's marker
-    if len(text) > limit and max(map(len, fields)) > limit:
+    header = text[:header_end.start()]
+    if '"' in header:
         return None
-    return fields
-
-
-def _read_plain(fh, outcome: str) -> Optional[_Columns]:
-    """The columns of the text file ``fh``, opened with universal newlines,
-    or None at its header or first chunk that is not plain: whose lines
-    ``_plain_fields`` does not split into records of the header's width,
-    that holds a time or outcome that is not a number, or, for the header,
-    that lacks a needed column.
-
-    Each chunk of records is split once, and column j is the strided
-    slice of the fields from j on.
-    """
-    limit = csv.field_size_limit()
-    header = _plain_fields(fh.readline(), limit)
-    if header is None:
-        return None
+    # a line over the limit holds a whole aligned block without a line end
+    block = max(1, (csv.field_size_limit() + 1) // 2)
+    for start in range(0, len(text) - block + 1, block):
+        if text.find("\n", start, start + block) < 0 and text.find("\r", start, start + block) < 0:
+            return None
     try:
-        columns = _Columns(*_layout(header[:-1], outcome))
+        layout = _layout(header.split(","), outcome)
     except SchemaError:
         return None
-    stride = len(header)  # the fields of a record and its "\n"
-    while lines := list(islice(fh, _CHUNK_ROWS)):
-        n = len(lines)
-        fields = _plain_fields("".join(lines), limit)
-        if (fields is None or len(fields) != n * stride
-                or fields[stride - 1::stride].count("\n") != n):
-            return None
-        arrays, error = columns.convert([fields[j::stride] for j in columns.index],
-                                        np.arange(columns.row, columns.row + n), outcome)
-        if error is not None:
-            return None
-        columns.append(arrays)
-        columns.row += n
-    return columns
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    return *layout, ends + (text[-1] not in "\r\n")
 
 
-def _records(reader, first: int, count: int):
-    """Up to ``count`` records, the first numbered ``first``, and the
-    ParseError of a record that ``csv`` cannot tokenize, such as one with a
-    field over ``csv.field_size_limit()``, or None."""
-    rows = []
+def _loadtxt(path, covariate_columns, index, lines):
+    """``_assemble``'s arguments from one ``np.loadtxt`` call, or None if
+    it raises ValueError or its records and the file's lines disagree: it
+    skips blank records and reads on past a line end inside quotes."""
     try:
-        rows.extend(islice(reader, count))  # keeps the records before a failure
+        table = np.loadtxt(path, dtype="O,f8,f8" + ",O" * len(covariate_columns), delimiter=",",
+                           skiprows=1, usecols=index, quotechar='"', comments=None, ndmin=1,
+                           encoding="utf-8")
+    except ValueError:
+        return None
+    if table.size + 1 != lines:
+        return None
+    sids = table["f0"].tolist()
+    codes = {sid: k for k, sid in enumerate(dict.fromkeys(sids))}
+    code = np.fromiter(map(codes.__getitem__, sids), np.intp, len(sids))
+    # copies, so that the table and each record's id are freed on return
+    t, y, *cells = (table[name].copy() for name in table.dtype.names[1:])
+    return [t, y, code, np.arange(2, code.size + 2), *cells], list(codes), None, covariate_columns
+
+
+def _read_records(fh, outcome: str):
+    """``_assemble``'s arguments from ``csv.reader`` over the text file
+    ``fh``: the records before the first bad one, and its error (a header
+    that ``csv`` cannot tokenize or that lacks a column included), or
+    None.  Empty records are skipped but counted."""
+    reader = csv.reader(fh)
+    row, covariate_columns, cells, error = 0, [], [], None  # row: records read, header included
+    codes, code, rows = {}, array("q"), array("q")
+    times, values = array("d"), array("d")
+    try:
+        header = next(reader, [])
+        row = 1
+        covariate_columns, (i_sid, i_time, i_value, *i_covs) = _layout(header, outcome)
+        cells = [[] for _ in i_covs]
+        width = max(i_sid, i_time, i_value, *i_covs) + 1
+        for record in reader:
+            row += 1
+            if len(record) < width:
+                if record:
+                    raise ParseError(f"row {row}: expected {width} fields, found {len(record)}")
+                continue
+            t, y = _number(record[i_time], "time", row), _number(record[i_value], outcome, row)
+            times.append(t)
+            values.append(y)
+            code.append(codes.setdefault(record[i_sid], len(codes)))
+            rows.append(row)
+            for column, j in zip(cells, i_covs):
+                column.append(record[j])
     except csv.Error as exc:
-        return rows, ParseError(f"row {first + len(rows)}: {exc}")
-    return rows, None
-
-
-def _drain(fh) -> None:
-    """Decode the rest of the file, so that invalid UTF-8 is found first."""
-    for _ in fh:
-        pass
-
-
-def _read_csv(text, outcome: str) -> _Columns:
-    """Read the text file ``text`` with ``csv.reader`` from its header,
-    converting the records up to the first one that is short or holds an
-    unparsable number, and decode what is left after that, so that
-    invalid UTF-8 comes first.  Raises the errors that come before any
-    record's: a header ``csv`` cannot tokenize and a missing column.
-    """
-    reader = csv.reader(text)
-    rows, error = _records(reader, 1, 1)
-    if error is None:
-        try:
-            columns = _Columns(*_layout(rows[0] if rows else [], outcome))
-        except SchemaError as exc:
-            error = exc
-    if error is not None:
-        _drain(text)
-        raise error
-    width = max(columns.index) + 1
-    while columns.error is None:
-        rows, error = _records(reader, columns.row, _CHUNK_ROWS)
-        if not rows:
-            columns.error = error
-            break
-        start = columns.row
-        columns.row += len(rows)
-        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        short = np.flatnonzero((lengths < width) & (lengths > 0))
-        if short.size:
-            s = int(short[0])
-            error = ParseError(f"row {start + s}: expected {width} fields, found {lengths[s]}")
-            rows, lengths = rows[:s], lengths[:s]
-        rownums = np.flatnonzero(lengths) + start
-        if rownums.size < len(rows):
-            rows = list(compress(rows, lengths))
-        arrays, bad = columns.convert([list(map(itemgetter(j), rows)) for j in columns.index],
-                                      rownums, outcome)
-        columns.append(arrays)
-        columns.error = bad or error
-    _drain(text)
-    return columns
+        error = ParseError(f"row {row + 1}: {exc}")
+    except (ParseError, SchemaError) as exc:
+        error = exc
+    columns = [np.array(a) for a in (times, values, code, rows)]
+    return columns + [np.array(c, dtype=object) for c in cells], list(codes), error, covariate_columns
 
 
 def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:

@@ -107,7 +107,7 @@ class TestReadCohort:
         p = write_csv(tmp_path / "h.csv", f"subject_id,time,{huge}\na,0.5,120\n")
         with pytest.raises(ParseError, match="row 1: field larger than field limit"):
             a.read_cohort(p)
-        # an earlier bad record in the same chunk still raises first
+        # an earlier bad record still raises first
         p = write_csv(tmp_path / "s.csv", f"subject_id,time,sbp\na,0.5\n{huge},1.5,121\n")
         with pytest.raises(ParseError, match="row 2: expected 3 fields"):
             a.read_cohort(p)
@@ -117,7 +117,7 @@ class TestReadCohort:
         p.write_bytes(b"subject_id,time,sbp\n\xff,0.5,120\n")
         with pytest.raises(ParseError, match="UTF-8") as plain:
             a.read_cohort(str(p))
-        # the same error from csv.reader, which a quote sends the file to
+        # the same error from a quoted file
         p.write_bytes(b'subject_id,time,sbp\n"a",1,120\n\xff,0.5,120\n')
         with pytest.raises(ParseError) as quoted:
             a.read_cohort(str(p))
@@ -134,29 +134,43 @@ class TestReadCohort:
         with pytest.raises(ParseError, match="UTF-8"):
             a.read_cohort(str(p))
 
-    def test_invalid_utf8_after_plain_chunks_takes_precedence(self, tmp_path):
+    def test_invalid_utf8_after_a_bad_number_takes_precedence(self, tmp_path):
         p = tmp_path / "c.csv"
         # the bad byte lies past the first block the decoder reads after the bad number
         body = "".join(f"s{k % 10},{k // 10 / 4},120\n" for k in range(900))
         p.write_bytes(b"subject_id,time,sbp\na,0.5,120\na,1,121\nb,oops,120\nb,1,1\n"
                       + body.encode() + b"\xff,1,2\n")
-        with mock.patch.object(dataio, "_CHUNK_ROWS", 2):
-            with pytest.raises(ParseError, match="not valid UTF-8: invalid start byte$"):
-                a.read_cohort(str(p))
+        with pytest.raises(ParseError, match="not valid UTF-8: invalid start byte$"):
+            a.read_cohort(str(p))
 
-    def test_a_last_chunk_that_is_not_plain_sends_the_file_to_csv_reader(self, tmp_path):
+    def test_a_bad_number_in_a_quoted_file_sends_it_to_csv_reader(self, tmp_path):
         head = b'subject_id,time,sbp\na,1,120\na,2,121\n"b",1,122\n'
         p = tmp_path / "c.csv"
-        outcomes = []
+        outcomes, used = [], []
         for last in (b"b,2,oops\n", b"b,2,123\n"):
             p.write_bytes(head + last)
-            with mock.patch.object(dataio, "_CHUNK_ROWS", 2):
-                with open(p, encoding="utf-8", newline=None) as fh:
-                    assert dataio._read_plain(fh, "sbp") is None
+            with mock.patch("csv.reader", wraps=csv.reader) as reader:
                 outcomes.append(read_outcome(a.read_cohort, str(p)))
+            used.append(reader.called)
             assert outcomes[-1] == read_outcome(row_loop_read_cohort, str(p))
         assert outcomes[0] == (ParseError, "row 5: cannot parse sbp='oops'")
-        assert [s[0] for s in outcomes[1][1]] == ["a", "b"]  # read from the header
+        assert [s[0] for s in outcomes[1][1]] == ["a", "b"]
+        assert used == [True, False]  # loadtxt reads the quoted id itself
+
+    def test_a_late_quote_is_tokenized_once(self, tmp_path):
+        records = [f"s{k // 20:04d},{k % 20},{120 + k % 7}" for k in range(1_500)]
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("subject_id,time,sbp\n" + "\n".join(records) + "\n")
+        sid, rest = records[-1].split(",", 1)
+        quoted.write_text("subject_id,time,sbp\n" + "\n".join(records[:-1])
+                          + f'\n"{sid}",{rest}\n')
+        assert quoted.read_text().count('"') == 2
+        with (mock.patch("csv.reader", wraps=csv.reader) as reader,
+              mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt):
+            got = read_outcome(a.read_cohort, str(quoted))
+        assert not reader.called
+        assert loadtxt.call_count == 1
+        assert got == read_outcome(a.read_cohort, str(plain))
 
     def test_cr_only_file_reads_as_its_lf_twin(self, tmp_path):
         body = b"subject_id,time,sbp\n" + "".join(
@@ -208,7 +222,7 @@ class TestReadCohort:
 
 
 ID_ALPHABET = 'ab,"\n\r \u00e9'
-PLAIN_ID_ALPHABET = "ab1 .\u00e9\u4e2d"
+PLAIN_ID_ALPHABET = 'ab1 .,"\u00e9\u4e2d'
 # each inner list spells one value
 COVARIATE_CELLS = {"age": [["41", "41.0", " 41", "4_1"], ["42"], [""]],
                    "diet": [["control"], ["salt"], ["nan"], ["NaN"], [""]]}
@@ -220,9 +234,9 @@ NUMBER_EDGES = ["nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "1_0", "0x1", "a
 def cohort_csv(draw, plain=False):
     """A cohort CSV text with respelled or changed covariates, duplicate
     times and bad numbers: quoted ids, blank and short records, CRLF or
-    LF; or, if ``plain``, non-ASCII and numeric ids without quotes or
-    NUL, every record the header's width and LF, CRLF or CR, the final
-    one optional."""
+    LF; or, if ``plain``, non-ASCII and numeric ids, quoted only for a
+    comma or a quote, every record the header's width and LF, CRLF or
+    CR, the final one optional."""
     covariates = draw(st.sampled_from([(), ("age",), ("age", "diet"), ("diet", "age")]))
     header = ["subject_id", "time", "sbp", *covariates]
     if draw(st.booleans()):  # an unused outcome column, possibly last
@@ -262,25 +276,42 @@ def cohort_csv(draw, plain=False):
     return text.removesuffix(newline) if plain and draw(st.booleans()) else text
 
 
-def read_plainly(text):
-    """Whether ``read_cohort`` reads ``text`` without ``csv.reader``: no
-    quote or NUL, no field over ``csv.field_size_limit()``, records all of
-    the header's width, each ended by LF, CRLF or CR, and every time and
-    outcome a number."""
-    if any(c in text for c in '"\0'):
-        return False
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, *records = [line.split(",") for line in text.removesuffix("\n").split("\n")]
-    if (any(len(r) != len(header) for r in records)
-            or not {"subject_id", "time", "sbp"} <= set(header)
-            or max(len(f) for r in records + [header] for f in r) > csv.field_size_limit()):
-        return False
-    i, j = header.index("time"), header.index("sbp")
+def numpy_reads(text):
+    """Whether numpy's float parser takes ``text``: ``float()``'s, without
+    its underscores and non-ASCII digits."""
+    core = text.strip()
     try:
-        [float(r[i]) + float(r[j]) for r in records]
+        float(core)
     except ValueError:
         return False
-    return True
+    return core.isascii() and "_" not in core
+
+
+def read_plainly(text):
+    """Whether ``read_cohort`` reads ``text`` by ``np.loadtxt`` alone, not
+    by ``csv.reader``: no NUL, a header without a quote that has every
+    needed column, at least one record, no line over
+    ``csv.field_size_limit()``, one record per line (no blank record, no
+    line end inside quotes), each record at least as wide as the header's
+    needed columns, and every time and outcome a number numpy reads.  None
+    where the answer is left open: a line too long to rule out a field
+    over the limit, but not over it."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    header = lines[0].split(",")
+    if ("\0" in text or '"' in lines[0] or len(lines) < 2
+            or not {"subject_id", "time", "sbp"} <= set(header)):
+        return False
+    longest = max(map(len, lines))
+    if longest > csv.field_size_limit():
+        return False
+    if longest >= (csv.field_size_limit() + 1) // 2:
+        return None
+    records = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    width = max(j for j, c in enumerate(header) if c != "dbp") + 1
+    i, j = header.index("time"), header.index("sbp")
+    return (len(records) == len(lines) - 1
+            and all(len(r) >= width and numpy_reads(r[i]) and numpy_reads(r[j])
+                    for r in records))
 
 
 def read_outcome(read, path):
@@ -295,54 +326,65 @@ def read_outcome(read, path):
 
 class TestReadCohortMatchesRowLoop:
     @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(text=cohort_csv(), chunk=st.sampled_from([1, 2, 3, 7, 8192]))
+    @given(text=cohort_csv())
     # a duplicate time and a changed covariate in one record
-    @example(text="subject_id,time,sbp,age\na,1,120,41\na,1,121,42\n", chunk=8192)
+    @example(text="subject_id,time,sbp,age\na,1,120,41\na,1,121,42\n")
     # changes in two columns, the first column's earlier
-    @example(text="subject_id,time,sbp,age,diet\na,1,1,41,x\na,2,1,42,x\na,3,1,42,y\n", chunk=1)
+    @example(text="subject_id,time,sbp,age,diet\na,1,1,41,x\na,2,1,42,x\na,3,1,42,y\n")
     # an unchanged NaN cell before the changed one
-    @example(text="subject_id,time,sbp,diet,age\na,1,1,nan,41\na,2,1,nan,42\n", chunk=8192)
-    # a bad outcome before a bad time, across chunks
-    @example(text="subject_id,time,sbp\na,0.5,1\na,1.5,x\na,zz,1\n", chunk=2)
+    @example(text="subject_id,time,sbp,diet,age\na,1,1,nan,41\na,2,1,nan,42\n")
+    # a bad outcome before a bad time
+    @example(text="subject_id,time,sbp\na,0.5,1\na,1.5,x\na,zz,1\n")
     # the first subject's bad outcome comes in a later record than the second's bad time
-    @example(text="subject_id,time,sbp\na,1,120\nb,25,120\na,2,inf\n", chunk=8192)
+    @example(text="subject_id,time,sbp\na,1,120\nb,25,120\na,2,inf\n")
     # one subject with a non-finite time and a non-finite outcome: the time grid's error
-    @example(text="subject_id,time,sbp\na,1,nan\na,inf,120\n", chunk=1)
+    @example(text="subject_id,time,sbp\na,1,nan\na,inf,120\n")
     # finite times outside [0, 24], each the only bad value of its cohort
-    @example(text="subject_id,time,sbp\na,1,120\na,24.5,121\n", chunk=8192)
-    @example(text="subject_id,time,sbp\na,-0.5,120\na,1,121\n", chunk=8192)
-    def test_same_cohort_or_same_error(self, tmp_path_factory, text, chunk):
-        assert_reads_like_row_loop(tmp_path_factory, text, chunk)
+    @example(text="subject_id,time,sbp\na,1,120\na,24.5,121\n")
+    @example(text="subject_id,time,sbp\na,-0.5,120\na,1,121\n")
+    def test_same_cohort_or_same_error(self, tmp_path_factory, text):
+        assert_reads_like_row_loop(tmp_path_factory, text)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(text=cohort_csv(plain=True), chunk=st.sampled_from([1, 2, 3, 7, 8192]))
-    # at each edge of a plain file: a quote only in the last record, CRLF or
-    # CR only on the last line, CR then CRLF (a blank line), NUL, a record
+    @given(text=cohort_csv(plain=True))
+    # at each edge of the loadtxt path: a quote only in the last record, CRLF
+    # or CR only on the last line, CR then CRLF (a blank line), NUL, a record
     # longer than the header, a blank line, no final newline, a field at and
     # one over the csv field limit
-    @example(text='subject_id,time,sbp\na,1,120\n"b",2,121\n', chunk=2)
-    @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r\n", chunk=1)
-    @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r", chunk=8192)
-    @example(text="subject_id,time,sbp\ra,1,120\r\r\nb,2,121\r\n", chunk=8192)
-    @example(text="subject_id,time,sbp\na,1,120\nb\0,2,121\n", chunk=8192)
-    @example(text="subject_id,time,sbp\na,1,120\nb,2,121,x\nc,1,1\n", chunk=8192)
+    @example(text='subject_id,time,sbp\na,1,120\n"b",2,121\n')
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r\n")
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r")
+    @example(text="subject_id,time,sbp\ra,1,120\r\r\nb,2,121\r\n")
+    @example(text="subject_id,time,sbp\na,1,120\nb\0,2,121\n")
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121,x\nc,1,1\n")
     # a long record, then a short one, that fill the numeric columns if they are split as
     # one record after another of the header's width
-    @example(text="subject_id,time,sbp\na,1,120,5\n6,7\n", chunk=8192)
-    @example(text="subject_id,time,sbp\na,1,120\n\nb,2,121\n", chunk=2)
-    @example(text="subject_id,time,sbp\na,1,120\nb,2,121", chunk=1)
-    @example(text="subject_id,time,sbp\na,1,120\nb,2,121", chunk=8192)
-    @example(text=f"subject_id,time,sbp\na,1,120\n{'x' * csv.field_size_limit()},2,121\n",
-             chunk=8192)
-    @example(text=f"subject_id,time,sbp\na,1,120\n{'x' * (csv.field_size_limit() + 1)},2,121\n",
-             chunk=1)
-    @example(text=f"subject_id,time,{'x' * (csv.field_size_limit() + 1)}\na,1,120\n",
-             chunk=8192)
-    # a bad number in a later chunk than a duplicate time
-    @example(text="subject_id,time,sbp\na,1,120\na,1,121\na,2,x\n", chunk=2)
-    def test_plain_file_same_cohort_or_same_error(self, tmp_path_factory, text, chunk):
-        used_csv_reader = assert_reads_like_row_loop(tmp_path_factory, text, chunk)
-        assert used_csv_reader != read_plainly(text)
+    @example(text="subject_id,time,sbp\na,1,120,5\n6,7\n")
+    @example(text="subject_id,time,sbp\na,1,120\n\nb,2,121\n")
+    @example(text="subject_id,time,sbp\na,1,120\nb,2,121")
+    @example(text=f"subject_id,time,sbp\na,1,120\n{'x' * csv.field_size_limit()},2,121\n")
+    @example(text=f"subject_id,time,sbp\na,1,120\n{'x' * (csv.field_size_limit() + 1)},2,121\n")
+    @example(text=f"subject_id,time,{'x' * (csv.field_size_limit() + 1)}\na,1,120\n")
+    # an unquoted outcome one digit over the csv field limit
+    @example(text=f"subject_id,time,sbp\na,1,{'1' * (csv.field_size_limit() + 1)}\n")
+    # a bad number after a duplicate time
+    @example(text="subject_id,time,sbp\na,1,120\na,1,121\na,2,x\n")
+    # a blank record before a duplicate time: row 4, which loadtxt would number 3
+    @example(text="subject_id,time,sbp\na,1,120\n\na,1,121\n")
+    # a line end inside quotes, LF or CR, in an id before a bad time
+    @example(text='subject_id,time,sbp\n"a\nb",1,120\nc,x,121\n')
+    @example(text='subject_id,time,sbp\n"a\rb",1,120\nc,x,121\n')
+    # a time that float() reads and numpy does not
+    @example(text="subject_id,time,sbp\na,1_0,120\n")
+    # a comment character inside an id
+    @example(text="subject_id,time,sbp\na#b,1,120\n")
+    # a header and no record; a quoted header name
+    @example(text="subject_id,time,sbp\n")
+    @example(text='"subject_id",time,sbp\na,1,120\n')
+    def test_plain_file_same_cohort_or_same_error(self, tmp_path_factory, text):
+        used_csv_reader = assert_reads_like_row_loop(tmp_path_factory, text)
+        plainly = read_plainly(text)
+        assert plainly is None or used_csv_reader != plainly
 
     def test_write_cohort_output_is_read_without_csv_reader(self, tmp_path):
         cfg = a.SimulationConfig(spec=poly_spec(2), beta=np.array([120.0, -10.0, 5.0]),
@@ -354,7 +396,7 @@ class TestReadCohortMatchesRowLoop:
             for k, s in enumerate(a.simulate_cohort(cfg))))
         path = tmp_path / "c.csv"
         write_cohort(path, cohort)
-        assert sum(s.n_obs for s in cohort) > dataio._CHUNK_ROWS
+        assert sum(s.n_obs for s in cohort) > 1_024
         written = path.read_bytes()
         for newline in (b"\n", b"\r\n", b"\r"):  # as written, and as if by CRLF or CR tools
             path.write_bytes(written.replace(b"\n", newline))
@@ -366,14 +408,13 @@ class TestReadCohortMatchesRowLoop:
                 assert s.y.tobytes() == t.y.tobytes()
 
 
-def assert_reads_like_row_loop(tmp_path_factory, text, chunk):
-    """Assert that ``read_cohort`` with ``_CHUNK_ROWS = chunk`` reads the
-    text as the row loop does, and return whether it called ``csv.reader``."""
+def assert_reads_like_row_loop(tmp_path_factory, text):
+    """Assert that ``read_cohort`` reads the text as the row loop does, and
+    return whether it called ``csv.reader``."""
     path = tmp_path_factory.mktemp("csv") / "c.csv"
     path.write_bytes(text.encode("utf-8"))
     want = read_outcome(row_loop_read_cohort, str(path))
-    with (mock.patch.object(dataio, "_CHUNK_ROWS", chunk),
-          mock.patch("csv.reader", wraps=csv.reader) as reader):
+    with mock.patch("csv.reader", wraps=csv.reader) as reader:
         got = read_outcome(a.read_cohort, str(path))
     assert got == want
     return reader.called
