@@ -174,50 +174,42 @@ def _covariate(subject: Subject, term: str):
     return v
 
 
-class CovariateEncoder:
-    """Reference-cell coding for static covariates.
+def covariate_coding(cohort: Optional[Cohort], terms: Sequence[str], reference_levels) -> dict:
+    """Reference-cell coding of static covariate terms, {term: ((column
+    label, level), ...)}: a term whose values are all numbers is one column
+    of level None; any other expands into indicators of its levels against
+    the alphabetically first, unless the spec pins a reference level."""
+    coding = {}
+    for term in terms:
+        if cohort is None:
+            raise SpecError("covariate terms require cohort data")
+        values = [_covariate(s, term) for s in cohort]
+        if all(map(_is_number, values)):
+            coding[term] = ((term, None),)
+            continue
+        levels = sorted({str(v) for v in values})
+        ref = str(reference_levels.get(term, levels[0]))
+        if ref not in levels:
+            raise SpecError(f"reference level {ref!r} not observed for {term!r}")
+        coding[term] = tuple((f"{term}={lv}", lv) for lv in levels if lv != ref)
+    return coding
 
-    Numeric covariates enter as-is; string-valued covariates expand into
-    indicators against the alphabetically-first level unless a reference
-    level is pinned in the spec.
-    """
 
-    def __init__(self, cohort: Optional[Cohort], terms: Sequence[str], reference_levels=None):
-        reference_levels = reference_levels or {}
-        self.terms = tuple(terms)
-        self.term_columns = {}  # term -> list of (column label, level or None)
-        for term in self.terms:
-            if cohort is None:
-                raise SpecError("covariate terms require cohort data")
-            values = [_covariate(s, term) for s in cohort]
-            if all(_is_number(v) for v in values):
-                self.term_columns[term] = [(term, None)]
-            else:
-                levels = sorted({str(v) for v in values})
-                ref = str(reference_levels.get(term, levels[0]))
-                if ref not in levels:
-                    raise SpecError(f"reference level {ref!r} not observed for {term!r}")
-                self.term_columns[term] = [
-                    (f"{term}={lv}", lv) for lv in levels if lv != ref
-                ]
-
-    def n_columns(self, term: str) -> int:
-        return len(self.term_columns[term])
-
-    def column_labels(self, terms: Sequence[str]) -> list:
-        out = []
-        for term in terms:
-            out.extend(label for label, _ in self.term_columns[term])
-        return out
-
-    def encode(self, subject: Subject, term: str) -> np.ndarray:
-        v = _covariate(subject, term)
-        cols = self.term_columns[term]
-        if cols and cols[0][1] is None:
+def _encode(subjects: Sequence[Subject], term: str, columns: tuple) -> np.ndarray:
+    """(subjects, columns) values of one term by its coding ``columns``: the
+    finite number of a numeric term, or a ``str(value) == level`` indicator
+    per coded level."""
+    values = [_covariate(s, term) for s in subjects]
+    if columns and columns[0][1] is None:
+        for s, v in zip(subjects, values):
             if not _is_number(v):
-                raise SpecError(f"covariate {term!r}: expected numeric value for {subject.id!r}")
-            return np.array([float(v)])
-        return np.array([1.0 if str(v) == lv else 0.0 for _, lv in cols])
+                raise SpecError(f"covariate {term!r}: expected numeric value for {s.id!r}")
+            if not -np.inf < v < np.inf:
+                raise SpecError(f"covariate {term!r} of subject {s.id!r} is not finite")
+        return np.array(values, dtype=float)[:, None]
+    text = [str(v) for v in values]
+    return np.array([[t == level for _, level in columns] for t in text],
+                    dtype=float).reshape(len(subjects), len(columns))
 
 
 # Evaluators of prepared bases, at module level so that a BasisContext
@@ -244,18 +236,18 @@ class BasisContext:
     """Shared per-spec basis machinery, generated once on the reference grid."""
 
     def __init__(self, spec: ModelSpec, cohort: Optional[Cohort] = None,
-                 encoder: Optional[CovariateEncoder] = None):
+                 encoder: Optional[dict] = None):
         self.spec = spec
         self.reference_grid = TimeGrid.equispaced(spec.reference_grid_points, 0.0, 24.0)
         self._fixed = self._prepare(spec.fixed, orthonormalize=True)
         # equal descriptors share one basis (the flag matters only to natural polynomials)
         random = (spec.random, spec.orthonormalize_random or spec.random.kind != "natural_poly")
         self._random = self._fixed if random == (spec.fixed, True) else self._prepare(*random)
-        if encoder is not None:
-            self.encoder = encoder
-        else:
-            terms = tuple(dict.fromkeys(spec.group_terms + spec.interaction_terms))
-            self.encoder = CovariateEncoder(cohort, terms, spec.reference_levels) if terms else None
+        # the covariate coding table of ``covariate_coding``, or None without terms
+        terms = tuple(dict.fromkeys(spec.group_terms + spec.interaction_terms))
+        if encoder is None and terms:
+            encoder = covariate_coding(cohort, terms, spec.reference_levels)
+        self.encoder = encoder
 
     def _prepare(self, desc: BasisDescriptor, orthonormalize: bool):
         """What evaluates the basis ``desc`` at any times: a picklable partial."""
@@ -290,9 +282,9 @@ class BasisContext:
         else:
             labels = ["intercept"] + [f"spline{j}" for j in range(1, spec.fixed.n_columns)]
         if self.encoder is not None:
-            labels += self.encoder.column_labels(spec.group_terms)
+            labels += [label for term in spec.group_terms for label, _ in self.encoder[term]]
             for term in spec.interaction_terms:
-                for col_label, _ in self.encoder.term_columns[term]:
+                for col_label, _ in self.encoder[term]:
                     labels += [f"{col_label}:{tl}" for tl in labels[1 : spec.fixed.n_columns]]
         return labels
 
@@ -304,8 +296,9 @@ def covariate_values(spec: ModelSpec, subjects: Sequence[Subject], context: Basi
         return np.zeros((len(subjects), 0)), np.zeros((len(subjects), 0))
     if context.encoder is None:
         raise SpecError("spec names covariates but no encoder is available")
-    return tuple(np.array([[v for t in terms for v in context.encoder.encode(s, t)]
-                           for s in subjects], dtype=float)
+    encoded = {term: _encode(subjects, term, context.encoder[term])
+               for term in dict.fromkeys(spec.group_terms + spec.interaction_terms)}
+    return tuple(np.hstack([np.zeros((len(subjects), 0))] + [encoded[t] for t in terms])
                  for terms in (spec.group_terms, spec.interaction_terms))
 
 
@@ -366,17 +359,15 @@ def n_cov_params(structure: str, m: int) -> int:
     return (m if structure == "diagonal" else m * (m + 1) // 2) + 1
 
 
-def parameter_count(spec: ModelSpec, encoder: Optional[CovariateEncoder] = None):
+def parameter_count(spec: ModelSpec, encoder: Optional[dict] = None):
     """(q fixed columns, r covariance parameters including sigma^2).
 
-    Without an encoder each group term counts one column; with one,
+    Without a coding table each term counts one column; with one,
     categorical expansions are counted exactly.
     """
+    def width(terms):
+        return sum(1 if encoder is None else len(encoder[term]) for term in terms)
+
     qt = spec.fixed.n_columns
-    q = qt
-    for term in spec.group_terms:
-        q += encoder.n_columns(term) if encoder is not None else 1
-    for term in spec.interaction_terms:
-        cols = encoder.n_columns(term) if encoder is not None else 1
-        q += cols * (qt - 1)
+    q = qt + width(spec.group_terms) + width(spec.interaction_terms) * (qt - 1)
     return q, n_cov_params(spec.random_cov, spec.random.n_columns)

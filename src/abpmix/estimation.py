@@ -61,6 +61,9 @@ from .design import (BasisContext, Cohort, ModelSpec, build_design, covariate_va
 from .errors import ConditioningError, RankError, SpecError
 
 LOG_VARIANCE_FLOOR = -30.0
+# the largest log s0^2 at which the ascent's bound sigma^2 <= e^30 s0^2 keeps
+# sigma^6, the highest power of sigma^2 that the information takes, finite
+_LOG_S2_MAX = float(np.log(np.finfo(float).max)) / 3.0 - 30.0
 _LOG2PI = float(np.log(2.0 * np.pi))
 _NEWTON_GATE = 1e-2  # projected gradient below which scoring hands over to Newton steps
 _LL_ROUNDOFF = 1e-14  # relative log-likelihood change that roundoff can account for
@@ -228,6 +231,7 @@ _Evaluation = namedtuple("_Evaluation", "loglik sigma2 dphi jac beta cov_beta li
 class MixedModelProblem:
     """Per-design sufficient statistics, likelihood and gradient."""
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
     def __init__(self, spec: ModelSpec, cohort: Cohort, context: Optional[BasisContext] = None):
         self.spec = spec
         self.context = context if context is not None else BasisContext(spec, cohort)
@@ -257,6 +261,8 @@ class MixedModelProblem:
         # sums over designs and rows as products of (designs x rows, columns) matrices
         xtx = sum((c[:, None, None] * x).reshape(-1, q).T @ x.reshape(-1, q)
                   for x, _, _, _, c, _ in designs)
+        if not np.isfinite(xtx).all():
+            raise ConditioningError("the fixed-effect cross-products X'X overflow")
         ev = np.linalg.eigvalsh(xtx)
         if ev[0] <= 1e-10 * max(ev[-1], 1.0):
             raise RankError("pooled fixed-effect design is rank deficient")
@@ -307,6 +313,10 @@ class MixedModelProblem:
         # its bounds are measured from it, so that both scale with the outcome
         rss = float(np.trace(self._ee, axis1=1, axis2=2).sum()) + self._ee_out
         self._log_s2 = float(np.log((rss or 1.0) / max(self.n - q, 1)))
+        if not self._log_s2 <= _LOG_S2_MAX:  # NaN included
+            raise ConditioningError(
+                f"the OLS residual variance {np.exp(self._log_s2):.3g} exceeds "
+                f"{np.exp(_LOG_S2_MAX):.3g}, beyond which the fitted variances could overflow")
         self._last = (None, None)  # ((method, natural, point bytes), the last evaluation)
 
     # -- likelihood ---------------------------------------------------------

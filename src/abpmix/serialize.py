@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .design import BasisContext, BasisDescriptor, CovariateEncoder, ModelSpec, parameter_count
+from .design import BasisContext, BasisDescriptor, ModelSpec, parameter_count
 from .dataio import SimulationConfig
 from .errors import SchemaError, SpecError
 from .estimation import CovarianceParams, FittedModel
@@ -61,17 +61,6 @@ def _array(v, key: str, shape: tuple, what: str) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _encoder(d: dict) -> Optional[CovariateEncoder]:
-    """The encoder of ``{term: [[label, level], ...]}``, a level null for a
-    numeric term; None if ``d`` is false (empty or null)."""
-    if not d:
-        return None
-    encoder = CovariateEncoder.__new__(CovariateEncoder)
-    encoder.terms = tuple(d)
-    encoder.term_columns = {term: [tuple(c) for c in cols] for term, cols in d.items()}
-    return encoder
-
-
 def _of(*types):
     return lambda v: type(v) in types  # as json.loads makes them, so no bool is an int
 
@@ -88,7 +77,12 @@ def _number(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-_COLUMN = _list_of(_of(str, type(None)))  # [label, level], level null for a numeric term
+def _coding(cols) -> bool:
+    """A term's coding, ``[[label, level], ...]``: one column of level null
+    for a numeric term, or string levels only for a categorical one."""
+    return _list_of(lambda c: type(c) is list and len(c) == 2 and _STRING(c[0]))(cols) and (
+        [level for _, level in cols] == [None] or all(_STRING(level) for _, level in cols))
+
 
 # JSON types, keyed by how an error message names them: (test of the JSON
 # value, the value read from it, or None to read it as it is)
@@ -106,11 +100,10 @@ _TYPES = {
     "a list of numbers or null": (lambda v: _NULL(v) or _list_of(_number)(v),
                                   lambda v: None if v is None else tuple(v)),
     "an object of strings": (lambda v: type(v) is dict and all(map(_STRING, v.values())), None),
-    "an object of [label, level] lists or null": (  # or any false value, read as null
-        lambda v: not v or type(v) is dict and all(
-            _list_of(lambda c: _COLUMN(c) and len(c) == 2 and _STRING(c[0]))(cols)
-            for cols in v.values()),
-        _encoder),
+    # design.covariate_coding's table, or any false value, read as null
+    "an object of [label, level] lists (one level null or all strings) or null": (
+        lambda v: not v or type(v) is dict and all(map(_coding, v.values())),
+        lambda v: {term: tuple(map(tuple, cols)) for term, cols in v.items()} if v else None),
     "a matrix or its diagonal": (lambda v: _ndim(v) in (1, 2), lambda v: (
         np.diag(np.asarray(v, dtype=float)) if _ndim(v) == 1 else np.asarray(v, dtype=float))),
     "an array of numbers or null": (lambda v: _NULL(v) or _ndim(v) == 1,
@@ -148,7 +141,7 @@ _FIT = _Format(
      "loglik": "a number", "converged": "true or false", "iterations": "an integer",
      "gradient_norm": "a number", "theta": ("r",), "n_subjects": "an integer",
      "n_obs": "an integer", "column_labels": "a list of strings"},
-    {"encoder": "an object of [label, level] lists or null"})
+    {"encoder": "an object of [label, level] lists (one level null or all strings) or null"})
 
 _SIMULATION = _Format(
     "simulation config",
@@ -199,8 +192,6 @@ def _jsonable(fmt: _Format, values) -> dict:
         v = values[key]
         if isinstance(kind, _Format):
             v = _jsonable(kind, vars(v))
-        elif isinstance(v, CovariateEncoder):
-            v = {term: [list(c) for c in cols] for term, cols in v.term_columns.items()}
         elif isinstance(v, np.ndarray):
             v = v.tolist()
         if v is not None or not fmt.omit_null:
@@ -263,7 +254,7 @@ def _fit_sizes(values: dict) -> dict:
     ``values`` trades the encoder for the basis context."""
     spec, encoder = values["spec"], values.pop("encoder", None)
     if encoder is not None:
-        lacking = set(spec.group_terms + spec.interaction_terms) - set(encoder.terms)
+        lacking = set(spec.group_terms + spec.interaction_terms) - encoder.keys()
         if lacking:
             raise SchemaError(f"{_FIT.what}: encoder lacks terms {sorted(lacking)}")
     # the basis context rebuilds deterministically from the spec

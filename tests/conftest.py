@@ -314,6 +314,42 @@ def row_loop_read_cohort(path, outcome="sbp"):
     return a.Cohort(subjects=tuple(subjects), outcome_label=outcome.upper())
 
 
+def row_loop_covariate_design(spec, cohort, subjects):
+    """Reference covariate coding: (the coding table of ``cohort``, the
+    group- and interaction-term values of ``subjects``, the fixed column
+    labels of a polynomial ``spec``), built one term and one subject at a
+    time.  A term whose every value in the cohort is a number (not a bool)
+    is one column; any other has one indicator per level, compared as
+    ``str``, but its reference: the pinned one or the alphabetically first."""
+    coding = {}
+    for term in dict.fromkeys(spec.group_terms + spec.interaction_terms):
+        values = [s.covariates[term] for s in cohort]
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            coding[term] = ((term, None),)
+            continue
+        levels = sorted({str(v) for v in values})
+        reference = spec.reference_levels.get(term, levels[0])
+        coding[term] = tuple((f"{term}={level}", level) for level in levels if level != reference)
+
+    def values_of(terms):
+        rows = []
+        for s in subjects:
+            row = []
+            for term in terms:
+                v = s.covariates[term]
+                for _, level in coding[term]:
+                    row.append(float(v) if level is None else float(str(v) == level))
+            rows.append(row)
+        return np.array(rows, dtype=float).reshape(len(subjects),
+                                                   sum(len(coding[t]) for t in terms))
+
+    time = ["intercept"] + [f"time^{j}" for j in range(1, spec.fixed.degree + 1)]
+    labels = time + [label for t in spec.group_terms for label, _ in coding[t]]
+    for term in spec.interaction_terms:
+        labels += [f"{label}:{tl}" for label, _ in coding[term] for tl in time[1:]]
+    return coding, values_of(spec.group_terms), values_of(spec.interaction_terms), labels
+
+
 def poly_spec(degree, random_cov="diagonal"):
     return a.ModelSpec(
         fixed=a.BasisDescriptor("orthonormal_poly", degree),

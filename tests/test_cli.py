@@ -415,6 +415,129 @@ class TestBoundaryFits:
             assert code in (0, 2)
 
 
+def cohort_with_age(data, path, bad_sid=None, bad_age=None, outlier=None):
+    """A copy of the cohort CSV ``data`` at ``path`` with an ``age`` column,
+    40 to 46 by subject: ``bad_age`` is the text of subject ``bad_sid``'s
+    age, and ``outlier`` the text of the sixth record's outcome."""
+    rows = Path(data).read_text().splitlines()
+    lines = [rows[0] + ",age"]
+    for i, row in enumerate(rows[1:]):
+        sid, time, y = row.split(",")
+        age = bad_age if sid == bad_sid else str(40 + int(sid[1:]) % 7)
+        lines.append(",".join([sid, time, outlier if outlier and i == 5 else y, age]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def spec_with_terms(model, path, **terms):
+    d = json.loads(Path(model).read_text())
+    d.update(terms)
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+class TestNumericLimits:
+    """Numbers that a fit cannot carry are usage errors (exit 2), never tracebacks."""
+
+    @pytest.fixture(scope="class")
+    def age_fit(self, workspace, tmp_path_factory):
+        """(a spec with the numeric group term age, its fit.json on a good cohort)."""
+        _, data, model = workspace
+        root = tmp_path_factory.mktemp("age")
+        spec = spec_with_terms(model, root / "age.json", group_terms=["age"])
+        good = cohort_with_age(data, root / "good.csv")
+        assert main(["fit", "--model", spec, "--data", good, "--out", str(root / "fit")]) == 0
+        return spec, str(root / "fit" / "fit.json")
+
+    @pytest.mark.parametrize("age", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", ["fit", "band", "profiles"])
+    def test_non_finite_numeric_covariate_is_usage_error(self, workspace, age_fit, tmp_path,
+                                                         capsys, command, age):
+        _, data, _ = workspace
+        spec, fit = age_fit
+        cohort = cohort_with_age(data, tmp_path / "c.csv", "s0003", age)
+        th = tmp_path / "th.json"
+        th.write_text(json.dumps({"all": [-1e6, 1e6]}))
+        argv = {"fit": ["fit", "--model", spec],
+                "band": ["band", "--model", spec, "--thresholds", str(th)],
+                "profiles": ["profiles", "--fit", fit, "--subjects", "s0002,s0003"]}[command]
+        code = main(argv + ["--data", cohort, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: SpecError: covariate 'age' of subject 's0003' is not finite\n"
+
+    @pytest.mark.parametrize("age", ["nan", "inf", "-inf", "1e400"])
+    def test_compare_reports_a_non_finite_covariate_as_the_models_error(
+            self, workspace, tmp_path, capsys, age):
+        _, data, model = workspace
+        cohort = cohort_with_age(data, tmp_path / "c.csv", "s0003", age)
+        group = spec_with_terms(model, tmp_path / "group.json", group_terms=["age"])
+        inter = spec_with_terms(model, tmp_path / "inter.json", interaction_terms=["age"])
+        out = tmp_path / "o"
+        argv = ["compare", "--data", cohort, "--out", str(out), "--force-reml-compare"]
+        assert main(argv + ["--model", group, "--model", model]) == 0
+        rows = list(csv.DictReader(io.StringIO((out / "comparison.csv").read_text())))
+        assert [(r["model"], r["error"]) for r in rows] == [
+            ("m2", ""), ("group", "SpecError: covariate 'age' of subject 's0003' is not finite")]
+        # every model failing is a usage error
+        assert main(argv + ["--model", group, "--model", inter]) == 2
+        assert capsys.readouterr().err == "error: every model failed to fit\n"
+
+    @pytest.mark.parametrize("outlier", ["1e50", "1e60", "-1e60", "1e160", "1e300"])
+    def test_outcome_too_large_to_fit_is_usage_error(self, workspace, tmp_path, capsys,
+                                                     outlier):
+        _, data, model = workspace
+        cohort = cohort_with_age(data, tmp_path / "c.csv", outlier=outlier)
+        code = main(["fit", "--model", model, "--data", cohort, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ConditioningError: the OLS residual variance ")
+        assert "beyond which the fitted variances could overflow" in err
+
+    def test_outcomes_on_a_large_scale_still_fit(self, workspace, tmp_path):
+        _, data, model = workspace
+        rows = Path(data).read_text().splitlines()
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("\n".join([rows[0]] + [
+            f"{row.rsplit(',', 1)[0]},{float(row.rsplit(',', 1)[1]) * 1e40!r}"
+            for row in rows[1:]]) + "\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--model", model, "--data", str(scaled), "--out", str(out)]) == 0
+        assert json.loads((out / "fit.json").read_text())["converged"] is True
+
+    def test_numeric_covariate_whose_cross_products_overflow_is_usage_error(
+            self, workspace, age_fit, tmp_path, capsys):
+        _, data, _ = workspace
+        spec, _ = age_fit
+        cohort = cohort_with_age(data, tmp_path / "c.csv", "s0003", "1e308")
+        code = main(["fit", "--model", spec, "--data", cohort, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ConditioningError: the fixed-effect cross-products X'X overflow\n")
+
+    @pytest.mark.parametrize("coding", [
+        [["age", None], ["age2", None]],  # two columns of a numeric term
+        [["age=a", "a"], ["age=b", None]],  # a null level among string levels
+    ], ids=["two-numeric-columns", "null-among-strings"])
+    def test_fit_json_encoder_breaking_the_coding_is_usage_error(
+            self, workspace, age_fit, tmp_path, capsys, coding):
+        _, data, _ = workspace
+        _, fit = age_fit
+        cohort = cohort_with_age(data, tmp_path / "c.csv")
+        d = json.loads(Path(fit).read_text())
+        assert d["encoder"] == {"age": [["age", None]]}
+        q = len(d["beta_hat"]) - 1 + len(coding)
+        d.update(encoder={"age": coding}, beta_hat=[1.0] * q, cov_beta=np.eye(q).tolist(),
+                 column_labels=[f"c{j}" for j in range(q)])
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps(d))
+        code = main(["profiles", "--fit", str(bad), "--data", cohort, "--subjects", "s0003",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: SchemaError: fitted model: encoder must be ")
+
+
 class TestProfilesCommand:
     def test_three_subjects_give_five_series(self, workspace, tmp_path):
         root, data, _ = workspace
@@ -527,6 +650,8 @@ class TestProfilesCommand:
         ("iterations", 3.5),
         ("column_labels", "intercept"),
         ("encoder", {"diet": 3}),
+        ("encoder", {"diet": [["diet=a", 1]]}),  # a level neither a string nor null
+        ("encoder", {"diet": [["diet=a", "a", "b"]]}),
         ("method", 1),
         ("loglik", "x"),
         ("converged", "true"),
@@ -1011,8 +1136,9 @@ class TestFitJson:
         fitted = a.fit(spec, cohort)
         text = serialize.fitted_model_to_json(fitted)
         back = serialize.fitted_model_from_json(text)
-        assert back.context.encoder.terms == ("diet", "age")
-        assert back.context.encoder.term_columns == fitted.context.encoder.term_columns
+        assert back.context.encoder == fitted.context.encoder == {
+            "diet": (("diet=dash", "dash"), ("diet=salt", "salt")), "age": (("age", None),)}
+        assert list(back.context.encoder) == ["diet", "age"]
         assert back.column_labels == fitted.column_labels and back.spec == spec
         assert serialize.fitted_model_to_json(back) == text
         grid = TimeGrid(np.linspace(0.0, 24.0, 9))

@@ -2,15 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import abpmix as a
 from abpmix import serialize
 from abpmix.basis import DEFAULT_SPLINE_CLOCK_KNOTS, TimeGrid, clock_knots_to_elapsed
-from abpmix.design import (CovariateEncoder, covariate_values, distinct_rows, fixed_design,
+from abpmix.design import (covariate_coding, covariate_values, distinct_rows, fixed_design,
                            group_patterns)
 from abpmix.errors import SpecError
 
-from conftest import poly_spec
+from conftest import poly_spec, row_loop_covariate_design
 
 
 def complete_subject(sid="a", covariates=None, seed=0):
@@ -233,19 +235,106 @@ class TestParameterCount:
         assert a.parameter_count(spec) == (9, 11)
 
 
-class TestCovariateEncoder:
+class TestCovariateCoding:
     def test_numeric_passthrough(self):
+        spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 1),
+                           random=a.BasisDescriptor("orthonormal_poly", 0), group_terms=("age",))
         cohort = a.Cohort(subjects=(complete_subject(covariates={"age": 41.0}),))
-        enc = CovariateEncoder(cohort, ("age",))
-        np.testing.assert_array_equal(enc.encode(cohort.subjects[0], "age"), [41.0])
+        ctx = a.BasisContext(spec, cohort)
+        assert ctx.encoder == {"age": (("age", None),)}
+        group, _ = covariate_values(spec, cohort.subjects, ctx)
+        np.testing.assert_array_equal(group, [[41.0]])
 
     def test_alphabetical_reference_default(self):
         subs = tuple(
             complete_subject(sid=f"s{i}", covariates={"diet": d}, seed=i)
             for i, d in enumerate(["b", "a", "c"])
         )
-        enc = CovariateEncoder(a.Cohort(subjects=subs), ("diet",))
-        assert [label for label, _ in enc.term_columns["diet"]] == ["diet=b", "diet=c"]
+        coding = covariate_coding(a.Cohort(subjects=subs), ("diet",), {})
+        assert coding == {"diet": (("diet=b", "b"), ("diet=c", "c"))}
+
+    def test_unobserved_pinned_reference_is_spec_error(self):
+        subs = tuple(complete_subject(sid=f"s{i}", covariates={"diet": d}, seed=i)
+                     for i, d in enumerate(["dash", "control"]))
+        with pytest.raises(SpecError, match="reference level 'fruit' not observed for 'diet'"):
+            covariate_coding(a.Cohort(subjects=subs), ("diet",), {"diet": "fruit"})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["group_terms", "interaction_terms"])
+    def test_non_finite_number_names_the_term_and_subject(self, value, where):
+        spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 1),
+                           random=a.BasisDescriptor("orthonormal_poly", 0), **{where: ("age",)})
+        subjects = tuple(complete_subject(sid=f"s{i}", covariates={"age": age}, seed=i)
+                         for i, age in enumerate([40.0, value, 50.0]))
+        ctx = a.BasisContext(spec, a.Cohort(subjects=subjects))
+        assert ctx.encoder == {"age": (("age", None),)}
+        with pytest.raises(SpecError, match=r"covariate 'age' of subject 's1' is not finite"):
+            covariate_values(spec, subjects, ctx)
+
+    @staticmethod
+    @st.composite
+    def covariate_tables(draw):
+        """(spec, cohort, subjects to encode): up to three terms of one to six
+        subjects, each term all numbers or any mix of numbers and strings,
+        some with a pinned reference level, and a batch drawn from the cohort."""
+        numbers = st.one_of(st.integers(-3, 50), st.sampled_from([41, 41.0, -0.0]),
+                            st.floats(allow_nan=False, allow_infinity=False))
+        strings = st.sampled_from(["a", "b", "c", "41", "41.0", "diet=x"])
+        n = draw(st.integers(1, 6))
+        terms = draw(st.lists(st.sampled_from(["age", "diet", "site"]), min_size=1,
+                              max_size=3, unique=True))
+        columns, pins = {}, {}
+        for term in terms:
+            kind = numbers if draw(st.booleans()) else st.one_of(numbers, strings)
+            columns[term] = draw(st.lists(kind, min_size=n, max_size=n))
+            if draw(st.booleans()):
+                pins[term] = str(draw(st.sampled_from(columns[term])))
+        spec = a.ModelSpec(
+            fixed=a.BasisDescriptor("orthonormal_poly", draw(st.integers(0, 2))),
+            random=a.BasisDescriptor("orthonormal_poly", 0),
+            group_terms=draw(st.lists(st.sampled_from(terms), unique=True)),
+            interaction_terms=draw(st.lists(st.sampled_from(terms), unique=True)),
+            reference_levels=pins)
+        cohort = a.Cohort(subjects=tuple(
+            complete_subject(sid=f"s{i}", covariates={t: columns[t][i] for t in terms}, seed=i)
+            for i in range(n)))
+        batch = draw(st.lists(st.sampled_from(cohort.subjects), min_size=1, max_size=8))
+        return spec, cohort, batch
+
+    # 41 and 41.0 among strings are two levels; the pin is the second
+    PINNED_41 = (a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 1),
+                             random=a.BasisDescriptor("orthonormal_poly", 0),
+                             group_terms=("diet",), interaction_terms=("diet", "age"),
+                             reference_levels={"diet": "41.0"}),
+                 a.Cohort(subjects=tuple(
+                     complete_subject(sid=f"s{i}", covariates={"diet": d, "age": age}, seed=i)
+                     for i, (d, age) in enumerate([(41, 30), (41.0, 41.0), ("b", 52)]))))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(table=covariate_tables())
+    @example(table=PINNED_41 + (list(PINNED_41[1]),))
+    def test_encoding_matches_the_row_loop_reference(self, table):
+        spec, cohort, batch = table
+        coding, group, interaction, labels = row_loop_covariate_design(spec, cohort, batch)
+        ctx = a.BasisContext(spec, cohort)
+        assert ctx.encoder == (coding or None)
+        got = covariate_values(spec, batch, ctx)
+        for values, expected in zip(got, (group, interaction)):
+            assert values.dtype == float and values.shape == expected.shape
+            np.testing.assert_array_equal(values, expected)
+        assert ctx.fixed_column_labels() == labels
+        assert a.parameter_count(spec, ctx.encoder)[0] == len(labels)
+        # the coding table survives a fit.json round trip as it is
+        q = len(labels)
+        fitted = a.FittedModel(
+            spec=spec, method="REML", beta_hat=np.zeros(q), cov_beta=np.eye(q),
+            sigma_d_hat=np.eye(1), sigma2_hat=1.0, loglik=0.0, converged=True, iterations=1,
+            gradient_norm=0.0, params=a.CovarianceParams("diagonal", 1, np.zeros(2)),
+            n_subjects=len(cohort), n_obs=cohort.n_obs, column_labels=labels, context=ctx)
+        text = serialize.fitted_model_to_json(fitted)
+        back = serialize.fitted_model_from_json(text)
+        assert back.context.encoder == ctx.encoder
+        assert serialize.fitted_model_to_json(back) == text
 
 
 def test_cohort_requires_unique_ids():
