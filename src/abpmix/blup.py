@@ -17,7 +17,7 @@ import numpy as np
 from .basis import TimeGrid
 from .design import (Subject, build_design, covariate_values, distinct_rows, fixed_design,
                      group_patterns)
-from .errors import ConditioningError, ConfigError
+from .errors import ConditioningError, ConfigError, SpecError
 from .estimation import FittedModel
 
 
@@ -56,9 +56,11 @@ def subject_profile(fitted: FittedModel, subject, eval_times: Optional[TimeGrid]
         s, z = _time_matrices(fitted, batch[0], times)
         # the mean once per distinct covariate encoding
         first, encoding = distinct_rows(np.hstack([group, interaction]))
-        mean = fixed_design(np.broadcast_to(s, (len(first),) + s.shape), group[first],
-                            interaction[first]) @ fitted.beta_hat
-        values = mean[encoding] + d @ z.T
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            mean = fixed_design(np.broadcast_to(s, (len(first),) + s.shape), group[first],
+                                interaction[first]) @ fitted.beta_hat
+            values = mean[encoding] + d @ z.T
+        _refuse_non_finite(values, batch)
     return ProfileCurve(times=times, values=values[0] if one else values, kind="subject",
                         subject_id=subject.id if one else None)
 
@@ -103,13 +105,22 @@ def _blups(fitted: FittedModel, subjects: list):
                     break
             continue
         gain = q @ np.linalg.solve(m_rot, r @ fitted.sigma_d_hat)
-        resid = y[obs] - fixed_design(basis[rows[which]], group[members],
-                                      interaction[members]) @ fitted.beta_hat
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            resid = y[obs] - fixed_design(basis[rows[which]], group[members],
+                                          interaction[members]) @ fitted.beta_hat
+        _refuse_non_finite(resid, [subjects[i] for i in members])
         d[members] = np.einsum("kpm,kp->km", gain[which], resid)
     if failed:
         raise ConditioningError("marginal covariance not factorizable for subject "
                                 f"{subjects[min(failed)].id!r}")
     return d, group, interaction
+
+
+def _refuse_non_finite(rows, subjects):
+    """SpecError for the first subject whose row overflowed (a numeric covariate's term)."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise SpecError(f"the fitted curve of subject {subjects[bad[0]].id!r} is not finite")
 
 
 def population_curve(fitted: FittedModel, eval_times: TimeGrid) -> ProfileCurve:

@@ -36,9 +36,10 @@ algebra on (designs, m, m), (designs, m, q) and q x q arrays, its sums
 over designs 2-D matrix products.  With M = L L' and u = L^-1 R, the
 Sigma_d block of an information on phi is H = sum_g C_g (x) B_g, B_g =
 u'u and C_g = u'T_g u.  Designs and their subjects are accumulated in a
-canonical order, so results do not depend on subject ordering.  The last
-evaluation, J, L^-1 Q'X and M^-1 among its products, is kept for the
-information at a point the ascent has just accepted, and the fit's end.
+canonical order, so results do not depend on subject ordering.  An
+evaluation is a read-only value, J, L^-1 Q'X and M^-1 among its products:
+the ascent passes the one it accepted to the information at that point,
+and returns its last to the fit's end.
 
 This module needs numpy alone: every factorization is numpy's and the
 ascent is its own.  Like ``inference``, whose F tail is computed with
@@ -223,9 +224,11 @@ class FittedModel:
 # the estimation problem
 
 
-# the log-likelihood, sigma^2, d loglik / d phi, J', beta, cov_beta and, per design
+# the method, whether the point is a diagonal's (v_1..v_m, sigma^2), loglik, sigma^2,
+# the point, grad = J' dphi, dphi = d loglik / d phi, J', beta, cov_beta and, per design
 # with M = L L', L^-1, the GLS residual cross-products, L^-1 Q'X and M^-1 = L^-T L^-1
-_Evaluation = namedtuple("_Evaluation", "loglik sigma2 dphi jac beta cov_beta li resid wx minv")
+_Evaluation = namedtuple("_Evaluation", "method natural loglik sigma2 theta grad dphi jac beta "
+                                        "cov_beta li resid wx minv")
 
 
 class MixedModelProblem:
@@ -317,16 +320,13 @@ class MixedModelProblem:
             raise ConditioningError(
                 f"the OLS residual variance {np.exp(self._log_s2):.3g} exceeds "
                 f"{np.exp(_LOG_S2_MAX):.3g}, beyond which the fitted variances could overflow")
-        self._last = (None, None)  # ((method, natural, point bytes), the last evaluation)
 
     # -- likelihood ---------------------------------------------------------
 
     def _evaluate(self, theta: np.ndarray, method: str, natural: bool = False) -> _Evaluation:
-        """The evaluation at theta, or with ``natural`` at a diagonal (v_1..v_m,
-        sigma^2); the last one is kept and returned again while both repeat."""
-        key = (method, natural, np.asarray(theta, dtype=float).tobytes())
-        if self._last[0] == key:
-            return self._last[1]
+        """The read-only evaluation at theta, or with ``natural`` at a diagonal
+        (v_1..v_m, sigma^2)."""
+        theta = np.array(theta, dtype=float)
         m, q, eye = self.m, self.q, self._eye
         count = self._count
         sigma_d = np.diag(theta[:m]) if natural else sigma_d_from_theta(self.structure, m, theta)
@@ -382,27 +382,26 @@ class MixedModelProblem:
         dphi = np.append(g, (-0.5 * (self.n - (q if reml else 0) - quad)
                              - float(np.sum(g * sigma_d))) / sigma2)
         jac = self._select if natural else covariance_jacobian(self.structure, m, theta)
-        out = _Evaluation(ll, sigma2, dphi, jac, self._beta0 + delta, cov_beta, li, s, wx, minv)
-        for a in out[2:]:
+        out = _Evaluation(method, natural, ll, sigma2, theta, jac @ dphi, dphi, jac,
+                          self._beta0 + delta, cov_beta, li, s, wx, minv)
+        for a in out[4:]:
             a.flags.writeable = False
-        self._last = (key, out)
         return out
 
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
         return self._evaluate(theta, method).loglik
 
-    def gls(self, theta: np.ndarray, method: str = "REML"):
-        """(beta_hat, cov_beta) at theta; the method only picks the evaluation to reuse."""
-        ev = self._evaluate(theta, method)
+    def gls(self, theta: np.ndarray):
+        """(beta_hat, cov_beta) at theta, the same for either method."""
+        ev = self._evaluate(theta, "REML")
         return ev.beta.copy(), 0.5 * (ev.cov_beta + ev.cov_beta.T)
 
     def loglik_and_grad(self, theta: np.ndarray, method: str = "REML", natural=False):
-        ev = self._evaluate(theta, method, natural)
-        return ev.loglik, ev.jac @ ev.dphi
+        """The evaluation at theta, for its ``loglik`` and ``grad`` and the informations."""
+        return self._evaluate(theta, method, natural)
 
-    def cov_beta_derivatives(self, theta: np.ndarray, method: str = "REML", natural=False):
-        """d cov_beta / d theta_k = cov_beta F_k cov_beta at theta (delta-method ingredient)."""
-        ev = self._evaluate(theta, method, natural)
+    def cov_beta_derivatives(self, ev: _Evaluation):
+        """d cov_beta / d theta_k = cov_beta F_k cov_beta at ev (delta-method ingredient)."""
         return ev.cov_beta @ self._f(ev) @ ev.cov_beta
 
     def _f(self, ev: _Evaluation):
@@ -424,16 +423,16 @@ class MixedModelProblem:
         out[-1] = left.reshape(-1, ql).T @ right.reshape(-1, width) + outside
         return out
 
-    def expected_information(self, theta: np.ndarray, method: str = "REML", natural=False):
-        """Expected information 1/2 tr(P dV_j P dV_k) of theta, P the REML
-        projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1 for ML."""
-        return self._information(theta, method, False, natural)
+    def expected_information(self, ev: _Evaluation):
+        """Expected information 1/2 tr(P dV_j P dV_k) of theta at ev, P the
+        REML projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1 for ML."""
+        return self._information(ev, False)
 
-    def observed_information(self, theta: np.ndarray, method: str = "REML", natural=False):
-        """Observed information: minus the Hessian of the log-likelihood in theta."""
-        return self._information(theta, method, True, natural)
+    def observed_information(self, ev: _Evaluation):
+        """Observed information at ev: minus the Hessian of the log-likelihood in theta."""
+        return self._information(ev, True)
 
-    def _information(self, theta, method, observed, natural):
+    def _information(self, ev: _Evaluation, observed: bool):
         """J' I J plus, for REML, +-1/2 tr(cov_beta F_j cov_beta F_k), for I
         the expected or observed information on phi; the observed one less
         the curvature.
@@ -447,11 +446,10 @@ class MixedModelProblem:
         rest, plus the outside rows' residual sum of squares, minus
         b cov_beta b' with b_j = X' V^-1 dV_j r.
         """
-        ev = self._evaluate(theta, method, natural)
-        _, sigma2, dphi, jac, beta, cov_beta, li, resid, wx, minv = ev
+        sigma2, theta, grad, dphi, jac, beta, cov_beta, li, resid, wx, minv = ev[3:]
         m, t = self.m, self._eye
         rest = 0.5 * self._p_minus_m / sigma2**2
-        if method == "REML":
+        if ev.method == "REML":
             t = t - 2.0 * wx @ cov_beta @ wx.transpose(0, 2, 1)
             rest -= float(np.sum(cov_beta * self._xx_out)) / sigma2**3
         t = 0.5 * self._count[:, None, None] * t
@@ -477,12 +475,12 @@ class MixedModelProblem:
                                (self._xe_out - self._xx_out @ delta)[:, None] / sigma2**2)
             info -= b[..., 0] @ cov_beta @ b[..., 0].T
         info = jac @ info @ jac.T
-        if method == "REML":
+        if ev.method == "REML":
             cf = cov_beta @ self._f(ev)
             cfcf = 0.5 * (cf.reshape(len(cf), -1) @ cf.transpose(2, 1, 0).reshape(-1, len(cf)))
             info += -cfcf if observed else cfcf
-        if observed and not natural:
-            info -= _curvature(self.structure, m, theta, dphi[:-1].reshape(m, m), jac @ dphi)
+        if observed and not ev.natural:
+            info -= _curvature(self.structure, m, theta, dphi[:-1].reshape(m, m), grad)
         return 0.5 * (info + info.T)
 
     # -- initialization and fitting -----------------------------------------
@@ -506,14 +504,12 @@ class MixedModelProblem:
         return lo, hi
 
     def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6) -> FittedModel:
-        ll, x, zero, converged, iterations, grad_norm, history = self._optimize(
-            method, max_iter, tol)
-        theta, natural = x, self.structure == "diagonal"
-        ev = self._evaluate(x, method, natural)
-        info = self.observed_information(x, method, natural)
-        derivatives = self.cov_beta_derivatives(x, method, natural)
-        if natural:  # to theta = log x, whose second derivative x adds the gradient
-            info = np.outer(x, x) * info - np.diag(x * (ev.jac @ ev.dphi))
+        ev, zero, converged, iterations, grad_norm, history = self._optimize(method, max_iter, tol)
+        x = theta = ev.theta
+        info = self.observed_information(ev)
+        derivatives = self.cov_beta_derivatives(ev)
+        if ev.natural:  # to theta = log x, whose second derivative x adds the gradient
+            info = np.outer(x, x) * info - np.diag(x * ev.grad)
             derivatives = x[:, None, None] * derivatives
             with np.errstate(divide="ignore"):  # an exact zero's log-variance is the floor
                 theta = np.maximum(np.log(x), self._bounds()[0])
@@ -532,7 +528,7 @@ class MixedModelProblem:
         return FittedModel(
             spec=self.spec, method=method, beta_hat=ev.beta.copy(),
             cov_beta=0.5 * (ev.cov_beta + ev.cov_beta.T), sigma_d_hat=sigma_d,
-            sigma2_hat=0.0 if zero[-1] else sigma2, loglik=ll, converged=converged,
+            sigma2_hat=0.0 if zero[-1] else sigma2, loglik=ev.loglik, converged=converged,
             iterations=iterations, gradient_norm=grad_norm,
             params=CovarianceParams(structure=self.structure, m=self.m, theta=theta),
             n_subjects=self.N, n_obs=self.n, column_labels=self.context.fixed_column_labels(),
@@ -540,49 +536,49 @@ class MixedModelProblem:
             cov_beta_derivatives=derivatives)
 
     def _optimize(self, method: str, max_iter: int, tol: float):
-        """(loglik, point, components at their lower bound, converged, iterations,
-        gradient norm, ascent history); a diagonal point is (v_1..v_m, sigma^2)."""
+        """(the last accepted evaluation, components at their lower bound,
+        converged, iterations, gradient norm, ascent history)."""
         lo, hi = self._bounds()
         x = np.clip(self._initial_theta(), lo, hi)
         natural = self.structure == "diagonal"
         if natural:
             x, lo, hi = np.exp(x), np.append(np.zeros(self.m), np.exp(lo[-1])), np.exp(hi)
         s0sq = np.exp(self._log_s2) if natural else None
-        ll, grad = self.loglik_and_grad(x, method, natural)
+        ev = self.loglik_and_grad(x, method, natural)
         damping = 1e-3  # lambda relative to the largest |eigenvalue|
         history = []
         while True:
-            grad_norm, blocked = _projected(x, grad, lo, hi, s0sq)
+            grad_norm, blocked = _projected(ev.theta, ev.grad, lo, hi, s0sq)
             if grad_norm <= tol or len(history) >= max_iter:
                 break
             free = ~blocked
             # scoring far from the optimum, Newton steps near it
             information = (self.expected_information if grad_norm > _NEWTON_GATE
                            else self.observed_information)
-            info = information(x, method, natural)[np.ix_(free, free)]
+            info = information(ev)[np.ix_(free, free)]
             # variances span orders of magnitude: damp each by its own information (Marquardt)
             diag = np.abs(np.diag(info))
             d = np.where(diag > 0.0, diag, 1.0) ** -0.5 if natural else 1.0
-            ev, vec = np.linalg.eigh(np.outer(d, d) * info)
-            top = float(np.abs(ev).max()) or 1.0
-            ev = np.maximum(ev, 0.0)
-            rotated = vec.T @ (d * grad[free])
+            eig, vec = np.linalg.eigh(np.outer(d, d) * info)
+            top = float(np.abs(eig).max()) or 1.0
+            eig = np.maximum(eig, 0.0)
+            rotated = vec.T @ (d * ev.grad[free])
             for _ in range(40):
-                trial = x.copy()
-                trial[free] += d * (vec @ (rotated / (ev + damping * top)))
-                trial = np.clip(trial, lo, hi)
-                ll_t, grad_t = self.loglik_and_grad(trial, method, natural)
+                x = ev.theta.copy()
+                x[free] += d * (vec @ (rotated / (eig + damping * top)))
+                trial = self.loglik_and_grad(np.clip(x, lo, hi), method, natural)
                 # where roundoff hides the gain, a smaller gradient decides
-                if ll_t >= ll or (ll_t >= ll - _LL_ROUNDOFF * abs(ll)
-                                  and _projected(trial, grad_t, lo, hi, s0sq)[0] < grad_norm):
+                if trial.loglik >= ev.loglik or (
+                        trial.loglik >= ev.loglik - _LL_ROUNDOFF * abs(ev.loglik)
+                        and _projected(trial.theta, trial.grad, lo, hi, s0sq)[0] < grad_norm):
                     break
                 damping *= 4.0
             else:
                 break  # no damping of the step improves
             damping = max(damping / 3.0, 1e-10)
-            x, ll, grad = trial, ll_t, grad_t
-            history.append(ll)
-        return ll, x, x <= lo, grad_norm <= tol, len(history), grad_norm, history
+            ev = trial
+            history.append(ev.loglik)
+        return ev, ev.theta <= lo, grad_norm <= tol, len(history), grad_norm, history
 
 
 def _projected(x, grad, lo, hi, s0sq=None):

@@ -13,6 +13,16 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
+def _text(x, y, body, size, anchor=None, fill=None) -> str:
+    """A <text> element at (x, y); ``body`` is escaped as by ``html.escape(body,
+    quote=False)``, whose import would add to every command's memory."""
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    fill = f' fill="{fill}"' if fill else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{fill}>'
+            f'{body}</text>')
+
+
 def render_plot(times, series, band=None, start_hour=None, title="") -> str:
     """``series`` is a list of (label, values); ``band`` is (lower, upper)."""
     times = np.asarray(times, dtype=float)
@@ -29,56 +39,38 @@ def render_plot(times, series, band=None, start_hour=None, title="") -> str:
     def sy(v):
         return _HEIGHT - _MARGIN - (v - ylo) / (yhi - ylo) * (_HEIGHT - 2 * _MARGIN)
 
+    def points(ts, vs):
+        return " ".join(f"{_fmt(sx(t))},{_fmt(sy(v))}" for t, v in zip(ts, vs))
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+        parts.append(_text(_WIDTH // 2, 24, title, 16, "middle"))
     if band is not None:
         lower, upper = band
-        pts = [f"{_fmt(sx(t))},{_fmt(sy(v))}" for t, v in zip(times, upper)]
-        pts += [f"{_fmt(sx(t))},{_fmt(sy(v))}" for t, v in zip(times[::-1], lower[::-1])]
-        parts.append(f'<polygon points="{" ".join(pts)}" fill="#cccccc" fill-opacity="0.6"/>')
+        pts = f"{points(times, upper)} {points(times[::-1], lower[::-1])}"
+        parts.append(f'<polygon points="{pts}" fill="#cccccc" fill-opacity="0.6"/>')
     for i, (label, values) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{_fmt(sx(t))},{_fmt(sy(v))}" for t, v in zip(times, values))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN + 4}" y="{_fmt(sy(values[-1]))}" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-        )
-    # axes
-    parts.append(
-        f'<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" '
-        f'y2="{_HEIGHT - _MARGIN}" stroke="#000000"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_HEIGHT - _MARGIN}" '
-        f'stroke="#000000"/>'
-    )
+        parts.append(f'<polyline points="{points(times, values)}" fill="none" stroke="{color}" '
+                     'stroke-width="1.5"/>')
+        parts.append(_text(_WIDTH - _MARGIN + 4, _fmt(sy(values[-1])), label, 11, fill=color))
+    base = _HEIGHT - _MARGIN  # y of the time axis
+    parts += [f'<line x1="{_MARGIN}" y1="{base}" x2="{_WIDTH - _MARGIN}" y2="{base}" '
+              'stroke="#000000"/>',
+              f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{base}" stroke="#000000"/>']
     for t in range(0, 25, 4):
         if not tlo <= t <= thi:
             continue
         label = t if start_hour is None else int((start_hour + t) % 24)
-        parts.append(
-            f'<text x="{_fmt(sx(t))}" y="{_HEIGHT - _MARGIN + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts.append(_text(_fmt(sx(t)), base + 18, label, 11, "middle"))
     axis_label = "clock hour" if start_hour is not None else "elapsed hours"
-    parts.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{axis_label}</text>'
-    )
+    parts.append(_text(_WIDTH // 2, _HEIGHT - 12, axis_label, 12, "middle"))
     for k in range(5):
         v = ylo + k * (yhi - ylo) / 4
-        parts.append(
-            f'<text x="{_MARGIN - 6}" y="{_fmt(sy(v) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>'
-        )
+        parts.append(_text(_MARGIN - 6, _fmt(sy(v) + 4), _fmt(v), 11, "end"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -145,8 +145,8 @@ def fd_observed_information(problem, theta, method="REML", step=1e-4):
     for j in range(k):
         e = np.zeros(k)
         e[j] = step
-        h[j] = -(problem.loglik_and_grad(theta + e, method)[1]
-                 - problem.loglik_and_grad(theta - e, method)[1]) / (2.0 * step)
+        h[j] = -(problem.loglik_and_grad(theta + e, method).grad
+                 - problem.loglik_and_grad(theta - e, method).grad) / (2.0 * step)
     return 0.5 * (h + h.T)
 
 

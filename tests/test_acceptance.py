@@ -125,7 +125,7 @@ def test_criterion_05_gradient_check():
         structure = "diagonal" if i % 2 == 0 else "unstructured"
         spec, cohort, theta = random_tiny_problem(rng, structure)
         problem = MixedModelProblem(spec, cohort)
-        _, grad = problem.loglik_and_grad(theta)
+        grad = problem.loglik_and_grad(theta).grad
         h = 1e-5
         for j in range(theta.size):
             e = np.zeros_like(theta)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -515,6 +516,24 @@ class TestNumericLimits:
         assert capsys.readouterr().err == (
             "error: ConditioningError: the fixed-effect cross-products X'X overflow\n")
 
+    def test_profile_whose_mean_overflows_is_usage_error(self, workspace, age_fit, tmp_path,
+                                                         capsys):
+        _, data, _ = workspace
+        _, fit = age_fit
+        d = json.loads(Path(fit).read_text())
+        d["beta_hat"][d["column_labels"].index("age")] = 10.0
+        big = tmp_path / "fit.json"
+        big.write_text(json.dumps(d))
+        # 1e308 is a finite age, but ten times it is not
+        cohort = cohort_with_age(data, tmp_path / "c.csv", "s0003", "1e308")
+        out = tmp_path / "o"
+        code = main(["profiles", "--fit", str(big), "--data", cohort,
+                     "--subjects", "s0002,s0003", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: SpecError: the fitted curve of subject 's0003' is not finite\n")
+        assert not (out / "profiles.csv").exists()
+
     @pytest.mark.parametrize("coding", [
         [["age", None], ["age2", None]],  # two columns of a numeric term
         [["age=a", "a"], ["age=b", None]],  # a null level among string levels
@@ -551,6 +570,21 @@ class TestProfilesCommand:
         assert series == {"subject:s0000", "subject:s0001", "subject:s0002",
                           "population", "band"}
         assert (out / "profiles.svg").read_text()[:4] == "<svg"
+
+    def test_svg_escapes_subject_labels(self, workspace, tmp_path):
+        root, data, _ = workspace
+        cohort = dataio.read_cohort(data)
+        first = cohort.subjects[0]
+        renamed = a.Cohort(subjects=(a.Subject(id="a<b&c", times=first.times, y=first.y),)
+                           + cohort.subjects[1:])
+        write_cohort(tmp_path / "c.csv", renamed)
+        out = tmp_path / "svg"
+        assert main(["profiles", "--fit", str(root / "fit" / "fit.json"),
+                     "--data", str(tmp_path / "c.csv"), "--subjects", "a<b&c",
+                     "--out", str(out), "--svg"]) == 0
+        texts = ElementTree.parse(out / "profiles.svg").getroot().iter(
+            "{http://www.w3.org/2000/svg}text")
+        assert "subject:a<b&c" in [t.text for t in texts]
 
     def test_out_of_memory_is_usage_error(self, workspace, tmp_path, capsys):
         # what numpy raises for a grid of subject profiles too large to allocate

@@ -160,7 +160,7 @@ def assert_matches_dense_information(got, want):
 
 
 def assert_matches_observed_information_oracles(problem, spec, cohort, theta, method):
-    got = problem.observed_information(theta, method)
+    got = problem.observed_information(problem.loglik_and_grad(theta, method))
     assert_matches_dense_information(got, dense_observed_information(theta, spec, cohort, method))
     fd = fd_observed_information(problem, theta, method)
     assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -188,9 +188,9 @@ class TestOracleProperty:
         spec, cohort, theta = problem_case
         problem = MixedModelProblem(spec, cohort)
         for method in ("REML", "ML"):
-            assert_matches_dense_information(problem.expected_information(theta, method),
-                                             dense_expected_information(theta, spec, cohort,
-                                                                        method))
+            assert_matches_dense_information(
+                problem.expected_information(problem.loglik_and_grad(theta, method)),
+                dense_expected_information(theta, spec, cohort, method))
 
     def test_singular_gls_matrix_is_rank_error(self):
         spec, cohort = shared_and_jittered_cohort()
@@ -208,7 +208,7 @@ class TestGradient:
         cases = [random_tiny_problem(rng, structure) for _ in range(10)]
         for spec, cohort, theta in cases + edge_case_problems(rng, structure):
             problem = MixedModelProblem(spec, cohort)
-            _, grad = problem.loglik_and_grad(theta)
+            grad = problem.loglik_and_grad(theta).grad
             h = 1e-5
             for j in range(theta.size):
                 e = np.zeros_like(theta)
@@ -228,7 +228,8 @@ class TestExpectedInformation:
     def test_matches_dense_oracle_on_edge_cases(self, structure, method):
         rng = np.random.default_rng(23)
         for spec, cohort, theta in edge_case_problems(rng, structure):
-            got = MixedModelProblem(spec, cohort).expected_information(theta, method)
+            problem = MixedModelProblem(spec, cohort)
+            got = problem.expected_information(problem.loglik_and_grad(theta, method))
             assert_matches_dense_information(
                 got, dense_expected_information(theta, spec, cohort, method))
 
@@ -244,7 +245,7 @@ class TestExpectedInformation:
         fd = -np.array([[(ll(theta + steps[j] + steps[l]) - ll(theta + steps[j] - steps[l])
                           - ll(theta - steps[j] + steps[l]) + ll(theta - steps[j] - steps[l]))
                          / (4.0 * h * h) for l in range(k)] for j in range(k)])
-        want = problem.observed_information(theta, "REML")
+        want = problem.observed_information(problem.loglik_and_grad(theta, "REML"))
         assert np.max(np.abs(fd - want)) <= 1e-6 * np.max(np.abs(want))
 
 
@@ -265,7 +266,7 @@ class TestGLS:
         cases = [random_tiny_problem(rng, structure) for _ in range(5)]
         for spec, cohort, theta in cases + edge_case_problems(rng, structure):
             problem = MixedModelProblem(spec, cohort)
-            dphis = problem.cov_beta_derivatives(theta)
+            dphis = problem.cov_beta_derivatives(problem.loglik_and_grad(theta))
             assert len(dphis) == theta.size
             h = 1e-5
             for j in range(theta.size):
@@ -333,28 +334,32 @@ def tight_lbfgsb_loglik(problem, method="REML"):
     from scipy.optimize import Bounds, minimize
 
     lo, hi = problem._bounds()
-    res = minimize(lambda th: tuple(-v for v in problem.loglik_and_grad(th, method)),
-                   np.clip(problem._initial_theta(), lo, hi), jac=True, method="L-BFGS-B",
-                   bounds=Bounds(lo, hi),
+
+    def negated(th):
+        ev = problem.loglik_and_grad(th, method)
+        return -ev.loglik, -ev.grad
+
+    res = minimize(negated, np.clip(problem._initial_theta(), lo, hi), jac=True,
+                   method="L-BFGS-B", bounds=Bounds(lo, hi),
                    options={"maxiter": 20_000, "ftol": 1e-15, "gtol": 1e-9})
-    theta = res.x
-    ll, grad = problem.loglik_and_grad(theta, method)
+    ev = problem.loglik_and_grad(res.x, method)
     for _ in range(10):
+        theta, grad = ev.theta, ev.grad
         # components at a bound whose gradient pushes outward stay there
         free = ~(((theta <= lo + 1e-12) & (grad < 0)) | ((theta >= hi - 1e-12) & (grad > 0)))
-        ev, vec = np.linalg.eigh(fd_observed_information(problem, theta, method)[np.ix_(free, free)])
-        step = vec @ ((vec.T @ grad[free]) / np.maximum(ev, 1e-8 * max(ev.max(), 1.0)))
+        info = fd_observed_information(problem, theta, method)[np.ix_(free, free)]
+        eig, vec = np.linalg.eigh(info)
+        step = vec @ ((vec.T @ grad[free]) / np.maximum(eig, 1e-8 * max(eig.max(), 1.0)))
         for shrink in 0.5 ** np.arange(30):
             trial = theta.copy()
             trial[free] += shrink * step
-            trial = np.clip(trial, lo, hi)
-            ll_t, grad_t = problem.loglik_and_grad(trial, method)
-            if ll_t > ll:
+            trial = problem.loglik_and_grad(np.clip(trial, lo, hi), method)
+            if trial.loglik > ev.loglik:
                 break
         else:
             break  # no step along the Newton direction gains
-        theta, ll, grad = trial, ll_t, grad_t
-    return max(-float(res.fun), ll)
+        ev = trial
+    return max(-float(res.fun), ev.loglik)
 
 
 @st.composite
@@ -511,8 +516,8 @@ class TestFit:
             fitted = problem.fit(method=method)
             assert fitted.converged
             v = np.diag(fitted.sigma_d_hat)
-            _, grad = problem.loglik_and_grad(np.append(v, fitted.sigma2_hat), method,
-                                              natural=True)
+            grad = problem.loglik_and_grad(np.append(v, fitted.sigma2_hat), method,
+                                           natural=True).grad
             assert np.all(np.exp(problem._log_s2) * grad[:-1][v == 0.0] <= 1e-6)
             zeros += int(np.sum(v == 0.0))
             want = tight_lbfgsb_loglik(problem, method)
@@ -639,7 +644,7 @@ class TestEvaluationReuse:
     @staticmethod
     def record_evaluations(monkeypatch):
         """A list that receives ((method, natural, theta bytes), result) for
-        every ``_evaluate`` call; a reuse returns the kept result object itself."""
+        every ``_evaluate`` call."""
         calls = []
         evaluate = MixedModelProblem._evaluate
 
@@ -657,13 +662,34 @@ class TestEvaluationReuse:
         spec, cohort = incomplete_cohort(structure)
         assert MixedModelProblem(spec, cohort)._count.size > 1
         calls = self.record_evaluations(monkeypatch)
+        optimize, returned, passed = MixedModelProblem._optimize, [], []
+
+        def optimizing(self, *args, **kwargs):
+            out = optimize(self, *args, **kwargs)
+            returned.append(len(calls))
+            return out
+
+        def passing(name):
+            orig = getattr(MixedModelProblem, name)
+
+            def wrapper(self, ev):
+                passed.append(ev)
+                return orig(self, ev)
+            return wrapper
+
+        monkeypatch.setattr(MixedModelProblem, "_optimize", optimizing)
+        for name in ("expected_information", "observed_information", "cov_beta_derivatives"):
+            monkeypatch.setattr(MixedModelProblem, name, passing(name))
         fitted = a.fit(spec, cohort, method=method)
         assert fitted.converged
-        evaluations = len({id(out) for _, out in calls})
-        assert evaluations == len({key for key, _ in calls})
-        # reused: the information at each accepted point, then gls, the
-        # observed information and d cov_beta / d theta at the optimum
-        assert len(calls) - evaluations == fitted.iterations + 3
+        keys = [key for key, _ in calls]
+        assert len(keys) == len(set(keys)) > fitted.iterations
+        # nothing is evaluated after the ascent: the information at each
+        # accepted point and the fit's end take evaluations the ascent made
+        assert returned == [len(calls)]
+        made = {id(out) for _, out in calls}
+        assert len(passed) == fitted.iterations + 2
+        assert all(id(ev) in made for ev in passed)
 
     @pytest.mark.parametrize("method", ["REML", "ML"])
     @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
@@ -712,25 +738,46 @@ class TestEvaluationReuse:
         problem = MixedModelProblem(spec, cohort)
         theta1 = problem._initial_theta()
         theta2 = theta1 + 0.3
+
+        def call(problem, name, theta, method):
+            if name == "gls":
+                return problem.gls(theta)
+            if name == "loglikelihood":
+                return problem.loglikelihood(theta, method)
+            ev = problem.loglik_and_grad(theta, method)
+            return (ev.loglik, ev.grad) if name == "loglik_and_grad" else getattr(problem, name)(ev)
+
         for name, theta, method in [
                 ("loglik_and_grad", theta1, "REML"), ("gls", theta1, "REML"),
                 ("observed_information", theta2, "REML"), ("expected_information", theta1, "REML"),
                 ("loglik_and_grad", theta1, "ML"), ("cov_beta_derivatives", theta1, "ML"),
                 ("loglikelihood", theta1, "REML"), ("gls", theta2, "ML"),
                 ("observed_information", theta1, "ML"), ("observed_information", theta1, "REML"),
-                # a Jacobian or product kept under the wrong theta or method shows here
+                # a Jacobian or product left over from another theta or method shows here
                 ("expected_information", theta2, "REML"), ("loglik_and_grad", theta1, "REML"),
                 ("cov_beta_derivatives", theta2, "REML"), ("observed_information", theta1, "ML")]:
-            got = getattr(problem, name)(theta, method)
-            want = getattr(MixedModelProblem(spec, cohort), name)(theta, method)
+            got = call(problem, name, theta, method)
+            want = call(MixedModelProblem(spec, cohort), name, theta, method)
             assert flat_bytes(got) == flat_bytes(want), (name, method)
+
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_fit_leaves_the_problem_as_set_up(self, structure):
+        spec, cohort = incomplete_cohort(structure)
+        problem = MixedModelProblem(spec, cohort)
+        state = dict(vars(problem))
+        contents = {k: v.tobytes() for k, v in state.items() if isinstance(v, np.ndarray)}
+        assert problem.fit().converged
+        assert vars(problem).keys() == state.keys()
+        assert all(vars(problem)[k] is v for k, v in state.items())
+        assert all(state[k].tobytes() == v for k, v in contents.items())
 
     def test_kept_evaluation_is_read_only(self):
         spec, cohort = incomplete_cohort("diagonal")
         problem = MixedModelProblem(spec, cohort)
         theta = problem._initial_theta()
-        _, _, *arrays = problem._evaluate(theta, "REML")  # past loglik and sigma^2
-        for array in arrays:
+        ev = problem._evaluate(theta, "REML")
+        assert not np.shares_memory(ev.theta, theta)
+        for array in ev[4:]:  # past the method, natural, loglik and sigma^2
             with pytest.raises(ValueError):
                 array[...] = 0.0
         # gls hands out arrays of its own, so writing to them changes no later call
@@ -825,12 +872,13 @@ class TestDesignSharing:
         theta = problem._initial_theta() + 0.1
         want = dense_stacked_loglik(theta, spec, cohort, method=method)
         assert abs(problem.loglikelihood(theta, method) - want) <= 1e-8
-        beta, cov_beta = problem.gls(theta, method)
+        beta, cov_beta = problem.gls(theta)
         want_beta, want_cov = dense_gls(theta, spec, cohort)
         assert np.max(np.abs(beta - want_beta)) <= 1e-8 * np.max(np.abs(want_beta))
         assert np.max(np.abs(cov_beta - want_cov)) <= 1e-8 * np.max(np.abs(want_cov))
-        assert_matches_dense_information(problem.expected_information(theta, method),
-                                         dense_expected_information(theta, spec, cohort, method))
+        assert_matches_dense_information(
+            problem.expected_information(problem.loglik_and_grad(theta, method)),
+            dense_expected_information(theta, spec, cohort, method))
         assert_matches_observed_information_oracles(problem, spec, cohort, theta, method)
 
     def test_one_build_and_one_qr_per_observation_count(self, monkeypatch):
