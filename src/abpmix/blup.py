@@ -1,9 +1,11 @@
 """Subject-specific prediction: BLUPs, profiles, and prediction bands.
 
 A batch of profiles is array work on the design pipeline of ``design``: the time
-bases are evaluated once on the union of the batch's times and once on the grid,
-X comes from ``fixed_design``, and all time patterns of one length are factored in
-one stacked call.
+bases are evaluated once on the union of the batch's times and once on the grid.
+The observations' mean X beta comes from ``fixed_mean``, which builds no X, and
+the grid's from ``fixed_design`` once per distinct covariate encoding.  Each
+distinct time pattern factors one k x k matrix, k = min(p, m) (see ``_blups``),
+and all patterns of one length are factored in one stacked Cholesky call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .basis import TimeGrid
 from .design import (Subject, build_design, covariate_values, distinct_rows, fixed_design,
-                     group_patterns)
+                     fixed_mean, group_patterns)
 from .errors import ConditioningError, ConfigError, SpecError
 from .estimation import FittedModel
 
@@ -79,35 +81,49 @@ def _time_matrices(fitted: FittedModel, carrier: Subject, times: TimeGrid):
 
 
 def _blups(fitted: FittedModel, subjects: list):
-    """(n, m) BLUPs of a batch, then its group- and interaction-term values.
-    With Z = Q R (k = min(p, m) columns of Q), V^-1 Z Sigma_d = Q M^-1 R Sigma_d
-    for the fit's rotated M = R Sigma_d R' + sigma^2 I."""
+    """(n, m) BLUPs d = Sigma_d Z' V^-1 r of a batch, then its group- and
+    interaction-term values.  Each distinct design factors one k x k
+    matrix, k = min(p, m): V = Z Sigma_d Z' + sigma^2 I itself when p <= m,
+    else B = sigma^2 I + (ZL)'(ZL) for LL' = Sigma_d, as Sigma_d Z' V^-1 =
+    L B^-1 (ZL)' (push-through).  B's eigenvalues are sigma^2 plus the m
+    largest of Z Sigma_d Z'; without sigma^2 a V of p > m rows is singular."""
     group, interaction = covariate_values(fitted.spec, subjects, fitted.context)
     union, patterns = group_patterns(subjects)
     basis, z = _time_matrices(fitted, subjects[0], union)
     y = np.concatenate([s.y for s in subjects])
-    d = np.empty((len(subjects), z.shape[1]))
-    # the first subject of each length whose V is not PD; without sigma^2 its rank is m < p
-    s2 = fitted.sigma2_hat
-    failed = [members[0] for members, obs, *_ in patterns
-              if s2 <= 0.0 and obs.shape[1] > z.shape[1]]
+    sigma_d, s2, m = fitted.sigma_d_hat, fitted.sigma2_hat, z.shape[1]
+    ev, vec = np.linalg.eigh(sigma_d)
+    root = vec * np.sqrt(np.maximum(ev, 0.0))  # L, as Sigma_d is PSD up to roundoff
+    d = np.empty((len(subjects), m))
+    # the first subject of each length whose V is not PD
+    failed = [members[0] for members, obs, *_ in patterns if s2 <= 0.0 and obs.shape[1] > m]
     for members, obs, which, rows in patterns:
-        q, r = np.linalg.qr(z[rows])
-        m_rot = r @ fitted.sigma_d_hat @ r.transpose(0, 2, 1) + s2 * np.eye(r.shape[1])
+        zk = z[rows]
+        p = zk.shape[1]
+        if p <= m:
+            w = zk @ sigma_d
+            kk = w @ zk.transpose(0, 2, 1) + s2 * np.eye(p)
+        else:
+            w = zk @ root
+            kk = w.transpose(0, 2, 1) @ w + s2 * np.eye(m)
         try:
-            np.linalg.cholesky(m_rot)
+            np.linalg.cholesky(kk)
         except np.linalg.LinAlgError:
-            for i, one in zip(members, m_rot[which]):
+            for i, one in zip(members, kk[which]):
                 try:
                     np.linalg.cholesky(one)
                 except np.linalg.LinAlgError:
                     failed.append(i)
                     break
             continue
-        gain = q @ np.linalg.solve(m_rot, r @ fitted.sigma_d_hat)
+        # V^-1 Z Sigma_d of each pattern, its gain transposed.  Each right-hand
+        # side is a stack of matrices as deep as kk: numpy 2 broadcasts one
+        # vector per matrix otherwise than numpy 1 did
+        gain = (np.linalg.solve(kk, w) if p <= m
+                else w @ np.linalg.solve(kk, np.broadcast_to(root.T, kk.shape)))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            resid = y[obs] - fixed_design(basis[rows[which]], group[members],
-                                          interaction[members]) @ fitted.beta_hat
+            resid = y[obs] - fixed_mean(basis, rows[which], group[members],
+                                        interaction[members], fitted.beta_hat)
         _refuse_non_finite(resid, [subjects[i] for i in members])
         d[members] = np.einsum("kpm,kp->km", gain[which], resid)
     if failed:

@@ -22,6 +22,11 @@ so for a file with:
   over: its record count plus one is then not the file's count of LF,
   CRLF and lone CR line ends (an unterminated last line included).
 
+After ``loadtxt``, one comparison of the id column with itself shifted
+by a record finds the runs of equal consecutive ids; only each run's
+first id is looked up in a dict, so subjects are numbered in order of
+first appearance whether their records are contiguous or not.
+
 Errors of ``read_cohort``.  Records are numbered from the header, row 1;
 blank records are skipped but counted.  Invalid UTF-8 anywhere in the
 file is a ParseError first; then a missing column is a SchemaError; then
@@ -147,7 +152,9 @@ def _loadable(text: str, outcome: str):
         layout = _layout(header.split(","), outcome)
     except SchemaError:
         return None
-    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    ends = text.count("\n")
+    if "\r" in text:  # CR and CRLF line ends
+        ends += text.count("\r") - text.count("\r\n")
     return *layout, ends + (text[-1] not in "\r\n")
 
 
@@ -163,9 +170,13 @@ def _loadtxt(path, covariate_columns, index, lines):
         return None
     if table.size + 1 != lines:
         return None
-    sids = table["f0"].tolist()
-    codes = {sid: k for k, sid in enumerate(dict.fromkeys(sids))}
-    code = np.fromiter(map(codes.__getitem__, sids), np.intp, len(sids))
+    # codes by runs of equal ids (see the module docstring)
+    sids = table["f0"]
+    heads = np.flatnonzero(np.append(True, sids[1:] != sids[:-1]))
+    codes = {}
+    run_code = np.fromiter((codes.setdefault(sid, len(codes)) for sid in sids[heads].tolist()),
+                           np.intp, heads.size)
+    code = np.repeat(run_code, np.diff(np.append(heads, sids.size)))
     # copies, so that the table and each record's id are freed on return
     t, y, *cells = (table[name].copy() for name in table.dtype.names[1:])
     return [t, y, code, np.arange(2, code.size + 2), *cells], list(codes), None, covariate_columns
@@ -388,6 +399,8 @@ def format_g17(values) -> np.ndarray:
     used = np.flatnonzero(out.any(axis=1))
     width = used[-1] + 1 - used[0]
     slow = np.flatnonzero(~fast)
+    if not slow.size:
+        return out[used[0]:used[-1] + 1].T.copy()
     spelled = _text_fields([format(v, ".17g") for v in x[slow].tolist()])[0]
     fields = np.zeros((n, max(width, spelled.shape[1])), np.uint8)
     fields[:, :width] = out[used[0]:used[-1] + 1].T

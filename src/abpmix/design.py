@@ -313,6 +313,21 @@ def fixed_design(s: np.ndarray, group: np.ndarray, interaction: np.ndarray) -> n
                            inter], axis=-1)
 
 
+def fixed_mean(s: np.ndarray, rows: np.ndarray, group: np.ndarray, interaction: np.ndarray,
+               beta: np.ndarray) -> np.ndarray:
+    """X beta for X = fixed_design(s[rows], group, interaction), without X:
+    S (beta_t + [0; B h]) + g . beta_g, where B's columns are the time
+    coefficients of each interaction value.  S meets [beta_t, [0; B]] once,
+    before ``rows`` (leading axes as ``group``'s) gathers its rows."""
+    qt, g, h = s.shape[-1], group.shape[-1], interaction.shape[-1]
+    coef = np.zeros((qt, 1 + h))
+    coef[:, 0] = beta[:qt]
+    coef[1:, 1:] = beta[qt + g:].reshape(h, qt - 1).T
+    parts = (s @ coef)[rows]
+    return (parts[..., 0] + (group @ beta[qt:qt + g])[..., None]
+            + np.einsum("...ph,...h->...p", parts[..., 1:], interaction))
+
+
 def build_design(spec: ModelSpec, subject: Subject, context: BasisContext) -> DesignPair:
     """One subject's fixed and random design matrices; Z never carries covariates."""
     s, z = context.time_matrices(subject.times)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 _WIDTH, _HEIGHT = 720, 480
@@ -13,10 +15,18 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
+# what XML 1.0's Char production leaves out: C0 controls but tab, LF and CR,
+# surrogates, U+FFFE and U+FFFF.  ``re`` compiles it at its first use, so a
+# command that renders no SVG never does
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 def _text(x, y, body, size, anchor=None, fill=None) -> str:
     """A <text> element at (x, y); ``body`` is escaped as by ``html.escape(body,
-    quote=False)``, whose import would add to every command's memory."""
+    quote=False)``, whose import would add to every command's memory, and
+    each character that XML cannot hold becomes U+FFFD."""
     body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    body = re.sub(_NOT_XML_CHAR, "\ufffd", body)
     anchor = f' text-anchor="{anchor}"' if anchor else ""
     fill = f' fill="{fill}"' if fill else ""
     return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{fill}>'

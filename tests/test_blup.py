@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import abpmix as a
 from abpmix import basis
 from abpmix import blup as blup_module
+from abpmix import design
 from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.cli import main
@@ -434,6 +435,41 @@ class TestBatchedProfiles:
             a.subject_profiles(noiseless, batch, TimeGrid.equispaced(9))
         assert a.subject_profiles(noiseless, few, TimeGrid.equispaced(9)).shape == (2, 9)
 
+    def test_few_observations_without_residual_variance_match_the_oracle(self, small_fit):
+        # sigma^2 = 0 and p < m: V = Z Sigma_d Z' itself is PD and is factored
+        _, cohort, fitted = small_fit
+        noiseless = dataclasses.replace(fitted, sigma2_hat=0.0)
+        s = cohort.subjects[3]
+        few = a.Subject(id="few", times=TimeGrid(s.times.points[[4, 17]]), y=s.y[[4, 17]])
+        pair = design_for(noiseless, few)
+        assert pair.Z.shape[0] < pair.Z.shape[1]
+        want = conditional_mean_blup_oracle(pair.Z, noiseless.sigma_d_hat, 0.0,
+                                            few.y - pair.X @ noiseless.beta_hat)
+        got = a.random_effects_blup(noiseless, few)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_singular_unstructured_covariance_matches_the_oracle(self, small_fit):
+        # a rank-2 PSD Sigma_d of an unstructured fit: B = sigma^2 I + (ZL)'(ZL)
+        # for p > m and V itself for p <= m give the dense conditional mean
+        spec, cohort, _ = small_fit
+        fitted = a.fit(a.ModelSpec(fixed=spec.fixed, random=spec.random,
+                                   random_cov="unstructured"), a.Cohort(cohort.subjects[:30]))
+        ev, vec = np.linalg.eigh(fitted.sigma_d_hat)
+        ev[0] = 0.0
+        singular = dataclasses.replace(fitted, sigma_d_hat=(vec * ev) @ vec.T)
+        assert np.linalg.matrix_rank(singular.sigma_d_hat) == 2
+        assert np.count_nonzero(singular.sigma_d_hat) == 9
+        batch = [cohort.subjects[0]] + [
+            a.Subject(id=f"p{p}", times=TimeGrid(s.times.points[:p]), y=s.y[:p])
+            for p, s in zip((2, 3, 4, 11), cohort.subjects[1:])]
+        d, *_ = blup_module._blups(singular, batch)
+        for got, s in zip(d, batch):
+            pair = design_for(singular, s)
+            want = conditional_mean_blup_oracle(pair.Z, singular.sigma_d_hat,
+                                                singular.sigma2_hat,
+                                                s.y - pair.X @ singular.beta_hat)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_unfactorizable_covariance_exits_2(self, small_fit, tmp_path, capsys):
         _, cohort, fitted = small_fit
         degenerate = dataclasses.replace(fitted, sigma_d_hat=np.zeros_like(fitted.sigma_d_hat),
@@ -445,3 +481,20 @@ class TestBatchedProfiles:
                      "--subjects", cohort.subjects[0].id, "--out", str(tmp_path / "p")])
         assert code == 2
         assert "ConditioningError" in capsys.readouterr().err
+
+
+class TestFixedMean:
+    def test_equals_the_design_times_beta(self):
+        # the means of each observation count's subjects, from S on the union of their times
+        cohort, fitted = incomplete_covariate_fit()
+        subjects = list(cohort.subjects)
+        group, interaction = design.covariate_values(fitted.spec, subjects, fitted.context)
+        assert group.shape[1] and interaction.shape[1]
+        union, patterns = design.group_patterns(subjects)
+        time_basis = fitted.context.fixed_time_matrix(union)
+        for members, _, which, rows in patterns:
+            want = (design.fixed_design(time_basis[rows[which]], group[members],
+                                        interaction[members]) @ fitted.beta_hat)
+            got = design.fixed_mean(time_basis, rows[which], group[members],
+                                    interaction[members], fitted.beta_hat)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

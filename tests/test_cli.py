@@ -586,6 +586,26 @@ class TestProfilesCommand:
             "{http://www.w3.org/2000/svg}text")
         assert "subject:a<b&c" in [t.text for t in texts]
 
+    def test_svg_replaces_characters_xml_cannot_hold(self, workspace, tmp_path):
+        # a C0 control in an id survives the cohort CSV and the profiles CSV;
+        # in the SVG it becomes U+FFFD, so that an XML parser reads the file
+        root, data, _ = workspace
+        cohort = dataio.read_cohort(data)
+        first = cohort.subjects[0]
+        renamed = a.Cohort(subjects=(a.Subject(id="a\x01b", times=first.times, y=first.y),)
+                           + cohort.subjects[1:])
+        write_cohort(tmp_path / "c.csv", renamed)
+        assert dataio.read_cohort(tmp_path / "c.csv").subjects[0].id == "a\x01b"
+        out = tmp_path / "svg"
+        assert main(["profiles", "--fit", str(root / "fit" / "fit.json"),
+                     "--data", str(tmp_path / "c.csv"), "--subjects", "a\x01b",
+                     "--out", str(out), "--svg"]) == 0
+        svg_root = ElementTree.fromstring((out / "profiles.svg").read_text(encoding="utf-8"))
+        texts = [t.text for t in svg_root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "subject:a\ufffdb" in texts
+        with open(out / "profiles.csv", encoding="utf-8", newline="") as fh:
+            assert "subject:a\x01b" in {row[1] for row in csv.reader(fh)}
+
     def test_out_of_memory_is_usage_error(self, workspace, tmp_path, capsys):
         # what numpy raises for a grid of subject profiles too large to allocate
         root, data, _ = workspace

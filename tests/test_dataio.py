@@ -378,6 +378,9 @@ class TestReadCohortMatchesRowLoop:
     @example(text="subject_id,time,sbp\na,1_0,120\n")
     # a comment character inside an id
     @example(text="subject_id,time,sbp\na#b,1,120\n")
+    # a subject's records in two separate runs; ids alternating record by record
+    @example(text="subject_id,time,sbp\nb,1,120\nb,2,121\na,1,110\nb,3,122\na,2,111\n")
+    @example(text="subject_id,time,sbp\nb,1,120\na,1,110\nb,2,121\na,2,111\nb,3,122\n")
     # a header and no record; a quoted header name
     @example(text="subject_id,time,sbp\n")
     @example(text='"subject_id",time,sbp\na,1,120\n')
