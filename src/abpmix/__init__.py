@@ -10,9 +10,7 @@ from .basis import (
     TimeGrid,
     clock_knots_to_elapsed,
     evaluate_polynomial_basis,
-    gram_schmidt_orthonormalize,
     orthonormal_polynomial_basis,
-    orthonormality_deviation,
     restricted_cubic_spline_basis,
 )
 from .blup import (
@@ -22,7 +20,6 @@ from .blup import (
     prediction_band,
     random_effects_blup,
     subject_profile,
-    subject_profiles,
 )
 from .dataio import (
     SimulationConfig,

@@ -9,7 +9,7 @@ Four basis families are supported:
 * plain natural (monomial) polynomials.
 
 Each returns a read-only float array.  The orthonormal polynomials and the
-Gram-Schmidt transforms share one re-orthogonalization loop and sign rule.
+Gram-Schmidt transform share one re-orthogonalization loop and sign rule.
 
 Raw times live on [0, 24] hours.  Internally the polynomial coefficients
 are expressed in an affinely rescaled variable on [-1, 1]; monomials of
@@ -82,11 +82,6 @@ class TimeGrid:
             raise GridError(f"at most {MAX_GRID_POINTS} grid points, not {n}")
         return cls(np.linspace(start, end, n))
 
-    @classmethod
-    def hourly_midpoints(cls) -> "TimeGrid":
-        """The 24 hourly bin midpoints 0.5, 1.5, ..., 23.5."""
-        return cls(np.arange(24, dtype=float) + 0.5)
-
     def __len__(self) -> int:
         return self.points.size
 
@@ -117,13 +112,6 @@ class PolynomialCoefficients:
 
     def rescale(self, times: np.ndarray) -> np.ndarray:
         return (np.asarray(times, dtype=float) - self.offset) / self.scale
-
-
-def orthonormality_deviation(values: np.ndarray) -> float:
-    """max |B'B - I|, the diagnostic of approximate orthonormality."""
-    b = np.asarray(values, dtype=float)
-    g = b.T @ b
-    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
 def _eval_table(coeffs: PolynomialCoefficients, times: np.ndarray) -> np.ndarray:
@@ -202,8 +190,7 @@ def evaluate_polynomial_basis(coeffs: PolynomialCoefficients, times: TimeGrid) -
     """Evaluate a stored coefficient table at arbitrary times in [0, 24].
 
     On the generating grid this reproduces the exact basis bitwise; at
-    other times the columns are only approximately orthonormal and the
-    deviation is exposed via ``orthonormality_deviation``.
+    other times the columns are only approximately orthonormal.
     """
     lo, hi = TIME_DOMAIN
     pts = times.points
@@ -276,19 +263,6 @@ def gram_schmidt_transform(m: np.ndarray):
         t[:, j] = tj / nrm
     _fix_signs(q, t.T)
     return q, t
-
-
-def gram_schmidt_orthonormalize(values: np.ndarray, add_intercept: bool = True) -> np.ndarray:
-    """Orthonormalize basis columns, optionally prepending an intercept.
-
-    With ``add_intercept`` the later columns are centered against a
-    constant column, matching how spline covariates enter the fixed
-    design.
-    """
-    m = np.asarray(values, dtype=float)
-    if add_intercept:
-        m = np.column_stack([np.ones(m.shape[0]), m])
-    return _readonly(gram_schmidt_transform(m)[0])
 
 
 def clock_knots_to_elapsed(clock_knots, start_hour: float):

@@ -40,6 +40,7 @@ class PredictionBand:
     level: float
 
 
+# kept for bench/spans.py, which times it by name
 def random_effects_blup(fitted: FittedModel, subject: Subject) -> np.ndarray:
     """d = Sigma_d Z' V^-1 (y - X beta) at the fitted parameters, V = Z Sigma_d Z' + sigma^2 I."""
     return _blups(fitted, [subject])[0][0]
@@ -67,14 +68,9 @@ def subject_profile(fitted: FittedModel, subject, eval_times: Optional[TimeGrid]
                         subject_id=subject.id if one else None)
 
 
-def subject_profiles(fitted: FittedModel, subjects, eval_times: TimeGrid) -> np.ndarray:
-    """(n, len(eval_times)) smoothed curves, one row per subject, from one
-    ``subject_profile`` call (``bench/spans.py`` times the batch under that name)."""
-    return subject_profile(fitted, list(subjects), eval_times).values
-
-
 def _time_matrices(fitted: FittedModel, carrier: Subject, times: TimeGrid):
     """(S, Z) on ``times`` via ``build_design``: S, the time basis, leads its X."""
+    # through build_design, which bench/spans.py times as a blup child span
     pair = build_design(fitted.spec, replace(carrier, times=times, y=np.zeros(len(times))),
                         fitted.context)
     return pair.X[:, : fitted.spec.fixed.n_columns], pair.Z

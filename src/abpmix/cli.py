@@ -7,6 +7,7 @@ Subcommands: fit, compare, profiles, band, simulate.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import sys
@@ -128,17 +129,16 @@ def _cmd_profiles(args) -> int:
     fitted = serialize.load_fitted_model(args.fit)
     cohort = dataio.read_cohort(args.data, outcome=args.outcome)
     grid = TimeGrid.equispaced(args.grid_points, 0.0, 24.0)
-    subject_ids = [s for s in (args.subjects.split(",") if args.subjects else []) if s]
     by_id, seen = {s.id: s for s in cohort}, set()
-    for sid in subject_ids:
+    for sid in args.subjects:
         if sid not in by_id or sid in seen:
             what = "unknown" if sid not in by_id else "repeated"
             print(f"error: {what} subject id {sid!r}", file=sys.stderr)
             return EXIT_USAGE
         seen.add(sid)
-    values = blup.subject_profiles(fitted, [by_id[sid] for sid in subject_ids], grid)
+    values = blup.subject_profile(fitted, [by_id[sid] for sid in args.subjects], grid).values
     return _write_plot(args, fitted, grid, "profiles", "predicted profiles",
-                       [(f"subject:{sid}", v) for sid, v in zip(subject_ids, values)])
+                       [(f"subject:{sid}", v) for sid, v in zip(args.subjects, values)])
 
 
 def _cmd_band(args) -> int:
@@ -194,9 +194,21 @@ def _clock_hour(text: str) -> int:
     return value
 
 
+def _subject_ids(text: str) -> list:
+    """The ids of a ``--subjects`` list, empty ones dropped.  A list that
+    holds a double quote is one CSV record, so a quoted id may hold a comma;
+    any other is split at its commas, so an id may hold a bare line end."""
+    try:
+        ids = next(csv.reader([text], strict=True)) if '"' in text else text.split(",")
+    except csv.Error as exc:
+        raise argparse.ArgumentTypeError(f"not one CSV record: {exc}") from None
+    return [s for s in ids if s]
+
+
 def _add_common(parser, data=True, fitopts=False, plot=False):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--outcome", choices=["sbp", "dbp"], default="sbp")
+    # kept for bench/run.py, which passes --workers to profiles
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="accepted for compatibility; no result depends on it")
     if data:
@@ -241,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profiles", help="subject profiles + population curve + band")
     p.add_argument("--fit", required=True, help="fit.json from a previous run")
-    p.add_argument("--subjects", default="", help="comma-separated subject ids")
+    p.add_argument("--subjects", type=_subject_ids, default="",
+                   help='comma-separated subject ids; quote an id holding a comma: \'"a,b",c\'')
     _add_common(p, plot=True)
     p.set_defaults(func=_cmd_profiles)
 

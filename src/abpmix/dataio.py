@@ -108,10 +108,12 @@ def read_cohort(path, outcome: str = "sbp") -> Cohort:
     """Read a cohort CSV, one Subject per id with ascending times.
 
     The file is first read whole, so that invalid UTF-8 anywhere is the
-    first error.  A file that ``_loadable`` accepts is then tokenized and
-    converted by one ``np.loadtxt`` call; ``_read_records`` reads any
-    other with ``csv.reader``, and so every file that holds an error of
-    the module docstring.  One stable sort on (subject, time) then finds
+    first error; a leading UTF-8 byte-order mark, which spreadsheets'
+    "CSV UTF-8" exports write, is skipped (``np.loadtxt`` skips the header
+    line that holds it).  A file that ``_loadable`` accepts is then
+    tokenized and converted by one ``np.loadtxt`` call; ``_read_records``
+    reads any other with ``csv.reader``, and so every file that holds an
+    error of the module docstring.  One stable sort on (subject, time) then finds
     duplicate times and orders each subject's rows, and one pass over the
     sorted arrays checks the whole cohort.  The sorted time and outcome
     arrays are then made read-only, and each subject's ``times.points``
@@ -120,11 +122,11 @@ def read_cohort(path, outcome: str = "sbp") -> Cohort:
     """
     outcome = outcome.lower()
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             loadable = _loadable(fh.read(), outcome)  # no copy of the text outlives this
         read = _loadtxt(path, *loadable) if loadable else None
         if read is None:
-            with open(path, encoding="utf-8", newline="") as fh:
+            with open(path, encoding="utf-8-sig", newline="") as fh:
                 read = _read_records(fh, outcome)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None

@@ -151,12 +151,6 @@ class Cohort:
     def n_obs(self) -> int:
         return sum(s.n_obs for s in self.subjects)
 
-    def subject(self, sid: str) -> Subject:
-        for s in self.subjects:
-            if s.id == sid:
-                return s
-        raise SpecError(f"unknown subject id {sid!r}")
-
 
 @dataclass(frozen=True)
 class DesignPair:

@@ -93,29 +93,6 @@ class CovarianceParams:
             raise SpecError("theta length does not match the covariance structure")
         object.__setattr__(self, "theta", th.copy())
 
-    def sigma2(self) -> float:
-        return float(np.exp(self.theta[-1]))
-
-    def sigma_d(self) -> np.ndarray:
-        return sigma_d_from_theta(self.structure, self.m, self.theta)
-
-    @classmethod
-    def from_moments(cls, structure: str, sigma_d: np.ndarray, sigma2: float) -> "CovarianceParams":
-        sigma_d = np.atleast_2d(np.asarray(sigma_d, dtype=float))
-        m = sigma_d.shape[0]
-        sigma2 = max(float(sigma2), np.exp(LOG_VARIANCE_FLOOR))
-        if structure == "diagonal":
-            d = np.diag(sigma_d).copy()
-            d[d <= 0] = np.exp(LOG_VARIANCE_FLOOR)
-            theta = np.append(np.log(d), np.log(sigma2))
-        else:
-            rows, cols, diag, _, eye = index_plan(structure, m)
-            chol = np.linalg.cholesky(sigma_d + np.exp(LOG_VARIANCE_FLOOR) * eye)
-            packed = chol[rows, cols]
-            packed[diag] = np.log(packed[diag])
-            theta = np.append(packed, np.log(sigma2))
-        return cls(structure=structure, m=m, theta=theta)
-
 
 @functools.cache
 def index_plan(structure: str, m: int) -> tuple:
@@ -243,6 +220,7 @@ class MixedModelProblem:
         subjects = sorted(cohort, key=attrgetter("id"))
         group, interaction = covariate_values(spec, subjects, self.context)
         union, patterns = group_patterns(subjects, np.hstack([group, interaction]))
+        # through build_design, which bench/spans.py times within problem_init
         pair = build_design(spec, replace(subjects[0], times=union, y=np.zeros(len(union))),
                             self.context)
         y = np.concatenate([s.y for s in subjects])
@@ -388,9 +366,11 @@ class MixedModelProblem:
             a.flags.writeable = False
         return out
 
+    # kept for bench/run.py and bench/spans.py, which call and time it by name
     def loglikelihood(self, theta: np.ndarray, method: str = "REML") -> float:
         return self._evaluate(theta, method).loglik
 
+    # kept for bench/spans.py, which times it by name
     def gls(self, theta: np.ndarray):
         """(beta_hat, cov_beta) at theta, the same for either method."""
         ev = self._evaluate(theta, "REML")

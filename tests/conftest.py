@@ -157,6 +157,37 @@ def conditional_mean_blup_oracle(z, sigma_d, sigma2, resid):
     return cov_dy @ np.linalg.solve(var_y, resid)
 
 
+def hourly_midpoints():
+    """The 24 hourly bin midpoints 0.5, 1.5, ..., 23.5."""
+    return TimeGrid(np.arange(24, dtype=float) + 0.5)
+
+
+def orthonormality_deviation(values):
+    """max |B'B - I|, how far the columns of B are from orthonormal."""
+    b = np.asarray(values, dtype=float)
+    g = b.T @ b
+    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+
+
+def theta_from_moments(structure, sigma_d, sigma2):
+    """The theta of ``CovarianceParams`` at Sigma_d and sigma^2: log-variances
+    (diagonal) or the lower Cholesky factor packed row-major with a log
+    diagonal (unstructured), then log sigma^2.  A zero variance takes the
+    floor exp(LOG_VARIANCE_FLOOR), which the unstructured factor adds to
+    every variance."""
+    sigma_d = np.atleast_2d(np.asarray(sigma_d, dtype=float))
+    floor = np.exp(LOG_VARIANCE_FLOOR)
+    if structure == "diagonal":
+        d = np.diag(sigma_d).copy()
+        d[d <= 0] = floor
+        packed = np.log(d)
+    else:
+        rows, cols = np.tril_indices(len(sigma_d))
+        packed = np.linalg.cholesky(sigma_d + floor * np.eye(len(sigma_d)))[rows, cols]
+        packed[rows == cols] = np.log(packed[rows == cols])
+    return np.append(packed, np.log(max(float(sigma2), floor)))
+
+
 def random_tiny_problem(rng, structure="diagonal"):
     """A random tiny mixed-model instance (N <= 3, p <= 5)."""
     n_subjects = int(rng.integers(1, 4))
@@ -228,7 +259,8 @@ def edge_case_problems(rng, structure="diagonal"):
 def row_loop_read_cohort(path, outcome="sbp"):
     """Reference reader: ``dataio.read_cohort`` as one loop over the
     records, each checked as it is read; the first bad record raises, a
-    record that ``csv`` cannot tokenize included.  Then each subject in
+    record that ``csv`` cannot tokenize included.  A leading UTF-8
+    byte-order mark is skipped.  Then each subject in
     order of first appearance is checked, one check at a time, over its
     records in order."""
 
@@ -255,7 +287,7 @@ def row_loop_read_cohort(path, outcome="sbp"):
             return raw
 
     outcome = outcome.lower()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = numbered(csv.reader(fh))
         header = next(records, (1, []))[1]
         column = {name: j for j, name in enumerate(header)}

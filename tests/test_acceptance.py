@@ -16,7 +16,6 @@ from abpmix.basis import (
     clock_knots_to_elapsed,
     evaluate_polynomial_basis,
     orthonormal_polynomial_basis,
-    orthonormality_deviation,
     restricted_cubic_spline_basis,
 )
 from abpmix.cli import main
@@ -26,6 +25,8 @@ from abpmix.inference import Contrast, f_test, information_criteria
 from conftest import (
     conditional_mean_blup_oracle,
     dense_stacked_loglik,
+    hourly_midpoints,
+    orthonormality_deviation,
     poly_spec,
     random_tiny_problem,
     simulate,
@@ -193,7 +194,7 @@ def test_criterion_08_satterthwaite_one_way():
     worst = 0.0
     rng = np.random.default_rng(8)
     for n in (5, 20, 50):
-        times = TimeGrid.hourly_midpoints().points[:10]
+        times = hourly_midpoints().points[:10]
         subs = []
         for i in range(n):
             b = rng.normal(0.0, 6.0)
@@ -211,7 +212,7 @@ def test_criterion_09_band_coverage():
     cohort = simulate(spec, [520.0, -25.0, 12.0], np.diag([90.0, 45.0, 25.0]), 25.0,
                       n_subjects=80, seed=90)
     fitted = a.fit(spec, cohort)
-    grid = TimeGrid.hourly_midpoints()
+    grid = hourly_midpoints()
     band = a.prediction_band(fitted, grid, level=0.90)
     rng = np.random.default_rng(900)
     n_sim = 10_000

@@ -6,15 +6,15 @@ from abpmix.basis import (
     TimeGrid,
     clock_knots_to_elapsed,
     evaluate_polynomial_basis,
-    gram_schmidt_orthonormalize,
     gram_schmidt_transform,
     natural_polynomial_basis,
     orthonormal_polynomial_basis,
-    orthonormality_deviation,
     restricted_cubic_spline_basis,
 )
 from abpmix.design import BasisContext, BasisDescriptor, ModelSpec
 from abpmix.errors import DomainError, GridError, KnotError, RankError
+
+from conftest import hourly_midpoints, orthonormality_deviation
 
 
 def qr_oracle(points, degree):
@@ -40,7 +40,7 @@ class TestTimeGrid:
             TimeGrid(np.array([1.0, 1.0, 2.0]))
 
     def test_hourly_midpoints(self):
-        g = TimeGrid.hourly_midpoints()
+        g = hourly_midpoints()
         assert len(g) == 24
         assert g.points[0] == 0.5 and g.points[-1] == 23.5
 
@@ -78,7 +78,7 @@ class TestOrthonormalPolynomial:
         np.testing.assert_allclose(basis, np.full((4, 1), 0.5), atol=1e-15)
 
     def test_degree_nine_hourly_grid(self):
-        grid = TimeGrid.hourly_midpoints()
+        grid = hourly_midpoints()
         basis, _ = orthonormal_polynomial_basis(grid, 9)
         assert basis.shape == (24, 10)
         assert orthonormality_deviation(basis) <= 1e-10
@@ -141,14 +141,14 @@ class TestEvaluatePolynomialBasis:
         assert not (basis.flags.writeable or again.flags.writeable)
 
     def test_subgrid_deviation_finite(self):
-        grid = TimeGrid.hourly_midpoints()
+        grid = hourly_midpoints()
         _, coeffs = orthonormal_polynomial_basis(grid, 4)
         sub = TimeGrid(grid.points[[0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 22, 23]])
         dev = orthonormality_deviation(evaluate_polynomial_basis(coeffs, sub))
         assert np.isfinite(dev) and dev > 0
 
     def test_single_time_degree_one(self):
-        grid = TimeGrid.hourly_midpoints()
+        grid = hourly_midpoints()
         _, coeffs = orthonormal_polynomial_basis(grid, 1)
         row = evaluate_polynomial_basis(coeffs, TimeGrid(np.array([12.0])))
         # closed form on the hourly-midpoint grid: s0 = 1/sqrt(24),
@@ -178,7 +178,7 @@ def spline_function(knots, coef):
 class TestRestrictedCubicSpline:
     def test_default_nine_knots_give_eight_columns(self):
         knots = clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=12.0)
-        basis = restricted_cubic_spline_basis(TimeGrid.hourly_midpoints(), knots)
+        basis = restricted_cubic_spline_basis(hourly_midpoints(), knots)
         assert basis.shape == (24, 8)
 
     def test_all_plus_functions_vanish_left_of_first_knot(self):
@@ -247,12 +247,12 @@ class TestGramSchmidt:
     def test_idempotent_up_to_sign(self):
         grid = TimeGrid.equispaced(12)
         basis, _ = orthonormal_polynomial_basis(grid, 3)
-        out = gram_schmidt_orthonormalize(basis, add_intercept=False)
+        out, _ = gram_schmidt_transform(basis)
         np.testing.assert_allclose(np.abs(out), np.abs(basis), atol=1e-12)
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            gram_schmidt_orthonormalize(np.array([[1.0], [np.nan]]), add_intercept=False)
+            gram_schmidt_transform(np.array([[1.0], [np.nan]]))
 
     def test_duplicate_column_names_offender(self):
         v = np.column_stack([np.arange(4.0), np.arange(4.0)])
@@ -261,18 +261,18 @@ class TestGramSchmidt:
 
     def test_orthonormal_output(self):
         knots = clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=8.0)
-        basis = restricted_cubic_spline_basis(TimeGrid.hourly_midpoints(), knots)
-        out = gram_schmidt_orthonormalize(basis)
+        basis = restricted_cubic_spline_basis(hourly_midpoints(), knots)
+        out, _ = gram_schmidt_transform(np.column_stack([np.ones(24), basis]))
         assert out.shape == (24, 9)
-        assert not (basis.flags.writeable or out.flags.writeable)
+        assert not basis.flags.writeable
         assert orthonormality_deviation(out) <= 1e-10
 
     def test_span_equivalence_in_least_squares(self):
         rng = np.random.default_rng(3)
         knots = clock_knots_to_elapsed(DEFAULT_SPLINE_CLOCK_KNOTS, start_hour=8.0)
-        basis = restricted_cubic_spline_basis(TimeGrid.hourly_midpoints(), knots)
+        basis = restricted_cubic_spline_basis(hourly_midpoints(), knots)
         raw = np.column_stack([np.ones(24), basis])
-        ortho = gram_schmidt_orthonormalize(basis)
+        ortho, _ = gram_schmidt_transform(raw)
         y = rng.normal(size=24)
         fit_raw = raw @ np.linalg.lstsq(raw, y, rcond=None)[0]
         fit_ortho = ortho @ np.linalg.lstsq(ortho, y, rcond=None)[0]

@@ -309,7 +309,7 @@ class TestBatchedProfiles:
     def test_matches_conditional_mean_oracle(self, which, request):
         cohort, fitted = request.getfixturevalue(which)
         grid = TimeGrid.equispaced(49)
-        got = a.subject_profiles(fitted, cohort.subjects, grid)
+        got = a.subject_profile(fitted, cohort.subjects, grid).values
         assert got.shape == (len(cohort), len(grid))
         for i, s in enumerate(cohort.subjects):
             want_d, want = oracle_profile(fitted, s, grid)
@@ -323,8 +323,8 @@ class TestBatchedProfiles:
         _, fitted = incomplete
         subjects, order = batch
         grid = TimeGrid.equispaced(13)
-        got = a.subject_profiles(fitted, subjects, grid)
-        permuted = a.subject_profiles(fitted, [subjects[i] for i in order], grid)
+        got = a.subject_profile(fitted, subjects, grid).values
+        permuted = a.subject_profile(fitted, [subjects[i] for i in order], grid).values
         for i, s in enumerate(subjects):
             want = oracle_profile(fitted, s, grid)[1]
             scale = np.max(np.abs(want))
@@ -348,7 +348,7 @@ class TestBatchedProfiles:
         cohort, fitted = incomplete
         builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
-        a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
+        a.subject_profile(fitted, cohort.subjects, TimeGrid.equispaced(25))
         patterns = {s.times.points.tobytes() for s in cohort.subjects}
         lengths = {len(s.times) for s in cohort.subjects}
         union = np.unique(np.concatenate([s.times.points for s in cohort.subjects]))
@@ -367,7 +367,7 @@ class TestBatchedProfiles:
         cohort, fitted = irregular
         builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
-        a.subject_profiles(fitted, cohort.subjects, TimeGrid.equispaced(25))
+        a.subject_profile(fitted, cohort.subjects, TimeGrid.equispaced(25))
         assert len({s.covariates["age"] for s in cohort.subjects}) == len(cohort)
         assert sum(factors) == len(cohort)
         assert len(factors) == len({len(s.times) for s in cohort.subjects}) < len(cohort)
@@ -377,22 +377,28 @@ class TestBatchedProfiles:
     def test_rows_do_not_depend_on_the_batch(self, incomplete):
         cohort, fitted = incomplete
         grid = TimeGrid.equispaced(25)
-        batch = a.subject_profiles(fitted, cohort.subjects[::-1], grid)[::-1]
+        batch = a.subject_profile(fitted, cohort.subjects[::-1], grid).values[::-1]
         for i in (0, 12, 39):
             one = a.subject_profile(fitted, cohort.subjects[i], grid).values
             np.testing.assert_allclose(batch[i], one, rtol=1e-12)
 
-    def test_batch_runs_inside_one_subject_profile_call(self, incomplete, monkeypatch):
+    def test_batch_runs_inside_one_subject_profile_call(self, incomplete, monkeypatch,
+                                                        tmp_path):
         # bench/spans.py wraps the module-level subject_profile: the whole
-        # batch, its design builds and factorizations included, runs in one call
+        # batch of the profiles command, its design builds and factorizations
+        # included, runs in one call
         cohort, fitted = incomplete
-        inside, events = [], []  # subject_profile's argument, then None once it returns
+        (tmp_path / "fit.json").write_text(serialize.fitted_model_to_json(fitted),
+                                           encoding="utf-8")
+        write_cohort(tmp_path / "cohort.csv", cohort)
+        inside, events, got = [], [], []  # subject_profile's argument, then None once it returns
         profile = blup_module.subject_profile
 
         def wrapped(*args, **kwargs):
             inside.append(args[1])
             try:
-                return profile(*args, **kwargs)
+                got.append(profile(*args, **kwargs))
+                return got[-1]
             finally:
                 inside.append(None)
 
@@ -402,25 +408,28 @@ class TestBatchedProfiles:
         monkeypatch.setattr(blup_module, "subject_profile", wrapped)
         monkeypatch.setattr(blup_module, "build_design", seen(blup_module.build_design))
         monkeypatch.setattr(np.linalg, "cholesky", seen(np.linalg.cholesky))
-        grid = TimeGrid.equispaced(25)
-        got = a.subject_profiles(fitted, cohort.subjects, grid)
-        assert len(inside) == 2 and list(inside[0]) == list(cohort.subjects)
+        assert main(["profiles", "--fit", str(tmp_path / "fit.json"),
+                     "--data", str(tmp_path / "cohort.csv"), "--grid-points", "25",
+                     "--subjects", ",".join(s.id for s in cohort), "--out",
+                     str(tmp_path / "p")]) == 0
+        assert len(inside) == 2 and [s.id for s in inside[0]] == [s.id for s in cohort]
         lengths = {len(s.times) for s in cohort.subjects}
         assert events == [True] * (2 + len(lengths))
-        want = a.subject_profile(fitted, list(cohort.subjects), grid)
-        assert want.subject_id is None and want.kind == "subject"
-        np.testing.assert_array_equal(got, want.values)
+        loaded = serialize.load_fitted_model(tmp_path / "fit.json")
+        want = profile(loaded, list(cohort.subjects), TimeGrid.equispaced(25))
+        assert got[0].subject_id is None and got[0].kind == "subject"
+        np.testing.assert_array_equal(got[0].values, want.values)
 
     def test_empty_batch(self, incomplete):
         _, fitted = incomplete
-        assert a.subject_profiles(fitted, [], TimeGrid.equispaced(7)).shape == (0, 7)
+        assert a.subject_profile(fitted, [], TimeGrid.equispaced(7)).values.shape == (0, 7)
 
     def test_unfactorizable_covariance(self, small_fit):
         _, cohort, fitted = small_fit
         degenerate = dataclasses.replace(fitted, sigma_d_hat=np.zeros_like(fitted.sigma_d_hat),
                                          sigma2_hat=0.0)
         with pytest.raises(ConditioningError, match="subject"):
-            a.subject_profiles(degenerate, cohort.subjects[:5], TimeGrid.equispaced(9))
+            a.subject_profile(degenerate, cohort.subjects[:5], TimeGrid.equispaced(9))
 
     def test_names_the_first_subject_whose_covariance_is_singular(self, small_fit):
         # without residual variance V = Z Sigma_d Z' is singular beyond m = 3
@@ -432,8 +441,8 @@ class TestBatchedProfiles:
                for k in range(2)]
         batch = [few[0], cohort.subjects[1], few[1], cohort.subjects[2]]
         with pytest.raises(ConditioningError, match=repr(cohort.subjects[1].id)):
-            a.subject_profiles(noiseless, batch, TimeGrid.equispaced(9))
-        assert a.subject_profiles(noiseless, few, TimeGrid.equispaced(9)).shape == (2, 9)
+            a.subject_profile(noiseless, batch, TimeGrid.equispaced(9))
+        assert a.subject_profile(noiseless, few, TimeGrid.equispaced(9)).values.shape == (2, 9)
 
     def test_few_observations_without_residual_variance_match_the_oracle(self, small_fit):
         # sigma^2 = 0 and p < m: V = Z Sigma_d Z' itself is PD and is factored

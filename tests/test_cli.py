@@ -22,7 +22,7 @@ from abpmix.dataio import write_cohort, write_series
 from abpmix.errors import AbpmixError, SchemaError
 from abpmix.estimation import MixedModelProblem
 
-from conftest import poly_spec, spec_object
+from conftest import hourly_midpoints, poly_spec, spec_object
 
 
 def write_spec(path, degree, random_cov="diagonal", random_degree=None):
@@ -610,7 +610,7 @@ class TestProfilesCommand:
         # what numpy raises for a grid of subject profiles too large to allocate
         root, data, _ = workspace
         out = tmp_path / "pmem"
-        with mock.patch.object(blup, "subject_profiles",
+        with mock.patch.object(blup, "subject_profile",
                                side_effect=MemoryError("Unable to allocate 1.93 GiB")):
             code = main(["profiles", "--fit", str(root / "fit" / "fit.json"), "--data", data,
                          "--subjects", "s0000", "--grid-points", "86401", "--out", str(out)])
@@ -645,6 +645,35 @@ class TestProfilesCommand:
                      "--data", data, "--subjects", "s0000,s0001,s0000", "--out", str(out)])
         assert code == 2
         assert "repeated subject id 's0000'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quoted_subject_id_may_hold_a_comma(self, workspace, tmp_path):
+        # --subjects is one CSV record: the profile of the quoted id is that
+        # of the same subject under its plain id in the original cohort
+        root, data, _ = workspace
+        cohort = dataio.read_cohort(data)
+        first = cohort.subjects[0]
+        renamed = a.Cohort(subjects=(a.Subject(id=f"{first.id},x", times=first.times,
+                                               y=first.y),) + cohort.subjects[1:])
+        write_cohort(tmp_path / "c.csv", renamed)
+        fit = str(root / "fit" / "fit.json")
+        assert main(["profiles", "--fit", fit, "--data", str(tmp_path / "c.csv"),
+                     "--subjects", f'"{first.id},x",s0001', "--out", str(tmp_path / "q")]) == 0
+        assert main(["profiles", "--fit", fit, "--data", data,
+                     "--subjects", f"{first.id},s0001", "--out", str(tmp_path / "p")]) == 0
+        quoted = (tmp_path / "q" / "profiles.csv").read_text(encoding="utf-8")
+        plain = (tmp_path / "p" / "profiles.csv").read_text(encoding="utf-8")
+        assert quoted == plain.replace(f",subject:{first.id},", f',"subject:{first.id},x",')
+        assert quoted != plain
+
+    def test_unterminated_quote_in_subjects_is_usage_error(self, workspace, tmp_path, capsys):
+        root, data, _ = workspace
+        out = tmp_path / "pq"
+        code = main(["profiles", "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                     "--subjects", '"s0000,s0001', "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "argument --subjects: not one CSV record: unexpected end of data" in err
         assert not out.exists()
 
     def test_carriage_return_in_subject_id_reads_back(self, workspace, tmp_path):
@@ -1121,7 +1150,7 @@ def hand_built_fit(group_terms=()):
     intercept and the given terms of three subjects' covariates, diet
     (categorical, reference level "control") and age (numeric)."""
     subjects = tuple(
-        a.Subject(id=f"s{i}", times=TimeGrid.hourly_midpoints(), y=np.full(24, 120.0),
+        a.Subject(id=f"s{i}", times=hourly_midpoints(), y=np.full(24, 120.0),
                   covariates={"diet": diet, "age": 40.0 + i})
         for i, diet in enumerate(["salt", "control", "dash"]))
     spec = a.ModelSpec(fixed=a.BasisDescriptor("orthonormal_poly", 1),

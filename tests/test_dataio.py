@@ -25,6 +25,11 @@ def write_csv(path, text):
     return str(path)
 
 
+def subject(cohort, sid):
+    """The subject of ``cohort`` whose id is ``sid``."""
+    return {s.id: s for s in cohort}[sid]
+
+
 GOOD_CSV = """subject_id,time,sbp,dbp
 a,0.5,120,80
 a,2.5,125,82
@@ -39,13 +44,13 @@ class TestReadCohort:
     def test_happy_path_sorts_times(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
         assert len(cohort) == 2
-        s = cohort.subject("a")
+        s = subject(cohort, "a")
         np.testing.assert_array_equal(s.times.points, [0.5, 1.5, 2.5])
         np.testing.assert_array_equal(s.y, [120.0, 118.0, 125.0])
 
     def test_outcome_channel_selectable(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV), outcome="dbp")
-        np.testing.assert_array_equal(cohort.subject("a").y, [80.0, 79.0, 82.0])
+        np.testing.assert_array_equal(subject(cohort, "a").y, [80.0, 79.0, 82.0])
 
     def test_missing_time_column(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", "subject_id,sbp\na,120\n")
@@ -67,7 +72,7 @@ class TestReadCohort:
             tmp_path / "c.csv",
             "subject_id,time,sbp,diet,age\na,1,120,control,41\na,2,121,control,41\n",
         )
-        s = a.read_cohort(p).subject("a")
+        s = subject(a.read_cohort(p), "a")
         assert s.covariates["diet"] == "control"
         assert s.covariates["age"] == 41.0
 
@@ -84,7 +89,7 @@ class TestReadCohort:
             tmp_path / "c.csv",
             "subject_id,time,sbp,diet,age\na,1,120,control,41\na,2,121,control,41.0\n",
         )
-        assert a.read_cohort(p).subject("a").covariates["age"] == 41.0
+        assert subject(a.read_cohort(p), "a").covariates["age"] == 41.0
 
     def test_unchanged_nan_covariate_next_to_a_respelled_one_accepted(self, tmp_path):
         # the same text is never a change, even where its value is NaN
@@ -92,7 +97,7 @@ class TestReadCohort:
             tmp_path / "c.csv",
             "subject_id,time,sbp,age,diet\na,1,120,41,nan\na,2,121,41.0,nan\n",
         )
-        assert a.read_cohort(p).subject("a").covariates["age"] == 41.0
+        assert subject(a.read_cohort(p), "a").covariates["age"] == 41.0
 
     def test_short_row_names_row(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", "subject_id,time,sbp\na,0.5,120\na,1.5\n")
@@ -185,6 +190,24 @@ class TestReadCohort:
         assert ([(s.id, s.times.points.tobytes(), s.y.tobytes()) for s in got]
                 == [(s.id, s.times.points.tobytes(), s.y.tobytes()) for s in want])
 
+    @pytest.mark.parametrize("text,by_csv_reader", [
+        (GOOD_CSV, False),
+        ('subject_id,time,sbp\r\na,1,120\r\n"b,x",2,121\r\n', False),  # a quoted id, CRLF
+        ('"subject_id",time,sbp\na,1,120\n\nb,2,121\n', True),  # a quoted header, a blank record
+        ("subject_id,sbp\na,120\n", True),  # the same SchemaError
+    ])
+    def test_byte_order_mark_reads_as_its_plain_twin(self, tmp_path, text, by_csv_reader):
+        # spreadsheets' "CSV UTF-8" exports start with one
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want = read_outcome(a.read_cohort, str(plain))
+        with mock.patch("csv.reader", wraps=csv.reader) as reader:
+            got = read_outcome(a.read_cohort, str(bom))
+        assert got == want == read_outcome(row_loop_read_cohort, str(bom))
+        assert reader.called == by_csv_reader
+        assert (want[0] is SchemaError) == (text.count(",") == 2)
+
     def test_subjects_hold_read_only_views(self, tmp_path):
         cohort = a.read_cohort(write_csv(tmp_path / "c.csv", GOOD_CSV))
         arrays = [arr for s in cohort for arr in (s.times.points, s.y)]
@@ -216,7 +239,7 @@ class TestReadCohort:
         write_cohort(out, cohort)
         back = a.read_cohort(str(out))
         for s in cohort:
-            t = back.subject(s.id)
+            t = subject(back, s.id)
             np.testing.assert_array_equal(t.times.points, s.times.points)
             np.testing.assert_array_equal(t.y, s.y)
 
@@ -295,7 +318,9 @@ def read_plainly(text):
     line end inside quotes), each record at least as wide as the header's
     needed columns, and every time and outcome a number numpy reads.  None
     where the answer is left open: a line too long to rule out a field
-    over the limit, but not over it."""
+    over the limit, but not over it.  A leading byte-order mark is not part
+    of the text."""
+    text = text.removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
     header = lines[0].split(",")
     if ("\0" in text or '"' in lines[0] or len(lines) < 2
@@ -342,6 +367,8 @@ class TestReadCohortMatchesRowLoop:
     # finite times outside [0, 24], each the only bad value of its cohort
     @example(text="subject_id,time,sbp\na,1,120\na,24.5,121\n")
     @example(text="subject_id,time,sbp\na,-0.5,120\na,1,121\n")
+    # a byte-order mark before a header, a quoted id and a blank record
+    @example(text='\ufeffsubject_id,time,sbp\n"a",1,120\n\nb,2,121\n')
     def test_same_cohort_or_same_error(self, tmp_path_factory, text):
         assert_reads_like_row_loop(tmp_path_factory, text)
 
@@ -384,6 +411,9 @@ class TestReadCohortMatchesRowLoop:
     # a header and no record; a quoted header name
     @example(text="subject_id,time,sbp\n")
     @example(text='"subject_id",time,sbp\na,1,120\n')
+    # a byte-order mark before a plain and a quoted header
+    @example(text="\ufeffsubject_id,time,sbp\na,1,120\nb,2,121\n")
+    @example(text='\ufeff"subject_id",time,sbp\na,1,120\n')
     def test_plain_file_same_cohort_or_same_error(self, tmp_path_factory, text):
         used_csv_reader = assert_reads_like_row_loop(tmp_path_factory, text)
         plainly = read_plainly(text)

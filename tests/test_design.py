@@ -12,11 +12,11 @@ from abpmix.design import (covariate_coding, covariate_values, distinct_rows, fi
                            group_patterns)
 from abpmix.errors import SpecError
 
-from conftest import poly_spec, row_loop_covariate_design
+from conftest import hourly_midpoints, poly_spec, row_loop_covariate_design
 
 
 def complete_subject(sid="a", covariates=None, seed=0):
-    grid = TimeGrid.hourly_midpoints()
+    grid = hourly_midpoints()
     rng = np.random.default_rng(seed)
     return a.Subject(id=sid, times=grid, y=rng.normal(120, 10, size=24),
                      covariates=covariates or {})
@@ -150,8 +150,8 @@ class TestBuildDesign:
             random_cov="unstructured",
         )
         ctx = a.BasisContext(spec)
-        full = ctx.fixed_time_matrix(TimeGrid.hourly_midpoints())
-        sub = ctx.fixed_time_matrix(TimeGrid(TimeGrid.hourly_midpoints().points[5:9]))
+        full = ctx.fixed_time_matrix(hourly_midpoints())
+        sub = ctx.fixed_time_matrix(TimeGrid(hourly_midpoints().points[5:9]))
         # evaluating a subset of times gives the corresponding rows
         np.testing.assert_allclose(sub, full[5:9], atol=1e-12)
 

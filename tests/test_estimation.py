@@ -27,28 +27,18 @@ from conftest import (
     dense_stacked_loglik,
     edge_case_problems,
     fd_observed_information,
+    hourly_midpoints,
     poly_spec,
     random_tiny_problem,
     record_problem_calls,
     simulate,
+    theta_from_moments,
 )
 
 
 class TestCovarianceParams:
-    def test_diagonal_round_trip(self):
-        sd = np.diag([4.0, 9.0])
-        p = CovarianceParams.from_moments("diagonal", sd, 2.5)
-        np.testing.assert_allclose(p.sigma_d(), sd, rtol=1e-12)
-        assert abs(p.sigma2() - 2.5) < 1e-12
-
-    def test_unstructured_round_trip(self):
-        sd = np.array([[4.0, 1.0], [1.0, 3.0]])
-        p = CovarianceParams.from_moments("unstructured", sd, 1.0)
-        np.testing.assert_allclose(p.sigma_d(), sd, rtol=1e-10)
-
     def test_zero_variance_floors(self):
-        p = CovarianceParams.from_moments("diagonal", np.zeros((1, 1)), 0.0)
-        assert np.all(np.isfinite(p.theta))
+        assert np.all(np.isfinite(theta_from_moments("diagonal", np.zeros((1, 1)), 0.0)))
 
     def test_counts(self):
         assert n_cov_params("diagonal", 10) == 11
@@ -284,8 +274,8 @@ class TestGLS:
         spec = poly_spec(2)
         cohort = simulate(spec, [300.0, 10.0, -5.0], np.diag([40.0, 20.0, 10.0]),
                           9.0, n_subjects=8, seed=3)
-        params = CovarianceParams.from_moments("diagonal", np.zeros((3, 3)), 1.0)
-        beta, _ = MixedModelProblem(spec, cohort).gls(params.theta)
+        theta = theta_from_moments("diagonal", np.zeros((3, 3)), 1.0)
+        beta, _ = MixedModelProblem(spec, cohort).gls(theta)
         ctx = a.BasisContext(spec, cohort)
         xs = np.vstack([a.build_design(spec, s, ctx).X for s in cohort])
         ys = np.concatenate([s.y for s in cohort])
@@ -306,8 +296,8 @@ class TestGLS:
             base_times=TimeGrid.equispaced(24).points,
         )
         cohort = a.simulate_cohort(cfg)
-        params = CovarianceParams.from_moments("diagonal", np.diag([50.0, 30.0, 10.0]), 16.0)
-        beta, _ = MixedModelProblem(spec, cohort).gls(params.theta)
+        theta = theta_from_moments("diagonal", np.diag([50.0, 30.0, 10.0]), 16.0)
+        beta, _ = MixedModelProblem(spec, cohort).gls(theta)
         ctx = a.BasisContext(spec, cohort)
         s0 = ctx.fixed_time_matrix(cohort.subjects[0].times)
         proj = np.mean([s0.T @ s.y for s in cohort], axis=0)
@@ -318,8 +308,8 @@ class TestGLS:
         times = TimeGrid(np.array([2.0, 8.0, 14.0, 20.0]))
         y = np.array([100.0, 130.0, 90.0, 110.0])
         cohort = a.Cohort(subjects=(a.Subject(id="s", times=times, y=y),))
-        params = CovarianceParams.from_moments("diagonal", np.diag([1.0] * 4), 1.0)
-        beta, _ = MixedModelProblem(spec, cohort).gls(params.theta)
+        theta = theta_from_moments("diagonal", np.diag([1.0] * 4), 1.0)
+        beta, _ = MixedModelProblem(spec, cohort).gls(theta)
         ctx = a.BasisContext(spec, cohort)
         x = a.build_design(spec, cohort.subjects[0], ctx).X
         np.testing.assert_allclose(x @ beta, y, atol=1e-7)
@@ -405,7 +395,7 @@ class TestFit:
         assert abs(fitted.sigma2_hat - np.var(y, ddof=1)) <= 1e-8
 
     def test_identical_subjects_floor_random_variances(self):
-        times = TimeGrid.hourly_midpoints()
+        times = hourly_midpoints()
         y = 110.0 + 5.0 * np.sin(times.points / 4.0)
         subjects = tuple(a.Subject(id=f"s{i}", times=times, y=y) for i in range(6))
         fitted = a.fit(poly_spec(1), a.Cohort(subjects=subjects))
@@ -610,7 +600,7 @@ class TestCholeskyJitter:
         spec = poly_spec(3, structure)
         sigma_d = np.diag([60.0, 30.0, 15.0, 8.0])
         cohort = simulate(spec, [120.0, -8.0, 4.0, -2.0], sigma_d, 16.0, 40, seed=9)
-        theta = CovarianceParams.from_moments(structure, sigma_d, 16.0).theta
+        theta = theta_from_moments(structure, sigma_d, 16.0)
         return spec, cohort, theta
 
     @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
@@ -813,7 +803,7 @@ def test_fitted_model_survives_a_pickle_round_trip(fixed, random, orthonormalize
                       n_subjects=12, seed=9)
     fitted = a.fit(spec, cohort)
     back = pickle.loads(pickle.dumps(fitted))
-    grid = TimeGrid.hourly_midpoints()
+    grid = hourly_midpoints()
     for got, want in zip(back.context.time_matrices(grid), fitted.context.time_matrices(grid)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert back.beta_hat.tobytes() == fitted.beta_hat.tobytes()

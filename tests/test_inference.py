@@ -28,13 +28,14 @@ from abpmix.inference import (
     variance_component_table,
 )
 
-from conftest import dense_observed_information, poly_spec, record_problem_calls, simulate
+from conftest import (dense_observed_information, hourly_midpoints, poly_spec,
+                      record_problem_calls, simulate)
 
 
 def one_way_cohort(n_subjects, p, seed, mu=100.0, tau2=25.0, sigma2=9.0):
     """Balanced random-intercept data: y_it = mu + b_i + e_it."""
     rng = np.random.default_rng(seed)
-    times = TimeGrid.hourly_midpoints().points[:p]
+    times = hourly_midpoints().points[:p]
     subs = []
     for i in range(n_subjects):
         b = rng.normal(0.0, np.sqrt(tau2))
