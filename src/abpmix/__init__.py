@@ -15,7 +15,6 @@ from .basis import (
 )
 from .blup import (
     PredictionBand,
-    ProfileCurve,
     population_curve,
     prediction_band,
     random_effects_blup,

@@ -1,11 +1,13 @@
 """Subject-specific prediction: BLUPs, profiles, and prediction bands.
 
-A batch of profiles is array work on the design pipeline of ``design``: the time
-bases are evaluated once on the union of the batch's times and once on the grid.
-The observations' mean X beta comes from ``fixed_mean``, which builds no X, and
-the grid's from ``fixed_design`` once per distinct covariate encoding.  Each
-distinct time pattern factors one k x k matrix, k = min(p, m) (see ``_blups``),
-and all patterns of one length are factored in one stacked Cholesky call.
+Profiles and curves are plain arrays: ``subject_profile`` gives a batch's
+(subjects, times) matrix, ``population_curve`` one (times,) row.  A batch
+is array work on the design pipeline of ``design``: the time bases are
+evaluated once on the union of the batch's times and once on the grid, and
+the mean X beta on both comes from ``fixed_mean``, which builds no X.
+Each distinct time pattern factors one k x k matrix, k = min(p, m) (see
+``_blups``), and all patterns of one length are factored in one stacked
+Cholesky call.
 """
 
 from __future__ import annotations
@@ -17,27 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .basis import TimeGrid
-from .design import (Subject, build_design, covariate_values, distinct_rows, fixed_design,
-                     fixed_mean, group_patterns)
+from .design import Subject, build_design, covariate_values, fixed_mean, group_patterns
 from .errors import ConditioningError, ConfigError, SpecError
 from .estimation import FittedModel
 
 
 @dataclass(frozen=True)
-class ProfileCurve:
-    times: TimeGrid
-    values: np.ndarray
-    kind: str
-    subject_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class PredictionBand:
-    times: TimeGrid
     center: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    level: float
 
 
 # kept for bench/spans.py, which times it by name
@@ -46,26 +37,19 @@ def random_effects_blup(fitted: FittedModel, subject: Subject) -> np.ndarray:
     return _blups(fitted, [subject])[0][0]
 
 
-def subject_profile(fitted: FittedModel, subject, eval_times: Optional[TimeGrid] = None
-                    ) -> ProfileCurve:
-    """Smoothed predicted curve y = X beta + Z d for one subject, or for a
-    sequence of subjects on ``eval_times``: then one row of values each."""
-    one = isinstance(subject, Subject)
-    batch = [subject] if one else list(subject)
-    times = subject.times if eval_times is None else eval_times
-    values = np.zeros((0, len(times)))
-    if batch:
-        d, group, interaction = _blups(fitted, batch)
-        s, z = _time_matrices(fitted, batch[0], times)
-        # the mean once per distinct covariate encoding
-        first, encoding = distinct_rows(np.hstack([group, interaction]))
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            mean = fixed_design(np.broadcast_to(s, (len(first),) + s.shape), group[first],
-                                interaction[first]) @ fitted.beta_hat
-            values = mean[encoding] + d @ z.T
-        _refuse_non_finite(values, batch)
-    return ProfileCurve(times=times, values=values[0] if one else values, kind="subject",
-                        subject_id=subject.id if one else None)
+def subject_profile(fitted: FittedModel, subjects, times: TimeGrid) -> np.ndarray:
+    """The (subjects, times) smoothed predicted curves X beta + Z d of a
+    sequence of subjects on ``times``."""
+    if not subjects:
+        return np.zeros((0, len(times)))
+    d, group, interaction = _blups(fitted, subjects)
+    s, z = _time_matrices(fitted, subjects[0], times)
+    # every subject's rows are the whole grid: one index row broadcast over the subjects
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = (fixed_mean(s, np.arange(len(times)), group, interaction, fitted.beta_hat)
+                  + d @ z.T)
+    _refuse_non_finite(values, subjects)
+    return values
 
 
 def _time_matrices(fitted: FittedModel, carrier: Subject, times: TimeGrid):
@@ -135,11 +119,14 @@ def _refuse_non_finite(rows, subjects):
         raise SpecError(f"the fitted curve of subject {subjects[bad[0]].id!r} is not finite")
 
 
-def population_curve(fitted: FittedModel, eval_times: TimeGrid) -> ProfileCurve:
-    """Fixed-effect curve at the reference covariate level."""
-    s = fitted.context.fixed_time_matrix(eval_times)
-    values = s @ fitted.beta_hat[: s.shape[1]]
-    return ProfileCurve(times=eval_times, values=values, kind="population")
+def population_curve(fitted: FittedModel, times: TimeGrid) -> np.ndarray:
+    """The (times,) fixed-effect curve at the reference covariate level."""
+    s = fitted.context.fixed_time_matrix(times)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = s @ fitted.beta_hat[: s.shape[1]]
+    if not np.isfinite(values).all():
+        raise SpecError("the population curve is not finite")
+    return values
 
 
 def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.90,
@@ -149,11 +136,12 @@ def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.
     Half-width combines fixed-effect estimation variance, random-effect
     variance, and the residual: z * sqrt(s'Phi s + u'Sigma_d u + sigma^2).
     ``multiplier`` overrides the normal quantile (e.g. 2.0 for the
-    mean +/- 2 SD convention).
+    mean +/- 2 SD convention).  A band that overflows is refused.
     """
     if multiplier is None:
-        if not 0.0 < level < 1.0:
-            raise ConfigError("band level must be in (0, 1)")
+        # 0.5 * (1 + level) rounds to 1 at the largest double below 1, 1 - 2**-53
+        if not 0.0 < level <= 1.0 - 2.0 ** -52:
+            raise ConfigError("band level must be in (0, 1), at most 1 - 2**-52")
         z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     else:
         if not 0.0 <= multiplier < np.inf:
@@ -161,13 +149,13 @@ def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.
         z = float(multiplier)
     s, u = fitted.context.time_matrices(eval_times)
     phi_tt = fitted.cov_beta[: s.shape[1], : s.shape[1]]
-    var = (
-        np.einsum("ij,jk,ik->i", s, phi_tt, s)
-        + np.einsum("ij,jk,ik->i", u, fitted.sigma_d_hat, u)
-        + fitted.sigma2_hat
-    )
-    center = s @ fitted.beta_hat[: s.shape[1]]
-    half = z * np.sqrt(var)
-    upper = center + half
-    lower = 2.0 * center - upper  # exactly symmetric about the center
-    return PredictionBand(times=eval_times, center=center, lower=lower, upper=upper, level=level)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        var = (np.einsum("ij,jk,ik->i", s, phi_tt, s)
+               + np.einsum("ij,jk,ik->i", u, fitted.sigma_d_hat, u) + fitted.sigma2_hat)
+        center = s @ fitted.beta_hat[: s.shape[1]]
+        half = z * np.sqrt(var)
+        upper = center + half
+        lower = 2.0 * center - upper  # exactly symmetric about the center
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise SpecError("the prediction band is not finite")
+    return PredictionBand(center=center, lower=lower, upper=upper)

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: fit, compare, profiles, band, simulate.  Exit codes:
-0 success, 2 usage/validation error, 3 non-convergence.
+0 success, 2 usage/validation error, 3 non-convergence.  A plot CSV is three
+``dataio.write_series`` groups: the profile matrix, the population row, the band.
 """
 
 from __future__ import annotations
@@ -109,16 +110,20 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _write_plot(args, fitted, grid: TimeGrid, name: str, title: str, series: list) -> int:
-    """``name``.csv (and .svg with --svg) of ``series``, the population curve and the band."""
-    series = series + [("population", blup.population_curve(fitted, grid).values)]
+def _write_plot(args, fitted, grid: TimeGrid, name: str, title: str, labels: list,
+                profiles: np.ndarray) -> int:
+    """``name``.csv (and .svg with --svg) of the (subjects, grid) ``profiles``
+    labelled ``labels``, the population curve and the band."""
+    population = blup.population_curve(fitted, grid)
     band = blup.prediction_band(fitted, grid, level=args.band_level,
                                 multiplier=args.band_multiplier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_series(out / f"{name}.csv", grid.points,
-                        series + [("band", band.center, band.lower, band.upper)])
+    dataio.write_series(out / f"{name}.csv", grid.points, [
+        (labels, profiles[:, None]), (["population"], population[None, None]),
+        (["band"], np.stack([band.center, band.lower, band.upper])[None])])
     if args.svg:
+        series = [*zip(labels, profiles), ("population", population)]
         text = svg.render_plot(grid.points, series, band=(band.lower, band.upper),
                                start_hour=args.start_hour, title=title)
         (out / f"{name}.svg").write_text(text, encoding="utf-8")
@@ -136,9 +141,9 @@ def _cmd_profiles(args) -> int:
             print(f"error: {what} subject id {sid!r}", file=sys.stderr)
             return EXIT_USAGE
         seen.add(sid)
-    values = blup.subject_profile(fitted, [by_id[sid] for sid in args.subjects], grid).values
+    profiles = blup.subject_profile(fitted, [by_id[sid] for sid in args.subjects], grid)
     return _write_plot(args, fitted, grid, "profiles", "predicted profiles",
-                       [(f"subject:{sid}", v) for sid, v in zip(args.subjects, values)])
+                       [f"subject:{sid}" for sid in args.subjects], profiles)
 
 
 def _cmd_band(args) -> int:
@@ -159,7 +164,8 @@ def _cmd_band(args) -> int:
             print(f"non-convergence: gradient_norm={fitted.gradient_norm:.3e}", file=sys.stderr)
             return EXIT_NONCONVERGED
     grid = TimeGrid.equispaced(args.grid_points, 0.0, 24.0)
-    return _write_plot(args, fitted, grid, "band", "prediction band", [])
+    return _write_plot(args, fitted, grid, "band", "prediction band", [],
+                       np.zeros((0, len(grid))))
 
 
 def _cmd_simulate(args) -> int:

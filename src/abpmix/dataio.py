@@ -54,7 +54,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -479,50 +479,28 @@ def _csv_lines(columns) -> np.ndarray:
     return matrix[keep]
 
 
-def _blocks(sizes):
-    """(start, stop) of consecutive runs of items whose sizes add up to at
-    most BLOCK_VALUES; a larger item is a run of its own."""
-    start, total = 0, 0
-    for i, size in enumerate(sizes):
-        if total + size > BLOCK_VALUES and i > start:
-            yield start, i
-            start, total = i, 0
-        total += size
-    if len(sizes) > start:
-        yield start, len(sizes)
-
-
-def _series_lines(times, block, labels, own):
-    """The plot CSV lines of a block of series, as bytes in uint8 arrays,
-    from one ``format_g17`` call on the times and every value."""
-    n = len(times)
-    numbers = format_g17(np.concatenate([times] + [c for s in block for c in s[1:]]))
-    stamps = numbers[:n][:, numbers[:n].any(axis=0)]
-    width, start, lines = numbers.shape[1], n, []
-    for k, run in groupby(range(len(block)), lambda i: len(block[i]) - 1):
-        run = list(run)  # series with k columns each, their values next in numbers
-        values = numbers[start:start + len(run) * k * n].reshape(len(run), k, n, width)
-        start += values.shape[0] * k * n
-        columns = [np.tile(stamps, (len(run), 1)), b",",
-                   (np.repeat(labels[run], n, axis=0), np.repeat(own[run], n, axis=0))]
-        for j in range(k):
-            columns += [b",", values[:, j].reshape(len(run) * n, width)]
-        lines.append(_csv_lines(columns + [b"," * (3 - k) + b"\n"]))
-    return lines
-
-
-def write_series(path, times, series):
-    """Plot CSV, a row per series and time.  ``series`` yields (label,
-    values) or (label, values, lower, upper); a series without bounds
-    leaves them empty.  The numbers go out in blocks of about
-    ``BLOCK_VALUES``, formatted by ``format_g17``."""
-    series = list(series)
-    labels, own = _text_fields(csv_quoted([s[0] for s in series]))
-    sizes = [len(times) * (len(s) - 1) for s in series]
+def write_series(path, times, groups):
+    """Plot CSV, a row per series and time.  ``groups`` yields (labels,
+    values): a label per series, and values of shape (series, 1, times), or
+    (series, 3, times) for value, lower and upper; one column leaves the
+    bounds empty.  The times are formatted once; each group goes out in
+    row blocks of about ``BLOCK_VALUES`` numbers, formatted by ``format_g17``."""
+    stamps = format_g17(times)
     with open(path, "wb") as fh:
         fh.write(b"time,series,value,lower,upper\n")
-        for a, b in _blocks(sizes):
-            fh.writelines(_series_lines(times, series[a:b], labels[a:b], own[a:b]))
+        for names, values in groups:
+            labels, own = _text_fields(csv_quoted(names))
+            _, k, n = values.shape
+            step = max(BLOCK_VALUES // (k * n), 1)  # series a block
+            for a in range(0, len(values), step):
+                block = values[a:a + step]
+                numbers = format_g17(block).reshape(len(block), k, n, -1)
+                columns = [np.tile(stamps, (len(block), 1)), b",",
+                           (np.repeat(labels[a:a + step], n, axis=0),
+                            np.repeat(own[a:a + step], n, axis=0))]
+                for j in range(k):
+                    columns += [b",", numbers[:, j].reshape(len(block) * n, -1)]
+                fh.write(_csv_lines(columns + [b"," * (3 - k) + b"\n"]))
 
 
 def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):

@@ -13,7 +13,7 @@ from abpmix import serialize
 from abpmix.basis import TimeGrid
 from abpmix.cli import main
 from abpmix.dataio import write_cohort
-from abpmix.errors import ConditioningError, ConfigError
+from abpmix.errors import ConditioningError, ConfigError, SpecError
 
 from conftest import conditional_mean_blup_oracle, poly_spec, simulate
 
@@ -104,10 +104,10 @@ class TestSubjectProfile:
     def test_definition_at_observed_grid(self, small_fit):
         _, cohort, fitted = small_fit
         s = cohort.subjects[2]
-        prof = a.subject_profile(fitted, s)
+        prof = a.subject_profile(fitted, [s], s.times)[0]
         pair = design_for(fitted, s)
         d = a.random_effects_blup(fitted, s)
-        np.testing.assert_array_equal(prof.values, pair.X @ fitted.beta_hat + pair.Z @ d)
+        np.testing.assert_array_equal(prof, pair.X @ fitted.beta_hat + pair.Z @ d)
 
     def test_zero_blup_equals_population_curve(self, small_fit):
         _, cohort, fitted = small_fit
@@ -115,9 +115,9 @@ class TestSubjectProfile:
         pair = design_for(fitted, s)
         exact = a.Subject(id="onpop", times=s.times, y=pair.X @ fitted.beta_hat)
         grid = TimeGrid(np.linspace(0.5, 23.5, 40))
-        prof = a.subject_profile(fitted, exact, eval_times=grid)
+        prof = a.subject_profile(fitted, [exact], grid)[0]
         pop = a.population_curve(fitted, grid)
-        np.testing.assert_allclose(prof.values, pop.values, atol=1e-8)
+        np.testing.assert_allclose(prof, pop, atol=1e-8)
 
     def test_interpolates_as_residual_variance_vanishes(self):
         spec = poly_spec(3)
@@ -128,8 +128,8 @@ class TestSubjectProfile:
         rng = np.random.default_rng(1)
         s = a.Subject(id="sat", times=times, y=rng.normal(110, 10, size=4))
         tiny = dataclasses.replace(fitted, sigma2_hat=1e-10)
-        prof = a.subject_profile(tiny, s)
-        np.testing.assert_allclose(prof.values, s.y, atol=1e-6)
+        prof = a.subject_profile(tiny, [s], s.times)[0]
+        np.testing.assert_allclose(prof, s.y, atol=1e-6)
 
 
 class TestPopulationCurve:
@@ -138,28 +138,34 @@ class TestPopulationCurve:
         fitted = a.fit(poly_spec(0), cohort)
         grid = TimeGrid(np.linspace(1.0, 23.0, 12))
         curve = a.population_curve(fitted, grid)
-        assert np.ptp(curve.values) <= 1e-10
+        assert np.ptp(curve) <= 1e-10
         # flat at the scaled intercept estimate
         s = fitted.context.fixed_time_matrix(grid)
-        assert abs(curve.values[0] - s[0, 0] * fitted.beta_hat[0]) <= 1e-12
+        assert abs(curve[0] - s[0, 0] * fitted.beta_hat[0]) <= 1e-12
 
     def test_training_grid_equals_s_beta(self, small_fit):
         _, cohort, fitted = small_fit
         times = cohort.subjects[0].times
         curve = a.population_curve(fitted, times)
         s = fitted.context.fixed_time_matrix(times)
-        np.testing.assert_array_equal(curve.values, s @ fitted.beta_hat)
+        np.testing.assert_array_equal(curve, s @ fitted.beta_hat)
 
     def test_off_grid_matches_polynomial_interpolation(self, small_fit):
         # a degree-2 curve is determined by any 3 points; Lagrange
         # interpolation of on-grid values is an independent oracle
         _, _, fitted = small_fit
         anchors = np.array([2.0, 10.0, 20.0])
-        vals = a.population_curve(fitted, TimeGrid(anchors)).values
+        vals = a.population_curve(fitted, TimeGrid(anchors))
         poly = np.polynomial.Polynomial.fit(anchors, vals, deg=2)
         t = 12.5
-        got = a.population_curve(fitted, TimeGrid(np.array([t]))).values[0]
+        got = a.population_curve(fitted, TimeGrid(np.array([t])))[0]
         assert abs(got - poly(t)) <= 1e-8
+
+    def test_curve_that_is_not_finite_is_refused(self, small_fit):
+        _, _, fitted = small_fit
+        unbounded = dataclasses.replace(fitted, beta_hat=np.array([np.inf, -np.inf, 1.0]))
+        with pytest.raises(SpecError, match="the population curve is not finite"):
+            a.population_curve(unbounded, TimeGrid.equispaced(9))
 
 
 class TestPredictionBand:
@@ -309,7 +315,7 @@ class TestBatchedProfiles:
     def test_matches_conditional_mean_oracle(self, which, request):
         cohort, fitted = request.getfixturevalue(which)
         grid = TimeGrid.equispaced(49)
-        got = a.subject_profile(fitted, cohort.subjects, grid).values
+        got = a.subject_profile(fitted, cohort.subjects, grid)
         assert got.shape == (len(cohort), len(grid))
         for i, s in enumerate(cohort.subjects):
             want_d, want = oracle_profile(fitted, s, grid)
@@ -323,13 +329,13 @@ class TestBatchedProfiles:
         _, fitted = incomplete
         subjects, order = batch
         grid = TimeGrid.equispaced(13)
-        got = a.subject_profile(fitted, subjects, grid).values
-        permuted = a.subject_profile(fitted, [subjects[i] for i in order], grid).values
+        got = a.subject_profile(fitted, subjects, grid)
+        permuted = a.subject_profile(fitted, [subjects[i] for i in order], grid)
         for i, s in enumerate(subjects):
             want = oracle_profile(fitted, s, grid)[1]
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got[i] - want)) <= 1e-10 * scale
-            one = a.subject_profile(fitted, s, grid).values
+            one = a.subject_profile(fitted, [s], grid)[0]
             assert np.max(np.abs(got[i] - one)) <= 1e-12 * scale
             assert np.max(np.abs(permuted[order.index(i)] - got[i])) <= 1e-12 * scale
 
@@ -377,9 +383,9 @@ class TestBatchedProfiles:
     def test_rows_do_not_depend_on_the_batch(self, incomplete):
         cohort, fitted = incomplete
         grid = TimeGrid.equispaced(25)
-        batch = a.subject_profile(fitted, cohort.subjects[::-1], grid).values[::-1]
+        batch = a.subject_profile(fitted, cohort.subjects[::-1], grid)[::-1]
         for i in (0, 12, 39):
-            one = a.subject_profile(fitted, cohort.subjects[i], grid).values
+            one = a.subject_profile(fitted, [cohort.subjects[i]], grid)[0]
             np.testing.assert_allclose(batch[i], one, rtol=1e-12)
 
     def test_batch_runs_inside_one_subject_profile_call(self, incomplete, monkeypatch,
@@ -417,12 +423,12 @@ class TestBatchedProfiles:
         assert events == [True] * (2 + len(lengths))
         loaded = serialize.load_fitted_model(tmp_path / "fit.json")
         want = profile(loaded, list(cohort.subjects), TimeGrid.equispaced(25))
-        assert got[0].subject_id is None and got[0].kind == "subject"
-        np.testing.assert_array_equal(got[0].values, want.values)
+        assert got[0].shape == (len(cohort), 25)
+        np.testing.assert_array_equal(got[0], want)
 
     def test_empty_batch(self, incomplete):
         _, fitted = incomplete
-        assert a.subject_profile(fitted, [], TimeGrid.equispaced(7)).values.shape == (0, 7)
+        assert a.subject_profile(fitted, [], TimeGrid.equispaced(7)).shape == (0, 7)
 
     def test_unfactorizable_covariance(self, small_fit):
         _, cohort, fitted = small_fit
@@ -442,7 +448,7 @@ class TestBatchedProfiles:
         batch = [few[0], cohort.subjects[1], few[1], cohort.subjects[2]]
         with pytest.raises(ConditioningError, match=repr(cohort.subjects[1].id)):
             a.subject_profile(noiseless, batch, TimeGrid.equispaced(9))
-        assert a.subject_profile(noiseless, few, TimeGrid.equispaced(9)).values.shape == (2, 9)
+        assert a.subject_profile(noiseless, few, TimeGrid.equispaced(9)).shape == (2, 9)
 
     def test_few_observations_without_residual_variance_match_the_oracle(self, small_fit):
         # sigma^2 = 0 and p < m: V = Z Sigma_d Z' itself is PD and is factored

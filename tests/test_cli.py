@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import shutil
@@ -239,13 +241,13 @@ class TestFitCommand:
             serialize.fitted_model_to_json(fitted)
         )
         grid = TimeGrid(np.linspace(0.5, 23.5, 30))
-        v1 = a.population_curve(fitted, grid).values
-        v2 = a.population_curve(refit, grid).values
+        v1 = a.population_curve(fitted, grid)
+        v2 = a.population_curve(refit, grid)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
         s = cohort.subjects[0]
         np.testing.assert_allclose(
-            a.subject_profile(fitted, s, grid).values,
-            a.subject_profile(refit, s, grid).values,
+            a.subject_profile(fitted, [s], grid),
+            a.subject_profile(refit, [s], grid),
             atol=1e-12,
         )
 
@@ -808,15 +810,30 @@ class TestProfilesCommand:
                                     + [g17(b[i]) for b in bounds] + [""] * (2 - len(bounds)))
             return buf.getvalue().encode("utf-8")
 
+        def groups(series):  # one group each, interleaving plain and banded series
+            return [([label], np.stack(columns)[None]) for label, *columns in series]
+
+        def runs(series):  # a group per run of series with as many columns
+            return [([label for label, *_ in run], np.array([columns for _, *columns in run]))
+                    for run in (list(run) for _, run in itertools.groupby(series, len))]
+
         # 7 numbers a block: each series alone; 300: three plain series or one banded
         for block in (7, 300, dataio.BLOCK_VALUES):
-            with mock.patch.object(dataio, "BLOCK_VALUES", block):
-                write_series(tmp_path / "p.csv", times, series)
-            assert (tmp_path / "p.csv").read_bytes() == expected(series)
+            for layout in (groups, runs):
+                with mock.patch.object(dataio, "BLOCK_VALUES", block):
+                    write_series(tmp_path / "p.csv", times, layout(series))
+                assert (tmp_path / "p.csv").read_bytes() == expected(series)
         # a small file, such as band's, in one call
         few = series[3:7]  # a banded series, and a line break, a quote and NUL in labels
-        write_series(tmp_path / "f.csv", times, few)
+        write_series(tmp_path / "f.csv", times, groups(few))
         assert (tmp_path / "f.csv").read_bytes() == expected(few)
+
+
+# NaN, the infinities, subnormals and the neighbours of 0 and 1, then any float
+band_floats = st.sampled_from([
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+    1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 1e308, 1.7976931348623157e308,
+]) | st.floats()
 
 
 class TestBandCommand:
@@ -897,6 +914,65 @@ class TestBandCommand:
         assert code == 2
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["band", "profiles"])
+    def test_band_level_whose_quantile_rounds_to_one_is_usage_error(self, workspace, tmp_path,
+                                                                    capsys, command):
+        # the largest double below 1: 0.5 * (1 + level) rounds to 1, whose quantile is infinite
+        root, data, _ = workspace
+        out = tmp_path / "bl"
+        code = main([command, "--fit", str(root / "fit" / "fit.json"), "--data", data,
+                     "--out", str(out), "--band-level", "0.99999999999999989"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigError: band level must be in (0, 1), at most 1 - 2**-52\n")
+        assert not out.exists()
+
+    def test_band_whose_half_width_overflows_is_usage_error(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        out = tmp_path / "wide"
+        code = main(["band", "--fit", str(root / "fit" / "fit.json"), "--out", str(out),
+                     "--band-multiplier", "1e308"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: SpecError: the prediction band is not finite\n"
+        assert not out.exists()
+
+    def test_band_whose_lower_bound_overflows_is_usage_error(self, workspace, tmp_path, capsys):
+        # a finite center and upper bound, but 2 * center overflows: lower was inf, above upper
+        root, _, _ = workspace
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        d["beta_hat"] = [1.7e308] * 3
+        big = tmp_path / "fit.json"
+        big.write_text(json.dumps(d))
+        out = tmp_path / "high"
+        assert main(["band", "--fit", str(big), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: SpecError: the prediction band is not finite\n"
+        assert not out.exists()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(level=st.none() | band_floats, multiplier=st.none() | band_floats)
+    def test_any_band_level_or_multiplier_gives_a_finite_ordered_band_or_exit_2(
+            self, workspace, level, multiplier):
+        root, _, _ = workspace
+        out = root / "band_property"
+        shutil.rmtree(out, ignore_errors=True)
+        argv = ["band", "--fit", str(root / "fit" / "fit.json"), "--out", str(out)]
+        argv += [] if level is None else [f"--band-level={level!r}"]
+        argv += [] if multiplier is None else [f"--band-multiplier={multiplier!r}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and not out.exists()
+            return
+        with open(out / "band.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        numbers = [float(v) for r in rows for k, v in r.items() if k != "series" and v]
+        assert np.isfinite(numbers).all()
+        band = [r for r in rows if r["series"] == "band"]
+        assert band and all(float(r["lower"]) <= float(r["value"]) <= float(r["upper"])
+                            for r in band)
 
     @pytest.mark.parametrize("command", ["band", "profiles"])
     @pytest.mark.parametrize("value", ["99", "24", "-3", "1.5", "noon"])
@@ -1226,8 +1302,8 @@ class TestFitJson:
         assert serialize.fitted_model_to_json(back) == text
         grid = TimeGrid(np.linspace(0.0, 24.0, 9))
         for s in cohort.subjects[:3]:  # one subject of each diet
-            np.testing.assert_array_equal(a.subject_profile(back, s, grid).values,
-                                          a.subject_profile(fitted, s, grid).values)
+            np.testing.assert_array_equal(a.subject_profile(back, [s], grid),
+                                          a.subject_profile(fitted, [s], grid))
 
     def test_roundoff_in_sigma_d_still_loads(self, workspace):
         root, _, _ = workspace
