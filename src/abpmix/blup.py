@@ -5,9 +5,9 @@ Profiles and curves are plain arrays: ``subject_profile`` gives a batch's
 is array work on the design pipeline of ``design``: the time bases are
 evaluated once on the union of the batch's times and once on the grid, and
 the mean X beta on both comes from ``fixed_mean``, which builds no X.
-Each distinct time pattern factors one k x k matrix, k = min(p, m) (see
-``_blups``), and all patterns of one length are factored in one stacked
-Cholesky call.
+Each distinct time pattern factors one k x k matrix, k = min(p, m), once
+(see ``_blups``): all patterns of one length in one stacked Cholesky call,
+whose factors then serve the solves.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ def _blups(fitted: FittedModel, subjects: list):
     matrix, k = min(p, m): V = Z Sigma_d Z' + sigma^2 I itself when p <= m,
     else B = sigma^2 I + (ZL)'(ZL) for LL' = Sigma_d, as Sigma_d Z' V^-1 =
     L B^-1 (ZL)' (push-through).  B's eigenvalues are sigma^2 plus the m
-    largest of Z Sigma_d Z'; without sigma^2 a V of p > m rows is singular."""
+    largest of Z Sigma_d Z'; without sigma^2 a V of p > m rows is singular.
+    Its Cholesky factor is the only one: d = (Z Sigma_d)' V^-1 r per length
+    p <= m, and d = L B^-1 (ZL)'r for every subject of p > m in one stacked
+    substitution over the batch, with no LU solve or inverse."""
     group, interaction = covariate_values(fitted.spec, subjects, fitted.context)
     union, patterns = group_patterns(subjects)
     basis, z = _time_matrices(fitted, subjects[0], union)
@@ -77,6 +80,7 @@ def _blups(fitted: FittedModel, subjects: list):
     d = np.empty((len(subjects), m))
     # the first subject of each length whose V is not PD
     failed = [members[0] for members, obs, *_ in patterns if s2 <= 0.0 and obs.shape[1] > m]
+    pushed = []  # (subjects, factors of B, (ZL)'r) of each length p > m
     for members, obs, which, rows in patterns:
         zk = z[rows]
         p = zk.shape[1]
@@ -87,7 +91,7 @@ def _blups(fitted: FittedModel, subjects: list):
             w = zk @ root
             kk = w.transpose(0, 2, 1) @ w + s2 * np.eye(m)
         try:
-            np.linalg.cholesky(kk)
+            factor = np.linalg.cholesky(kk)[which]
         except np.linalg.LinAlgError:
             for i, one in zip(members, kk[which]):
                 try:
@@ -96,20 +100,33 @@ def _blups(fitted: FittedModel, subjects: list):
                     failed.append(i)
                     break
             continue
-        # V^-1 Z Sigma_d of each pattern, its gain transposed.  Each right-hand
-        # side is a stack of matrices as deep as kk: numpy 2 broadcasts one
-        # vector per matrix otherwise than numpy 1 did
-        gain = (np.linalg.solve(kk, w) if p <= m
-                else w @ np.linalg.solve(kk, np.broadcast_to(root.T, kk.shape)))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             resid = y[obs] - fixed_mean(basis, rows[which], group[members],
                                         interaction[members], fitted.beta_hat)
         _refuse_non_finite(resid, [subjects[i] for i in members])
-        d[members] = np.einsum("kpm,kp->km", gain[which], resid)
+        if p <= m:
+            d[members] = np.einsum("kpm,kp->km", w[which], _cholesky_solve(factor, resid))
+        else:
+            pushed.append((members, factor, np.einsum("kpm,kp->km", w[which], resid)))
     if failed:
         raise ConditioningError("marginal covariance not factorizable for subject "
                                 f"{subjects[min(failed)].id!r}")
+    if pushed:
+        members, factors, rhs = map(np.concatenate, zip(*pushed))
+        d[members] = _cholesky_solve(factors, rhs) @ root.T
     return d, group, interaction
+
+
+def _cholesky_solve(factor, b):
+    """x with LL' x = b for a stack of lower triangular L, (k, n, n), and b,
+    (k, n): a forward then a back substitution, n steps each over the stack."""
+    x = np.empty_like(b)
+    for i in range(b.shape[1]):
+        x[:, i] = (b[:, i] - np.einsum("kj,kj->k", factor[:, i, :i], x[:, :i])) / factor[:, i, i]
+    for i in reversed(range(b.shape[1])):
+        x[:, i] -= np.einsum("kj,kj->k", factor[:, i + 1:, i], x[:, i + 1:])
+        x[:, i] /= factor[:, i, i]
+    return x
 
 
 def _refuse_non_finite(rows, subjects):

@@ -113,9 +113,10 @@ def read_cohort(path, outcome: str = "sbp") -> Cohort:
     line that holds it).  A file that ``_loadable`` accepts is then
     tokenized and converted by one ``np.loadtxt`` call; ``_read_records``
     reads any other with ``csv.reader``, and so every file that holds an
-    error of the module docstring.  One stable sort on (subject, time) then finds
-    duplicate times and orders each subject's rows, and one pass over the
-    sorted arrays checks the whole cohort.  The sorted time and outcome
+    error of the module docstring.  A stable sort on the subject orders a
+    file whose times increase within each subject, and one on (subject,
+    time) any other; one pass over the sorted arrays then checks the whole
+    cohort, duplicate times included.  The sorted time and outcome
     arrays are then made read-only, and each subject's ``times.points``
     and ``y`` are views (slices) of them, built without a copy or a
     second check.
@@ -228,11 +229,19 @@ def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
     if not ids:
         raise error if error is not None else SchemaError("no data rows")
     t, y, code, rownum, *cells = columns
-    order = np.lexsort((t, code))  # stable: equal (code, t) keep record order
-    ts, cs = t[order], code[order]
-    dup = order[1:][(cs[1:] == cs[:-1]) & (ts[1:] == ts[:-1])]
+    # a stable sort on the subject orders a file whose times increase
+    # within each subject; any other sorts on (subject, time)
+    order = np.argsort(code, kind="stable")
+    cs, ts = code[order], t[order]
+    new = cs[1:] != cs[:-1]
+    firsts = order[np.append(True, new)]  # each subject's first record
+    rising = new | (ts[1:] > ts[:-1])
+    if not rising.all():
+        order = np.lexsort((t, code))  # stable: equal (code, t) keep record order
+        ts = t[order]
+        rising = new | (ts[1:] > ts[:-1])
+    dup = order[1:][~new & (ts[1:] == ts[:-1])]
     bad_dup = int(dup.min()) if dup.size else t.size
-    firsts = np.unique(code, return_index=True)[1]  # each subject's first record
     ref = firsts[code]
     bad_cov = t.size
     for col in cells:
@@ -261,7 +270,7 @@ def _assemble(columns, ids, error, outcome, covariate_columns) -> Cohort:
     checks = (  # in the order of TimeGrid's and Subject's own checks
         (~np.isfinite(ts), GridError, "time grid contains non-finite values"),
         ((ts < lo) | (ts > hi), GridError, f"time points must lie in [{lo}, {hi}]"),
-        (np.r_[False, ~((ts[1:] > ts[:-1]) | (cs[1:] != cs[:-1]))], GridError,
+        (np.r_[False, ~rising], GridError,
          "time points must be strictly increasing"),  # TimeGrid._trusted's precondition
         (~np.isfinite(ys), SpecError, "non-finite outcome values"),
     )
@@ -290,18 +299,18 @@ BLOCK_VALUES = 8192  # numbers formatted at a time by the CSV writers: bounds th
 
 _POW10 = np.array([10.0 ** k for k in range(23)])  # exact: 5**22 < 2**53
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for binary64
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)  # each power's Veltkamp halves
+_POW10_LO = _POW10 - _POW10_HI
 _ROW = np.arange(22, dtype=np.uint8)[:, None]
 
 
-def _two_product(a, b):
-    """``(p, e)`` with ``p = fl(a * b)`` and ``p + e = a * b`` exactly (Dekker)."""
-    p = a * b
+def _two_product(a, k):
+    """``(p, e)`` with ``p = fl(a 10^k)`` and ``p + e = a 10^k`` exactly (Dekker)."""
+    p = a * _POW10[k]
     c = _SPLIT * a
     ah = c - (c - a)
     al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -309,13 +318,15 @@ def _significand(a):
     """For 1e-4 <= a < 1e16: D = a 10^(16 - e) rounded half to even, in
     [1e16, 1e17), and the decimal exponent e (see ``format_g17``)."""
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _two_product(a, _POW10[16 - e])
-    off = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
-           - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
-    wrong = np.flatnonzero(off)
+    hi, lo = _two_product(a, 16 - e)
+    edge = np.flatnonzero((hi >= 1e17) | (hi <= 1e16))  # where e may be one off
+    top, low = hi[edge], lo[edge]
+    off = (((top > 1e17) | ((top == 1e17) & (low >= 0))).astype(np.intp)
+           - ((top < 1e16) | ((top == 1e16) & (low < 0))))
+    wrong = edge[off != 0]
     if wrong.size:
-        e[wrong] += off[wrong]
-        hi[wrong], lo[wrong] = _two_product(a[wrong], _POW10[16 - e[wrong]])
+        e[wrong] += off[off != 0]
+        hi[wrong], lo[wrong] = _two_product(a[wrong], 16 - e[wrong])
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
 
 
@@ -455,27 +466,26 @@ def _text_fields(texts):
     return matrix, np.arange(width) < lengths[:, None]
 
 
-def _csv_lines(columns) -> np.ndarray:
-    """CSV lines put together column by column, as bytes in a uint8 array.
-    A column is a bytes separator, the same on every line; a (lines, w)
-    uint8 array of ``format_g17`` fields, whose NUL bytes are dropped; or
-    a pair of ``_text_fields`` arrays, gathered to (lines, w)."""
-    columns = [c if isinstance(c, tuple) else (c, None) for c in columns]
-    lines = next(len(c) for c, _ in columns if not isinstance(c, bytes))
-    matrix = np.empty((lines, sum(len(c) if isinstance(c, bytes) else c.shape[1]
-                                  for c, _ in columns)), np.uint8)
+def _csv_lines(shape, columns) -> np.ndarray:
+    """CSV lines put together column by column, as bytes in a uint8 array,
+    one line per index of ``shape`` in C order.  A column is a bytes
+    separator, the same on every line; a uint8 array of ``format_g17``
+    fields, whose NUL bytes are dropped; or a pair of ``_text_fields``
+    arrays.  Arrays are (*shape, w) or broadcast to it, so a column that
+    repeats along an axis is written into the line matrix without a copy."""
+    columns = [(np.frombuffer(c, np.uint8), None) if isinstance(c, bytes)
+               else c if isinstance(c, tuple) else (c, None) for c in columns]
+    matrix = np.empty((*shape, sum(c.shape[-1] for c, _ in columns)), np.uint8)
     texts, start = [], 0
     for column, keep in columns:
-        if isinstance(column, bytes):
-            column = np.frombuffer(column, np.uint8)
         stop = start + column.shape[-1]
-        matrix[:, start:stop] = column
+        matrix[..., start:stop] = column
         if keep is not None:
             texts.append((start, stop, keep))
         start = stop
     keep = matrix != 0
     for start, stop, mask in texts:
-        keep[:, start:stop] = mask
+        keep[..., start:stop] = mask
     return matrix[keep]
 
 
@@ -484,7 +494,8 @@ def write_series(path, times, groups):
     values): a label per series, and values of shape (series, 1, times), or
     (series, 3, times) for value, lower and upper; one column leaves the
     bounds empty.  The times are formatted once; each group goes out in
-    row blocks of about ``BLOCK_VALUES`` numbers, formatted by ``format_g17``."""
+    row blocks of about ``BLOCK_VALUES`` numbers, formatted by ``format_g17``,
+    whose (series, times) lines the times and labels fill by broadcasting."""
     stamps = format_g17(times)
     with open(path, "wb") as fh:
         fh.write(b"time,series,value,lower,upper\n")
@@ -495,12 +506,10 @@ def write_series(path, times, groups):
             for a in range(0, len(values), step):
                 block = values[a:a + step]
                 numbers = format_g17(block).reshape(len(block), k, n, -1)
-                columns = [np.tile(stamps, (len(block), 1)), b",",
-                           (np.repeat(labels[a:a + step], n, axis=0),
-                            np.repeat(own[a:a + step], n, axis=0))]
+                columns = [stamps, b",", (labels[a:a + step, None], own[a:a + step, None])]
                 for j in range(k):
-                    columns += [b",", numbers[:, j].reshape(len(block) * n, -1)]
-                fh.write(_csv_lines(columns + [b"," * (3 - k) + b"\n"]))
+                    columns += [b",", numbers[:, j]]
+                fh.write(_csv_lines(block.shape[::2], columns + [b"," * (3 - k) + b"\n"]))
 
 
 def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):
@@ -524,7 +533,7 @@ def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):
             columns = [ids, b",", numbers[:k.size], b",", numbers[k.size:]]
             for cov in covs:
                 columns += [b",", cov]
-            fh.write(_csv_lines(columns + [b"\n"]))
+            fh.write(_csv_lines(k.shape, columns + [b"\n"]))
 
 
 def hourly_aggregate(cohort: Cohort) -> Cohort:

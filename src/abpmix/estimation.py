@@ -380,9 +380,10 @@ class MixedModelProblem:
         """The evaluation at theta, for its ``loglik`` and ``grad`` and the informations."""
         return self._evaluate(theta, method, natural)
 
-    def cov_beta_derivatives(self, ev: _Evaluation):
-        """d cov_beta / d theta_k = cov_beta F_k cov_beta at ev (delta-method ingredient)."""
-        return ev.cov_beta @ self._f(ev) @ ev.cov_beta
+    def cov_beta_derivatives(self, ev: _Evaluation, f=None):
+        """d cov_beta / d theta_k = cov_beta F_k cov_beta at ev (delta-method
+        ingredient), for F_k from ``_f``, which ``f`` holds if given."""
+        return ev.cov_beta @ (self._f(ev) if f is None else f) @ ev.cov_beta
 
     def _f(self, ev: _Evaluation):
         """F_k = X' V^-1 dV_k V^-1 X for every k of theta, chained from phi."""
@@ -408,14 +409,14 @@ class MixedModelProblem:
         REML projection V^-1 - V^-1 X cov_beta X' V^-1, or V^-1 for ML."""
         return self._information(ev, False)
 
-    def observed_information(self, ev: _Evaluation):
+    def observed_information(self, ev: _Evaluation, f=None):
         """Observed information at ev: minus the Hessian of the log-likelihood in theta."""
-        return self._information(ev, True)
+        return self._information(ev, True, f)
 
-    def _information(self, ev: _Evaluation, observed: bool):
+    def _information(self, ev: _Evaluation, observed: bool, f=None):
         """J' I J plus, for REML, +-1/2 tr(cov_beta F_j cov_beta F_k), for I
         the expected or observed information on phi; the observed one less
-        the curvature.
+        the curvature.  ``f`` is ``_f(ev)``, computed here if not given.
 
         On phi, I_e = sum_g tr(T_g S_j S_k) + rest with S_j = L^-1 dM_j L^-T
         and T_g = K_g: n_g I / 2 for ML, n_g (I - 2 H_g) / 2 for REML, H_g =
@@ -456,7 +457,7 @@ class MixedModelProblem:
             info -= b[..., 0] @ cov_beta @ b[..., 0].T
         info = jac @ info @ jac.T
         if ev.method == "REML":
-            cf = cov_beta @ self._f(ev)
+            cf = cov_beta @ (self._f(ev) if f is None else f)
             cfcf = 0.5 * (cf.reshape(len(cf), -1) @ cf.transpose(2, 1, 0).reshape(-1, len(cf)))
             info += -cfcf if observed else cfcf
         if observed and not ev.natural:
@@ -486,8 +487,9 @@ class MixedModelProblem:
     def fit(self, method: str = "REML", max_iter: int = 500, tol: float = 1e-6) -> FittedModel:
         ev, zero, converged, iterations, grad_norm, history = self._optimize(method, max_iter, tol)
         x = theta = ev.theta
-        info = self.observed_information(ev)
-        derivatives = self.cov_beta_derivatives(ev)
+        f = self._f(ev)  # F_k of the REML information term and of the derivatives, built once
+        info = self.observed_information(ev, f)
+        derivatives = self.cov_beta_derivatives(ev, f)
         if ev.natural:  # to theta = log x, whose second derivative x adds the gradient
             info = np.outer(x, x) * info - np.diag(x * ev.grad)
             derivatives = x[:, None, None] * derivatives

@@ -75,11 +75,25 @@ def smoke(prefix, d: Path):
     assert len(fixed) == 3 and all(0.0 <= float(r["p_value"]) <= 1.0 for r in fixed), fixed
     assert len(models) == 2 and all(0.0 <= float(r["model_r2"]) < 1.0 for r in models), models
 
-    # both k x k forms of the BLUPs on this numpy, in stacked solves whose
-    # right-hand sides are matrices: V for a 2-observation subject (p < m),
-    # B for subjects with some rows dropped and for complete ones (p > m)
+    # the reader's sort on (subject, time) on this numpy: each subject's rows
+    # reversed, subjects in the same order, fit and profile as the plain file
     with open(cohort, encoding="utf-8", newline="") as fh:
         header, *records = list(csv.reader(fh))
+    blocks = {}
+    for r in records:
+        blocks.setdefault(r[0], []).append(r)
+    reversed_rows = d / "sim" / "reversed.csv"
+    with open(reversed_rows, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + [r for block in blocks.values() for r in block[::-1]])
+    run("fit", "--model", d / "m2.json", "--data", reversed_rows, "--out", d / "fit_reversed")
+    run("profiles", "--fit", d / "fit_reversed" / "fit.json", "--data", reversed_rows,
+        "--subjects", "s0000,s0001", "--out", d / "profiles_reversed", "--svg")
+    assert same_tree(d / "fit", d / "fit_reversed"), "fit and fit_reversed differ"
+    assert same_tree(d / "profiles", d / "profiles_reversed"), "profiles differ when reversed"
+
+    # both k x k forms of the BLUPs on this numpy: V for a 2-observation
+    # subject (p < m), B for subjects with some rows dropped and for
+    # complete ones (p > m), whose Cholesky factors serve every solve
     kept = [r for k, r in enumerate(records) if r[0] not in ("s0001", "s0002") or k % 3]
     with open(d / "sim" / "sparse.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([header] + kept + [["x2", "3.5", "121.0"],

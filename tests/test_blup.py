@@ -354,13 +354,16 @@ class TestBatchedProfiles:
         cohort, fitted = incomplete
         builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
+        solves = [count_calls(monkeypatch, np.linalg, name) for name in ("solve", "inv")]
         a.subject_profile(fitted, cohort.subjects, TimeGrid.equispaced(25))
         patterns = {s.times.points.tobytes() for s in cohort.subjects}
         lengths = {len(s.times) for s in cohort.subjects}
         union = np.unique(np.concatenate([s.times.points for s in cohort.subjects]))
-        # one stacked factorization per pattern length, each pattern in exactly one
+        # one stacked factorization per pattern length, each pattern in exactly
+        # one, and the factors serve every solve
         assert sum(factors) == len(patterns) < len(cohort)
         assert len(factors) == len(lengths) < len(patterns)
+        assert solves == [[], []]
         # whatever the covariate encodings: one design on the union of the
         # observation times, one on the grid, each evaluating the shared basis once
         assert sorted(builds) == sorted([25, union.size])
@@ -373,12 +376,43 @@ class TestBatchedProfiles:
         cohort, fitted = irregular
         builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
+        solves = [count_calls(monkeypatch, np.linalg, name) for name in ("solve", "inv")]
         a.subject_profile(fitted, cohort.subjects, TimeGrid.equispaced(25))
         assert len({s.covariates["age"] for s in cohort.subjects}) == len(cohort)
         assert sum(factors) == len(cohort)
+        assert solves == [[], []]
         assert len(factors) == len({len(s.times) for s in cohort.subjects}) < len(cohort)
         assert sorted(builds) == sorted([25, cohort.n_obs])
         assert len(evaluations) == len(builds)
+
+    def test_lengths_on_both_sides_of_m_match_the_oracle(self, incomplete):
+        # p < m and p = m factor V per length; p > m at several lengths, one
+        # pattern shared by two subjects, go through one stacked substitution
+        cohort, fitted = incomplete
+        m = fitted.sigma_d_hat.shape[0]
+        lengths = (m - 1, m, m + 1, 11, 11, 24)
+        batch = [dataclasses.replace(s, id=f"p{p}-{i}", times=TimeGrid(s.times.points[:p]),
+                                     y=s.y[:p])
+                 for i, (p, s) in enumerate(zip(lengths, cohort.subjects))]
+        grid = TimeGrid.equispaced(13)
+        d, *_ = blup_module._blups(fitted, batch)
+        got = a.subject_profile(fitted, batch, grid)
+        for i, s in enumerate(batch):
+            want_d, want = oracle_profile(fitted, s, grid)
+            assert np.max(np.abs(d[i] - want_d)) <= 1e-10 * np.max(np.abs(want_d))
+            assert np.max(np.abs(got[i] - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k, m, s2", [(1, 3, 1.0), (1, 10, 1e-10), (50, 10, 1.0),
+                                          (50, 10, 1e-10)])
+    def test_stacked_substitution_matches_solve(self, k, m, s2):
+        # B = sigma^2 I + W'W, as for the push-through subjects
+        rng = np.random.default_rng(1000 * k + m)
+        w = rng.normal(size=(k, 24, m)) * rng.uniform(0.1, 10.0, size=m)
+        b = s2 * np.eye(m) + w.transpose(0, 2, 1) @ w
+        rhs = rng.normal(size=(k, m))
+        got = blup_module._cholesky_solve(np.linalg.cholesky(b), rhs)
+        want = np.linalg.solve(b, rhs[..., None])[..., 0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rows_do_not_depend_on_the_batch(self, incomplete):
         cohort, fitted = incomplete

@@ -414,10 +414,31 @@ class TestReadCohortMatchesRowLoop:
     # a byte-order mark before a plain and a quoted header
     @example(text="\ufeffsubject_id,time,sbp\na,1,120\nb,2,121\n")
     @example(text='\ufeff"subject_id",time,sbp\na,1,120\n')
+    # times increasing within interleaved subjects, which a sort on the subject orders;
+    # times decreasing within a subject, and a NaN time after a valid one, which take
+    # the sort on (subject, time)
+    @example(text="subject_id,time,sbp\nb,2,120\na,1,110\nb,3,121\na,4,111\nb,5,122\n")
+    @example(text="subject_id,time,sbp\na,3,120\nb,1,110\na,2,121\na,1,122\n")
+    @example(text="subject_id,time,sbp\na,1,120\nb,1,110\na,nan,121\n")
     def test_plain_file_same_cohort_or_same_error(self, tmp_path_factory, text):
         used_csv_reader = assert_reads_like_row_loop(tmp_path_factory, text)
         plainly = read_plainly(text)
         assert plainly is None or used_csv_reader != plainly
+
+    @pytest.mark.parametrize("text, sorts_on_time", [
+        ("subject_id,time,sbp\nb,2,120\na,1,110\nb,3,121\na,4,111\n", False),
+        ("subject_id,time,sbp\nb,3,120\na,1,110\nb,2,121\na,4,111\n", True),
+        ("subject_id,time,sbp\nb,2,120\na,1,110\nb,2,121\n", True),
+    ])
+    def test_times_sorted_only_where_they_do_not_increase(self, tmp_path, text, sorts_on_time):
+        # a stable sort on the subject orders a file whose times increase within
+        # each subject; a decrease or a duplicate takes the sort on (subject, time)
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            got = read_outcome(a.read_cohort, str(path))
+        assert got == read_outcome(row_loop_read_cohort, str(path))
+        assert lexsort.called == sorts_on_time
 
     def test_write_cohort_output_is_read_without_csv_reader(self, tmp_path):
         cfg = a.SimulationConfig(spec=poly_spec(2), beta=np.array([120.0, -10.0, 5.0]),

@@ -662,9 +662,9 @@ class TestEvaluationReuse:
         def passing(name):
             orig = getattr(MixedModelProblem, name)
 
-            def wrapper(self, ev):
+            def wrapper(self, ev, *rest):
                 passed.append(ev)
-                return orig(self, ev)
+                return orig(self, ev, *rest)
             return wrapper
 
         monkeypatch.setattr(MixedModelProblem, "_optimize", optimizing)
@@ -680,6 +680,36 @@ class TestEvaluationReuse:
         made = {id(out) for _, out in calls}
         assert len(passed) == fitted.iterations + 2
         assert all(id(ev) in made for ev in passed)
+
+    @pytest.mark.parametrize("method", ["REML", "ML"])
+    @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
+    def test_f_built_once_per_fit(self, structure, method, monkeypatch):
+        # at the optimum F_k = X' V^-1 dV_k V^-1 X serves the REML term of the
+        # observed information and d cov_beta / d theta: the fit builds it once
+        spec, cohort = incomplete_cohort(structure)
+        built, last = [], []
+        f, optimize = MixedModelProblem._f, MixedModelProblem._optimize
+        monkeypatch.setattr(MixedModelProblem, "_f",
+                            lambda self, ev: built.append(ev) or f(self, ev))
+
+        def optimizing(self, *args):
+            out = optimize(self, *args)
+            last.append(len(built))  # the _f calls of the ascent's informations
+            return out
+
+        monkeypatch.setattr(MixedModelProblem, "_optimize", optimizing)
+        fitted = a.fit(spec, cohort, method=method)
+        assert fitted.converged
+        assert len(built) == last[0] + 1
+        problem = MixedModelProblem(spec, cohort)
+        ev = problem.loglik_and_grad(fitted.params.theta if structure == "unstructured"
+                                     else np.exp(fitted.params.theta), method,
+                                     structure == "diagonal")
+        assert ev.natural == (structure == "diagonal")
+        np.testing.assert_array_equal(problem.observed_information(ev, f(problem, ev)),
+                                      problem.observed_information(ev))
+        np.testing.assert_array_equal(problem.cov_beta_derivatives(ev, f(problem, ev)),
+                                      problem.cov_beta_derivatives(ev))
 
     @pytest.mark.parametrize("method", ["REML", "ML"])
     @pytest.mark.parametrize("structure", ["diagonal", "unstructured"])
