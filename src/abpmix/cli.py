@@ -74,6 +74,11 @@ def _cmd_compare(args) -> int:
     loaded = []
     for path in args.model:
         try:
+            Path(path).stem.encode("utf-8")  # comparison.csv names each model by its file name
+        except UnicodeEncodeError:
+            print(f"error: model file name {path!r} is not valid UTF-8", file=sys.stderr)
+            return EXIT_USAGE
+        try:
             loaded.append((path, serialize.load_model_spec(path)))
         except AbpmixError as exc:
             loaded.append((path, exc))

@@ -12,8 +12,8 @@ otherwise than ``csv.reader``.  Then one ``csv.reader`` loop over the
 records reads the file instead and raises every error below.  That is
 so for a file with:
 
-- a NUL, a header that holds a quote or lacks a needed column, or no
-  record after the header;
+- a header that holds a quote or lacks a needed column, or no record
+  after the header;
 - a line that may be longer than ``csv.field_size_limit()``;
 - a record that ``loadtxt`` cannot read: a short or whitespace-only
   record, or a time or outcome that numpy's parser refuses, such as
@@ -29,10 +29,10 @@ first appearance whether their records are contiguous or not.
 
 Errors of ``read_cohort``.  Records are numbered from the header, row 1;
 blank records are skipped but counted.  Invalid UTF-8 anywhere in the
-file is a ParseError first; then a missing column is a SchemaError; then
-the earliest offending record raises.  A record that ``csv`` cannot
-tokenize, such as one with a field over ``csv.field_size_limit()``, is a
-ParseError, the header included.  Within a record the checks run in
+file is a ParseError first, then a NUL anywhere, on every Python; then a
+missing column is a SchemaError; then the earliest offending record
+raises.  A record that ``csv`` cannot tokenize, such as one with a field
+over ``csv.field_size_limit()``, is a ParseError, the header included.  Within a record the checks run in
 this order: a short row, an unparsable time, an unparsable outcome
 (ParseError), a time its subject already has (DuplicateError), a
 covariate whose value differs from the subject's first record
@@ -49,7 +49,6 @@ record: ``row 3: subject 'b': time points must lie in [0.0, 24.0]``.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from array import array
@@ -108,12 +107,13 @@ def read_cohort(path, outcome: str = "sbp") -> Cohort:
     """Read a cohort CSV, one Subject per id with ascending times.
 
     The file is first read whole, so that invalid UTF-8 anywhere is the
-    first error; a leading UTF-8 byte-order mark, which spreadsheets'
-    "CSV UTF-8" exports write, is skipped (``np.loadtxt`` skips the header
-    line that holds it).  A file that ``_loadable`` accepts is then
-    tokenized and converted by one ``np.loadtxt`` call; ``_read_records``
-    reads any other with ``csv.reader``, and so every file that holds an
-    error of the module docstring.  A stable sort on the subject orders a
+    first error and a NUL anywhere the second: no id or covariate holds
+    one.  A leading UTF-8 byte-order mark, which spreadsheets' "CSV UTF-8"
+    exports write, is skipped (``np.loadtxt`` skips the header line that
+    holds it).  A file that ``_loadable`` accepts is then tokenized and
+    converted by one ``np.loadtxt`` call; ``_read_records`` reads any other
+    with ``csv.reader``, and so every file that holds an error of the
+    module docstring.  A stable sort on the subject orders a
     file whose times increase within each subject, and one on (subject,
     time) any other; one pass over the sorted arrays then checks the whole
     cohort, duplicate times included.  The sorted time and outcome
@@ -124,24 +124,29 @@ def read_cohort(path, outcome: str = "sbp") -> Cohort:
     outcome = outcome.lower()
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            loadable = _loadable(fh.read(), outcome)  # no copy of the text outlives this
-        read = _loadtxt(path, *loadable) if loadable else None
-        if read is None:
-            with open(path, encoding="utf-8-sig", newline="") as fh:
-                read = _read_records(fh, outcome)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    if "\0" in text:
+        line = len(_LINE_END.findall(text, 0, text.index("\0"))) + 1
+        raise ParseError(f"{path}: line {line}: NUL character")
+    loadable = _loadable(text, outcome)
+    del text  # no copy of the text outlives the checks
+    read = _loadtxt(path, *loadable) if loadable else None
+    if read is None:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            read = _read_records(fh, outcome)
     columns, ids, error, covariate_columns = read
     return _assemble(columns, ids, error, outcome, covariate_columns)
 
 
 def _loadable(text: str, outcome: str):
     """The layout of ``text`` and its number of lines, if ``np.loadtxt``
-    may read it as ``csv.reader`` does: no NUL, a header with every needed
-    column and no quote, a record after it, and no line over
+    may read it as ``csv.reader`` does: a header with every needed column
+    and no quote, a record after it, and no line over
     ``csv.field_size_limit()``; else None."""
     header_end = _LINE_END.search(text)
-    if header_end is None or "\0" in text or not _NOT_LINE_END.search(text, header_end.end()):
+    if header_end is None or not _NOT_LINE_END.search(text, header_end.end()):
         return None
     header = text[:header_end.start()]
     if '"' in header:
@@ -414,7 +419,7 @@ def format_g17(values) -> np.ndarray:
     slow = np.flatnonzero(~fast)
     if not slow.size:
         return out[used[0]:used[-1] + 1].T.copy()
-    spelled = _text_fields([format(v, ".17g") for v in x[slow].tolist()])[0]
+    spelled = _text_fields([format(v, ".17g") for v in x[slow].tolist()])
     fields = np.zeros((n, max(width, spelled.shape[1])), np.uint8)
     fields[:, :width] = out[used[0]:used[-1] + 1].T
     fields[slow] = 0
@@ -422,20 +427,19 @@ def format_g17(values) -> np.ndarray:
     return fields
 
 
-_SPECIAL = re.compile('[,"\r\n\0]')  # what ``csv_quoted`` passes to ``csv.writer``
+_SPECIAL = re.compile('[,"\r\n\0]')  # what ``csv_quoted`` quotes, and NUL, which it refuses
 
 
 def csv_quoted(texts) -> list:
-    """Each text as one CSV field: one without ``,``, ``"``, ``\\r``, ``\\n``
-    or NUL as it is, any other as a ``csv.writer`` with a ``\\r\\n``
-    terminator quotes it, so that every row reads back as written (or
-    raises on NUL before Python 3.11)."""
+    """Each text as one CSV field, as the ``csv`` module's writer quotes it:
+    one without ``,``, ``"``, ``\\r`` or ``\\n`` as it is, any other in double
+    quotes with each ``"`` doubled.  A NUL is a SchemaError: no writer emits one."""
     quoted = list(texts)
     for i, text in enumerate(quoted):
         if _SPECIAL.search(text):
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
-            quoted[i] = buf.getvalue()[:-3]  # less the empty field's "," and the "\r\n"
+            if "\0" in text:
+                raise SchemaError(f"a CSV field cannot hold NUL: {text!r}")
+            quoted[i] = '"' + text.replace('"', '""') + '"'
     return quoted
 
 
@@ -456,37 +460,25 @@ def write_csv(path, header, rows):
 
 
 def _text_fields(texts):
-    """The UTF-8 bytes of each text, NUL-padded to a (n, w) uint8 array, and
-    the bool array of which bytes are the text's own (a text may hold NUL)."""
+    """The UTF-8 bytes of each NUL-free text, NUL-padded to a (n, w) uint8 array."""
     encoded = [t.encode("utf-8") for t in texts]
-    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    width = int(lengths.max(initial=0))
+    width = max(map(len, encoded), default=0)
     padded = b"".join(t.ljust(width, b"\0") for t in encoded)
-    matrix = np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
-    return matrix, np.arange(width) < lengths[:, None]
+    return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
 
 
-def _csv_lines(shape, columns) -> np.ndarray:
-    """CSV lines put together column by column, as bytes in a uint8 array,
-    one line per index of ``shape`` in C order.  A column is a bytes
-    separator, the same on every line; a uint8 array of ``format_g17``
-    fields, whose NUL bytes are dropped; or a pair of ``_text_fields``
-    arrays.  Arrays are (*shape, w) or broadcast to it, so a column that
-    repeats along an axis is written into the line matrix without a copy."""
-    columns = [(np.frombuffer(c, np.uint8), None) if isinstance(c, bytes)
-               else c if isinstance(c, tuple) else (c, None) for c in columns]
-    matrix = np.empty((*shape, sum(c.shape[-1] for c, _ in columns)), np.uint8)
-    texts, start = [], 0
-    for column, keep in columns:
-        stop = start + column.shape[-1]
-        matrix[..., start:stop] = column
-        if keep is not None:
-            texts.append((start, stop, keep))
-        start = stop
-    keep = matrix != 0
-    for start, stop, mask in texts:
-        keep[..., start:stop] = mask
-    return matrix[keep]
+def _csv_lines(shape, columns) -> bytes:
+    """CSV lines put together column by column, one line per index of
+    ``shape`` in C order.  A column is a bytes separator or a uint8 array of
+    NUL-padded ``format_g17`` or ``_text_fields`` fields, (*shape, w) or
+    broadcast to it without a copy.  No field holds a NUL of its own, so
+    the lines are the matrix's bytes less every NUL."""
+    columns = [np.frombuffer(c, np.uint8) if isinstance(c, bytes) else c for c in columns]
+    stops = np.cumsum([c.shape[-1] for c in columns]).tolist()
+    matrix = np.empty((*shape, stops[-1]), np.uint8)
+    for column, stop in zip(columns, stops):
+        matrix[..., stop - column.shape[-1]:stop] = column
+    return matrix.tobytes().replace(b"\0", b"")
 
 
 def write_series(path, times, groups):
@@ -500,13 +492,13 @@ def write_series(path, times, groups):
     with open(path, "wb") as fh:
         fh.write(b"time,series,value,lower,upper\n")
         for names, values in groups:
-            labels, own = _text_fields(csv_quoted(names))
+            labels = _text_fields(csv_quoted(names))
             _, k, n = values.shape
             step = max(BLOCK_VALUES // (k * n), 1)  # series a block
             for a in range(0, len(values), step):
                 block = values[a:a + step]
                 numbers = format_g17(block).reshape(len(block), k, n, -1)
-                columns = [stamps, b",", (labels[a:a + step, None], own[a:a + step, None])]
+                columns = [stamps, b",", labels[a:a + step, None]]
                 for j in range(k):
                     columns += [b",", numbers[:, j]]
                 fh.write(_csv_lines(block.shape[::2], columns + [b"," * (3 - k) + b"\n"]))
@@ -529,7 +521,7 @@ def write_cohort(path, cohort: Cohort, outcome: str = "sbp"):
         for a in range(0, t.size, step):
             k = subject[a:a + step]  # each row's subject
             numbers = format_g17(np.concatenate([t[a:a + step], y[a:a + step]]))
-            ids, *covs = [(matrix[k], own[k]) for matrix, own in texts]
+            ids, *covs = [matrix[k] for matrix in texts]
             columns = [ids, b",", numbers[:k.size], b",", numbers[k.size:]]
             for cov in covs:
                 columns += [b",", cov]

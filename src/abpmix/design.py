@@ -13,7 +13,7 @@ one definition of X's columns, for one subject or stacked over many.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -168,12 +168,13 @@ def _covariate(subject: Subject, term: str):
     return v
 
 
-def covariate_coding(cohort: Optional[Cohort], terms: Sequence[str], reference_levels) -> dict:
+def covariate_coding(cohort: Optional[Cohort], terms: Sequence[str], reference_levels):
     """Reference-cell coding of static covariate terms, {term: ((column
     label, level), ...)}: a term whose values are all numbers is one column
     of level None; any other expands into indicators of its levels against
-    the alphabetically first, unless the spec pins a reference level."""
-    coding = {}
+    the alphabetically first, unless the spec pins a reference level.
+    Returned with each such categorical term's reference level, {term: level}."""
+    coding, references = {}, {}
     for term in terms:
         if cohort is None:
             raise SpecError("covariate terms require cohort data")
@@ -186,13 +187,15 @@ def covariate_coding(cohort: Optional[Cohort], terms: Sequence[str], reference_l
         if ref not in levels:
             raise SpecError(f"reference level {ref!r} not observed for {term!r}")
         coding[term] = tuple((f"{term}={lv}", lv) for lv in levels if lv != ref)
-    return coding
+        references[term] = ref
+    return coding, references
 
 
-def _encode(subjects: Sequence[Subject], term: str, columns: tuple) -> np.ndarray:
+def _encode(subjects: Sequence[Subject], term: str, columns: tuple, reference) -> np.ndarray:
     """(subjects, columns) values of one term by its coding ``columns``: the
     finite number of a numeric term, or a ``str(value) == level`` indicator
-    per coded level."""
+    per coded level.  A categorical value that is neither a coded level nor
+    the ``reference`` level, where one is recorded, is a SpecError."""
     values = [_covariate(s, term) for s in subjects]
     if columns and columns[0][1] is None:
         for s, v in zip(subjects, values):
@@ -202,6 +205,12 @@ def _encode(subjects: Sequence[Subject], term: str, columns: tuple) -> np.ndarra
                 raise SpecError(f"covariate {term!r} of subject {s.id!r} is not finite")
         return np.array(values, dtype=float)[:, None]
     text = [str(v) for v in values]
+    if reference is not None:
+        known = {str(reference), *(level for _, level in columns)}
+        for s, t in zip(subjects, text):
+            if t not in known:
+                raise SpecError(f"covariate {term!r} of subject {s.id!r} has level {t!r}, "
+                                "which the fit never saw")
     return np.array([[t == level for _, level in columns] for t in text],
                     dtype=float).reshape(len(subjects), len(columns))
 
@@ -239,8 +248,9 @@ class BasisContext:
         self._random = self._fixed if random == (spec.fixed, True) else self._prepare(*random)
         # the covariate coding table of ``covariate_coding``, or None without terms
         terms = tuple(dict.fromkeys(spec.group_terms + spec.interaction_terms))
-        if encoder is None and terms:
-            encoder = covariate_coding(cohort, terms, spec.reference_levels)
+        if encoder is None and terms:  # coded from the cohort: record each reference level
+            encoder, references = covariate_coding(cohort, terms, spec.reference_levels)
+            self.spec = replace(spec, reference_levels={**spec.reference_levels, **references})
         self.encoder = encoder
 
     def _prepare(self, desc: BasisDescriptor, orthonormalize: bool):
@@ -290,7 +300,8 @@ def covariate_values(spec: ModelSpec, subjects: Sequence[Subject], context: Basi
         return np.zeros((len(subjects), 0)), np.zeros((len(subjects), 0))
     if context.encoder is None:
         raise SpecError("spec names covariates but no encoder is available")
-    encoded = {term: _encode(subjects, term, context.encoder[term])
+    encoded = {term: _encode(subjects, term, context.encoder[term],
+                             spec.reference_levels.get(term))
                for term in dict.fromkeys(spec.group_terms + spec.interaction_terms)}
     return tuple(np.hstack([np.zeros((len(subjects), 0))] + [encoded[t] for t in terms])
                  for terms in (spec.group_terms, spec.interaction_terms))

@@ -213,8 +213,8 @@ class MixedModelProblem:
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
     def __init__(self, spec: ModelSpec, cohort: Cohort, context: Optional[BasisContext] = None):
-        self.spec = spec
         self.context = context if context is not None else BasisContext(spec, cohort)
+        self.spec = spec = self.context.spec  # with the reference levels the coding records
         # subjects in id order; per observation count, one design per distinct
         # (times, covariate encoding), with X and Z rows of those on the union
         subjects = sorted(cohort, key=attrgetter("id"))

@@ -259,10 +259,10 @@ def edge_case_problems(rng, structure="diagonal"):
 def row_loop_read_cohort(path, outcome="sbp"):
     """Reference reader: ``dataio.read_cohort`` as one loop over the
     records, each checked as it is read; the first bad record raises, a
-    record that ``csv`` cannot tokenize included.  A leading UTF-8
-    byte-order mark is skipped.  Then each subject in
-    order of first appearance is checked, one check at a time, over its
-    records in order."""
+    record that ``csv`` cannot tokenize included.  A NUL anywhere raises
+    first, naming its line.  A leading UTF-8 byte-order mark is skipped.
+    Then each subject in order of first appearance is checked, one check
+    at a time, over its records in order."""
 
     def numbered(reader):
         for rownum in itertools.count(1):
@@ -287,6 +287,11 @@ def row_loop_read_cohort(path, outcome="sbp"):
             return raw
 
     outcome = outcome.lower()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    if "\0" in text:
+        before = text[:text.index("\0")].replace("\r\n", "\n").replace("\r", "\n")
+        raise ParseError(f"{path}: line {before.count(chr(10)) + 1}: NUL character")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         records = numbered(csv.reader(fh))
         header = next(records, (1, []))[1]

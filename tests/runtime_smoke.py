@@ -68,6 +68,14 @@ def smoke(prefix, d: Path):
     run("band", "--fit", d / "fit" / "fit.json", "--out", d / "band_level",
         "--band-level", "0.99999999999999989", code=2)
 
+    # one input contract on every Python: a NUL in an id is refused, though
+    # csv.reader reads it from Python 3.11 on
+    text = cohort.read_bytes()
+    assert b"\ns0003," in text
+    (d / "sim" / "nul.csv").write_bytes(text.replace(b"\ns0003,", b"\ns00\x0003,"))
+    run("fit", "--model", d / "m2.json", "--data", d / "sim" / "nul.csv", "--out", d / "fit_nul",
+        code=2)
+
     # the Satterthwaite einsums ran on this numpy: each fixed effect has
     # a p-value and each compared model a model R2 (an empty field is NaN)
     fixed = rows(d / "fit" / "fixed_effects.csv")
@@ -148,10 +156,20 @@ def smoke(prefix, d: Path):
     fixed = [r["parameter"] for r in rows(d / "fit_cov" / "fixed_effects.csv")]
     assert fixed == ["intercept", "time^1", "time^2", "diet=dash", "age:time^1",
                      "age:time^2"], fixed
-    encoder = json.loads((d / "fit_cov" / "fit.json").read_text(encoding="utf-8"))["encoder"]
+    saved = json.loads((d / "fit_cov" / "fit.json").read_text(encoding="utf-8"))
+    encoder, references = saved["encoder"], saved["spec"]["reference_levels"]
     assert encoder == {"diet": [["diet=dash", "dash"]], "age": [["age", None]]}, encoder
+    assert references == {"diet": "control"}, references
     series = {r["series"] for r in rows(d / "profiles_cov" / "profiles.csv")}
     assert {"subject:s0000", "subject:s0001"} <= series, series
+    # a diet the fit never saw is refused, not profiled at the reference level
+    with open(cohort, encoding="utf-8", newline="") as fh:
+        header, *records = list(csv.reader(fh))
+    with open(d / "sim" / "fruit.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + [r[:3] + ["fruit"] + r[4:] if r[0] == "s0000" else r
+                                             for r in records])
+    run("profiles", "--fit", d / "fit_cov" / "fit.json", "--data", d / "sim" / "fruit.csv",
+        "--subjects", "s0000", "--out", d / "profiles_fruit", code=2)
 
 
 if __name__ == "__main__":

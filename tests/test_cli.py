@@ -291,6 +291,24 @@ class TestCompareCommand:
                      "--data", data, "--out", str(tmp_path / "c2")])
         assert code == 2
 
+    def test_model_file_name_not_utf8_refused_before_any_fit(self, workspace, tmp_path,
+                                                               monkeypatch, capsys):
+        # comparison.csv names each model by its file name, which must be UTF-8 text
+        _, data, model = workspace
+        bad = tmp_path / os.fsdecode(b"m\xff.json")
+        try:
+            shutil.copy(model, bad)
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        fits = []
+        monkeypatch.setattr(MixedModelProblem, "fit", lambda self, **kw: fits.append(kw))
+        out = tmp_path / "cu"
+        code = main(["compare", "--model", str(bad), "--model", model, "--data", data,
+                     "--out", str(out), "--force-reml-compare"])
+        err = capsys.readouterr().err
+        assert code == 2 and fits == [] and not out.exists()
+        assert err.count("\n") == 1 and repr(str(bad)) in err and "Traceback" not in err
+
     def test_incomparable_specs_refused_before_any_fit(self, workspace, tmp_path,
                                                        monkeypatch):
         _, data, model = workspace
@@ -709,6 +727,49 @@ class TestProfilesCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("pins", [{}, {"diet": "control"}])
+    def test_level_the_fit_never_saw_is_usage_error(self, workspace, tmp_path, capsys, pins):
+        # fitted on control and dash, with the reference pinned or chosen
+        _, data, _ = workspace
+        cohort = dataio.read_cohort(data)
+        diets = ["control", "dash"] * len(cohort.subjects)
+
+        def with_diets(path, diets):
+            write_cohort(path, a.Cohort(subjects=tuple(
+                a.Subject(id=s.id, times=s.times, y=s.y, covariates={"diet": d})
+                for s, d in zip(cohort, diets))))
+            return str(path)
+
+        seen = with_diets(tmp_path / "seen.csv", diets)
+        unseen = with_diets(tmp_path / "unseen.csv", ["fruit"] + diets[1:])
+        spec = tmp_path / "m.json"
+        spec.write_text(serialize.model_spec_to_json(a.ModelSpec(
+            fixed=a.BasisDescriptor("orthonormal_poly", 2),
+            random=a.BasisDescriptor("orthonormal_poly", 1),
+            group_terms=("diet",), reference_levels=pins)))
+        assert main(["fit", "--model", str(spec), "--data", seen,
+                     "--out", str(tmp_path / "fit")]) == 0
+        d = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert d["spec"]["reference_levels"] == {"diet": "control"}
+        del d["spec"]["reference_levels"]  # as fit.json was written before it recorded them
+        (tmp_path / "old.json").write_text(json.dumps(d))
+
+        def profiles(fit, data, out):
+            return main(["profiles", "--fit", str(tmp_path / fit), "--data", data,
+                         "--subjects", "s0000,s0001", "--out", str(tmp_path / out)])
+
+        capsys.readouterr()
+        assert profiles("fit/fit.json", unseen, "refused") == 2
+        err = capsys.readouterr().err
+        assert err == ("error: SpecError: covariate 'diet' of subject 's0000' has level "
+                       "'fruit', which the fit never saw\n")
+        assert not (tmp_path / "refused").exists()
+        # seen levels profile as before; a fit.json without the levels reads as before
+        assert profiles("fit/fit.json", seen, "new") == profiles("old.json", seen, "old") == 0
+        assert ((tmp_path / "new" / "profiles.csv").read_bytes()
+                == (tmp_path / "old" / "profiles.csv").read_bytes())
+        assert profiles("old.json", unseen, "unchecked") == 0
+
     def test_fit_json_missing_field_is_usage_error(self, workspace, tmp_path, capsys):
         root, data, _ = workspace
         d = json.loads((root / "fit" / "fit.json").read_text())
@@ -788,9 +849,7 @@ class TestProfilesCommand:
         # every branch of format_g17; 100 + 2**-15 is a tie at the 17th digit
         special = [-130.25, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 123.0, 1e16,
                    100.000030517578125]
-        labels = ['subject:o"b,1%s', "subject:100%", "band", "line\nbreak", '"', ""]
-        if sys.version_info >= (3, 11):  # csv.writer writes NUL from 3.11 on
-            labels.append("nul\x00id")
+        labels = ['subject:o"b,1%s', "subject:100%", "band", "line\nbreak", '"', "", "c0\x01\u00e9"]
         series = []
         for i in range(90):  # more numbers than one default block holds
             columns = rng.normal(120.0, 40.0, size=(3 if i % 7 == 3 else 1, times.size))
@@ -824,9 +883,12 @@ class TestProfilesCommand:
                     write_series(tmp_path / "p.csv", times, layout(series))
                 assert (tmp_path / "p.csv").read_bytes() == expected(series)
         # a small file, such as band's, in one call
-        few = series[3:7]  # a banded series, and a line break, a quote and NUL in labels
+        few = series[3:7]  # a banded series; a line break, a quote and a C0 control in labels
         write_series(tmp_path / "f.csv", times, groups(few))
         assert (tmp_path / "f.csv").read_bytes() == expected(few)
+        # no writer emits NUL, on any Python
+        with pytest.raises(SchemaError, match="cannot hold NUL"):
+            write_series(tmp_path / "n.csv", times, groups([("nul\x00id", *series[0][1:])]))
 
 
 # NaN, the infinities, subnormals and the neighbours of 0 and 1, then any float

@@ -104,6 +104,15 @@ class TestReadCohort:
         with pytest.raises(ParseError, match="row 3"):
             a.read_cohort(p)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_nul_is_refused_before_the_records(self, tmp_path, newline):
+        # a duplicate time in row 3 and a NUL in row 5: the NUL, on every Python
+        text = "subject_id,time,sbp\na,0.5,120\na,0.5,121\nb,1,1\nb\0,2,121\n"
+        p = tmp_path / "c.csv"
+        p.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        with pytest.raises(ParseError, match=r"c\.csv: line 5: NUL character$"):
+            a.read_cohort(str(p))
+
     def test_field_over_csv_limit_is_parse_error(self, tmp_path):
         huge = '"' + "x" * (csv.field_size_limit() + 1) + '"'
         p = write_csv(tmp_path / "c.csv", f"subject_id,time,sbp\na,0.5,120\n{huge},1.5,121\n")
@@ -312,7 +321,7 @@ def numpy_reads(text):
 
 def read_plainly(text):
     """Whether ``read_cohort`` reads ``text`` by ``np.loadtxt`` alone, not
-    by ``csv.reader``: no NUL, a header without a quote that has every
+    by ``csv.reader``, given no NUL: a header without a quote that has every
     needed column, at least one record, no line over
     ``csv.field_size_limit()``, one record per line (no blank record, no
     line end inside quotes), each record at least as wide as the header's
@@ -323,7 +332,7 @@ def read_plainly(text):
     text = text.removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
     header = lines[0].split(",")
-    if ("\0" in text or '"' in lines[0] or len(lines) < 2
+    if ('"' in lines[0] or len(lines) < 2
             or not {"subject_id", "time", "sbp"} <= set(header)):
         return False
     longest = max(map(len, lines))
@@ -375,9 +384,9 @@ class TestReadCohortMatchesRowLoop:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(text=cohort_csv(plain=True))
     # at each edge of the loadtxt path: a quote only in the last record, CRLF
-    # or CR only on the last line, CR then CRLF (a blank line), NUL, a record
-    # longer than the header, a blank line, no final newline, a field at and
-    # one over the csv field limit
+    # or CR only on the last line, CR then CRLF (a blank line), NUL (refused
+    # before either tokenizer), a record longer than the header, a blank
+    # line, no final newline, a field at and one over the csv field limit
     @example(text='subject_id,time,sbp\na,1,120\n"b",2,121\n')
     @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r\n")
     @example(text="subject_id,time,sbp\na,1,120\nb,2,121\r")
@@ -422,8 +431,11 @@ class TestReadCohortMatchesRowLoop:
     @example(text="subject_id,time,sbp\na,1,120\nb,1,110\na,nan,121\n")
     def test_plain_file_same_cohort_or_same_error(self, tmp_path_factory, text):
         used_csv_reader = assert_reads_like_row_loop(tmp_path_factory, text)
-        plainly = read_plainly(text)
-        assert plainly is None or used_csv_reader != plainly
+        if "\0" in text:  # refused before either tokenizer runs
+            assert not used_csv_reader
+        else:
+            plainly = read_plainly(text)
+            assert plainly is None or used_csv_reader != plainly
 
     @pytest.mark.parametrize("text, sorts_on_time", [
         ("subject_id,time,sbp\nb,2,120\na,1,110\nb,3,121\na,4,111\n", False),
@@ -552,20 +564,72 @@ def written_field(text):
     return buf.getvalue()[:-3]
 
 
+# format_g17's special cases: zeros, non-finite values, subnormals, the edges of its
+# fast range, a tie at the 17th digit and a value next to a power of ten
+SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-4,
+                  math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0),
+                  100 + 2.0 ** -15, 0.09999999999999999, -130.25]
+
+
+@st.composite
+def plot_groups(draw):
+    """(times, groups) for ``write_series``: labels of CSV specials, spaces,
+    non-ASCII characters and C0 controls other than NUL, and values that
+    hold ``format_g17``'s special cases."""
+    chars = st.one_of(st.sampled_from([*',"\r\n ', *map(chr, range(1, 32))]),
+                      st.characters(min_codepoint=128, exclude_categories=["Cs"]))
+    numbers = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    times = draw(st.lists(numbers, min_size=1, max_size=5))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        series, k = draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
+        labels = draw(st.lists(st.text(chars, max_size=6), min_size=series, max_size=series))
+        values = draw(st.lists(numbers, min_size=series * k * len(times),
+                               max_size=series * k * len(times)))
+        groups.append((labels, np.array(values).reshape(series, k, len(times))))
+    return np.array(times), groups
+
+
+def plot_csv_bytes(times, groups):
+    """The plot CSV with one ``format(v, ".17g")`` per number and each field
+    as a ``csv.writer`` with a ``\\r\\n`` terminator writes it."""
+    lines = ["time,series,value,lower,upper\n"]
+    for labels, values in groups:
+        for label, columns in zip(labels, values):
+            for i, t in enumerate(times):
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\r\n").writerow(
+                    [format(t, ".17g"), label, *(format(c[i], ".17g") for c in columns)]
+                    + [""] * (3 - len(columns)))
+                lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+class TestWriteSeries:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(plot=plot_groups())
+    def test_bytes_match_the_writer(self, tmp_path_factory, plot):
+        path = tmp_path_factory.mktemp("plot") / "p.csv"
+        times, groups = plot
+        want = plot_csv_bytes(times, groups)
+        for block in (7, 300, dataio.BLOCK_VALUES):
+            with mock.patch.object(dataio, "BLOCK_VALUES", block):
+                dataio.write_series(path, times, groups)
+            assert path.read_bytes() == want
+
+
 class TestCsvQuoted:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.lists(st.text(st.one_of(st.sampled_from(',"\r\n\0 '), st.characters())),
                     max_size=6))
     @example(["", "a", "\r", "\n", ",", '"', " x ", "\u00e9"])
     @example(["\0", "a\0b"])
-    def test_same_as_the_writer_or_both_raise(self, texts):
-        try:
-            want = [written_field(t) for t in texts]
-        except csv.Error:
-            with pytest.raises(csv.Error):
+    def test_same_as_the_writer_or_refuses_nul(self, texts):
+        if any("\0" in t for t in texts):  # on every Python, though csv.writer takes it from 3.11
+            with pytest.raises(SchemaError, match="cannot hold NUL"):
                 dataio.csv_quoted(texts)
         else:
-            assert dataio.csv_quoted(texts) == want
+            assert dataio.csv_quoted(texts) == [written_field(t) for t in texts]
 
 
 class TestHourlyAggregate:

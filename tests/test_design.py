@@ -250,8 +250,9 @@ class TestCovariateCoding:
             complete_subject(sid=f"s{i}", covariates={"diet": d}, seed=i)
             for i, d in enumerate(["b", "a", "c"])
         )
-        coding = covariate_coding(a.Cohort(subjects=subs), ("diet",), {})
+        coding, references = covariate_coding(a.Cohort(subjects=subs), ("diet",), {})
         assert coding == {"diet": (("diet=b", "b"), ("diet=c", "c"))}
+        assert references == {"diet": "a"}
 
     def test_unobserved_pinned_reference_is_spec_error(self):
         subs = tuple(complete_subject(sid=f"s{i}", covariates={"diet": d}, seed=i)
