@@ -14,7 +14,6 @@ from .basis import (
     restricted_cubic_spline_basis,
 )
 from .blup import (
-    PredictionBand,
     population_curve,
     prediction_band,
     random_effects_blup,

@@ -1,10 +1,11 @@
 """Subject-specific prediction: BLUPs, profiles, and prediction bands.
 
-Profiles and curves are plain arrays: ``subject_profile`` gives a batch's
-(subjects, times) matrix, ``population_curve`` one (times,) row.  A batch
-is array work on the design pipeline of ``design``: the time bases are
-evaluated once on the union of the batch's times and once on the grid, and
-the mean X beta on both comes from ``fixed_mean``, which builds no X.
+Profiles, curves and bands are plain arrays: ``subject_profile`` gives a
+batch's (subjects, times) matrix, ``population_curve`` one (times,) row and
+``prediction_band`` the (3, times) rows center (``population_curve``), lower
+and upper.  A batch is array work on the design pipeline of ``design``: one
+``build_design`` on the union of its times, the time bases on the grid, and
+the mean X beta on both from ``fixed_mean``, which builds no X.
 Each distinct time pattern factors one k x k matrix, k = min(p, m), once
 (see ``_blups``): all patterns of one length in one stacked Cholesky call,
 whose factors then serve the solves.
@@ -12,7 +13,7 @@ whose factors then serve the solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from statistics import NormalDist
 from typing import Optional
 
@@ -22,13 +23,6 @@ from .basis import TimeGrid
 from .design import Subject, build_design, covariate_values, fixed_mean, group_patterns
 from .errors import ConditioningError, ConfigError, SpecError
 from .estimation import FittedModel
-
-
-@dataclass(frozen=True)
-class PredictionBand:
-    center: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 # kept for bench/spans.py, which times it by name
@@ -43,21 +37,13 @@ def subject_profile(fitted: FittedModel, subjects, times: TimeGrid) -> np.ndarra
     if not subjects:
         return np.zeros((0, len(times)))
     d, group, interaction = _blups(fitted, subjects)
-    s, z = _time_matrices(fitted, subjects[0], times)
+    s, z = fitted.context.time_matrices(times)
     # every subject's rows are the whole grid: one index row broadcast over the subjects
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         values = (fixed_mean(s, np.arange(len(times)), group, interaction, fitted.beta_hat)
                   + d @ z.T)
     _refuse_non_finite(values, subjects)
     return values
-
-
-def _time_matrices(fitted: FittedModel, carrier: Subject, times: TimeGrid):
-    """(S, Z) on ``times`` via ``build_design``: S, the time basis, leads its X."""
-    # through build_design, which bench/spans.py times as a blup child span
-    pair = build_design(fitted.spec, replace(carrier, times=times, y=np.zeros(len(times))),
-                        fitted.context)
-    return pair.X[:, : fitted.spec.fixed.n_columns], pair.Z
 
 
 def _blups(fitted: FittedModel, subjects: list):
@@ -72,7 +58,10 @@ def _blups(fitted: FittedModel, subjects: list):
     substitution over the batch, with no LU solve or inverse."""
     group, interaction = covariate_values(fitted.spec, subjects, fitted.context)
     union, patterns = group_patterns(subjects)
-    basis, z = _time_matrices(fitted, subjects[0], union)
+    # build_design, which bench/spans.py times, on the union: S, the time basis, leads X
+    pair = build_design(fitted.spec, replace(subjects[0], times=union, y=np.zeros(len(union))),
+                        fitted.context)
+    basis, z = pair.X[:, : fitted.spec.fixed.n_columns], pair.Z
     y = np.concatenate([s.y for s in subjects])
     sigma_d, s2, m = fitted.sigma_d_hat, fitted.sigma2_hat, z.shape[1]
     ev, vec = np.linalg.eigh(sigma_d)
@@ -147,8 +136,9 @@ def population_curve(fitted: FittedModel, times: TimeGrid) -> np.ndarray:
 
 
 def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.90,
-                    multiplier: Optional[float] = None) -> PredictionBand:
-    """Pointwise band for a new subject's outcome.
+                    multiplier: Optional[float] = None) -> np.ndarray:
+    """Pointwise band for a new subject's outcome: the (3, times) rows
+    center, lower and upper, the center ``population_curve``'s.
 
     Half-width combines fixed-effect estimation variance, random-effect
     variance, and the residual: z * sqrt(s'Phi s + u'Sigma_d u + sigma^2).
@@ -164,15 +154,15 @@ def prediction_band(fitted: FittedModel, eval_times: TimeGrid, level: float = 0.
         if not 0.0 <= multiplier < np.inf:
             raise ConfigError("band multiplier must be finite and nonnegative")
         z = float(multiplier)
+    band = np.empty((3, len(eval_times)))
+    band[0] = population_curve(fitted, eval_times)
     s, u = fitted.context.time_matrices(eval_times)
     phi_tt = fitted.cov_beta[: s.shape[1], : s.shape[1]]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         var = (np.einsum("ij,jk,ik->i", s, phi_tt, s)
                + np.einsum("ij,jk,ik->i", u, fitted.sigma_d_hat, u) + fitted.sigma2_hat)
-        center = s @ fitted.beta_hat[: s.shape[1]]
-        half = z * np.sqrt(var)
-        upper = center + half
-        lower = 2.0 * center - upper  # exactly symmetric about the center
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        band[2] = band[0] + z * np.sqrt(var)
+        band[1] = 2.0 * band[0] - band[2]  # exactly symmetric about the center
+    if not np.isfinite(band[1:]).all():
         raise SpecError("the prediction band is not finite")
-    return PredictionBand(center=center, lower=lower, upper=upper)
+    return band

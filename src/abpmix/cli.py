@@ -118,19 +118,17 @@ def _cmd_compare(args) -> int:
 def _write_plot(args, fitted, grid: TimeGrid, name: str, title: str, labels: list,
                 profiles: np.ndarray) -> int:
     """``name``.csv (and .svg with --svg) of the (subjects, grid) ``profiles``
-    labelled ``labels``, the population curve and the band."""
-    population = blup.population_curve(fitted, grid)
+    labelled ``labels``, the population curve (the band's center) and the band."""
     band = blup.prediction_band(fitted, grid, level=args.band_level,
                                 multiplier=args.band_multiplier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_series(out / f"{name}.csv", grid.points, [
-        (labels, profiles[:, None]), (["population"], population[None, None]),
-        (["band"], np.stack([band.center, band.lower, band.upper])[None])])
+        (labels, profiles[:, None]), (["population"], band[None, :1]), (["band"], band[None])])
     if args.svg:
-        series = [*zip(labels, profiles), ("population", population)]
-        text = svg.render_plot(grid.points, series, band=(band.lower, band.upper),
-                               start_hour=args.start_hour, title=title)
+        series = [*zip(labels, profiles), ("population", band[0])]
+        text = svg.render_plot(grid.points, series, band[1:], start_hour=args.start_hour,
+                               title=title)
         (out / f"{name}.svg").write_text(text, encoding="utf-8")
     return EXIT_OK
 

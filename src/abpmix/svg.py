@@ -33,11 +33,12 @@ def _text(x, y, body, size, anchor=None, fill=None) -> str:
             f'{body}</text>')
 
 
-def render_plot(times, series, band=None, start_hour=None, title="") -> str:
-    """``series`` is a list of (label, values); ``band`` is (lower, upper)."""
+def render_plot(times, series, band, start_hour=None, title="") -> str:
+    """``series`` is a list of (label, values) drawn over ``band``, the
+    (2, times) rows lower and upper shaded between them."""
     times = np.asarray(times, dtype=float)
-    ys = [np.asarray(v, dtype=float) for _, v in series]
-    stack = np.concatenate(ys + ([band[0], band[1]] if band is not None else []))
+    lower, upper = band
+    stack = np.concatenate([np.asarray(v, dtype=float) for _, v in series] + [lower, upper])
     ylo, yhi = float(stack.min()), float(stack.max())
     pad = 0.05 * max(yhi - ylo, 1.0)
     ylo, yhi = ylo - pad, yhi + pad
@@ -59,10 +60,8 @@ def render_plot(times, series, band=None, start_hour=None, title="") -> str:
     ]
     if title:
         parts.append(_text(_WIDTH // 2, 24, title, 16, "middle"))
-    if band is not None:
-        lower, upper = band
-        pts = f"{points(times, upper)} {points(times[::-1], lower[::-1])}"
-        parts.append(f'<polygon points="{pts}" fill="#cccccc" fill-opacity="0.6"/>')
+    pts = f"{points(times, upper)} {points(times[::-1], lower[::-1])}"
+    parts.append(f'<polygon points="{pts}" fill="#cccccc" fill-opacity="0.6"/>')
     for i, (label, values) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         parts.append(f'<polyline points="{points(times, values)}" fill="none" stroke="{color}" '

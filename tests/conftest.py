@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import minimize_scalar
 
 import abpmix as a
 from abpmix import serialize
@@ -136,6 +137,55 @@ def dense_observed_information(theta, spec, cohort, method="REML"):
             hess[j, l] = (0.5 * np.sum(tdv[j] * tdv[l].T) - 0.5 * np.sum(t * d2.T)
                           - r @ dvs[j] @ proj @ dvs[l] @ r + 0.5 * r @ d2 @ r)
     return -hess
+
+
+def balanced_unstructured_oracle(spec, cohort, method="REML"):
+    """The maximum (RE)ML log-likelihood of an unstructured model whose
+    fixed and random bases are one, on a cohort whose subjects share p > m
+    times: a closed form in Sigma_d, maximized over sigma^2 alone.
+
+    With Z = QR, u_i = R^-1 Q1'y_i ~ N(beta, Psi), Psi = Sigma_d + sigma^2 A,
+    A = (R'R)^-1, and Q2'y_i ~ N(0, sigma^2 I); SSW = sum |Q2'y_i|^2 and
+    S = sum (u_i - u.)(u_i - u.)'.  Over the PSD Sigma_d the optimal Psi
+    shares the eigenvectors of A^-1/2 S A^-1/2 / sigma^2, whose eigenvalues
+    lambda it divides by w = max(lambda / nu, 1), nu = N - 1 (REML) or N
+    (ML).  So -2 l(sigma^2) = nu (m log sigma^2 + log|A| + sum log w)
+    + sum lambda / w + N (p - m) log sigma^2 + SSW / sigma^2
+    + 2 N log|det R| + C, with C = m log N + (n - m) log 2 pi for REML and
+    n log 2 pi for ML."""
+    assert spec.fixed == spec.random and spec.random_cov == "unstructured"
+    assert not (spec.group_terms or spec.interaction_terms)
+    times = cohort.subjects[0].times
+    assert all(np.array_equal(s.times.points, times.points) for s in cohort)
+    z = BasisContext(spec).time_matrices(times)[1]
+    n_subjects, (p, m) = len(cohort.subjects), z.shape
+    assert p > m
+    q, r = np.linalg.qr(z, mode="complete")
+    r = r[:m]
+    rotated = np.stack([s.y for s in cohort]) @ q  # row i: (Q1'y_i, Q2'y_i)
+    u = sla.solve_triangular(r, rotated[:, :m].T).T
+    ssw = float(np.sum(rotated[:, m:] ** 2))
+    dev = u - u.mean(axis=0)
+    a_mat = np.linalg.inv(r.T @ r)
+    ev, vec = np.linalg.eigh(a_mat)
+    a_root_inv = (vec / np.sqrt(ev)) @ vec.T
+    eigen = np.linalg.eigvalsh(a_root_inv @ (dev.T @ dev) @ a_root_inv)
+    nu = n_subjects - 1 if method == "REML" else n_subjects
+    n = n_subjects * p
+    const = (m * np.log(n_subjects) + (n - m) * np.log(2 * np.pi) if method == "REML"
+             else n * np.log(2 * np.pi))
+    const += nu * np.linalg.slogdet(a_mat)[1] + 2 * n_subjects * np.log(np.abs(np.diag(r))).sum()
+
+    def deviance(log_s2):
+        lam = eigen / np.exp(log_s2)
+        w = np.maximum(lam / nu, 1.0)
+        return (nu * (m * log_s2 + np.sum(np.log(w))) + np.sum(lam / w)
+                + n_subjects * (p - m) * log_s2 + ssw / np.exp(log_s2) + const)
+
+    center = np.log(ssw / (n_subjects * (p - m)))
+    res = minimize_scalar(deviance, bounds=(center - 20.0, center + 20.0), method="bounded",
+                          options={"xatol": 1e-13})
+    return -0.5 * float(res.fun)
 
 
 def fd_observed_information(problem, theta, method="REML", step=1e-4):

@@ -62,6 +62,21 @@ def smoke(prefix, d: Path):
     run("profiles", "--fit", d / "fit" / "fit.json", "--data", cohort,
         "--subjects", "s0000,s0001", "--out", d / "profiles", "--svg")
     run("band", "--fit", d / "fit" / "fit.json", "--out", d / "band_fit", "--svg")
+    # the band's rows on this numpy: its center is the population curve, as
+    # text, between its lower and upper rows, and the SVG shades it once
+    band = rows(d / "band_fit" / "band.csv")
+    population = {r["time"]: r["value"] for r in band if r["series"] == "population"}
+    centers = {r["time"]: r["value"] for r in band if r["series"] == "band"}
+    assert population and population == centers, "population and band center differ"
+    assert all(float(r["lower"]) <= float(r["value"]) <= float(r["upper"])
+               for r in band if r["series"] == "band"), "band rows out of order"
+    svg = (d / "band_fit" / "band.svg").read_text(encoding="utf-8")
+    assert svg.count("<polygon") == 1, "band.svg holds no single band polygon"
+    # profiles with no subjects: the population curve and the band alone
+    run("profiles", "--fit", d / "fit" / "fit.json", "--data", cohort,
+        "--out", d / "profiles_none")
+    series = {r["series"] for r in rows(d / "profiles_none" / "profiles.csv")}
+    assert series == {"population", "band"}, series
     run("band", "--model", d / "m2.json", "--thresholds", d / "th.json", "--data", cohort,
         "--out", d / "band_model")
     # the largest double below 1 is a band level whose normal quantile is infinite

@@ -224,7 +224,7 @@ def test_criterion_09_band_coverage():
     d = rng.multivariate_normal(np.zeros(u.shape[1]), fitted.sigma_d_hat, size=n_sim)
     e = rng.normal(scale=np.sqrt(fitted.sigma2_hat), size=(n_sim, len(grid)))
     y = beta_draw @ s.T + d @ u.T + e
-    inside = (y >= band.lower) & (y <= band.upper)
+    inside = (y >= band[1]) & (y <= band[2])
     coverage = inside.mean(axis=0)
     ok = np.all(np.abs(coverage - 0.90) <= 0.02)
     report(9, "90% band pointwise coverage within 0.90 +/- 0.02 (10,000 sims)",

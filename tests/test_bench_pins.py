@@ -34,6 +34,7 @@ def test_tracer_wraps_the_pinned_names_and_restores_them():
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
     names = {(owner.__name__, attr) for owner, attr, _ in patched}
     assert {("abpmix.blup", "subject_profile"), ("abpmix.blup", "random_effects_blup"),
+            ("abpmix.blup", "population_curve"), ("abpmix.blup", "prediction_band"),
             ("abpmix.blup", "build_design"), ("abpmix.estimation", "build_design"),
             ("MixedModelProblem", "loglikelihood"), ("MixedModelProblem", "gls"),
             ("MixedModelProblem", "loglik_and_grad")} <= names

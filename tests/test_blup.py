@@ -172,27 +172,27 @@ class TestPredictionBand:
     def test_symmetry_exact(self, small_fit):
         _, _, fitted = small_fit
         band = a.prediction_band(fitted, TimeGrid(np.linspace(0.5, 23.5, 24)))
-        np.testing.assert_array_equal(band.upper - band.center, band.center - band.lower)
+        np.testing.assert_array_equal(band[2] - band[0], band[0] - band[1])
 
     def test_half_width_vanishes_with_level(self, small_fit):
         _, _, fitted = small_fit
         grid = TimeGrid(np.array([6.0, 12.0, 18.0]))
         band = a.prediction_band(fitted, grid, level=1e-12)
-        assert np.max(band.upper - band.lower) <= 1e-9
+        assert np.max(band[2] - band[1]) <= 1e-9
 
     def test_nesting(self, small_fit):
         _, _, fitted = small_fit
         grid = TimeGrid(np.linspace(0.5, 23.5, 24))
         b90 = a.prediction_band(fitted, grid, level=0.90)
         b95 = a.prediction_band(fitted, grid, level=0.95)
-        assert np.all(b95.lower <= b90.lower) and np.all(b95.upper >= b90.upper)
+        assert np.all(b95[1] <= b90[1]) and np.all(b95[2] >= b90[2])
 
     def test_multiplier_override(self, small_fit):
         _, _, fitted = small_fit
         grid = TimeGrid(np.array([12.0]))
         b = a.prediction_band(fitted, grid, multiplier=2.0)
         z = a.prediction_band(fitted, grid, level=0.90)
-        ratio = (b.upper - b.center) / (z.upper - z.center)
+        ratio = (b[2] - b[0]) / (z[2] - z[0])
         assert abs(ratio[0] - 2.0 / 1.6448536269514722) <= 1e-9
 
     @pytest.mark.parametrize("multiplier", [np.nan, np.inf, -1.0])
@@ -207,6 +207,44 @@ class TestPredictionBand:
         grid = TimeGrid(np.array([12.0]))
         with pytest.raises(ConfigError):
             a.prediction_band(fitted, grid, level=1.2)
+
+    def test_center_is_the_population_curve(self, small_fit):
+        _, _, fitted = small_fit
+        grid = TimeGrid(np.linspace(0.0, 24.0, 97))
+        band = a.prediction_band(fitted, grid, multiplier=2.0)
+        assert band.shape == (3, 97)
+        np.testing.assert_array_equal(band[0], a.population_curve(fitted, grid))
+
+    def test_center_that_is_not_finite_is_refused(self, small_fit):
+        _, _, fitted = small_fit
+        # refused by population_curve, as the profiles and band commands refused it
+        unbounded = dataclasses.replace(fitted, beta_hat=np.array([np.inf, -np.inf, 1.0]))
+        with pytest.raises(SpecError, match="the population curve is not finite"):
+            a.prediction_band(unbounded, TimeGrid.equispaced(9))
+
+    def test_each_plot_computes_one_band_and_one_curve(self, small_fit, monkeypatch,
+                                                       tmp_path):
+        # the population group of a plot CSV is the band's center, not a second curve
+        _, cohort, fitted = small_fit
+        (tmp_path / "fit.json").write_text(serialize.fitted_model_to_json(fitted),
+                                           encoding="utf-8")
+        write_cohort(tmp_path / "cohort.csv", cohort)
+        calls = []
+
+        def recording(name):
+            orig = getattr(blup_module, name)
+            return lambda *args, **kwargs: calls.append(name) or orig(*args, **kwargs)
+
+        for name in ("population_curve", "prediction_band"):
+            monkeypatch.setattr(blup_module, name, recording(name))
+        fit_json = str(tmp_path / "fit.json")
+        runs = [["profiles", "--fit", fit_json, "--data", str(tmp_path / "cohort.csv"),
+                 "--subjects", cohort.subjects[0].id, "--out", str(tmp_path / "p"), "--svg"],
+                ["band", "--fit", fit_json, "--out", str(tmp_path / "b"), "--svg"]]
+        for argv in runs:
+            calls.clear()
+            assert main(argv) == 0
+            assert sorted(calls) == ["population_curve", "prediction_band"]
 
 
 def incomplete_covariate_fit(irregular=False):
@@ -342,15 +380,17 @@ class TestBatchedProfiles:
     @staticmethod
     def count_builds(monkeypatch):
         """The number of observation times of each ``build_design`` call
-        made by blup, and one entry per evaluation of a polynomial basis."""
-        builds, evaluations = [], count_calls(monkeypatch, basis, "evaluate_polynomial_basis")
-        build = blup_module.build_design
+        made by blup, and of each evaluation of a polynomial basis."""
+        builds, evaluations = [], []
+        build, evaluate = blup_module.build_design, basis.evaluate_polynomial_basis
         monkeypatch.setattr(blup_module, "build_design",
                             lambda *args: builds.append(args[1].n_obs) or build(*args))
+        monkeypatch.setattr(basis, "evaluate_polynomial_basis",
+                            lambda *args: evaluations.append(len(args[1])) or evaluate(*args))
         return builds, evaluations
 
-    def test_each_batch_builds_two_designs_and_factorizes_each_pattern_once(self, incomplete,
-                                                                           monkeypatch):
+    def test_each_batch_builds_one_design_and_factorizes_each_pattern_once(self, incomplete,
+                                                                          monkeypatch):
         cohort, fitted = incomplete
         builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
@@ -365,14 +405,15 @@ class TestBatchedProfiles:
         assert len(factors) == len(lengths) < len(patterns)
         assert solves == [[], []]
         # whatever the covariate encodings: one design on the union of the
-        # observation times, one on the grid, each evaluating the shared basis once
-        assert sorted(builds) == sorted([25, union.size])
-        assert len(evaluations) == len(builds)
+        # observation times, and the shared basis evaluated once there and once on the grid
+        assert builds == [union.size]
+        assert sorted(evaluations) == sorted([25, union.size])
 
-    def test_irregular_designs_cost_two_builds_linear_in_observations(self, irregular,
-                                                                      monkeypatch):
+    def test_irregular_designs_cost_one_build_linear_in_observations(self, irregular,
+                                                                     monkeypatch):
         # no two subjects share a time or a covariate encoding: the designs
-        # still come from two builds whose rows are the observations and the grid
+        # still come from one build whose rows are the observations, and the
+        # basis is evaluated there and on the grid
         cohort, fitted = irregular
         builds, evaluations = self.count_builds(monkeypatch)
         factors = count_calls(monkeypatch, np.linalg, "cholesky")
@@ -382,8 +423,8 @@ class TestBatchedProfiles:
         assert sum(factors) == len(cohort)
         assert solves == [[], []]
         assert len(factors) == len({len(s.times) for s in cohort.subjects}) < len(cohort)
-        assert sorted(builds) == sorted([25, cohort.n_obs])
-        assert len(evaluations) == len(builds)
+        assert builds == [cohort.n_obs]
+        assert sorted(evaluations) == sorted([25, cohort.n_obs])
 
     def test_lengths_on_both_sides_of_m_match_the_oracle(self, incomplete):
         # p < m and p = m factor V per length; p > m at several lengths, one
@@ -454,7 +495,7 @@ class TestBatchedProfiles:
                      str(tmp_path / "p")]) == 0
         assert len(inside) == 2 and [s.id for s in inside[0]] == [s.id for s in cohort]
         lengths = {len(s.times) for s in cohort.subjects}
-        assert events == [True] * (2 + len(lengths))
+        assert events == [True] * (1 + len(lengths))
         loaded = serialize.load_fitted_model(tmp_path / "fit.json")
         want = profile(loaded, list(cohort.subjects), TimeGrid.equispaced(25))
         assert got[0].shape == (len(cohort), 25)
