@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError, KnotError, RankError
+from .errors import DomainError, GridError, KnotError, RankError, SpecError
 
 TIME_DOMAIN = (0.0, 24.0)
 MAX_GRID_POINTS = 86_401  # one point a second over 24 h
@@ -247,7 +247,7 @@ def gram_schmidt_transform(m: np.ndarray):
     """
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise SpecError("matrix contains non-finite entries: a basis column overflows a double")
     p, c = m.shape
     scale = np.linalg.norm(m)
     q, t = np.empty((p, c)), np.zeros((c, c))

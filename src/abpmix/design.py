@@ -12,7 +12,6 @@ one definition of X's columns, for one subject or stacked over many.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -215,26 +214,6 @@ def _encode(subjects: Sequence[Subject], term: str, columns: tuple, reference) -
                     dtype=float).reshape(len(subjects), len(columns))
 
 
-# Evaluators of prepared bases, at module level so that a BasisContext
-# pickles; each looks the basis function up when it runs.
-def _polynomial_columns(coeffs: bas.PolynomialCoefficients, times: TimeGrid) -> np.ndarray:
-    return bas.evaluate_polynomial_basis(coeffs, times)
-
-
-def _spline_columns(knots: np.ndarray, times: TimeGrid) -> np.ndarray:
-    """An intercept and the restricted cubic spline covariates."""
-    return np.column_stack([np.ones(len(times)), bas.restricted_cubic_spline_basis(times, knots)])
-
-
-def _natural_columns(degree: int, times: TimeGrid) -> np.ndarray:
-    return bas.natural_polynomial_basis(times, degree)
-
-
-def _transformed_columns(columns, t: np.ndarray, times: TimeGrid) -> np.ndarray:
-    """``columns`` at ``times`` times their Gram-Schmidt transform from the reference grid."""
-    return columns(times) @ t
-
-
 class BasisContext:
     """Shared per-spec basis machinery, generated once on the reference grid."""
 
@@ -253,31 +232,42 @@ class BasisContext:
             self.spec = replace(spec, reference_levels={**spec.reference_levels, **references})
         self.encoder = encoder
 
-    def _prepare(self, desc: BasisDescriptor, orthonormalize: bool):
-        """What evaluates the basis ``desc`` at any times: a picklable partial."""
-        grid = self.reference_grid
+    def _prepare(self, desc: BasisDescriptor, orthonormalize: bool) -> tuple:
+        """``desc`` and its table for ``_evaluate``: the orthonormal polynomials'
+        coefficients, the raw columns' Gram-Schmidt transform, or None for raw monomials."""
         if desc.kind == "orthonormal_poly":
-            _, coeffs = bas.orthonormal_polynomial_basis(grid, desc.degree)
-            return functools.partial(_polynomial_columns, coeffs)
+            return desc, bas.orthonormal_polynomial_basis(self.reference_grid, desc.degree)[1]
+        # raw monomials (the flag exists to demonstrate the non-convergence
+        # of raw monomial random effects)
+        if desc.kind == "natural_poly" and not orthonormalize:
+            return desc, None
+        return desc, bas.gram_schmidt_transform(self._raw_columns(desc, self.reference_grid))[1]
+
+    @staticmethod
+    def _raw_columns(desc: BasisDescriptor, times: TimeGrid) -> np.ndarray:
+        """An intercept and the restricted cubic spline covariates, or the monomials."""
         if desc.kind == "restricted_cubic_spline":
-            columns = functools.partial(_spline_columns, np.asarray(desc.knots, dtype=float))
-        else:
-            columns = functools.partial(_natural_columns, desc.degree)
-            # raw monomials (the flag exists to demonstrate the non-convergence
-            # of raw monomial random effects)
-            if not orthonormalize:
-                return columns
-        _, t = bas.gram_schmidt_transform(columns(grid))
-        return functools.partial(_transformed_columns, columns, t)
+            return np.column_stack([np.ones(len(times)),
+                                    bas.restricted_cubic_spline_basis(times, desc.knots)])
+        return bas.natural_polynomial_basis(times, desc.degree)
+
+    @classmethod
+    def _evaluate(cls, basis: tuple, times: TimeGrid) -> np.ndarray:
+        """The columns of a prepared basis at ``times``."""
+        desc, table = basis
+        if desc.kind == "orthonormal_poly":
+            return bas.evaluate_polynomial_basis(table, times)
+        columns = cls._raw_columns(desc, times)
+        return columns if table is None else columns @ table
 
     def fixed_time_matrix(self, times: TimeGrid) -> np.ndarray:
         """Fixed-effect time-basis columns, intercept included."""
-        return self._fixed(times)
+        return self._evaluate(self._fixed, times)
 
     def time_matrices(self, times: TimeGrid):
         """(fixed_time_matrix, random-effect design Z) on ``times``, one evaluation if shared."""
         s = self.fixed_time_matrix(times)
-        return s, (s if self._random is self._fixed else self._random(times))
+        return s, (s if self._random is self._fixed else self._evaluate(self._random, times))
 
     def fixed_column_labels(self) -> list:
         spec = self.spec

@@ -18,10 +18,10 @@ the finite array read.  ``_jsonable`` writes an object in table order;
 
 A failed check is a SchemaError unless said otherwise.  An optional field
 that is left out takes the model's default.  A file with a table carries
-``schema_version`` (currently 1), checked first.  Floats survive the JSON
-round trip exactly (shortest-repr encoding); a number must read as a
-finite float and an integer as an int64: NaN, Infinity and integers out
-of range are SchemaErrors.  The thresholds file has hours for keys, no table.
+``schema_version``, the integer 1 today, checked first.  Floats survive
+the JSON round trip exactly (shortest-repr encoding); a number must read
+as a finite float and an integer as an int64: NaN, Infinity and integers
+out of range are SchemaErrors.  The thresholds file has hours for keys, no table.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def _from_json(text: str, fmt: _Format, sizes: Callable = lambda values: {}) -> 
     """The fields of a file of format ``fmt``, after its schema_version check."""
     d = _parse(text, fmt.what)
     v = d.pop("schema_version", None)
-    if v != SCHEMA_VERSION:
+    if type(v) is not int or v != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise SchemaError(f"{fmt.what}: unsupported schema_version {v!r}")
     return _fields(d, fmt, sizes)
 

@@ -502,3 +502,20 @@ def small_fit():
     fitted = a.fit(spec, cohort)
     assert fitted.converged
     return spec, cohort, fitted
+
+
+def only_the_start_improves(monkeypatch):
+    """Make every likelihood evaluation of a problem after its first, the
+    ascent's start, score -inf, so that no damping of a step improves.
+    A point rather than a call would not do: a step damped 4^40 times
+    rounds to the start, which then ties with itself."""
+    evaluate = MixedModelProblem._evaluate
+
+    def lowered(self, *args, **kwargs):
+        ev = evaluate(self, *args, **kwargs)
+        if self.__dict__.setdefault("_evaluations", 0):
+            ev = ev._replace(loglik=-np.inf)
+        self._evaluations += 1
+        return ev
+
+    monkeypatch.setattr(MixedModelProblem, "_evaluate", lowered)

@@ -31,6 +31,11 @@ FILES = {
     "mc.json": {"schema_version": 1, **POLY2, "group_terms": ["diet"],
                 "interaction_terms": ["age"]},
     "th.json": {"all": [-1e6, 1e6]},
+    # natural bases whose monomials overflow a double on a 225-point reference grid
+    "nf.json": {"schema_version": 1, **POLY2, "fixed": {"kind": "natural_poly", "degree": 224},
+                "reference_grid_points": 225},
+    "nr.json": {"schema_version": 1, **POLY2, "random": {"kind": "natural_poly", "degree": 224},
+                "reference_grid_points": 225},
 }
 
 
@@ -90,6 +95,9 @@ def smoke(prefix, d: Path):
     (d / "sim" / "nul.csv").write_bytes(text.replace(b"\ns0003,", b"\ns00\x0003,"))
     run("fit", "--model", d / "m2.json", "--data", d / "sim" / "nul.csv", "--out", d / "fit_nul",
         code=2)
+    # a basis that overflows, fixed or random, is a usage error, not a traceback
+    for name in ("nf.json", "nr.json"):
+        run("fit", "--model", d / name, "--data", cohort, "--out", d / "fit_overflow", code=2)
 
     # the Satterthwaite einsums ran on this numpy: each fixed effect has
     # a p-value and each compared model a model R2 (an empty field is NaN)

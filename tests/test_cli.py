@@ -24,7 +24,7 @@ from abpmix.dataio import write_cohort, write_series
 from abpmix.errors import AbpmixError, SchemaError
 from abpmix.estimation import MixedModelProblem
 
-from conftest import hourly_midpoints, poly_spec, spec_object
+from conftest import hourly_midpoints, only_the_start_improves, poly_spec, spec_object
 
 
 def write_spec(path, degree, random_cov="diagonal", random_degree=None):
@@ -218,6 +218,17 @@ class TestFitCommand:
                      "--max-iter", "1"])
         assert code == 3
         assert (out / "fit.json").exists()
+
+    def test_ascent_that_no_damping_improves_is_nonconvergence(self, tmp_path, workspace,
+                                                               monkeypatch, capsys):
+        only_the_start_improves(monkeypatch)
+        _, data, model = workspace
+        out = tmp_path / "nc"
+        code = main(["fit", "--model", model, "--data", data, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("non-convergence: gradient_norm=")
+        saved = json.loads((out / "fit.json").read_text())
+        assert saved["converged"] is False and saved["iterations"] == 0
 
     @pytest.mark.parametrize("option, value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "abc"),
@@ -525,6 +536,23 @@ class TestNumericLimits:
         out = tmp_path / "o"
         assert main(["fit", "--model", model, "--data", str(scaled), "--out", str(out)]) == 0
         assert json.loads((out / "fit.json").read_text())["converged"] is True
+
+    @pytest.mark.parametrize("role", ["fixed", "random"])
+    def test_natural_basis_whose_columns_overflow_is_usage_error(self, workspace, tmp_path,
+                                                                 capsys, role):
+        # 24^224 on the reference grid overflows a double
+        _, data, _ = workspace
+        spec = {"schema_version": 1, "fixed": {"kind": "orthonormal_poly", "degree": 1},
+                "random": {"kind": "orthonormal_poly", "degree": 1},
+                "reference_grid_points": 225}
+        spec[role] = {"kind": "natural_poly", "degree": 224}
+        (tmp_path / "m.json").write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        code = main(["fit", "--model", str(tmp_path / "m.json"), "--data", data,
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == ("error: SpecError: matrix contains non-finite "
+                                           "entries: a basis column overflows a double\n")
 
     def test_numeric_covariate_whose_cross_products_overflow_is_usage_error(
             self, workspace, age_fit, tmp_path, capsys):
@@ -1187,6 +1215,37 @@ def test_unknown_field_is_usage_error_of_its_format(workspace, tmp_path, capsys,
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"{error}: {fmt}: unknown fields ['surprise']" in capsys.readouterr().err
 
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("version", [2, "1", True, 1.0, MISSING])
+@pytest.mark.parametrize("fmt", ["model spec", "fitted model", "simulation config"])
+def test_schema_version_other_than_the_integer_1_is_usage_error(workspace, tmp_path, capsys,
+                                                                fmt, version):
+    # true and 1.0 compare equal to 1, yet neither is the integer 1
+    root, data, model = workspace
+    bad = tmp_path / "bad.json"
+    if fmt == "simulation config":
+        d = json.loads(Path(write_sim_config(bad, n_subjects=5)).read_text())
+        argv = ["simulate", "--config", str(bad)]
+    elif fmt == "fitted model":
+        d = json.loads((root / "fit" / "fit.json").read_text())
+        argv = ["profiles", "--fit", str(bad), "--data", data]
+    else:
+        d = json.loads(Path(model).read_text())
+        argv = ["fit", "--model", str(bad), "--data", data]
+    del d["schema_version"]
+    if version is not MISSING:
+        d["schema_version"] = version
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    shown = None if version is MISSING else version
+    assert err == f"error: SchemaError: {fmt}: unsupported schema_version {shown!r}\n"
+    assert not out.exists()
 
 
 BEYOND_FLOAT = 10 ** 400  # a JSON integer that no float holds

@@ -29,6 +29,7 @@ from conftest import (
     edge_case_problems,
     fd_observed_information,
     hourly_midpoints,
+    only_the_start_improves,
     poly_spec,
     random_tiny_problem,
     record_problem_calls,
@@ -516,6 +517,16 @@ class TestFit:
         assert not fitted.converged
         assert np.all(np.isfinite(fitted.beta_hat))
 
+    def test_ascent_that_no_damping_improves_ends_at_its_start(self, monkeypatch):
+        only_the_start_improves(monkeypatch)
+        spec = poly_spec(2)
+        cohort = simulate(spec, [450.0, -12.0, 6.0], np.diag([70.0, 40.0, 20.0]),
+                          25.0, n_subjects=25, seed=14)
+        fitted = a.fit(spec, cohort)
+        assert not fitted.converged
+        assert fitted.iterations == 0 and fitted.ascent_history == []
+        assert np.all(np.isfinite(fitted.beta_hat))
+
     def test_converged_gradient_below_tolerance(self, small_fit):
         _, _, fitted = small_fit
         assert fitted.converged
@@ -909,10 +920,10 @@ def test_unpickled_grid_and_coefficient_table_stay_read_only():
     spec = poly_spec(2)
     fitted = a.fit(spec, simulate(spec, [400.0, -15.0, 8.0], np.diag([60.0, 20.0, 10.0]), 16.0,
                                   n_subjects=12, seed=9))
-    want = fitted.context._fixed.args[0]
+    want = fitted.context._fixed[1]
     for back in (pickle.loads(pickle.dumps(fitted.context)),
                  pickle.loads(pickle.dumps(fitted)).context):
-        coeffs = back._fixed.args[0]
+        coeffs = back._fixed[1]
         assert (coeffs.degree, coeffs.offset, coeffs.scale) == (want.degree, want.offset,
                                                                 want.scale)
         for got, was in ((back.reference_grid.points, fitted.context.reference_grid.points),
